@@ -11,10 +11,8 @@ from .model import (
     MemoizedModel,
     ModelSpec,
     build_model,
-    exit_distribution,
-    target_distribution,
 )
-from .types import Distribution, InvariantViolation, LayerStep, TokenId
+from .types import InvariantViolation, LayerStep, TokenId
 
 __version__ = "0.1.0"
 
@@ -24,7 +22,6 @@ __all__ = [
     "CostLedger",
     "DecayedStats",
     "DelController",
-    "Distribution",
     "DraftPlan",
     "DvPolicy",
     "FsPolicy",
@@ -42,14 +39,12 @@ __all__ = [
     "build_model",
     "compute_etpl",
     "derive_seed",
-    "exit_distribution",
     "grid_sweep",
     "make_policy",
     "run_experiment",
     "run_round",
     "run_session",
     "select_plan",
-    "target_distribution",
     "tpl",
     "validate_config",
     "__version__",

@@ -173,27 +173,31 @@ def make_policy(name: str, cfg: SessionConfig, **params):
     if name == "vanilla":
         return VanillaPolicy(cfg)
     if name == "ls":
-        _require(params, "exit_layer", name)
-        _require(params, "gamma", name)
-        return LsPolicy(cfg, int(params["exit_layer"]), int(params["gamma"]))
+        return LsPolicy(cfg, _param(params, "exit_layer", name, int), _param(params, "gamma", name, int))
     if name == "fs":
-        _require(params, "exit_layer", name)
-        _require(params, "gamma", name)
-        return FsPolicy(cfg, int(params["exit_layer"]), int(params["gamma"]))
+        return FsPolicy(cfg, _param(params, "exit_layer", name, int), _param(params, "gamma", name, int))
     if name == "dv":
-        _require(params, "exit_layer", name)
         return DvPolicy(
             cfg,
-            int(params["exit_layer"]),
-            target_rate=float(params.get("target_rate", 0.9)),
-            step=float(params.get("step", 0.01)),
-            threshold=float(params.get("threshold", 0.6)),
+            _param(params, "exit_layer", name, int),
+            target_rate=_param(params, "target_rate", name, float, 0.9),
+            step=_param(params, "step", name, float, 0.01),
+            threshold=_param(params, "threshold", name, float, 0.6),
         )
     if name == "del":
         return DelController(cfg, per_layer_window=bool(params.get("per_layer_window", False)))
     raise ConfigError(f"unknown policy {name!r}; expected vanilla/ls/fs/dv/del")
 
 
-def _require(params: dict, field: str, policy: str) -> None:
-    if params.get(field) is None:
-        raise ConfigError(f"{field} is required for policy {policy!r}")
+def _param(params: dict, field: str, policy: str, typ, default=None):
+    """``params[field]`` converted by ``typ``; absent means ``default``, and
+    a field without a default is required."""
+    val = params.get(field)
+    if val is None:
+        if default is None:
+            raise ConfigError(f"{field} is required for policy {policy!r}")
+        return default
+    try:
+        return typ(val)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{field} for policy {policy!r} must be {typ.__name__}, got {val!r}") from e

@@ -158,10 +158,10 @@ def _model_from(args, file_cfg: dict) -> ModelSpec:
     if getattr(args, "model_kind", None):
         merged["kind"] = args.model_kind
     if getattr(args, "profile", None):
-        merged["agreement_profile"] = [float(x) for x in args.profile.split(",")]
+        merged["agreement_profile"] = _parse_list(args.profile, float, "--profile")
     if getattr(args, "toy_map", None):
         merged["base_process"] = {"kind": "next_map",
-                                  "map": [int(x) for x in args.toy_map.split(",")]}
+                                  "map": _parse_list(args.toy_map, int, "--toy-map")}
     if "kind" not in merged:
         raise ConfigError("model.kind is required (flag --model-kind or config file)")
     return ModelSpec.from_dict(merged)
@@ -190,15 +190,32 @@ def _policy_spec_from(args, file_cfg: dict) -> tuple[str, dict]:
     return name, params
 
 
+def _run_int(flag_val, run_cfg: dict, key: str, default: int) -> int:
+    if flag_val is not None:
+        return flag_val
+    val = run_cfg.get(key, default)
+    try:
+        return int(val)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"run.{key} must be an integer, got {val!r}") from e
+
+
 def _run_counts(args, file_cfg: dict) -> tuple[int, int]:
     run_cfg = dict(file_cfg.get("run", {}))
-    n = args.prompts if args.prompts is not None else int(run_cfg.get("prompts", 50))
-    plen = args.prompt_len if args.prompt_len is not None else int(run_cfg.get("prompt_len", 32))
+    n = _run_int(args.prompts, run_cfg, "prompts", 50)
+    plen = _run_int(args.prompt_len, run_cfg, "prompt_len", 32)
     if n < 1:
         raise ConfigError(f"prompts must be >= 1, got {n}")
     if plen < 1:
         raise ConfigError(f"prompt_len must be >= 1, got {plen}")
     return n, plen
+
+
+def _parse_list(text: str, typ, field: str) -> list:
+    try:
+        return [typ(x) for x in text.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"bad {field} list {text!r}: {e}") from e
 
 
 def _parse_range(text: str | None, field: str) -> list[int]:
@@ -245,6 +262,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--ell values must lie in [1, {cfg.L})")
     if any(not 0 <= d <= cfg.d_max for d in ds):
         raise ConfigError(f"--d values must lie in [0, {cfg.d_max}]")
+    if args.segment_len is not None and args.segment_len < 1:
+        raise ConfigError(f"--segment-len must be >= 1, got {args.segment_len}")
     out = _resolve_out(args)
     grid = grid_sweep(spec, cfg, ells, ds, n_prompts, prompt_len, args.segment_len)
     out.mkdir(parents=True, exist_ok=True)

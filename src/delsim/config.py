@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
@@ -54,6 +55,10 @@ class SessionConfig:
         return validate_config(dataclasses.replace(self, **kw))
 
 
+def _is_number(x: Any) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def validate_config(cfg: SessionConfig) -> SessionConfig:
     """Return cfg unchanged if valid, else raise naming the first bad field."""
     if not isinstance(cfg.L, int) or cfg.L < 2:
@@ -62,7 +67,7 @@ def validate_config(cfg: SessionConfig) -> SessionConfig:
         raise ConfigError(f"V must be an integer >= 2, got {cfg.V!r}")
     if not isinstance(cfg.d_max, int) or cfg.d_max < 0:
         raise ConfigError(f"d_max must be an integer >= 0, got {cfg.d_max!r}")
-    if not 0.0 <= cfg.omega <= 1.0:
+    if not _is_number(cfg.omega) or not 0.0 <= cfg.omega <= 1.0:
         raise ConfigError(f"omega out of [0,1]: {cfg.omega!r}")
     if not isinstance(cfg.prefill_window, int) or cfg.prefill_window < 1:
         raise ConfigError(f"prefill_window must be an integer >= 1, got {cfg.prefill_window!r}")
@@ -74,9 +79,9 @@ def validate_config(cfg: SessionConfig) -> SessionConfig:
         raise ConfigError(f"seed must be a 64-bit integer, got {cfg.seed!r}")
     if cfg.draft_cap_mode not in CAP_MODES:
         raise ConfigError(f"draft_cap_mode must be one of {CAP_MODES}, got {cfg.draft_cap_mode!r}")
-    if not 0.0 < cfg.alpha_clamp_eps < 0.5:
+    if not _is_number(cfg.alpha_clamp_eps) or not 0.0 < cfg.alpha_clamp_eps < 0.5:
         raise ConfigError(f"alpha_clamp_eps out of (0, 0.5): {cfg.alpha_clamp_eps!r}")
-    if not 0.0 <= cfg.default_threshold <= 1.0:
+    if not _is_number(cfg.default_threshold) or not 0.0 <= cfg.default_threshold <= 1.0:
         raise ConfigError(f"default_threshold out of [0,1]: {cfg.default_threshold!r}")
     return cfg
 

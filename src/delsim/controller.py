@@ -73,19 +73,13 @@ def zero_stats(n_exit_layers: int, per_layer_window: bool = False) -> DecayedSta
 
 
 def shadow_tokens(steps: Sequence[LayerStep]) -> ShadowMatrix:
-    """Greedy-decode every layer's distribution at every position.
-
-    Argmax ties break toward the lowest token id.
-    """
+    """Every layer's greedy token and top-1 confidence at every position."""
     if len(steps) == 0:
         raise ValueError("steps must be non-empty")
-    probs = np.stack([s.probs for s in steps])  # (g+1, L, V)
-    am = probs.argmax(axis=2)
-    top = probs.max(axis=2)
     return ShadowMatrix(
-        tokens=np.ascontiguousarray(am[:, :-1].T),
-        target_tokens=np.ascontiguousarray(am[:, -1]),
-        confidences=np.ascontiguousarray(top[:, :-1].T),
+        tokens=np.ascontiguousarray(np.array([s.top_tokens for s in steps]).T),
+        target_tokens=np.array([s.target_token for s in steps]),
+        confidences=np.ascontiguousarray(np.array([s.top_conf for s in steps]).T),
     )
 
 

@@ -60,10 +60,10 @@ class RoundOutcome:
 def draft(model, context, plan: DraftPlan, cfg: SessionConfig, rng: np.random.Generator):
     """Auto-regressively draft tokens at the plan's exit layer.
 
-    Each position's confidence is the top-1 probability of the exit
-    distribution; if it falls below the plan threshold the token is discarded
-    and drafting stops. The loop bound is d_max under ``algorithm1`` capping,
-    otherwise min(planned_len, d_max).
+    Each position's confidence is the exit layer's top-1 probability; if it
+    falls below the plan threshold the token is discarded and drafting stops.
+    The loop bound is d_max under ``algorithm1`` capping, otherwise
+    min(planned_len, d_max).
 
     Returns (drafted tokens, LayerSteps seen, confidences seen). The step
     list covers every position evaluated: g entries if the loop ran to its
@@ -74,17 +74,17 @@ def draft(model, context, plan: DraftPlan, cfg: SessionConfig, rng: np.random.Ge
     drafted: list[TokenId] = []
     steps: list[LayerStep] = []
     confs: list[float] = []
-    exit_row = plan.exit_layer - 1
+    exit_layer = plan.exit_layer
+    k = exit_layer - 1
     greedy = cfg.decode_mode == GREEDY
     for _ in range(cap):
         ls = model.step(work)
-        q = ls.probs[exit_row]
-        conf = float(q.max())
+        conf = float(ls.top_conf[k])
         steps.append(ls)
         confs.append(conf)
         if conf < plan.threshold:
             break
-        tok = int(q.argmax()) if greedy else sample_index(q, rng)
+        tok = int(ls.top_tokens[k]) if greedy else sample_index(ls.exit_row(exit_layer), rng)
         drafted.append(tok)
         work.append(tok)
     return drafted, steps, confs
@@ -157,15 +157,15 @@ def run_round(
         # loop ran to its bound: the verification pass covers one more position
         ls = model.step(list(context) + drafted)
         steps.append(ls)
-        confs.append(float(ls.probs[plan.exit_layer - 1].max()))
+        confs.append(float(ls.top_conf[plan.exit_layer - 1]))
     assert len(steps) == g + 1
 
     if cfg.decode_mode == GREEDY:
-        target_tokens = [int(s.probs[-1].argmax()) for s in steps]
+        target_tokens = [s.target_token for s in steps]
         accepted, emitted = verify_greedy(target_tokens, drafted)
     else:
-        q_rows = [steps[i].probs[plan.exit_layer - 1] for i in range(g)]
-        p_rows = [s.probs[-1] for s in steps]
+        q_rows = [steps[i].exit_row(plan.exit_layer) for i in range(g)]
+        p_rows = [s.target for s in steps]
         accepted, emitted = verify_sampling(drafted, q_rows, p_rows, rng)
 
     if budget_left is not None and len(emitted) > budget_left:

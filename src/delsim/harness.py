@@ -406,7 +406,7 @@ def enumerate_target_distribution(model, prompt: Sequence[TokenId], horizon: int
             key = tuple(ctx[len(prompt):])
             out[key] = out.get(key, 0.0) + prob
             return
-        p = model.step(ctx).probs[-1]
+        p = model.step(ctx).target
         for tok in np.nonzero(p > 0.0)[0]:
             rec(ctx + [int(tok)], depth + 1, prob * float(p[tok]))
 

@@ -2,9 +2,10 @@
 
 The simulator never materializes hidden states: a model maps a context to the
 LM-head output of every layer at the next position (a :class:`LayerStep`).
-The last layer's row is the target distribution; rows below it agree with the
-target argmax at a configured long-run frequency, which gives every quantity
-the decoding policies estimate a known ground truth.
+The last layer's output is the target distribution; the top tokens of the
+layers below it agree with the target argmax at a configured long-run
+frequency, which gives every quantity the decoding policies estimate a known
+ground truth.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .config import ConfigError, SessionConfig, derive_seed
-from .types import Distribution, LayerStep, TokenId
+from .types import PROB_SUM_TOL, LayerStep, TokenId
 
 AGREEMENT = "agreement"
 REGIME_SWITCHING = "regime_switching"
@@ -151,6 +152,8 @@ class LayeredModel:
         else:
             self._transition = self._build_transition(base, V, rng)
             self._next_map = None
+        # steps hand out rows of this matrix as their target distributions
+        self._transition.flags.writeable = False
         self._trans_argmax = np.argmax(self._transition, axis=1)
 
         if spec.kind == AGREEMENT:
@@ -179,7 +182,6 @@ class LayeredModel:
         # uniformly spread remainder
         self._conf_floor = 1.0 / V + 1e-9
         self._seed_key = int(seed % 2**64).to_bytes(8, "little", signed=False)
-        self._rows = np.arange(L - 1)
         if spec.context_hash_window < 1:
             raise ConfigError("context_hash_window must be >= 1")
         self._hash_window = spec.context_hash_window
@@ -198,11 +200,11 @@ class LayeredModel:
         if kind == "uniform":
             return np.full((V, V), 1.0 / V)
         if kind == "table":
-            t = np.asarray(base["probs"], dtype=np.float64)
+            t = np.array(base["probs"], dtype=np.float64)
             if t.shape != (V, V):
                 raise ConfigError(f"base_process.probs must be shape ({V},{V})")
             sums = t.sum(axis=1)
-            if np.any(t < 0) or np.any(np.abs(sums - 1.0) > 1e-9):
+            if np.any(t < 0) or np.any(np.abs(sums - 1.0) > PROB_SUM_TOL):
                 raise ConfigError("base_process.probs rows must be distributions")
             return t
         raise ConfigError(f"base_process.kind must be dirichlet/uniform/table, got {kind!r}")
@@ -220,12 +222,16 @@ class LayeredModel:
 
     def _scratch_rng(self, key: np.ndarray) -> np.random.Generator:
         # Re-keying a thread-local Philox is ~2x faster than constructing a
-        # Generator per step and yields the identical stream.
+        # Generator per step and yields the identical stream. The state dict
+        # is kept and re-keyed in place rather than read back through the
+        # ``state`` getter: with the buffer marked spent and only 64-bit draws
+        # made, nothing else in the dict affects the stream.
         loc = self._local
-        if not hasattr(loc, "bitgen"):
+        st = getattr(loc, "state", None)
+        if st is None:
             loc.bitgen = np.random.Philox(key=0)
             loc.gen = np.random.Generator(loc.bitgen)
-        st = loc.bitgen.state
+            loc.state = st = loc.bitgen.state
         st["state"]["counter"][:] = 0
         st["state"]["key"][:] = key
         st["buffer_pos"] = 4
@@ -252,10 +258,8 @@ class LayeredModel:
         L, V = self.L, self.V
 
         if self.spec.kind == DETERMINISTIC_TOY:
-            mat = np.zeros((L, V))
-            mat[:, int(self._next_map[last])] = 1.0
-            mat.flags.writeable = False
-            return LayerStep(mat)
+            nxt = int(self._next_map[last])
+            return LayerStep(np.full(L - 1, nxt), np.ones(L - 1), self._transition[last], nxt)
 
         win = context[-self._hash_window:] if n > self._hash_window else context
         digest = hashlib.blake2b(
@@ -265,7 +269,6 @@ class LayeredModel:
         ).digest()
         rng = self._scratch_rng(np.frombuffer(digest, np.uint64))
 
-        p_target = self._transition[last]
         t_star = int(self._trans_argmax[last])
         prof = self._profile_at(n)[: L - 1]
 
@@ -277,12 +280,7 @@ class LayeredModel:
 
         conf = np.maximum(np.where(agree, conf_m, conf_x), self._conf_floor)
         top = np.where(agree, t_star, alt)
-        mat = np.empty((L, V))
-        mat[: L - 1] = ((1.0 - conf) / (V - 1))[:, None]
-        mat[self._rows, top] = conf
-        mat[L - 1] = p_target
-        mat.flags.writeable = False
-        return LayerStep(mat)
+        return LayerStep(top, conf, self._transition[last], t_star)
 
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
         """Draw a prompt of the given length from the base process."""
@@ -301,18 +299,6 @@ def build_model(spec: ModelSpec, cfg: SessionConfig, seed: int | None = None) ->
     """Construct the model for a session; the model seed defaults to a stream
     derived from the session seed so all policies share one realization."""
     return LayeredModel(spec, cfg.L, cfg.V, derive_seed(cfg.seed, "model") if seed is None else seed)
-
-
-def target_distribution(ls: LayerStep) -> Distribution:
-    """The full model's next-token distribution (last layer's row)."""
-    return Distribution(ls.probs[-1])
-
-
-def exit_distribution(ls: LayerStep, exit_layer: int) -> Distribution:
-    """The draft distribution read after ``exit_layer`` (must be < L)."""
-    if not 1 <= exit_layer < ls.layer_count:
-        raise ValueError(f"exit layer must lie in [1, {ls.layer_count}), got {exit_layer}")
-    return Distribution(ls.probs[exit_layer - 1])
 
 
 class CallCountingModel:

@@ -1,4 +1,4 @@
-"""Shared value types: token distributions and per-position layer outputs."""
+"""Shared value types: per-position layer outputs and sampling helpers."""
 
 from __future__ import annotations
 
@@ -23,80 +23,35 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class Distribution:
-    """A next-token distribution over a vocabulary of size V.
-
-    Entries must be non-negative and sum to 1 within ``PROB_SUM_TOL``.
-    """
-
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("probs must be a 1-d vector with at least 2 entries")
-        if np.any(arr < 0):
-            raise ValueError("probs must be non-negative")
-        if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probs must sum to 1 within {PROB_SUM_TOL}, got {arr.sum()!r}")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "probs", arr)
-
-    @property
-    def vocab_size(self) -> int:
-        return int(self.probs.size)
-
-    @property
-    def argmax(self) -> TokenId:
-        # np.argmax returns the first maximum, i.e. the lowest TokenId on ties
-        return int(np.argmax(self.probs))
-
-    @property
-    def top1(self) -> float:
-        return float(self.probs.max())
-
-    def sample(self, rng: np.random.Generator) -> TokenId:
-        return sample_index(self.probs, rng)
-
-
-@dataclass(frozen=True, eq=False)
 class LayerStep:
     """LM-head outputs of every layer at one decoding position.
 
-    ``probs[ell - 1]`` is the next-token distribution obtained by reading the
-    LM-head after layer ``ell``; the last row is the full model's (target)
-    distribution.
+    Exit layer ``ell`` (1 <= ell < L) puts probability ``top_conf[ell - 1]``
+    on token ``top_tokens[ell - 1]`` and spreads the remainder uniformly over
+    the other V - 1 tokens; ``exit_row`` rebuilds that distribution. Layer L
+    is the full model: ``target`` is its distribution and ``target_token``
+    its argmax. The arrays are made read-only on construction.
     """
 
-    probs: np.ndarray  # shape (L, V)
+    top_tokens: np.ndarray  # (L-1,) token ids
+    top_conf: np.ndarray  # (L-1,) top-1 probabilities
+    target: np.ndarray  # (V,)
+    target_token: TokenId
 
     def __post_init__(self) -> None:
-        arr = self.probs
-        if not (
-            isinstance(arr, np.ndarray)
-            and arr.dtype == np.float64
-            and not arr.flags.writeable
-        ):
-            arr = np.asarray(arr, dtype=np.float64).copy()
-            arr.flags.writeable = False
-        if arr.ndim != 2:
-            raise ValueError("LayerStep.probs must have shape (L, V)")
-        object.__setattr__(self, "probs", arr)
+        self.top_tokens.setflags(write=False)
+        self.top_conf.setflags(write=False)
+        self.target.setflags(write=False)
 
     @property
     def layer_count(self) -> int:
-        return int(self.probs.shape[0])
+        return int(self.top_tokens.size) + 1
 
-    @property
-    def vocab_size(self) -> int:
-        return int(self.probs.shape[1])
-
-    @property
-    def per_layer(self) -> tuple[Distribution, ...]:
-        return tuple(Distribution(row) for row in self.probs)
-
-    def layer(self, ell: int) -> Distribution:
-        if not 1 <= ell <= self.layer_count:
-            raise ValueError(f"layer index {ell} out of [1, {self.layer_count}]")
-        return Distribution(self.probs[ell - 1])
+    def exit_row(self, ell: int) -> np.ndarray:
+        """The full next-token distribution read after exit layer ``ell``."""
+        if not 1 <= ell < self.layer_count:
+            raise ValueError(f"exit layer must lie in [1, {self.layer_count}), got {ell}")
+        c = float(self.top_conf[ell - 1])
+        row = np.full(self.target.size, (1.0 - c) / (self.target.size - 1))
+        row[self.top_tokens[ell - 1]] = c
+        return row

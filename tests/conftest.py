@@ -53,7 +53,7 @@ class ScriptedModel:
     """Model stub with scripted exit-layer confidences and tokens.
 
     Position i (= len(context) - base_len) returns an L=2 LayerStep whose
-    exit row puts ``conf[i]`` on ``draft_tok[i]`` and whose target row puts
+    exit layer puts ``conf[i]`` on ``draft_tok[i]`` and whose target row puts
     mass 0.9 on ``target_tok[i]``.
     """
 
@@ -67,10 +67,8 @@ class ScriptedModel:
 
     def step(self, context) -> LayerStep:
         i = len(context) - self.base_len
-        mat = np.empty((2, self.V))
-        c = self.confs[i]
-        mat[0] = (1.0 - c) / (self.V - 1)
-        mat[0, self.draft_toks[i]] = c
-        mat[1] = 0.1 / (self.V - 1)
-        mat[1, self.target_toks[i]] = 0.9
-        return LayerStep(mat)
+        target = np.full(self.V, 0.1 / (self.V - 1))
+        target[self.target_toks[i]] = 0.9
+        return LayerStep(
+            np.array([self.draft_toks[i]]), np.array([float(self.confs[i])]), target, self.target_toks[i]
+        )

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from delsim.cli import main
 
 
@@ -187,3 +189,27 @@ def test_unknown_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "delsim" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, extra, field",
+    [
+        (["run", "--policy", "del", "--profile", "0.5,x,1"], {}, "--profile"),
+        (["run", "--policy", "del", "--model-kind", "deterministic_toy", "--toy-map", "1,2,x"],
+         {}, "--toy-map"),
+        (["sweep", "--ell", "1..2", "--d", "0,2", "--segment-len", "0"], {}, "--segment-len"),
+        (["sweep", "--ell", "1..2", "--d", "0,2", "--segment-len", "-3"], {}, "--segment-len"),
+        (["run", "--policy", "del"], {"session": {"omega": "x"}}, "omega"),
+        (["run", "--policy", "ls", "--gamma", "4"], {"run": {"exit_layer": "two"}}, "exit_layer"),
+        (["run", "--policy", "del"], {"run": {"prompts": "many"}}, "run.prompts"),
+    ],
+    ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
+         "run-exit-layer", "run-prompts"],
+)
+def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
+    cfg_file = write_config(tmp_path / "exp.json", **extra)
+    code = main(argv + ["--config", str(cfg_file), "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert field in captured.err
+    assert "Traceback" not in captured.err + captured.out

@@ -26,24 +26,19 @@ from delsim.types import LayerStep
 
 
 def steps_from_tokens(layer_rows, target_row, confs=None, V=12):
-    """Build LayerSteps whose argmax/top-1 structure is fully scripted.
+    """Build LayerSteps whose top-token/top-1 structure is fully scripted.
 
     layer_rows: (L-1, width) token ids; target_row: (width,) token ids.
     """
     layer_rows = np.asarray(layer_rows)
     target_row = np.asarray(target_row)
     n_exit, width = layer_rows.shape
-    confs = np.full((n_exit, width), 0.7) if confs is None else np.asarray(confs)
+    confs = np.full((n_exit, width), 0.7) if confs is None else np.asarray(confs, dtype=np.float64)
     steps = []
     for i in range(width):
-        mat = np.empty((n_exit + 1, V))
-        for ell in range(n_exit):
-            c = confs[ell, i]
-            mat[ell] = (1 - c) / (V - 1)
-            mat[ell, layer_rows[ell, i]] = c
-        mat[n_exit] = 0.1 / (V - 1)
-        mat[n_exit, target_row[i]] = 0.9
-        steps.append(LayerStep(mat))
+        target = np.full(V, 0.1 / (V - 1))
+        target[target_row[i]] = 0.9
+        steps.append(LayerStep(layer_rows[:, i].copy(), confs[:, i].copy(), target, int(target_row[i])))
     return steps
 
 
@@ -74,10 +69,16 @@ def test_shadow_tokens_never_agree_layer():
 
 
 def test_shadow_single_position_direct_argmax():
-    mat = np.array([[0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
-    sm = shadow_tokens([LayerStep(mat)])
-    assert sm.tokens[0, 0] == 1
-    assert sm.confidences[0, 0] == 0.5
+    # the shadow matrix agrees with the argmax and max of every rebuilt row
+    cfg = make_cfg(L=4, V=9)
+    model = agreement_model(cfg, (0.5, 0.2, 0.9, 1.0))
+    ls = model.step([3, 1])
+    sm = shadow_tokens([ls])
+    for ell in range(1, cfg.L):
+        row = ls.exit_row(ell)
+        assert sm.tokens[ell - 1, 0] == row.argmax()
+        assert sm.confidences[ell - 1, 0] == row.max()
+    assert sm.target_tokens[0] == ls.target.argmax()
 
 
 def test_shadow_tokens_requires_steps():

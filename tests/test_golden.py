@@ -1,0 +1,77 @@
+"""Byte-identity gate: SHA-256 digests of run outputs pinned to known values.
+
+A refactor that keeps the RNG stream must keep every trace, table and grid
+byte-identical; any drift in a draw, a float's last digit or the record
+layout changes a digest here. The digests were computed under numpy 2.4; a
+numpy release that changes a sampler's stream changes them too.
+"""
+
+import hashlib
+
+from conftest import STABLE_CONF, make_cfg, profile_with
+
+from delsim.harness import grid_sweep, run_experiment
+from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, ModelSpec
+
+ALL_POLICIES = [
+    ("vanilla", {}),
+    ("ls", {"exit_layer": 2, "gamma": 5}),
+    ("fs", {"exit_layer": 2, "gamma": 5}),
+    ("dv", {"exit_layer": 2}),
+    ("del", {}),
+]
+
+
+def output_digest(out_dir) -> str:
+    """One digest over every file a run writes, in a fixed order."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(out_dir)).encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def run_digest(tmp_path, spec, cfg, policies, prompt_len=16) -> str:
+    run_experiment(spec, cfg, policies, n_prompts=2, prompt_len=prompt_len, out_dir=tmp_path)
+    names = {p.name for p in tmp_path.iterdir()}
+    assert {"config.json", "summary.csv", "aggregate.csv", "traces"} <= names
+    return output_digest(tmp_path)
+
+
+GREEDY_ALL_POLICIES = "61b0d3d934e1faff47a450490646d94d07ac04791e2023c3535d471dd5b231ed"
+SAMPLING_REGIMES = "331a133640691e34d4957d14116a180715bbbd0a7dc93fc8da7a36679f302d06"
+TOY_RUN = "797485d526891d38ab25e59618bbe70d83cb9cc0bab78dcc1983b3854bf66cd9"
+SWEEP_GRID = "fb11ab71acac3e944c9525b17c8229d1725b2d0a39093d629044493de7883347"
+
+
+def test_greedy_run_all_policies_is_byte_stable(tmp_path):
+    cfg = make_cfg(L=8, V=32, seed=11, max_new_tokens=96, prefill_window=16)
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=profile_with(8, best=2), **STABLE_CONF)
+    assert run_digest(tmp_path, spec, cfg, ALL_POLICIES) == GREEDY_ALL_POLICIES
+
+
+def test_sampling_run_is_byte_stable(tmp_path):
+    cfg = make_cfg(L=8, V=16, seed=5, max_new_tokens=96, prefill_window=16,
+                   decode_mode="sampling", d_max=8)
+    spec = ModelSpec(
+        kind=REGIME_SWITCHING,
+        regimes=((40, profile_with(8, best=2)), (40, profile_with(8, best=5))),
+        **STABLE_CONF,
+    )
+    policies = [("vanilla", {}), ("ls", {"exit_layer": 2, "gamma": 4}), ("del", {})]
+    assert run_digest(tmp_path, spec, cfg, policies) == SAMPLING_REGIMES
+
+
+def test_deterministic_toy_run_is_byte_stable(tmp_path):
+    cfg = make_cfg(L=6, V=16, seed=3, max_new_tokens=48, prefill_window=8)
+    spec = ModelSpec(kind=DETERMINISTIC_TOY)
+    assert run_digest(tmp_path, spec, cfg, ALL_POLICIES, prompt_len=8) == TOY_RUN
+
+
+def test_grid_sweep_is_byte_stable():
+    cfg = make_cfg(L=8, V=32, seed=13, max_new_tokens=40)
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=profile_with(8, best=3), **STABLE_CONF)
+    grid = grid_sweep(spec, cfg, ells=range(1, 5), ds=(0, 2, 5), n_prompts=2, prompt_len=12,
+                      segment_len=16)
+    assert grid.values.shape == (3, 4, 3)
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == SWEEP_GRID

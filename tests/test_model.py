@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 from conftest import agreement_model, make_cfg, regime_model, toy_model
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsim.config import ConfigError
 from delsim.model import (
+    AGREEMENT,
     DETERMINISTIC_TOY,
+    REGIME_SWITCHING,
     CallCountingModel,
     LayeredModel,
     MemoizedModel,
     ModelSpec,
-    exit_distribution,
-    target_distribution,
 )
+from delsim.types import PROB_SUM_TOL
 
 
 def distinct_contexts(n, V, length=4):
@@ -24,19 +27,19 @@ def test_toy_all_layers_follow_the_transition_table():
     cfg = make_cfg()
     model = toy_model(cfg)
     ls = model.step([3])
-    am = ls.probs.argmax(axis=1)
-    assert np.all(am == am[0])
+    assert np.all(ls.top_tokens == ls.target_token)
+    assert np.all(ls.top_conf == 1.0)
     # default toy table is the +1 cycle
-    assert am[0] == 4
-    assert target_distribution(ls).top1 == 1.0
+    assert ls.target_token == 4
+    assert ls.target[4] == ls.target.max() == 1.0
 
 
 def test_toy_inline_transition_table():
     cfg = make_cfg(V=4)
     spec = ModelSpec(kind=DETERMINISTIC_TOY, base_process={"kind": "next_map", "map": [2, 0, 3, 1]})
     model = LayeredModel(spec, cfg.L, cfg.V, 1)
-    assert target_distribution(model.step([0])).argmax == 2
-    assert target_distribution(model.step([2])).argmax == 3
+    assert model.step([0]).target_token == 2
+    assert model.step([2]).target.argmax() == 3
 
 
 def test_never_agree_profile():
@@ -44,16 +47,15 @@ def test_never_agree_profile():
     model = agreement_model(cfg, (0.0, 0.0, 0.0, 1.0))
     for ctx in distinct_contexts(50, cfg.V):
         ls = model.step(ctx)
-        am = ls.probs.argmax(axis=1)
-        assert am[0] != am[3] and am[1] != am[3] and am[2] != am[3]
+        assert np.all(ls.top_tokens != ls.target_token)
 
 
 def test_always_agree_profile():
     cfg = make_cfg(L=4)
     model = agreement_model(cfg, (1.0, 1.0, 1.0, 1.0))
     for ctx in distinct_contexts(50, cfg.V):
-        am = model.step(ctx).probs.argmax(axis=1)
-        assert np.all(am == am[-1])
+        ls = model.step(ctx)
+        assert np.all(ls.top_tokens == ls.target_token)
 
 
 def test_profile_fidelity_monte_carlo():
@@ -62,10 +64,10 @@ def test_profile_fidelity_monte_carlo():
     profile = (0.1, 0.5, 0.8, 0.3, 0.95, 1.0)
     model = agreement_model(cfg, profile)
     n = 100_000
-    hits = np.zeros(cfg.L)
+    hits = np.zeros(cfg.L - 1)
     for ctx in distinct_contexts(n, cfg.V):
-        am = model.step(ctx).probs.argmax(axis=1)
-        hits += am == am[-1]
+        ls = model.step(ctx)
+        hits += ls.top_tokens == ls.target_token
     freq = hits / n
     for ell in range(cfg.L - 1):
         a = profile[ell]
@@ -94,18 +96,51 @@ def test_determinism_across_instances():
     m2 = agreement_model(cfg, prof, seed=42)
     m3 = agreement_model(cfg, prof, seed=43)
     ctx = [5, 2, 9]
-    assert np.array_equal(m1.step(ctx).probs, m2.step(ctx).probs)
-    assert not np.array_equal(m1.step(ctx).probs, m3.step(ctx).probs)
+
+    def same(a, b):
+        return (
+            np.array_equal(a.top_tokens, b.top_tokens)
+            and np.array_equal(a.top_conf, b.top_conf)
+            and np.array_equal(a.target, b.target)
+            and a.target_token == b.target_token
+        )
+
+    assert same(m1.step(ctx), m2.step(ctx))
+    assert not same(m1.step(ctx), m3.step(ctx))
     # same context twice within one instance
-    assert np.array_equal(m1.step(ctx).probs, m1.step(ctx).probs)
+    assert same(m1.step(ctx), m1.step(ctx))
 
 
-def test_steps_are_valid_distributions():
-    cfg = make_cfg(L=5, V=17)
-    model = agreement_model(cfg, (0.3, 0.6, 0.9, 0.05, 1.0))
-    for ctx in distinct_contexts(25, cfg.V):
-        for dist in model.step(ctx).per_layer:
-            assert dist.vocab_size == cfg.V  # constructor enforces normalization
+KIND_SPECS = {
+    AGREEMENT: {"agreement_profile": (0.3, 0.6, 0.9, 0.05, 1.0)},
+    REGIME_SWITCHING: {"regimes": ((7, (0.9, 0.1, 0.5, 0.0, 1.0)), (5, (0.0, 1.0, 0.2, 0.7, 1.0)))},
+    DETERMINISTIC_TOY: {},
+}
+
+
+@given(
+    st.sampled_from(sorted(KIND_SPECS)),
+    st.lists(st.integers(0, 16), min_size=1, max_size=40),
+    st.sampled_from([{"dist": "beta", "a": 8.0, "b": 2.0}, {"dist": "fixed", "value": 0.0},
+                     {"dist": "fixed", "value": 1.0}, {"dist": "uniform"}]),
+)
+@settings(max_examples=150, deadline=None)
+def test_steps_are_valid_distributions(kind, ctx, conf):
+    L, V = 5, 17
+    spec = ModelSpec(kind=kind, confidence_match=conf, confidence_mismatch=conf, **KIND_SPECS[kind])
+    ls = LayeredModel(spec, L, V, 3).step(ctx)
+    assert ls.layer_count == L and ls.target.size == V
+    for arr in (ls.top_tokens, ls.top_conf, ls.target):
+        assert not arr.flags.writeable
+    assert abs(ls.target.sum() - 1.0) <= PROB_SUM_TOL
+    assert ls.target.argmax() == ls.target_token
+    for ell in range(1, L):
+        row = ls.exit_row(ell)
+        top, c = ls.top_tokens[ell - 1], ls.top_conf[ell - 1]
+        assert np.all(row >= 0.0)
+        assert abs(row.sum() - 1.0) <= PROB_SUM_TOL
+        assert row.argmax() == top and row[top] == c
+        assert np.all(np.delete(row, top) < c)
 
 
 def test_regime_profiles_apply_by_context_length_and_cycle():
@@ -117,8 +152,8 @@ def test_regime_profiles_apply_by_context_length_and_cycle():
         hits = np.zeros(2)
         for i in range(n):
             ctx = [i % cfg.V, (i // cfg.V) % cfg.V] + [1] * (target_len - 2)
-            am = model.step(ctx).probs.argmax(axis=1)
-            hits += am[:2] == am[2]
+            ls = model.step(ctx)
+            hits += ls.top_tokens == ls.target_token
         freq = hits / n
         for ell in range(2):
             a = prof[ell]
@@ -146,16 +181,19 @@ def test_step_errors():
 
 
 def test_exit_and_target_distribution_accessors():
-    cfg = make_cfg(L=4)
-    model = agreement_model(cfg, (1.0, 0.0, 0.5, 1.0))
+    cfg = make_cfg(L=4, V=5)
+    table = np.random.default_rng(0).dirichlet(np.ones(cfg.V), size=cfg.V)
+    model = agreement_model(cfg, (1.0, 0.0, 0.5, 1.0),
+                            base_process={"kind": "table", "probs": table.tolist()})
     ls = model.step([2, 3])
-    assert np.array_equal(target_distribution(ls).probs, ls.probs[-1])
-    assert np.array_equal(exit_distribution(ls, 1).probs, ls.probs[0])
+    assert np.array_equal(ls.target, table[3])
+    assert ls.target_token == table[3].argmax()
     # drafting with the full model is the vanilla path, not an exit
     with pytest.raises(ValueError):
-        exit_distribution(ls, cfg.L)
-    # forced agreement: exit argmax equals target argmax
-    assert exit_distribution(ls, 1).argmax == target_distribution(ls).argmax
+        ls.exit_row(cfg.L)
+    # forced agreement and forced disagreement
+    assert ls.exit_row(1).argmax() == ls.target_token
+    assert ls.exit_row(2).argmax() != ls.target_token
 
 
 def test_sample_prompt_deterministic_and_in_range():

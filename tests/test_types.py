@@ -3,60 +3,80 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsim.types import Distribution, LayerStep
+from delsim.config import ConfigError
+from delsim.model import AGREEMENT, LayeredModel, ModelSpec
+from delsim.types import PROB_SUM_TOL, LayerStep, sample_index
+
+
+def table_model(row, L=3):
+    """A model whose every target distribution is ``row``."""
+    V = len(row)
+    spec = ModelSpec(
+        kind=AGREEMENT,
+        base_process={"kind": "table", "probs": [list(row)] * V},
+        agreement_profile=(0.5,) * (L - 1) + (1.0,),
+    )
+    return LayeredModel(spec, L, V, 1)
 
 
 def test_distribution_accepts_normalized():
-    d = Distribution(np.array([0.2, 0.5, 0.3]))
-    assert d.argmax == 1
-    assert d.top1 == 0.5
-    assert d.vocab_size == 3
+    ls = table_model([0.2, 0.5, 0.3]).step([0])
+    assert ls.target.tolist() == [0.2, 0.5, 0.3]
+    assert ls.target_token == 1
+    assert ls.target.size == 3
 
 
 def test_distribution_rejects_bad_sum():
-    with pytest.raises(ValueError):
-        Distribution(np.array([0.2, 0.5, 0.300001]))
-    with pytest.raises(ValueError):
-        Distribution(np.array([0.7, 0.5, -0.2]))
+    with pytest.raises(ConfigError):
+        table_model([0.2, 0.5, 0.300001])
+    with pytest.raises(ConfigError):
+        table_model([0.7, 0.5, -0.2])
 
 
 def test_distribution_tolerance_boundary():
-    Distribution(np.array([0.5, 0.5 + 5e-10]))
-    with pytest.raises(ValueError):
-        Distribution(np.array([0.5, 0.5 + 5e-9]))
+    table_model([0.5, 0.5 + PROB_SUM_TOL / 2])
+    with pytest.raises(ConfigError):
+        table_model([0.5, 0.5 + 5 * PROB_SUM_TOL])
 
 
 def test_argmax_tie_breaks_to_lowest_token():
-    assert Distribution(np.array([0.4, 0.4, 0.2])).argmax == 0
+    assert table_model([0.4, 0.4, 0.2]).step([2]).target_token == 0
 
 
 def test_distribution_is_immutable():
-    d = Distribution(np.array([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        d.probs[0] = 1.0
+    row = np.array([0.25, 0.75])
+    ls = LayerStep(np.array([1]), np.array([0.75]), row, 1)
+    for arr in (ls.top_tokens, ls.top_conf, ls.target):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # a model's target rows are views of a matrix that is itself read-only
+    target = table_model([0.5, 0.5]).step([0]).target
+    assert not target.flags.writeable and not target.base.flags.writeable
 
 
 @given(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=2, max_size=64).filter(lambda v: sum(v) > 0))
 @settings(max_examples=200, deadline=None)
 def test_normalized_vectors_always_accepted(raw):
     arr = np.asarray(raw)
-    Distribution(arr / arr.sum())
+    row = arr / arr.sum()
+    assert np.array_equal(table_model(row).step([0]).target, row)
 
 
 def test_distribution_sampling_follows_probs():
     rng = np.random.default_rng(0)
-    d = Distribution(np.array([0.25, 0.75]))
-    draws = [d.sample(rng) for _ in range(4000)]
+    probs = np.array([0.25, 0.75])
+    draws = [sample_index(probs, rng) for _ in range(4000)]
     assert abs(np.mean(draws) - 0.75) < 0.03
 
 
 def test_layer_step_accessors():
-    mat = np.array([[0.6, 0.4], [0.1, 0.9]])
-    ls = LayerStep(mat)
+    ls = LayerStep(np.array([0]), np.array([0.6]), np.array([0.1, 0.9]), 1)
     assert ls.layer_count == 2
-    assert ls.vocab_size == 2
-    assert ls.layer(1).argmax == 0
-    assert ls.layer(2).argmax == 1
-    assert len(ls.per_layer) == 2
-    with pytest.raises(ValueError):
-        ls.layer(3)
+    assert ls.target.size == 2
+    assert ls.exit_row(1).tolist() == [0.6, 0.4]
+    assert ls.target.argmax() == ls.target_token == 1
+    # layer L is the target, not an exit
+    for ell in (0, 2):
+        with pytest.raises(ValueError):
+            ls.exit_row(ell)
+
