@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import CAP_ALGORITHM1, CAP_PLAN, ConfigError, SessionConfig
+from .config import CAP_ALGORITHM1, CAP_PLAN, ConfigError, SessionConfig, as_int
 from .engine import DraftPlan, RoundOutcome
 
 
@@ -191,12 +191,15 @@ def make_policy(name: str, cfg: SessionConfig, **params):
 
 def _param(params: dict, field: str, policy: str, typ, default=None):
     """``params[field]`` converted by ``typ``; absent means ``default``, and
-    a field without a default is required."""
+    a field without a default is required. An int field takes only exact
+    integers."""
     val = params.get(field)
     if val is None:
         if default is None:
             raise ConfigError(f"{field} is required for policy {policy!r}")
         return default
+    if typ is int:
+        return as_int(val, f"{field} for policy {policy!r}")
     try:
         return typ(val)
     except (TypeError, ValueError) as e:

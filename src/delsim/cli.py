@@ -13,6 +13,7 @@ from pathlib import Path
 from .config import (
     ConfigError,
     SessionConfig,
+    as_int,
     derive_seed,
     load_config_file,
     validate_config,
@@ -140,8 +141,16 @@ def _resolve_out(args) -> Path:
     return Path(env) if env else Path("results")
 
 
+def _section(file_cfg: dict, name: str) -> dict:
+    """A copy of one section of the config file, which must be an object."""
+    sec = file_cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {sec!r}")
+    return dict(sec)
+
+
 def _session_from(args, file_cfg: dict) -> SessionConfig:
-    merged = dict(file_cfg.get("session", {}))
+    merged = _section(file_cfg, "session")
     for flag, _typ, _h in SESSION_FLAGS:
         name = flag.lstrip("-").replace("-", "_")
         val = getattr(args, name, None)
@@ -154,7 +163,7 @@ def _session_from(args, file_cfg: dict) -> SessionConfig:
 
 
 def _model_from(args, file_cfg: dict) -> ModelSpec:
-    merged = dict(file_cfg.get("model", {}))
+    merged = _section(file_cfg, "model")
     if getattr(args, "model_kind", None):
         merged["kind"] = args.model_kind
     if getattr(args, "profile", None):
@@ -168,7 +177,7 @@ def _model_from(args, file_cfg: dict) -> ModelSpec:
 
 
 def _policy_spec_from(args, file_cfg: dict) -> tuple[str, dict]:
-    run_cfg = dict(file_cfg.get("run", {}))
+    run_cfg = _section(file_cfg, "run")
     name = args.policy or run_cfg.get("policy")
     if not name:
         raise ConfigError("run.policy is required (flag --policy or config file)")
@@ -193,15 +202,11 @@ def _policy_spec_from(args, file_cfg: dict) -> tuple[str, dict]:
 def _run_int(flag_val, run_cfg: dict, key: str, default: int) -> int:
     if flag_val is not None:
         return flag_val
-    val = run_cfg.get(key, default)
-    try:
-        return int(val)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"run.{key} must be an integer, got {val!r}") from e
+    return as_int(run_cfg.get(key, default), f"run.{key}")
 
 
 def _run_counts(args, file_cfg: dict) -> tuple[int, int]:
-    run_cfg = dict(file_cfg.get("run", {}))
+    run_cfg = _section(file_cfg, "run")
     n = _run_int(args.prompts, run_cfg, "prompts", 50)
     plen = _run_int(args.prompt_len, run_cfg, "prompt_len", 32)
     if n < 1:

@@ -59,6 +59,18 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def as_int(val: Any, what: str) -> int:
+    """``val`` as an int; a value that is not an exact integer (2.7, "two",
+    inf, a list) raises ConfigError naming ``what``."""
+    try:
+        out = int(val)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{what} must be an integer, got {val!r}") from e
+    if isinstance(val, numbers.Real) and out != val:
+        raise ConfigError(f"{what} must be an integer, got {val!r}")
+    return out
+
+
 def validate_config(cfg: SessionConfig) -> SessionConfig:
     """Return cfg unchanged if valid, else raise naming the first bad field."""
     if not isinstance(cfg.L, int) or cfg.L < 2:

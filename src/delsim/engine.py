@@ -57,7 +57,14 @@ class RoundOutcome:
     confidences: tuple[float, ...]  # exit-layer top-1 probability per position
 
 
-def draft(model, context, plan: DraftPlan, cfg: SessionConfig, rng: np.random.Generator):
+def draft(
+    model,
+    context,
+    plan: DraftPlan,
+    cfg: SessionConfig,
+    rng: np.random.Generator,
+    q_rows: list[np.ndarray] | None = None,
+):
     """Auto-regressively draft tokens at the plan's exit layer.
 
     Each position's confidence is the exit layer's top-1 probability; if it
@@ -67,7 +74,9 @@ def draft(model, context, plan: DraftPlan, cfg: SessionConfig, rng: np.random.Ge
 
     Returns (drafted tokens, LayerSteps seen, confidences seen). The step
     list covers every position evaluated: g entries if the loop ran to its
-    bound, g+1 if the threshold stopped it early.
+    bound, g+1 if the threshold stopped it early. In sampling mode the exit
+    row each drafted token was sampled from is appended to ``q_rows`` when
+    it is given, for verification to reuse.
     """
     cap = cfg.d_max if plan.cap_mode == CAP_ALGORITHM1 else min(plan.planned_len, cfg.d_max)
     work = list(context)
@@ -84,7 +93,13 @@ def draft(model, context, plan: DraftPlan, cfg: SessionConfig, rng: np.random.Ge
         confs.append(conf)
         if conf < plan.threshold:
             break
-        tok = int(ls.top_tokens[k]) if greedy else sample_index(ls.exit_row(exit_layer), rng)
+        if greedy:
+            tok = int(ls.top_tokens[k])
+        else:
+            q = ls.exit_row(exit_layer)
+            tok = sample_index(q, rng)
+            if q_rows is not None:
+                q_rows.append(q)
         drafted.append(tok)
         work.append(tok)
     return drafted, steps, confs
@@ -151,7 +166,8 @@ def run_round(
         raise ValueError("generation budget exhausted")
     plan.validate(cfg)
 
-    drafted, steps, confs = draft(model, context, plan, cfg, rng)
+    q_rows: list[np.ndarray] = []
+    drafted, steps, confs = draft(model, context, plan, cfg, rng, q_rows)
     g = len(drafted)
     if len(steps) == g:
         # loop ran to its bound: the verification pass covers one more position
@@ -164,7 +180,6 @@ def run_round(
         target_tokens = [s.target_token for s in steps]
         accepted, emitted = verify_greedy(target_tokens, drafted)
     else:
-        q_rows = [steps[i].exit_row(plan.exit_layer) for i in range(g)]
         p_rows = [s.target for s in steps]
         accepted, emitted = verify_sampling(drafted, q_rows, p_rows, rng)
 

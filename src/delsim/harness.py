@@ -16,7 +16,8 @@ import numpy as np
 
 from .baselines import VanillaPolicy, make_policy
 from .config import GREEDY, SessionConfig, derive_seed
-from .engine import CostLedger, run_round
+from .controller import shadow_tokens
+from .engine import CostLedger, DraftPlan, run_round
 from .model import MemoizedModel, ModelSpec, build_model
 from .types import InvariantViolation, TokenId
 
@@ -314,35 +315,115 @@ def grid_sweep(
     split into fixed-length windows of emitted tokens and a separate grid is
     produced per window (each round attributed to the window holding its
     first emitted token).
+
+    Greedy sweeps walk every cell's rounds over each prompt's one greedy
+    target path (see :class:`GreedyPath`); the values equal those of a
+    session per cell. Sampling sweeps run a session per cell and prompt.
     """
     ells = list(ells)
     ds = list(ds)
     if not ells or not ds:
         raise ValueError("sweep ranges must be non-empty")
+    # a bad exit layer or length raises ConfigError before any work is done;
+    # the static policy is stateless, so one per cell serves every prompt
+    policies = [[make_policy("ls", cfg, exit_layer=ell, gamma=d) for d in ds] for ell in ells]
     model = build_model(model_spec, cfg)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
+    per_prompt = np.zeros((len(ells), len(ds), n_seg, n_prompts))
+    for i, prompt in enumerate(prompts):
+        path = GreedyPath(model, prompt) if cfg.decode_mode == GREEDY else None
+        for a, ell in enumerate(ells):
+            for b, d in enumerate(ds):
+                if path is not None:
+                    rounds = path.static_rounds(policies[a][b].plan, cfg)
+                else:
+                    seed = derive_seed(cfg.seed, "sweep", ell, d, i)
+                    res = run_session(model, policies[a][b], cfg, prompt, seed)
+                    rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
+                per_prompt[a, b, :, i] = _segment_etpl(rounds, segment_len, n_seg)
     values = np.zeros((n_seg, len(ells), len(ds)))
-    for a, ell in enumerate(ells):
-        for b, d in enumerate(ds):
-            per_prompt = np.zeros((n_seg, n_prompts))
-            for i, prompt in enumerate(prompts):
-                policy = make_policy("ls", cfg, exit_layer=ell, gamma=d)
-                res = run_session(
-                    model, policy, cfg, prompt, derive_seed(cfg.seed, "sweep", ell, d, i)
-                )
-                tok = np.zeros(n_seg)
-                lay = np.zeros(n_seg)
-                emitted_before = 0
-                for rec in res.records:
-                    seg = 0 if segment_len is None else min(emitted_before // segment_len, n_seg - 1)
-                    tok[seg] += rec["emitted_len"]
-                    lay[seg] += rec["layers_loaded"]
-                    emitted_before += rec["emitted_len"]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    per_prompt[:, i] = np.where(lay > 0, tok / np.maximum(lay, 1), np.nan)
-            values[:, a, b] = np.nanmean(per_prompt, axis=1)
+    for a in range(len(ells)):
+        for b in range(len(ds)):
+            values[:, a, b] = np.nanmean(per_prompt[a, b], axis=1)
     return SweepGrid(ells=ells, ds=ds, segment_len=segment_len, values=values)
+
+
+def _segment_etpl(rounds, segment_len: int | None, n_seg: int) -> np.ndarray:
+    """eTPL per window of emitted tokens from a session's per-round
+    ``(emitted_len, layers_loaded)``; NaN for a window no round started in."""
+    tok = np.zeros(n_seg)
+    lay = np.zeros(n_seg)
+    emitted_before = 0
+    for emitted, layers in rounds:
+        seg = 0 if segment_len is None else min(emitted_before // segment_len, n_seg - 1)
+        tok[seg] += emitted
+        lay[seg] += layers
+        emitted_before += emitted
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(lay > 0, tok / np.maximum(lay, 1), np.nan)
+
+
+class GreedyPath:
+    """The target's greedy continuation of one prompt, stepped on demand,
+    with every exit layer's agreement with the target along it.
+
+    Greedy speculative decoding is lossless, so every static session on the
+    prompt emits this path. A round at path position p with length g drafts
+    layer E's shadow tokens: while they agree with the target they are the
+    path, and the first disagreement ends acceptance. So the round accepts
+    the run of agreements from p, capped at g, and emits one more token;
+    nothing drafted after the first mismatch can change the outcome.
+    """
+
+    def __init__(self, model, prompt: Sequence[TokenId]):
+        self.model = model
+        self.context = list(prompt)
+        self.prompt_len = len(prompt)
+        # row ell - 1 holds 1 where layer ell's shadow token is the target's
+        self.agree = [bytearray() for _ in range(model.L - 1)]
+
+    def extend(self, n: int) -> None:
+        """Step the path until its first ``n`` positions are known."""
+        steps = []
+        for _ in range(n - len(self.context) + self.prompt_len):
+            step = self.model.step(self.context)
+            steps.append(step)
+            self.context.append(step.target_token)
+        if steps:
+            sm = shadow_tokens(steps)
+            for row, new in zip(self.agree, sm.tokens == sm.target_tokens):
+                row += new.tobytes()
+
+    def static_rounds(self, plan: DraftPlan, cfg: SessionConfig) -> list[tuple[int, int]]:
+        """``(emitted_len, layers_loaded)`` of each round of a static-plan
+        session, as ``run_session`` would produce them.
+
+        Raises the model's horizon ValueError when the session would have
+        stepped a context past it: a round at position p drafts g tokens and
+        verifies up to context length ``prompt_len + p + g``.
+        """
+        g = min(plan.planned_len, cfg.d_max)
+        layers = g * plan.exit_layer + cfg.L
+        row = self.agree[plan.exit_layer - 1]
+        horizon = self.model.spec.horizon
+        rounds = []
+        p = 0
+        while p < cfg.max_new_tokens:
+            n0 = self.prompt_len + p
+            if n0 + g > horizon:
+                raise ValueError(f"context length {max(n0, horizon + 1)} exceeds horizon {horizon}")
+            accepted = 0
+            while accepted < g:
+                if p + accepted >= len(row):
+                    self.extend(p + g)
+                if not row[p + accepted]:
+                    break
+                accepted += 1
+            emitted = min(accepted + 1, cfg.max_new_tokens - p)
+            rounds.append((emitted, layers))
+            p += emitted
+        return rounds
 
 
 def write_grid_csv(grid: SweepGrid, path: str | Path) -> None:

@@ -11,6 +11,7 @@ ground truth.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from array import array
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .config import ConfigError, SessionConfig, derive_seed
+from .config import ConfigError, SessionConfig, as_int, derive_seed
 from .types import PROB_SUM_TOL, LayerStep, TokenId
 
 AGREEMENT = "agreement"
@@ -68,24 +69,26 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "ModelSpec":
+        """Spec from a config file's model section; a malformed value raises
+        ConfigError naming its field."""
         d = dict(d)
         if "kind" not in d:
             raise ConfigError("model.kind is required")
         kw: dict[str, Any] = {"kind": d.pop("kind")}
-        if d.get("base_process") is not None:
-            kw["base_process"] = dict(d["base_process"])
+        for name in ("base_process", "confidence_match", "confidence_mismatch"):
+            if d.get(name) is not None:
+                kw[name] = _parse(f"model.{name}", dict, d[name])
         if d.get("agreement_profile") is not None:
-            kw["agreement_profile"] = tuple(float(x) for x in d["agreement_profile"])
-        if d.get("confidence_match") is not None:
-            kw["confidence_match"] = dict(d["confidence_match"])
-        if d.get("confidence_mismatch") is not None:
-            kw["confidence_mismatch"] = dict(d["confidence_mismatch"])
+            kw["agreement_profile"] = _parse("model.agreement_profile", _floats, d["agreement_profile"])
         if d.get("regimes") is not None:
-            kw["regimes"] = tuple((int(n), tuple(float(x) for x in p)) for n, p in d["regimes"])
-        if d.get("horizon") is not None:
-            kw["horizon"] = int(d["horizon"])
-        if d.get("context_hash_window") is not None:
-            kw["context_hash_window"] = int(d["context_hash_window"])
+            kw["regimes"] = _parse(
+                "model.regimes",
+                lambda rs: tuple((as_int(n, "segment length"), _floats(p)) for n, p in rs),
+                d["regimes"],
+            )
+        for name in ("horizon", "context_hash_window"):
+            if d.get(name) is not None:
+                kw[name] = as_int(d[name], f"model.{name}")
         unknown = set(d) - {
             "base_process", "agreement_profile", "confidence_match",
             "confidence_mismatch", "regimes", "horizon", "context_hash_window",
@@ -93,6 +96,19 @@ class ModelSpec:
         if unknown:
             raise ConfigError(f"unknown model field(s): {sorted(unknown)}")
         return cls(**kw)
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(x) for x in values)
+
+
+def _parse(what: str, convert, value):
+    """``convert(value)``; a missing value (None) or one ``convert`` rejects
+    raises ConfigError naming ``what``."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad value for {what}: {value!r} ({e})") from e
 
 
 def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
@@ -109,15 +125,18 @@ def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
 def _confidence_sampler(spec: Mapping[str, Any], what: str):
     kind = spec.get("dist")
     if kind == "beta":
-        a, b = float(spec["a"]), float(spec["b"])
+        a, b = (_parse(f"{what}.{k}", float, spec.get(k)) for k in ("a", "b"))
+        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+            raise ConfigError(f"{what} beta parameters a and b must be finite and > 0")
         return lambda rng, size: rng.beta(a, b, size)
     if kind == "fixed":
-        v = float(spec["value"])
+        v = _parse(f"{what}.value", float, spec.get("value"))
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"{what}.value out of [0,1]: {v}")
         return lambda rng, size: np.full(size, v)
     if kind == "uniform":
-        lo, hi = float(spec.get("lo", 0.0)), float(spec.get("hi", 1.0))
+        lo = _parse(f"{what}.lo", float, spec.get("lo", 0.0))
+        hi = _parse(f"{what}.hi", float, spec.get("hi", 1.0))
         if not 0.0 <= lo <= hi <= 1.0:
             raise ConfigError(f"{what} uniform bounds must satisfy 0 <= lo <= hi <= 1")
         return lambda rng, size: rng.uniform(lo, hi, size)
@@ -193,14 +212,14 @@ class LayeredModel:
     def _build_transition(base: Mapping[str, Any], V: int, rng: np.random.Generator) -> np.ndarray:
         kind = base.get("kind", "dirichlet")
         if kind == "dirichlet":
-            conc = float(base.get("concentration", 0.5))
-            if conc <= 0:
+            conc = _parse("base_process.concentration", float, base.get("concentration", 0.5))
+            if not conc > 0:
                 raise ConfigError("base_process.concentration must be > 0")
             return rng.dirichlet(np.full(V, conc), size=V)
         if kind == "uniform":
             return np.full((V, V), 1.0 / V)
         if kind == "table":
-            t = np.array(base["probs"], dtype=np.float64)
+            t = _parse("base_process.probs", lambda v: np.array(v, dtype=np.float64), base.get("probs"))
             if t.shape != (V, V):
                 raise ConfigError(f"base_process.probs must be shape ({V},{V})")
             sums = t.sum(axis=1)
@@ -213,12 +232,12 @@ class LayeredModel:
     def _build_toy_map(base: Mapping[str, Any], V: int) -> np.ndarray:
         kind = base.get("kind", "shift")
         if kind == "next_map":
-            m = np.asarray(base["map"], dtype=np.int64)
+            m = _parse("base_process.map", lambda v: np.asarray(v, dtype=np.int64), base.get("map"))
             if m.shape != (V,) or np.any(m < 0) or np.any(m >= V):
                 raise ConfigError(f"base_process.map must be {V} token ids in [0,{V})")
             return m
         # any non-table base process falls back to the +1 cycle
-        return (np.arange(V) + int(base.get("by", 1))) % V
+        return (np.arange(V) + as_int(base.get("by", 1), "base_process.by")) % V
 
     def _scratch_rng(self, key: np.ndarray) -> np.random.Generator:
         # Re-keying a thread-local Philox is ~2x faster than constructing a

@@ -22,7 +22,10 @@ def write_config(path, L=8, V=32, seed=7, max_new_tokens=64, **extra):
         "run": {"prompts": 2, "prompt_len": 12},
     }
     for key, val in extra.items():
-        cfg[key].update(val)
+        if isinstance(val, dict):
+            cfg[key].update(val)
+        else:
+            cfg[key] = val
     path.write_text(json.dumps(cfg))
     return path
 
@@ -202,9 +205,26 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "del"], {"session": {"omega": "x"}}, "omega"),
         (["run", "--policy", "ls", "--gamma", "4"], {"run": {"exit_layer": "two"}}, "exit_layer"),
         (["run", "--policy", "del"], {"run": {"prompts": "many"}}, "run.prompts"),
+        (["run", "--policy", "del"], {"model": {"agreement_profile": "abc"}}, "model.agreement_profile"),
+        (["run", "--policy", "del"], {"model": {"horizon": "x"}}, "model.horizon"),
+        (["run", "--policy", "del"], {"model": {"regimes": [[5]]}}, "model.regimes"),
+        (["run", "--policy", "del"], {"model": {"confidence_match": {"dist": "beta"}}},
+         "confidence_match.a"),
+        (["run", "--policy", "del"], {"session": 5}, "session"),
+        (["run"], {"run": {"policy": "ls", "exit_layer": 2.7, "gamma": 2}}, "exit_layer"),
+        (["run", "--policy", "del"], {"model": 5}, "model"),
+        (["run", "--policy", "del"], {"run": {"prompts": 2.5}}, "run.prompts"),
+        (["run", "--policy", "del"], {"model": {"confidence_mismatch": {"dist": "beta", "a": 0, "b": 2}}},
+         "confidence_mismatch"),
+        (["run", "--policy", "del"],
+         {"model": {"base_process": {"kind": "dirichlet", "concentration": "x"}}},
+         "base_process.concentration"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
-         "run-exit-layer", "run-prompts"],
+         "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
+         "model-regimes-short", "confidence-beta-missing-a", "session-not-object",
+         "run-exit-layer-fractional", "model-not-object", "run-prompts-fractional",
+         "confidence-beta-zero", "base-process-concentration"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)

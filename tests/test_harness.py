@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -241,3 +242,161 @@ def test_bootstrap_ci_brackets_mean():
     lo, hi = bootstrap_ci(vals, seed=1)
     assert lo < float(np.mean(vals)) < hi
     assert hi - lo < 1.0
+
+
+# -- greedy sweep walk against per-cell sessions ------------------------------------
+
+def reference_grid(spec, cfg, ells, ds, n_prompts, prompt_len, segment_len=None):
+    """The sweep as one static-policy session per cell and prompt, windows
+    attributed by each round's first emitted token. Returns the values and,
+    per cell, the longest context any of its sessions stepped."""
+    import math
+
+    from delsim.baselines import make_policy
+    from delsim.config import derive_seed
+    from delsim.harness import run_session
+
+    class ReachModel:
+        def __init__(self, inner):
+            self.inner = inner
+            self.reach = 0
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+        def step(self, context):
+            self.reach = max(self.reach, len(context))
+            return self.inner.step(context)
+
+    base = build_model(spec, cfg)
+    prompts = make_prompts(base, cfg, n_prompts, prompt_len)
+    n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
+    values = np.zeros((n_seg, len(ells), len(ds)))
+    reach = {}
+    for a, ell in enumerate(ells):
+        for b, d in enumerate(ds):
+            model = ReachModel(base)
+            per_prompt = np.zeros((n_seg, n_prompts))
+            for i, prompt in enumerate(prompts):
+                policy = make_policy("ls", cfg, exit_layer=ell, gamma=d)
+                res = run_session(model, policy, cfg, prompt, derive_seed(cfg.seed, "sweep", ell, d, i))
+                tok = np.zeros(n_seg)
+                lay = np.zeros(n_seg)
+                before = 0
+                for rec in res.records:
+                    seg = 0 if segment_len is None else min(before // segment_len, n_seg - 1)
+                    tok[seg] += rec["emitted_len"]
+                    lay[seg] += rec["layers_loaded"]
+                    before += rec["emitted_len"]
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    per_prompt[:, i] = np.where(lay > 0, tok / np.maximum(lay, 1), np.nan)
+            with np.errstate(invalid="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                values[:, a, b] = np.nanmean(per_prompt, axis=1)
+            reach[(ell, d)] = model.reach
+    return values, reach
+
+
+def _specialist_l32():
+    L = 32
+    profile = [0.3] * L
+    profile[1] = 0.95
+    profile[-1] = 1.0
+    from conftest import STABLE_CONF
+
+    return ModelSpec(kind=AGREEMENT, agreement_profile=tuple(profile), **STABLE_CONF)
+
+
+def _regime_switching_l8():
+    L = 8
+    profA = [0.15] * L
+    profA[1] = 0.95
+    profA[7] = 1.0
+    profB = [0.15] * L
+    profB[4] = 0.95
+    profB[7] = 1.0
+    return ModelSpec(kind=REGIME_SWITCHING, regimes=((40, tuple(profA)), (40, tuple(profB))), **TIGHT_CONF)
+
+
+SWEEP_CASES = {
+    "specialist-L32": (
+        _specialist_l32, dict(L=32, V=64, seed=3, max_new_tokens=32), range(1, 13), range(0, 13), 2, 32, None,
+    ),
+    "regime-segmented": (
+        _regime_switching_l8, dict(L=8, V=32, seed=5, max_new_tokens=96), range(1, 8), (0, 1, 3, 6), 3, 16, 32,
+    ),
+    "toy": (
+        lambda: ModelSpec(kind="deterministic_toy"), dict(L=6, V=16, seed=3, max_new_tokens=40),
+        range(1, 6), (0, 2, 7), 2, 8, 16,
+    ),
+    "d-max-is-largest-d": (
+        lambda: spec_with_profile(profile_with(8, best=3)), dict(L=8, V=32, seed=9, max_new_tokens=50, d_max=4),
+        range(1, 8), range(0, 5), 3, 12, 20,
+    ),
+    "sampling": (
+        lambda: spec_with_profile(profile_with(8, best=2)),
+        dict(L=8, V=16, seed=4, max_new_tokens=30, decode_mode=SAMPLING), (1, 2, 5), (0, 3), 2, 8, 10,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_grid_sweep_equals_per_cell_sessions(case):
+    make_spec, over, ells, ds, n_prompts, prompt_len, segment_len = SWEEP_CASES[case]
+    spec = make_spec()
+    cfg = make_cfg(**over)
+    expected, _ = reference_grid(spec, cfg, list(ells), list(ds), n_prompts, prompt_len, segment_len)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        grid = grid_sweep(spec, cfg, ells, ds, n_prompts, prompt_len, segment_len)
+    assert grid.values.shape == expected.shape
+    assert grid.values.tobytes() == expected.tobytes()
+
+
+def test_grid_sweep_horizon_matches_the_session_loop():
+    import dataclasses
+
+    spec = spec_with_profile(profile_with(8, best=2))
+    cfg = make_cfg(L=8, V=32, seed=21, max_new_tokens=24)
+    ells, ds = [1, 2], [0, 2, 7]
+    values, reach = reference_grid(spec, cfg, ells, ds, 2, 10)
+    top = max(reach.values())
+    # one cell alone drafts to the longest context
+    assert sum(r == top for r in reach.values()) == 1
+
+    at_reach = dataclasses.replace(spec, horizon=top)
+    assert grid_sweep(at_reach, cfg, ells, ds, 2, 10).values.tobytes() == values.tobytes()
+
+    short = dataclasses.replace(spec, horizon=top - 1)
+    with pytest.raises(ValueError, match="exceeds horizon"):
+        reference_grid(short, cfg, ells, ds, 2, 10)
+    with pytest.raises(ValueError, match="exceeds horizon"):
+        grid_sweep(short, cfg, ells, ds, 2, 10)
+
+
+@pytest.mark.parametrize("ells, ds", [([0, 1], [2]), ([1, 8], [2]), ([1], [-1, 2]), ([1], [2, 5])])
+def test_grid_sweep_rejects_out_of_range_cells(ells, ds):
+    from delsim.config import ConfigError
+
+    cfg = make_cfg(L=8, V=32, d_max=4, max_new_tokens=16)
+    with pytest.raises(ConfigError):
+        grid_sweep(spec_with_profile(profile_with(8, best=2)), cfg, ells, ds, 1, 8)
+
+
+def test_greedy_grid_sweep_steps_each_prompt_path_once(monkeypatch):
+    from delsim.model import LayeredModel
+
+    calls = 0
+    real = LayeredModel.step
+
+    def counting(self, context):
+        nonlocal calls
+        calls += 1
+        return real(self, context)
+
+    monkeypatch.setattr(LayeredModel, "step", counting)
+    cfg = make_cfg(L=32, V=64, seed=2, max_new_tokens=32)
+    ds = list(range(0, 13))
+    n_prompts = 3
+    grid_sweep(_specialist_l32(), cfg, range(1, 13), ds, n_prompts, 32)
+    assert 0 < calls <= n_prompts * (cfg.max_new_tokens + max(ds))
