@@ -8,7 +8,6 @@ from .harness import RunReport, compute_etpl, grid_sweep, run_experiment, run_se
 from .model import (
     CallCountingModel,
     LayeredModel,
-    MemoizedModel,
     ModelSpec,
     build_model,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "LayerStep",
     "LayeredModel",
     "LsPolicy",
-    "MemoizedModel",
     "ModelSpec",
     "RoundOutcome",
     "RunReport",

@@ -32,7 +32,7 @@ from .harness import (
     write_grid_csv,
     write_omega_csv,
 )
-from .model import AGREEMENT, LayeredModel, MemoizedModel, ModelSpec
+from .model import AGREEMENT, LayeredModel, ModelSpec
 from .types import InvariantViolation
 
 
@@ -293,7 +293,9 @@ def _oracle_distribution_check(args) -> int:
         decode_mode="sampling", seed=args.seed, prefill_window=4,
     ))
     spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.75, 0.9, 1.0))
-    model = MemoizedModel(LayeredModel(spec, L, V, derive_seed(args.seed, "model")))
+    # room for every context a session from a one-token prompt can step
+    memo = min(V ** (args.horizon + cfg.d_max), 1_000_000)
+    model = LayeredModel(spec, L, V, derive_seed(args.seed, "model"), memo)
     prompt = [0]
     exact = enumerate_target_distribution(model, prompt, args.horizon)
 

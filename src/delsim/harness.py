@@ -18,7 +18,7 @@ from .baselines import VanillaPolicy, make_policy
 from .config import GREEDY, SessionConfig, derive_seed
 from .controller import shadow_tokens
 from .engine import CostLedger, DraftPlan, run_round
-from .model import MemoizedModel, ModelSpec, build_model
+from .model import ModelSpec, build_model, horizon_error
 from .types import InvariantViolation, TokenId
 
 
@@ -140,22 +140,23 @@ def run_experiment(
         },
     }
 
-    references: list[list[TokenId]] | None = None
-    if check_losslessness and cfg.decode_mode == GREEDY:
-        references = [vanilla_reference(model, cfg, p) for p in prompts]
-
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         (out_path / "traces").mkdir(parents=True, exist_ok=True)
         (out_path / "config.json").write_text(json.dumps(config_echo, indent=2, sort_keys=True))
 
-    reports: list[RunReport] = []
-    for name, params in policy_specs:
-        for i, prompt in enumerate(prompts):
+    # prompt by prompt, so the model's step memo serves every session on a
+    # prompt; reports stay in (policy, prompt) order
+    by_policy: list[list[RunReport]] = [[] for _ in policy_specs]
+    for i, prompt in enumerate(prompts):
+        reference = None
+        if check_losslessness and cfg.decode_mode == GREEDY:
+            reference = vanilla_reference(model, cfg, prompt)
+        for (name, params), policy_reports in zip(policy_specs, by_policy):
             policy = make_policy(name, cfg, **params)
             engine_seed = derive_seed(cfg.seed, "engine", name, i)
             res = run_session(model, policy, cfg, prompt, engine_seed)
-            if references is not None and res.output != references[i]:
+            if reference is not None and res.output != reference:
                 raise InvariantViolation(
                     f"greedy output of policy {name!r} on prompt {i} diverged from vanilla"
                 )
@@ -164,7 +165,7 @@ def run_experiment(
             if out_path is not None:
                 trace_path = f"traces/{name}-{i}.jsonl"
                 write_trace(out_path / trace_path, res.records)
-            reports.append(
+            policy_reports.append(
                 RunReport(
                     policy=name,
                     prompt_index=i,
@@ -177,6 +178,7 @@ def run_experiment(
                     config=config_echo,
                 )
             )
+    reports = [r for rs in by_policy for r in rs]
 
     if out_path is not None:
         write_summary(out_path / "summary.csv", reports)
@@ -327,7 +329,9 @@ def grid_sweep(
     # a bad exit layer or length raises ConfigError before any work is done;
     # the static policy is stateless, so one per cell serves every prompt
     policies = [[make_policy("ls", cfg, exit_layer=ell, gamma=d) for d in ds] for ell in ells]
-    model = build_model(model_spec, cfg)
+    # a greedy path steps each position once, and sampling sessions share
+    # almost no contexts: no step memo
+    model = build_model(model_spec, cfg, memo=False)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
     per_prompt = np.zeros((len(ells), len(ds), n_seg, n_prompts))
@@ -342,10 +346,11 @@ def grid_sweep(
                     res = run_session(model, policies[a][b], cfg, prompt, seed)
                     rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
                 per_prompt[a, b, :, i] = _segment_etpl(rounds, segment_len, n_seg)
-    values = np.zeros((n_seg, len(ells), len(ds)))
-    for a in range(len(ells)):
-        for b in range(len(ds)):
-            values[:, a, b] = np.nanmean(per_prompt[a, b], axis=1)
+    # the mean over the prompts that started a round in the window, NaN when
+    # none did (np.nanmean would also warn about the empty slice)
+    with np.errstate(invalid="ignore"):
+        means = np.nansum(per_prompt, axis=-1) / np.sum(~np.isnan(per_prompt), axis=-1)
+    values = np.ascontiguousarray(means.transpose(2, 0, 1))
     return SweepGrid(ells=ells, ds=ds, segment_len=segment_len, values=values)
 
 
@@ -399,7 +404,7 @@ class GreedyPath:
         """``(emitted_len, layers_loaded)`` of each round of a static-plan
         session, as ``run_session`` would produce them.
 
-        Raises the model's horizon ValueError when the session would have
+        Raises the model's horizon ConfigError when the session would have
         stepped a context past it: a round at position p drafts g tokens and
         verifies up to context length ``prompt_len + p + g``.
         """
@@ -412,7 +417,7 @@ class GreedyPath:
         while p < cfg.max_new_tokens:
             n0 = self.prompt_len + p
             if n0 + g > horizon:
-                raise ValueError(f"context length {max(n0, horizon + 1)} exceeds horizon {horizon}")
+                raise horizon_error(max(n0, horizon + 1), horizon)
             accepted = 0
             while accepted < g:
                 if p + accepted >= len(row):
@@ -504,12 +509,13 @@ def empirical_sd_distribution(
     master_seed: int,
 ) -> Counter:
     """Empirical distribution of SD outputs over independent engine seeds;
-    the model realization stays fixed so only decoding randomness varies."""
-    cached = MemoizedModel(model) if not isinstance(model, MemoizedModel) else model
+    the model realization stays fixed so only decoding randomness varies.
+    Trials revisit the same few contexts, so give the model a step memo that
+    holds them all (``LayeredModel(..., memo_capacity=...)``)."""
     counts: Counter = Counter()
     for t in range(trials):
         res = run_session(
-            cached, policy_factory(), cfg, prompt, derive_seed(master_seed, "trial", t), False
+            model, policy_factory(), cfg, prompt, derive_seed(master_seed, "trial", t), False
         )
         counts[tuple(res.output)] += 1
     return counts

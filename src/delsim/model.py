@@ -14,12 +14,13 @@ import hashlib
 import math
 import threading
 from array import array
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .config import ConfigError, SessionConfig, as_int, derive_seed
+from .config import GREEDY, ConfigError, SessionConfig, as_int, derive_seed
 from .types import PROB_SUM_TOL, LayerStep, TokenId
 
 AGREEMENT = "agreement"
@@ -148,15 +149,20 @@ class LayeredModel:
 
     ``step`` is a pure function of (spec, seed, context): identical inputs
     always produce the identical LayerStep, which makes sessions replayable.
-    Instances are read-only after construction; concurrent ``step`` calls
-    from independent sessions are safe.
+    With ``memo_capacity`` > 0 the model keeps the steps of that many most
+    recently used contexts and hands a repeated context its stored step; that
+    memo is the only state that changes after construction, and it is guarded
+    by a lock, so concurrent ``step`` calls from independent sessions are
+    safe.
     """
 
-    def __init__(self, spec: ModelSpec, L: int, V: int, seed: int):
+    def __init__(self, spec: ModelSpec, L: int, V: int, seed: int, memo_capacity: int = 0):
         if spec.kind not in MODEL_KINDS:
             raise ConfigError(f"model.kind must be one of {MODEL_KINDS}, got {spec.kind!r}")
         if L < 2 or V < 2:
             raise ConfigError("model requires L >= 2 and V >= 2")
+        if spec.horizon < 1:
+            raise ConfigError(f"model.horizon must be >= 1, got {spec.horizon}")
         self.spec = spec
         self.L = L
         self.V = V
@@ -205,6 +211,11 @@ class LayeredModel:
             raise ConfigError("context_hash_window must be >= 1")
         self._hash_window = spec.context_hash_window
         self._local = threading.local()
+        # steps keyed by the exact (length, window) message their draws are
+        # keyed by, in recency order, oldest first
+        self.memo_capacity = memo_capacity
+        self._memo: OrderedDict[bytes, LayerStep] | None = OrderedDict() if memo_capacity > 0 else None
+        self._memo_lock = threading.Lock()
 
     # -- internals ---------------------------------------------------------
 
@@ -272,7 +283,7 @@ class LayeredModel:
         if n == 0:
             raise ValueError("context must be non-empty")
         if n > self.spec.horizon:
-            raise ValueError(f"context length {n} exceeds horizon {self.spec.horizon}")
+            raise horizon_error(n, self.spec.horizon)
         last = int(context[-1])
         L, V = self.L, self.V
 
@@ -281,11 +292,15 @@ class LayeredModel:
             return LayerStep(np.full(L - 1, nxt), np.ones(L - 1), self._transition[last], nxt)
 
         win = context[-self._hash_window:] if n > self._hash_window else context
-        digest = hashlib.blake2b(
-            n.to_bytes(8, "little") + array("I", win).tobytes(),
-            digest_size=16,
-            key=self._seed_key,
-        ).digest()
+        msg = n.to_bytes(8, "little") + array("I", win).tobytes()
+        memo = self._memo
+        if memo is not None:
+            with self._memo_lock:
+                hit = memo.get(msg)
+                if hit is not None:
+                    memo.move_to_end(msg)
+                    return hit
+        digest = hashlib.blake2b(msg, digest_size=16, key=self._seed_key).digest()
         rng = self._scratch_rng(np.frombuffer(digest, np.uint64))
 
         t_star = int(self._trans_argmax[last])
@@ -299,7 +314,13 @@ class LayeredModel:
 
         conf = np.maximum(np.where(agree, conf_m, conf_x), self._conf_floor)
         top = np.where(agree, t_star, alt)
-        return LayerStep(top, conf, self._transition[last], t_star)
+        step = LayerStep(top, conf, self._transition[last], t_star)
+        if memo is not None:
+            with self._memo_lock:
+                memo[msg] = step
+                if len(memo) > self.memo_capacity:
+                    memo.popitem(last=False)
+        return step
 
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
         """Draw a prompt of the given length from the base process."""
@@ -314,10 +335,37 @@ class LayeredModel:
         return out
 
 
-def build_model(spec: ModelSpec, cfg: SessionConfig, seed: int | None = None) -> LayeredModel:
+def horizon_error(n: int, horizon: int) -> ConfigError:
+    """The error for a context of length ``n`` past ``model.horizon``."""
+    return ConfigError(f"context length {n} exceeds horizon {horizon} (model.horizon)")
+
+
+def step_memo_capacity(cfg: SessionConfig) -> int:
+    """Step memo size for sessions run under ``cfg``.
+
+    In greedy mode every session on a prompt walks the same target path, so
+    the contexts one session steps come back in the next. The memo holds a
+    prefill window and twice the positions one session can reach (its path
+    plus the d_max + 1 contexts a last round can step past it), so a path
+    context is still held when the next session reaches it; contexts drafted
+    off the path are kept as room allows. Sampling sessions part ways after
+    their first token and share almost no contexts: no memo.
+    """
+    if cfg.decode_mode != GREEDY:
+        return 0
+    return cfg.prefill_window + 2 * (cfg.max_new_tokens + cfg.d_max + 1)
+
+
+def build_model(
+    spec: ModelSpec, cfg: SessionConfig, seed: int | None = None, memo: bool = True
+) -> LayeredModel:
     """Construct the model for a session; the model seed defaults to a stream
-    derived from the session seed so all policies share one realization."""
-    return LayeredModel(spec, cfg.L, cfg.V, derive_seed(cfg.seed, "model") if seed is None else seed)
+    derived from the session seed so all policies share one realization.
+    With ``memo`` the model keeps a step memo sized by ``step_memo_capacity``."""
+    return LayeredModel(
+        spec, cfg.L, cfg.V, derive_seed(cfg.seed, "model") if seed is None else seed,
+        step_memo_capacity(cfg) if memo else 0,
+    )
 
 
 class CallCountingModel:
@@ -333,24 +381,3 @@ class CallCountingModel:
     def step(self, context: Sequence[TokenId]) -> LayerStep:
         self.calls += 1
         return self.inner.step(context)
-
-
-class MemoizedModel:
-    """Wrapper caching steps by context; useful when contexts repeat heavily."""
-
-    def __init__(self, inner: LayeredModel, max_entries: int = 1_000_000):
-        self.inner = inner
-        self.max_entries = max_entries
-        self._cache: dict[tuple, LayerStep] = {}
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    def step(self, context: Sequence[TokenId]) -> LayerStep:
-        key = tuple(context)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self.inner.step(context)
-            if len(self._cache) < self.max_entries:
-                self._cache[key] = hit
-        return hit

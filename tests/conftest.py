@@ -35,9 +35,11 @@ def profile_with(L: int, best: int | None = None, base: float = 0.3, peak: float
     return tuple(p)
 
 
-def agreement_model(cfg: SessionConfig, profile, seed: int = 1, **spec_over) -> LayeredModel:
+def agreement_model(
+    cfg: SessionConfig, profile, seed: int = 1, memo_capacity: int = 0, **spec_over
+) -> LayeredModel:
     spec = ModelSpec(kind=AGREEMENT, agreement_profile=tuple(profile), **spec_over)
-    return LayeredModel(spec, cfg.L, cfg.V, seed)
+    return LayeredModel(spec, cfg.L, cfg.V, seed, memo_capacity)
 
 
 def toy_model(cfg: SessionConfig, seed: int = 1) -> LayeredModel:

@@ -33,7 +33,6 @@ from delsim.model import (
     REGIME_SWITCHING,
     CallCountingModel,
     LayeredModel,
-    MemoizedModel,
     ModelSpec,
     build_model,
 )
@@ -104,7 +103,8 @@ def test_c02_sampling_distribution_preservation():
     cfg = SessionConfig(L=4, V=V, d_max=4, max_new_tokens=horizon,
                         decode_mode=SAMPLING, seed=0, prefill_window=4)
     spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.75, 0.9, 1.0))
-    model = MemoizedModel(LayeredModel(spec, cfg.L, V, derive_seed(0, "model")))
+    # a memo with room for every context a session from a one-token prompt steps
+    model = LayeredModel(spec, cfg.L, V, derive_seed(0, "model"), V ** (horizon + cfg.d_max))
     prompt = [0]
     exact = enumerate_target_distribution(model, prompt, horizon)
     counts = empirical_sd_distribution(

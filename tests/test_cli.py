@@ -219,12 +219,16 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "del"],
          {"model": {"base_process": {"kind": "dirichlet", "concentration": "x"}}},
          "base_process.concentration"),
+        (["run", "--policy", "del"], {"model": {"horizon": -1}}, "model.horizon"),
+        (["run", "--policy", "del"], {"model": {"horizon": 5}}, "model.horizon"),
+        (["sweep", "--ell", "1..2", "--d", "0,2"], {"model": {"horizon": 5}}, "model.horizon"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
          "model-regimes-short", "confidence-beta-missing-a", "session-not-object",
          "run-exit-layer-fractional", "model-not-object", "run-prompts-fractional",
-         "confidence-beta-zero", "base-process-concentration"],
+         "confidence-beta-zero", "base-process-concentration", "model-horizon-negative",
+         "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)

@@ -11,7 +11,6 @@ from delsim.harness import (
     enumerate_target_distribution,
     total_variation,
 )
-from delsim.model import MemoizedModel
 from delsim.baselines import make_policy
 
 
@@ -238,7 +237,7 @@ def test_sampling_micro_distribution_preservation():
     cfg = SessionConfig(L=4, V=3, d_max=4, max_new_tokens=2, decode_mode=SAMPLING,
                         seed=0, prefill_window=4)
     spec = ModelSpec(kind="agreement", agreement_profile=(0.5, 0.75, 0.9, 1.0))
-    model = MemoizedModel(LayeredModel(spec, cfg.L, cfg.V, 99))
+    model = LayeredModel(spec, cfg.L, cfg.V, 99, cfg.V ** (2 + cfg.d_max))
     prompt = [0]
     exact = enumerate_target_distribution(model, prompt, 2)
     assert abs(sum(exact.values()) - 1.0) < 1e-12

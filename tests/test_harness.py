@@ -346,9 +346,7 @@ def test_grid_sweep_equals_per_cell_sessions(case):
     spec = make_spec()
     cfg = make_cfg(**over)
     expected, _ = reference_grid(spec, cfg, list(ells), list(ds), n_prompts, prompt_len, segment_len)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        grid = grid_sweep(spec, cfg, ells, ds, n_prompts, prompt_len, segment_len)
+    grid = grid_sweep(spec, cfg, ells, ds, n_prompts, prompt_len, segment_len)
     assert grid.values.shape == expected.shape
     assert grid.values.tobytes() == expected.tobytes()
 
@@ -400,3 +398,66 @@ def test_greedy_grid_sweep_steps_each_prompt_path_once(monkeypatch):
     n_prompts = 3
     grid_sweep(_specialist_l32(), cfg, range(1, 13), ds, n_prompts, 32)
     assert 0 < calls <= n_prompts * (cfg.max_new_tokens + max(ds))
+
+
+def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
+    from delsim.cli import main
+
+    cfg = make_cfg(L=6, V=16, max_new_tokens=24)
+    toy = ModelSpec(kind="deterministic_toy")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = grid_sweep(toy, cfg, [1, 2], [0, 6], 1, 32, segment_len=4)
+        code = main(["sweep", "--model-kind", "deterministic_toy", "--L", "6", "--V", "16",
+                     "--max-new-tokens", "24", "--ell", "1..2", "--d", "0,6", "--segment-len", "4",
+                     "--prompts", "1", "--out", str(tmp_path)])
+    assert code == 0
+    # every d=6 round on the toy accepts all 6 drafts and emits 7 tokens, so
+    # rounds start at 0, 7, 14 and 21 and windows 2 and 4 start none
+    d6 = grid.values[:, :, 1]
+    assert np.isnan(d6[[2, 4]]).all()
+    assert not np.isnan(np.delete(d6, [2, 4], axis=0)).any()
+    assert not np.isnan(grid.values[:, :, 0]).any()
+    assert "nan" in (tmp_path / "grid.csv").read_text()
+
+
+def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypatch):
+    from delsim.harness import vanilla_reference
+    from delsim.model import LayeredModel
+
+    cfg = make_cfg(L=8, V=32, seed=13, max_new_tokens=48)
+    # a window longer than any context keeps the prompts' contexts apart
+    spec = spec_with_profile(profile_with(8, best=2), context_hash_window=256)
+    policies = [("vanilla", {}), ("ls", {"exit_layer": 2, "gamma": 4}),
+                ("fs", {"exit_layer": 2, "gamma": 4}), ("dv", {"exit_layer": 2}), ("del", {})]
+    plain = build_model(spec, cfg, memo=False)
+    prompts = make_prompts(plain, cfg, 5, 12)
+    paths = [vanilla_reference(plain, cfg, p) for p in prompts]
+
+    calls = 0
+    computed: dict[tuple, int] = {}
+    stepping: list[tuple] = []
+    real_step, real_rng = LayeredModel.step, LayeredModel._scratch_rng
+
+    def step(self, context):
+        nonlocal calls
+        calls += 1
+        stepping.append(tuple(context))
+        try:
+            return real_step(self, context)
+        finally:
+            stepping.pop()
+
+    def scratch_rng(self, key):
+        computed[stepping[-1]] = computed.get(stepping[-1], 0) + 1
+        return real_rng(self, key)
+
+    monkeypatch.setattr(LayeredModel, "step", step)
+    monkeypatch.setattr(LayeredModel, "_scratch_rng", scratch_rng)
+    run_experiment(spec, cfg, policies, len(prompts), 12)
+
+    for prompt, path in zip(prompts, paths):
+        for k in range(cfg.max_new_tokens):
+            assert computed[tuple(prompt + path[:k])] == 1
+    # every session but the reference's steps the whole path again
+    assert sum(computed.values()) < calls - len(policies) * len(prompts) * cfg.max_new_tokens

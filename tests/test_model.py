@@ -11,10 +11,24 @@ from delsim.model import (
     REGIME_SWITCHING,
     CallCountingModel,
     LayeredModel,
-    MemoizedModel,
     ModelSpec,
 )
 from delsim.types import PROB_SUM_TOL
+
+
+def count_computed_steps(monkeypatch) -> list[int]:
+    """A one-element list counting the steps models compute from then on
+    (memo hits excluded): each computed step re-keys the scratch generator
+    exactly once."""
+    computed = [0]
+    real = LayeredModel._scratch_rng
+
+    def counting(self, key):
+        computed[0] += 1
+        return real(self, key)
+
+    monkeypatch.setattr(LayeredModel, "_scratch_rng", counting)
+    return computed
 
 
 def distinct_contexts(n, V, length=4):
@@ -206,15 +220,160 @@ def test_sample_prompt_deterministic_and_in_range():
     assert all(0 <= t < cfg.V for t in p1)
 
 
-def test_wrappers_count_and_cache():
+def test_wrappers_count_and_cache(monkeypatch):
     cfg = make_cfg()
     inner = toy_model(cfg)
     counting = CallCountingModel(inner)
     counting.step([1])
     counting.step([1])
     assert counting.calls == 2
-    memo = MemoizedModel(CallCountingModel(inner))
-    memo.step([1])
-    memo.step([1])
-    assert memo.inner.calls == 1
-    assert memo.L == cfg.L
+    assert counting.L == cfg.L
+    # the model's own memo computes a repeated context once and hands back
+    # the identical step
+    computed = count_computed_steps(monkeypatch)
+    memo = CallCountingModel(agreement_model(cfg, (0.5,) * 7 + (1.0,), memo_capacity=4))
+    first = memo.step([1, 2])
+    assert memo.step([1, 2]) is first
+    assert memo.calls == 2
+    assert computed == [1]
+
+
+# -- step memo ----------------------------------------------------------------
+
+MEMO_SPECS = {
+    "agreement": ModelSpec(kind=AGREEMENT, agreement_profile=(0.6, 0.9, 0.2, 1.0), horizon=6),
+    "regime_switching": ModelSpec(
+        kind=REGIME_SWITCHING,
+        regimes=((2, (0.9, 0.1, 0.5, 1.0)), (3, (0.1, 0.9, 0.5, 1.0))),
+        context_hash_window=3,
+        horizon=6,
+    ),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MEMO_SPECS)),
+    capacity=st.integers(1, 6),
+    # few tokens and short contexts make repeats, and more distinct contexts
+    # than the memo holds
+    contexts=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6), min_size=1, max_size=60),
+)
+def test_memoized_steps_equal_computed_steps(kind, capacity, contexts):
+    spec = MEMO_SPECS[kind]
+    plain = LayeredModel(spec, 4, 5, 11)
+    memo = LayeredModel(spec, 4, 5, 11, memo_capacity=capacity)
+    for ctx in contexts:
+        a, b = plain.step(ctx), memo.step(ctx)
+        assert a.target_token == b.target_token
+        for name in ("top_tokens", "top_conf", "target"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert len(memo._memo) <= capacity
+
+
+def test_memo_never_holds_more_than_its_capacity(monkeypatch):
+    cfg = make_cfg(L=6, V=8)
+    computed = count_computed_steps(monkeypatch)
+    model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=5)
+    contexts = list(distinct_contexts(40, cfg.V))
+    for ctx in contexts:
+        model.step(ctx)
+        assert len(model._memo) <= 5
+    assert len(model._memo) == 5
+    assert computed == [40]
+    # the five most recent contexts are held; the oldest were dropped
+    for ctx in contexts[-5:]:
+        model.step(ctx)
+    assert computed == [40]
+    model.step(contexts[0])
+    assert computed == [41]
+    assert len(model._memo) == 5
+
+
+def test_memo_is_on_for_greedy_sessions_only(monkeypatch):
+    from delsim import harness
+    from delsim.config import SAMPLING
+    from delsim.model import build_model, step_memo_capacity
+
+    cfg = make_cfg(L=8, V=16, d_max=6, max_new_tokens=40, prefill_window=10)
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5,) * 7 + (1.0,))
+    assert build_model(spec, cfg).memo_capacity == 10 + 2 * (40 + 6 + 1)
+    assert step_memo_capacity(cfg.replace(decode_mode=SAMPLING)) == 0
+    sampling = build_model(spec, cfg.replace(decode_mode=SAMPLING))
+    assert sampling.memo_capacity == 0 and sampling._memo is None
+    assert LayeredModel(spec, cfg.L, cfg.V, 1)._memo is None
+
+    built = []
+    real = harness.build_model
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_model", recording)
+    harness.grid_sweep(spec, cfg, [1, 2], [0, 3], 1, 8)
+    harness.grid_sweep(spec, cfg.replace(decode_mode=SAMPLING), [1], [2], 1, 8)
+    assert len(built) == 2
+    assert all(m._memo is None for m in built)
+
+
+@pytest.mark.parametrize("capacity", [0, 16])
+def test_context_past_the_horizon_raises_with_or_without_memo(capacity):
+    cfg = make_cfg()
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5,) * 7 + (1.0,), horizon=4)
+    model = LayeredModel(spec, cfg.L, cfg.V, 1, memo_capacity=capacity)
+    for n in range(1, 5):
+        model.step([1] * n)
+        model.step([1] * n)
+    for ctx in ([1] * 5, [2, 1, 1, 1, 1]):
+        with pytest.raises(ConfigError, match="exceeds horizon 4 .model.horizon"):
+            model.step(ctx)
+
+
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_horizon_below_one_is_rejected_at_construction(horizon):
+    cfg = make_cfg()
+    for kind in (DETERMINISTIC_TOY, AGREEMENT):
+        spec = ModelSpec(kind=kind, agreement_profile=(0.5,) * 7 + (1.0,), horizon=horizon)
+        with pytest.raises(ConfigError, match="model.horizon"):
+            LayeredModel(spec, cfg.L, cfg.V, 1)
+
+
+def test_memo_is_safe_under_concurrent_steps():
+    import sys
+    import threading
+
+    spec = MEMO_SPECS["agreement"]
+    plain = LayeredModel(spec, 4, 5, 11)
+    memo = LayeredModel(spec, 4, 5, 11, memo_capacity=7)
+    # 40 contexts over a 7-entry memo: threads keep hitting, inserting and
+    # evicting the same entries
+    contexts = list(distinct_contexts(40, 5)) * 10
+    expected = {tuple(c): plain.step(c) for c in contexts}
+    errors: list[str] = []
+
+    def worker(offset: int) -> None:
+        try:
+            for ctx in contexts[offset:] + contexts[:offset]:
+                got, want = memo.step(ctx), expected[tuple(ctx)]
+                if not (np.array_equal(got.top_tokens, want.top_tokens)
+                        and np.array_equal(got.top_conf, want.top_conf)):
+                    errors.append(f"step of {ctx} differs")
+                if len(memo._memo) > 7:
+                    errors.append(f"memo holds {len(memo._memo)} steps")
+        except Exception as e:  # any error in a thread fails the test
+            errors.append(repr(e))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(13 * k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
