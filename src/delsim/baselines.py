@@ -185,7 +185,7 @@ def make_policy(name: str, cfg: SessionConfig, **params):
             threshold=_param(params, "threshold", name, float, 0.6),
         )
     if name == "del":
-        return DelController(cfg, per_layer_window=bool(params.get("per_layer_window", False)))
+        return DelController(cfg)
     raise ConfigError(f"unknown policy {name!r}; expected vanilla/ls/fs/dv/del")
 
 

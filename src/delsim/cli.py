@@ -87,8 +87,6 @@ def build_parser() -> _Parser:
     run.add_argument("--dv-target-rate", type=float, default=None)
     run.add_argument("--dv-step", type=float, default=None)
     run.add_argument("--dv-threshold", type=float, default=None)
-    run.add_argument("--del-per-layer-window", action="store_true", default=None,
-                     help="study variant: window each layer by its own first mismatch")
     run.add_argument("--prompts", type=int, default=None)
     run.add_argument("--prompt-len", type=int, default=None)
     _add_session_flags(run)
@@ -181,6 +179,9 @@ def _policy_spec_from(args, file_cfg: dict) -> tuple[str, dict]:
     name = args.policy or run_cfg.get("policy")
     if not name:
         raise ConfigError("run.policy is required (flag --policy or config file)")
+    if "del_per_layer_window" in run_cfg:
+        # a removed study variant: running without it would change the results silently
+        raise ConfigError("run.del_per_layer_window is no longer supported; remove the field")
     params: dict = {}
     # params are keyed by their flag name in the config file's run section too
     for param, flag in (
@@ -189,7 +190,6 @@ def _policy_spec_from(args, file_cfg: dict) -> tuple[str, dict]:
         ("target_rate", "dv_target_rate"),
         ("step", "dv_step"),
         ("threshold", "dv_threshold"),
-        ("per_layer_window", "del_per_layer_window"),
     ):
         val = getattr(args, flag, None)
         if val is None:

@@ -8,6 +8,7 @@ and verification passes; the update path never calls the model.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +41,10 @@ class RoundStats:
 
     ``u_r`` is the index of the first position where the draft layer's shadow
     token disagrees with the target (or the last position if none); counts and
-    confidence sums run over the inclusive window [0, u_r]. With per-layer
-    windows ``u_r`` is a vector holding each layer's own first mismatch.
+    confidence sums run over the inclusive window [0, u_r].
     """
 
-    u_r: int | np.ndarray
+    u_r: int
     c: np.ndarray  # (L-1,) matched shadow tokens per layer
     tcs: np.ndarray  # (L-1,) confidence mass on matched tokens
     fcs: np.ndarray  # (L-1,) confidence mass on mismatched tokens
@@ -55,17 +55,16 @@ class DecayedStats:
     """Decayed sums over past rounds: A <- omega * A + a_r per push."""
 
     sc: np.ndarray
-    su: float | np.ndarray
+    su: float
     stcs: np.ndarray
     sfcs: np.ndarray
     scnt: float
 
 
-def zero_stats(n_exit_layers: int, per_layer_window: bool = False) -> DecayedStats:
-    su: float | np.ndarray = np.zeros(n_exit_layers) if per_layer_window else 0.0
+def zero_stats(n_exit_layers: int) -> DecayedStats:
     return DecayedStats(
         sc=np.zeros(n_exit_layers),
-        su=su,
+        su=0.0,
         stcs=np.zeros(n_exit_layers),
         sfcs=np.zeros(n_exit_layers),
         scnt=0.0,
@@ -90,22 +89,15 @@ def _first_mismatch(mismatch_row: np.ndarray) -> int:
     return int(mismatch_row.size - 1)
 
 
-def round_stats(sm: ShadowMatrix, exit_layer: int, per_layer_window: bool = False) -> RoundStats:
+def round_stats(sm: ShadowMatrix, exit_layer: int) -> RoundStats:
     """Window statistics for one round, windowed by the exit layer's first
-    shadow mismatch (or each layer's own mismatch when per-layer windows are
-    enabled for study)."""
+    shadow mismatch."""
     n_exit = sm.tokens.shape[0]
     if not 1 <= exit_layer <= n_exit:
         raise ValueError(f"exit_layer must lie in [1, {n_exit + 1}), got {exit_layer}")
     matches = sm.tokens == sm.target_tokens[None, :]
-    width = sm.width
-    if per_layer_window:
-        mism = ~matches
-        u = np.where(mism.any(axis=1), mism.argmax(axis=1), width - 1)
-        mask = np.arange(width)[None, :] <= u[:, None]
-    else:
-        u = _first_mismatch(~matches[exit_layer - 1])
-        mask = (np.arange(width) <= u)[None, :]
+    u = _first_mismatch(~matches[exit_layer - 1])
+    mask = (np.arange(sm.width) <= u)[None, :]
     in_window = matches & mask
     c = in_window.sum(axis=1).astype(np.float64)
     tcs = (sm.confidences * in_window).sum(axis=1)
@@ -113,17 +105,13 @@ def round_stats(sm: ShadowMatrix, exit_layer: int, per_layer_window: bool = Fals
     return RoundStats(u_r=u, c=c, tcs=tcs, fcs=fcs)
 
 
-def prefill_round_stats(sm: ShadowMatrix, per_layer_window: bool = False) -> RoundStats:
+def prefill_round_stats(sm: ShadowMatrix) -> RoundStats:
     """Pseudo-round over a prompt window: all positions count, u = width - 1."""
-    width = sm.width
     matches = sm.tokens == sm.target_tokens[None, :]
     c = matches.sum(axis=1).astype(np.float64)
     tcs = (sm.confidences * matches).sum(axis=1)
     fcs = (sm.confidences * ~matches).sum(axis=1)
-    u: int | np.ndarray = width - 1
-    if per_layer_window:
-        u = np.full(sm.tokens.shape[0], float(width - 1))
-    return RoundStats(u_r=u, c=c, tcs=tcs, fcs=fcs)
+    return RoundStats(u_r=sm.width - 1, c=c, tcs=tcs, fcs=fcs)
 
 
 def push(stats: DecayedStats, rs: RoundStats, omega: float) -> DecayedStats:
@@ -154,8 +142,7 @@ def estimate_alpha(
         if fallback is not None:
             return np.asarray(fallback, dtype=np.float64)
         return np.full_like(stats.sc, eps)
-    su = np.asarray(stats.su, dtype=np.float64)
-    denom = np.where(su > 0.0, su, stats.scnt)
+    denom = stats.su if stats.su > 0.0 else stats.scnt
     return np.clip(stats.sc / denom, eps, 1.0)
 
 
@@ -179,28 +166,32 @@ def tpl(alpha: float, ell: int, d: int, L: int) -> float:
     return total / (d * ell + L)
 
 
+@lru_cache(maxsize=16)
+def _tpl_axes(n: int, d_max: int, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """``tpl_grid``'s exponents d, shape (1, d_max+1), and costs d*ell + L,
+    shape (n, d_max+1); read-only, since every caller shares them."""
+    exponents = np.arange(d_max + 1)[None, :]
+    denom = exponents * np.arange(1, n + 1)[:, None] + L
+    exponents.setflags(write=False)
+    denom.setflags(write=False)
+    return exponents, denom
+
+
 def tpl_grid(alpha: np.ndarray, d_max: int, L: int) -> np.ndarray:
     """TPL over the full (ell, d) grid; row ell-1, column d."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    n = alpha.size
-    powers = alpha[:, None] ** np.arange(d_max + 1)[None, :]
-    numer = np.cumsum(powers, axis=1)
-    denom = np.arange(d_max + 1)[None, :] * np.arange(1, n + 1)[:, None] + L
+    exponents, denom = _tpl_axes(alpha.size, d_max, L)
+    numer = np.cumsum(alpha[:, None] ** exponents, axis=1)
     return numer / denom
 
 
-def select_plan(
-    stats: DecayedStats,
-    thresholds: np.ndarray,
-    cfg: SessionConfig,
-    fallback_alpha: np.ndarray | None = None,
-) -> DraftPlan:
-    """Exhaustive argmax of TPL over exit layers [1, L) and lengths [0, d_max].
+def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -> DraftPlan:
+    """Exhaustive argmax of TPL, under the per-layer acceptance estimate
+    ``alpha``, over exit layers [1, L) and lengths [0, d_max].
 
     Ties break toward the smaller layer, then the smaller length (cheaper and
     shorter is safer under estimation noise).
     """
-    alpha = estimate_alpha(stats, cfg.alpha_clamp_eps, fallback_alpha)
     grid = tpl_grid(alpha, cfg.d_max, cfg.L)
     flat = int(np.argmax(grid))  # row-major: smallest ell, then smallest d
     ell = flat // (cfg.d_max + 1) + 1
@@ -222,7 +213,7 @@ def update_threshold(stats: DecayedStats, cfg: SessionConfig) -> np.ndarray:
     fall back to the single available mean, then to the configured default.
     """
     sc = stats.sc
-    su_prime = np.asarray(stats.su, dtype=np.float64) + stats.scnt
+    su_prime = stats.su + stats.scnt
     miss_mass = su_prime - sc
 
     have_match = sc > 0.0
@@ -238,12 +229,7 @@ def update_threshold(stats: DecayedStats, cfg: SessionConfig) -> np.ndarray:
     return np.clip(tau, 0.0, 1.0)
 
 
-def prefill_init(
-    model,
-    prompt: Sequence[TokenId],
-    cfg: SessionConfig,
-    per_layer_window: bool = False,
-):
+def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):
     """Seed the controller from the prompt before the first SD round.
 
     Computes LayerSteps over the last min(prefill_window, len(prompt)) prompt
@@ -257,10 +243,9 @@ def prefill_init(
     start = len(prompt) - window + 1
     steps = [model.step(list(prompt[:k])) for k in range(start, len(prompt) + 1)]
     sm = shadow_tokens(steps)
-    rs = prefill_round_stats(sm, per_layer_window)
-    stats = push(zero_stats(cfg.L - 1, per_layer_window), rs, cfg.omega)
+    stats = push(zero_stats(cfg.L - 1), prefill_round_stats(sm), cfg.omega)
     thresholds = update_threshold(stats, cfg)
-    plan = select_plan(stats, thresholds, cfg)
+    plan = select_plan(estimate_alpha(stats, cfg.alpha_clamp_eps), thresholds, cfg)
     return stats, thresholds, plan
 
 
@@ -268,7 +253,6 @@ def del_update(
     outcome: RoundOutcome,
     stats: DecayedStats,
     cfg: SessionConfig,
-    per_layer_window: bool = False,
     fallback_alpha: np.ndarray | None = None,
 ):
     """Fold one round's outcome into the statistics and produce the next plan.
@@ -279,16 +263,12 @@ def del_update(
     of its exit layer.
     """
     sm = shadow_tokens(outcome.steps)
-    rs = round_stats(sm, outcome.exit_layer_used, per_layer_window)
+    rs = round_stats(sm, outcome.exit_layer_used)
     stats = push(stats, rs, cfg.omega)
     alpha = estimate_alpha(stats, cfg.alpha_clamp_eps, fallback_alpha)
     thresholds = update_threshold(stats, cfg)
-    plan = select_plan(stats, thresholds, cfg, fallback_alpha)
-    if per_layer_window:
-        u_exit = int(np.asarray(rs.u_r)[outcome.exit_layer_used - 1])
-    else:
-        u_exit = int(rs.u_r)
-    aux = {"alpha": alpha, "thresholds": thresholds, "u_r": u_exit}
+    plan = select_plan(alpha, thresholds, cfg)
+    aux = {"alpha": alpha, "thresholds": thresholds, "u_r": int(rs.u_r)}
     return plan, stats, aux
 
 
@@ -301,9 +281,8 @@ class DelController:
 
     name = "del"
 
-    def __init__(self, cfg: SessionConfig, per_layer_window: bool = False):
+    def __init__(self, cfg: SessionConfig):
         self.cfg = cfg
-        self.per_layer_window = per_layer_window
         self.stats: DecayedStats | None = None
         self.thresholds: np.ndarray | None = None
         self._prefill_alpha: np.ndarray | None = None
@@ -311,7 +290,7 @@ class DelController:
         self._last_u: int | None = None
 
     def init(self, model, prompt: Sequence[TokenId]) -> DraftPlan:
-        stats, thresholds, plan = prefill_init(model, prompt, self.cfg, self.per_layer_window)
+        stats, thresholds, plan = prefill_init(model, prompt, self.cfg)
         self.stats = stats
         self.thresholds = thresholds
         self._prefill_alpha = estimate_alpha(stats, self.cfg.alpha_clamp_eps)
@@ -322,14 +301,12 @@ class DelController:
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
         if self.stats is None:
             raise RuntimeError("init must be called before observe")
-        plan, self.stats, aux = del_update(
-            outcome, self.stats, self.cfg, self.per_layer_window, self._prefill_alpha
-        )
+        plan, self.stats, aux = del_update(outcome, self.stats, self.cfg, self._prefill_alpha)
         self.thresholds = aux["thresholds"]
         self._last_alpha = aux["alpha"]
         self._last_u = aux["u_r"]
         return plan
 
     def trace_fields(self) -> dict:
-        alpha = None if self._last_alpha is None else [float(a) for a in self._last_alpha]
+        alpha = None if self._last_alpha is None else self._last_alpha.tolist()
         return {"alpha_snapshot": alpha, "u_r": self._last_u}

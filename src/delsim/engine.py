@@ -54,12 +54,11 @@ class RoundOutcome:
     steps: tuple[LayerStep, ...]  # positions 0..g, position g is the bonus slot
     exit_layer_used: int
     layers_loaded: int  # this round's g*E + L
-    confidences: tuple[float, ...]  # exit-layer top-1 probability per position
 
 
 def draft(
     model,
-    context,
+    context: list[TokenId],
     plan: DraftPlan,
     cfg: SessionConfig,
     rng: np.random.Generator,
@@ -72,37 +71,39 @@ def draft(
     The loop bound is d_max under ``algorithm1`` capping, otherwise
     min(planned_len, d_max).
 
-    Returns (drafted tokens, LayerSteps seen, confidences seen). The step
-    list covers every position evaluated: g entries if the loop ran to its
-    bound, g+1 if the threshold stopped it early. In sampling mode the exit
-    row each drafted token was sampled from is appended to ``q_rows`` when
-    it is given, for verification to reuse.
+    Returns (drafted tokens, LayerSteps seen). The step list covers every
+    position evaluated: g entries if the loop ran to its bound, g+1 if the
+    threshold stopped it early. Drafted tokens are appended to ``context``
+    while the loop runs and removed before returning, so ``model.step`` must
+    not keep the list it is given. In sampling mode the
+    exit row each drafted token was sampled from is appended to ``q_rows``
+    when it is given, for verification to reuse.
     """
     cap = cfg.d_max if plan.cap_mode == CAP_ALGORITHM1 else min(plan.planned_len, cfg.d_max)
-    work = list(context)
+    n0 = len(context)
     drafted: list[TokenId] = []
     steps: list[LayerStep] = []
-    confs: list[float] = []
     exit_layer = plan.exit_layer
     k = exit_layer - 1
     greedy = cfg.decode_mode == GREEDY
-    for _ in range(cap):
-        ls = model.step(work)
-        conf = float(ls.top_conf[k])
-        steps.append(ls)
-        confs.append(conf)
-        if conf < plan.threshold:
-            break
-        if greedy:
-            tok = int(ls.top_tokens[k])
-        else:
-            q = ls.exit_row(exit_layer)
-            tok = sample_index(q, rng)
-            if q_rows is not None:
-                q_rows.append(q)
-        drafted.append(tok)
-        work.append(tok)
-    return drafted, steps, confs
+    try:
+        for _ in range(cap):
+            ls = model.step(context)
+            steps.append(ls)
+            if ls.top_conf[k] < plan.threshold:
+                break
+            if greedy:
+                tok = int(ls.top_tokens[k])
+            else:
+                q = ls.exit_row(exit_layer)
+                tok = sample_index(q, rng)
+                if q_rows is not None:
+                    q_rows.append(q)
+            drafted.append(tok)
+            context.append(tok)
+    finally:
+        del context[n0:]
+    return drafted, steps
 
 
 def verify_greedy(target_tokens, drafted):
@@ -167,13 +168,16 @@ def run_round(
     plan.validate(cfg)
 
     q_rows: list[np.ndarray] = []
-    drafted, steps, confs = draft(model, context, plan, cfg, rng, q_rows)
+    drafted, steps = draft(model, context, plan, cfg, rng, q_rows)
     g = len(drafted)
     if len(steps) == g:
         # loop ran to its bound: the verification pass covers one more position
-        ls = model.step(list(context) + drafted)
-        steps.append(ls)
-        confs.append(float(ls.top_conf[plan.exit_layer - 1]))
+        n0 = len(context)
+        context.extend(drafted)
+        try:
+            steps.append(model.step(context))
+        finally:
+            del context[n0:]
     assert len(steps) == g + 1
 
     if cfg.decode_mode == GREEDY:
@@ -198,5 +202,4 @@ def run_round(
         steps=tuple(steps),
         exit_layer_used=plan.exit_layer,
         layers_loaded=layers,
-        confidences=tuple(confs),
     )

@@ -534,29 +534,36 @@ def omega_sweep(
     prompt_len: int,
 ) -> list[dict]:
     """One dynamic-policy run batch per decay factor, sharing prompts, model,
-    and engine seeds so only the decay differs."""
-    rows = []
-    for omega in omegas:
-        cfg_w = cfg.replace(omega=float(omega))
-        model = build_model(model_spec, cfg_w)
-        prompts = make_prompts(model, cfg_w, n_prompts, prompt_len)
-        tokens = 0
-        layers = 0
-        plan_changes = 0
-        for i, prompt in enumerate(prompts):
-            policy = make_policy("del", cfg_w)
-            res = run_session(model, policy, cfg_w, prompt, derive_seed(cfg.seed, "engine", "del", i))
-            tokens += res.ledger.tokens_emitted
-            layers += res.ledger.layers_loaded
+    and engine seeds so only the decay differs.
+
+    The decay does not enter the model, so one model serves every omega, and
+    the sweep runs prompt by prompt: in greedy mode every omega's session on
+    a prompt walks the same target path, which the model's step memo then
+    computes once.
+    """
+    cfgs = [cfg.replace(omega=float(omega)) for omega in omegas]
+    model = build_model(model_spec, cfg)
+    prompts = make_prompts(model, cfg, n_prompts, prompt_len)
+    tokens = [0] * len(cfgs)
+    layers = [0] * len(cfgs)
+    plan_changes = [0] * len(cfgs)
+    for i, prompt in enumerate(prompts):
+        engine_seed = derive_seed(cfg.seed, "engine", "del", i)
+        for j, cfg_w in enumerate(cfgs):
+            res = run_session(model, make_policy("del", cfg_w), cfg_w, prompt, engine_seed)
+            tokens[j] += res.ledger.tokens_emitted
+            layers[j] += res.ledger.layers_loaded
             es = [rec["E"] for rec in res.records]
-            plan_changes += sum(1 for a, b in zip(es, es[1:]) if a != b)
-        etpl = tokens / layers
+            plan_changes[j] += sum(1 for a, b in zip(es, es[1:]) if a != b)
+    rows = []
+    for cfg_w, tok, lay, changes in zip(cfgs, tokens, layers, plan_changes):
+        etpl = tok / lay
         rows.append(
             {
-                "omega": float(omega),
+                "omega": cfg_w.omega,
                 "etpl": etpl,
                 "sim_speedup": etpl * cfg.L,
-                "exit_switches": plan_changes,
+                "exit_switches": changes,
             }
         )
     return rows

@@ -14,8 +14,11 @@ import hashlib
 import math
 import threading
 from array import array
+from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -196,10 +199,12 @@ class LayeredModel:
                     raise ConfigError(f"regimes[{i}] segment length must be >= 1")
                 lengths.append(int(seg_len))
                 self._profiles.append(_check_profile(prof, L, f"regimes[{i}] profile"))
-            self._segments = np.cumsum(lengths)
+            self._segments = list(accumulate(lengths))
         else:
             self._profiles = [np.ones(L)]
             self._segments = None
+        # the draws compare against the exit layers' rates only
+        self._profiles = [p[: L - 1] for p in self._profiles]
 
         self._draw_match = _confidence_sampler(dict(spec.confidence_match), "confidence_match")
         self._draw_mismatch = _confidence_sampler(dict(spec.confidence_mismatch), "confidence_mismatch")
@@ -271,21 +276,24 @@ class LayeredModel:
     def _profile_at(self, position: int) -> np.ndarray:
         if self._segments is None:
             return self._profiles[0]
-        pos = position % int(self._segments[-1])
-        idx = int(np.searchsorted(self._segments, pos, side="right"))
-        return self._profiles[idx]
+        return self._profiles[bisect_right(self._segments, position % self._segments[-1])]
 
     # -- public API --------------------------------------------------------
 
     def step(self, context: Sequence[TokenId]) -> LayerStep:
-        """LM-head outputs of all L layers at the position after ``context``."""
+        """LM-head outputs of all L layers at the position after ``context``.
+
+        The target row is set at once. Without a memo, the keyed draws behind
+        the exit layers' top tokens and confidences are made on their first
+        read (:meth:`LayerStep.deferred`); a memoized step is drawn in full.
+        """
         n = len(context)
         if n == 0:
             raise ValueError("context must be non-empty")
         if n > self.spec.horizon:
             raise horizon_error(n, self.spec.horizon)
         last = int(context[-1])
-        L, V = self.L, self.V
+        L = self.L
 
         if self.spec.kind == DETERMINISTIC_TOY:
             nxt = int(self._next_map[last])
@@ -300,13 +308,28 @@ class LayeredModel:
                 if hit is not None:
                     memo.move_to_end(msg)
                     return hit
+        t_star = int(self._trans_argmax[last])
+        target = self._transition[last]
+        if memo is None:
+            return LayerStep.deferred(target, t_star, L, partial(self._layers, msg, n, t_star))
+        # a memoized step is drawn before it is stored: the sessions sharing
+        # the memo read its layers again and again, and a stored step then
+        # holds no reference back to the model
+        step = LayerStep(*self._layers(msg, n, t_star), target, t_star)
+        with self._memo_lock:
+            memo[msg] = step
+            if len(memo) > self.memo_capacity:
+                memo.popitem(last=False)
+        return step
+
+    def _layers(self, msg: bytes, n: int, t_star: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every exit layer's top token and top-1 confidence at the position
+        whose draws are keyed by ``msg``, the context's length ``n`` and last
+        tokens; ``t_star`` is the target argmax there."""
         digest = hashlib.blake2b(msg, digest_size=16, key=self._seed_key).digest()
         rng = self._scratch_rng(np.frombuffer(digest, np.uint64))
-
-        t_star = int(self._trans_argmax[last])
-        prof = self._profile_at(n)[: L - 1]
-
-        agree = rng.random(L - 1) < prof
+        L, V = self.L, self.V
+        agree = rng.random(L - 1) < self._profile_at(n)
         conf_m = self._draw_match(rng, L - 1)
         conf_x = self._draw_mismatch(rng, L - 1)
         alt = (rng.random(L - 1) * (V - 1)).astype(np.intp)
@@ -314,13 +337,7 @@ class LayeredModel:
 
         conf = np.maximum(np.where(agree, conf_m, conf_x), self._conf_floor)
         top = np.where(agree, t_star, alt)
-        step = LayerStep(top, conf, self._transition[last], t_star)
-        if memo is not None:
-            with self._memo_lock:
-                memo[msg] = step
-                if len(memo) > self.memo_capacity:
-                    memo.popitem(last=False)
-        return step
+        return top, conf
 
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
         """Draw a prompt of the given length from the base process."""

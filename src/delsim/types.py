@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -16,13 +16,37 @@ class InvariantViolation(AssertionError):
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector via inverse CDF."""
+    """Draw an index from a probability vector (an array) via inverse CDF."""
     u = rng.random()
-    idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+    idx = int(probs.cumsum().searchsorted(u, side="right"))
     return min(idx, len(probs) - 1)
 
 
-@dataclass(frozen=True, eq=False)
+class _Drawn:
+    """A per-layer field of a step. Its first read makes the step's draws
+    and stores both per-layer fields on the instance, where they shadow this
+    descriptor from then on (as ``functools.cached_property`` does)."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, step, owner=None):
+        if step is None:
+            return self
+        d = step.__dict__
+        draws = d["_draws"]
+        if draws is not None:
+            # Concurrent first reads may both draw; they store equal arrays,
+            # and each field is stored before the callable is dropped.
+            top, conf = draws()
+            top.setflags(write=False)
+            conf.setflags(write=False)
+            d["top_tokens"] = top
+            d["top_conf"] = conf
+            d["_draws"] = None
+        return d[self.name]
+
+
 class LayerStep:
     """LM-head outputs of every layer at one decoding position.
 
@@ -30,22 +54,59 @@ class LayerStep:
     on token ``top_tokens[ell - 1]`` and spreads the remainder uniformly over
     the other V - 1 tokens; ``exit_row`` rebuilds that distribution. Layer L
     is the full model: ``target`` is its distribution and ``target_token``
-    its argmax. The arrays are made read-only on construction.
+    its argmax. The arrays are read-only and the step is immutable.
+
+    ``target`` and ``target_token`` are set when the step is made. A step
+    made by ``deferred`` makes the keyed draws behind ``top_tokens`` and
+    ``top_conf`` on the first read of either field or of ``exit_row``, and
+    then drops the callable that makes them. The draws are a pure function
+    of the step's key, so when they are made does not change their values.
+    A model without a step memo returns deferred steps: speculative-sampling
+    verification reads only target rows, so a sampling-mode ``vanilla``
+    session makes no draws, and an ``ls`` session draws only its drafted
+    positions. A step the model stores in its memo is drawn in full first:
+    the sessions sharing the memo read its layers again and again, and a
+    stored step must hold no reference back to the model.
     """
 
-    top_tokens: np.ndarray  # (L-1,) token ids
-    top_conf: np.ndarray  # (L-1,) top-1 probabilities
-    target: np.ndarray  # (V,)
-    target_token: TokenId
+    top_tokens = _Drawn()  # (L-1,) token ids
+    top_conf = _Drawn()  # (L-1,) top-1 probabilities
 
-    def __post_init__(self) -> None:
-        self.top_tokens.setflags(write=False)
-        self.top_conf.setflags(write=False)
-        self.target.setflags(write=False)
+    # Every step stores its attributes one by one in this order, the
+    # per-layer fields last, so that all steps' attribute dicts share one
+    # key table; one dict.update would give each step a dict of its own.
+    def __init__(self, top_tokens: np.ndarray, top_conf: np.ndarray, target: np.ndarray,
+                 target_token: TokenId):
+        target.setflags(write=False)
+        top_tokens.setflags(write=False)
+        top_conf.setflags(write=False)
+        d = self.__dict__
+        d["target"] = target
+        d["target_token"] = target_token
+        d["layer_count"] = int(top_tokens.size) + 1
+        d["_draws"] = None
+        d["top_tokens"] = top_tokens
+        d["top_conf"] = top_conf
 
-    @property
-    def layer_count(self) -> int:
-        return int(self.top_tokens.size) + 1
+    @classmethod
+    def deferred(cls, target: np.ndarray, target_token: TokenId, layer_count: int,
+                 draws: Callable[[], tuple[np.ndarray, np.ndarray]]) -> "LayerStep":
+        """A step whose ``(top_tokens, top_conf)`` come from ``draws()`` on
+        their first read. ``target`` must already be read-only, as the rows
+        of a model's transition matrix are."""
+        step = cls.__new__(cls)
+        d = step.__dict__
+        d["target"] = target
+        d["target_token"] = target_token
+        d["layer_count"] = layer_count
+        d["_draws"] = draws
+        return step
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"LayerStep is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"LayerStep is immutable: cannot delete {name!r}")
 
     def exit_row(self, ell: int) -> np.ndarray:
         """The full next-token distribution read after exit layer ``ell``."""

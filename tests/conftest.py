@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from delsim.config import SessionConfig
 from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec
@@ -49,6 +50,23 @@ def toy_model(cfg: SessionConfig, seed: int = 1) -> LayeredModel:
 def regime_model(cfg: SessionConfig, regimes, seed: int = 1, **spec_over) -> LayeredModel:
     spec = ModelSpec(kind=REGIME_SWITCHING, regimes=tuple(regimes), **spec_over)
     return LayeredModel(spec, cfg.L, cfg.V, seed)
+
+
+@pytest.fixture
+def draws(monkeypatch) -> list[bytes]:
+    """The keys of the layer draws ``LayeredModel``s make from here on, in
+    order: drawing a step's layers re-keys the model's scratch generator
+    exactly once, so ``len(draws)`` counts draws. Memo hits, deterministic
+    toy steps and deferred steps whose layers nobody reads make none."""
+    keys: list[bytes] = []
+    real = LayeredModel._scratch_rng
+
+    def counting(self, key):
+        keys.append(key.tobytes())
+        return real(self, key)
+
+    monkeypatch.setattr(LayeredModel, "_scratch_rng", counting)
+    return keys
 
 
 class ScriptedModel:

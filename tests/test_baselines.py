@@ -28,7 +28,6 @@ def outcome_with(drafted: int, accepted: int) -> RoundOutcome:
         steps=(),
         exit_layer_used=1,
         layers_loaded=0,
-        confidences=(),
     )
 
 

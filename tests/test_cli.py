@@ -222,13 +222,17 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "del"], {"model": {"horizon": -1}}, "model.horizon"),
         (["run", "--policy", "del"], {"model": {"horizon": 5}}, "model.horizon"),
         (["sweep", "--ell", "1..2", "--d", "0,2"], {"model": {"horizon": 5}}, "model.horizon"),
+        (["run", "--policy", "del"], {"run": {"del_per_layer_window": False}},
+         "del_per_layer_window"),
+        (["run", "--policy", "del", "--del-per-layer-window"], {}, "--del-per-layer-window"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
          "model-regimes-short", "confidence-beta-missing-a", "session-not-object",
          "run-exit-layer-fractional", "model-not-object", "run-prompts-fractional",
          "confidence-beta-zero", "base-process-concentration", "model-horizon-negative",
-         "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len"],
+         "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len",
+         "run-del-per-layer-window", "del-per-layer-window-flag"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)

@@ -12,6 +12,7 @@ from delsim.harness import (
     total_variation,
 )
 from delsim.baselines import make_policy
+from delsim.model import ModelSpec
 
 
 def ls_like(E, gamma, tau=0.0, cap=CAP_PLAN):
@@ -23,28 +24,30 @@ def ls_like(E, gamma, tau=0.0, cap=CAP_PLAN):
 def test_draft_zero_threshold_never_stops():
     cfg = make_cfg(d_max=8)
     model = toy_model(cfg)
-    drafted, steps, confs = draft(model, [1], ls_like(1, 4), cfg, np.random.default_rng(0))
+    ctx = [1]
+    drafted, steps = draft(model, ctx, ls_like(1, 4), cfg, np.random.default_rng(0))
     assert len(drafted) == 4
     assert len(steps) == 4  # loop hit its bound; bonus position comes from run_round
-    assert confs == [1.0] * 4
+    assert [s.top_conf[0] for s in steps] == [1.0] * 4
+    assert ctx == [1]  # drafted tokens leave the caller's context as it was
 
 
 def test_draft_unit_threshold_gives_empty_draft():
     cfg = make_cfg(L=4)
     model = agreement_model(cfg, (0.6, 0.8, 0.9, 1.0))
-    drafted, steps, confs = draft(model, [1], ls_like(1, 4, tau=1.0), cfg, np.random.default_rng(0))
+    drafted, steps = draft(model, [1], ls_like(1, 4, tau=1.0), cfg, np.random.default_rng(0))
     assert drafted == []
-    assert len(steps) == 1 and len(confs) == 1
+    assert len(steps) == 1
 
 
 def test_draft_stops_at_scripted_confidence():
     confs = [0.9, 0.8, 0.4, 0.95, 0.9, 0.9]
     model = ScriptedModel(base_len=1, confs=confs, draft_toks=[1] * 6, target_toks=[1] * 6)
     cfg = make_cfg(L=2, V=8, d_max=5)
-    drafted, steps, seen = draft(model, [0], ls_like(1, 5, tau=0.5), cfg, np.random.default_rng(0))
+    drafted, steps = draft(model, [0], ls_like(1, 5, tau=0.5), cfg, np.random.default_rng(0))
     assert len(drafted) == 2
     assert len(steps) == 3  # the low-confidence position is kept as the bonus slot
-    assert seen == [0.9, 0.8, 0.4]
+    assert [s.top_conf[0] for s in steps] == [0.9, 0.8, 0.4]
 
 
 def test_draft_cap_modes():
@@ -52,9 +55,9 @@ def test_draft_cap_modes():
     model = toy_model(cfg)
     rng = np.random.default_rng(0)
     # algorithm1 ignores planned_len and drafts to d_max
-    drafted, _, _ = draft(model, [1], ls_like(1, 2, cap=CAP_ALGORITHM1), cfg, rng)
+    drafted, _ = draft(model, [1], ls_like(1, 2, cap=CAP_ALGORITHM1), cfg, rng)
     assert len(drafted) == 6
-    drafted, _, _ = draft(model, [1], ls_like(1, 2, cap=CAP_PLAN), cfg, rng)
+    drafted, _ = draft(model, [1], ls_like(1, 2, cap=CAP_PLAN), cfg, rng)
     assert len(drafted) == 2
 
 
@@ -134,7 +137,21 @@ def test_round_cost_matches_cost_model():
     assert out.layers_loaded == 6 * 8 + 32 == 80
     assert ledger.layers_loaded == 80
     assert len(out.steps) == 7
-    assert len(out.confidences) == 7
+    assert [s.top_conf[7] for s in out.steps] == [1.0] * 7
+
+
+@pytest.mark.parametrize("horizon", [4, 7])
+def test_round_leaves_the_context_as_it_was_when_a_step_raises(horizon):
+    from delsim.config import ConfigError
+
+    # with a 3-token context, horizon 4 stops the draft loop's second step
+    # and horizon 7 the verification step after the fifth drafted token
+    cfg = make_cfg(L=4, d_max=8)
+    model = agreement_model(cfg, (0.6, 0.3, 0.8, 1.0), horizon=horizon)
+    ctx = [1, 2, 3]
+    with pytest.raises(ConfigError, match="exceeds horizon"):
+        run_round(model, ctx, ls_like(1, 5), np.random.default_rng(0), CostLedger(), cfg)
+    assert ctx == [1, 2, 3]
 
 
 def test_round_emitted_is_accepted_plus_one():
@@ -182,9 +199,9 @@ def test_sampling_draft_tokens_come_from_q_but_confidences_are_top1():
     model = ScriptedModel(base_len=1, confs=confs, draft_toks=[2] * 12, target_toks=[2] * 12)
     cfg = make_cfg(L=2, V=8, d_max=8, decode_mode=SAMPLING)
     rng = np.random.default_rng(5)
-    drafted, _, seen = draft(model, [0], ls_like(1, 8), cfg, rng)
+    drafted, steps = draft(model, [0], ls_like(1, 8), cfg, rng)
     assert len(drafted) == 8
-    assert all(abs(c - 0.6) < 1e-12 for c in seen)
+    assert all(abs(s.top_conf[0] - 0.6) < 1e-12 for s in steps)
     assert any(t != 2 for t in drafted)  # sampled, not argmaxed
 
 
@@ -259,3 +276,32 @@ def test_plan_validation_bounds():
     with pytest.raises(ValueError):
         DraftPlan(1, 0.0, 7).validate(cfg)
     DraftPlan(7, 1.0, 6).validate(cfg)
+
+
+# -- when steps draw their layers -------------------------------------------------
+
+@pytest.mark.parametrize("policy, params", [
+    ("vanilla", {}),
+    ("ls", {"exit_layer": 2, "gamma": 5}),
+    ("del", {}),
+])
+def test_sampling_sessions_draw_only_the_steps_they_read(policy, params, draws):
+    from delsim.harness import run_session
+    from delsim.model import CallCountingModel, build_model
+
+    cfg = make_cfg(L=8, V=32, seed=4, max_new_tokens=96, prefill_window=16, d_max=8,
+                   decode_mode=SAMPLING)
+    spec = ModelSpec(kind="agreement", agreement_profile=(0.4, 0.9, 0.5, 0.3, 0.6, 0.2, 0.7, 1.0))
+    model = CallCountingModel(build_model(spec, cfg))
+    prompt = model.sample_prompt(24, np.random.default_rng(0))
+    res = run_session(model, make_policy(policy, cfg, **params), cfg, prompt, 9)
+    drafted = sum(rec["g"] for rec in res.records)
+    if policy == "vanilla":
+        # verification reads only the target rows
+        assert drafted == 0 and draws == []
+    elif policy == "ls":
+        # one draw per drafted position; no verification step is read
+        assert len(draws) == drafted == model.calls - res.rounds
+    else:
+        # the controller shadows every step: prefill window and every round's
+        assert len(draws) == model.calls == cfg.prefill_window + drafted + res.rounds

@@ -41,6 +41,7 @@ def run_digest(tmp_path, spec, cfg, policies, prompt_len=16) -> str:
 GREEDY_ALL_POLICIES = "61b0d3d934e1faff47a450490646d94d07ac04791e2023c3535d471dd5b231ed"
 SAMPLING_REGIMES = "331a133640691e34d4957d14116a180715bbbd0a7dc93fc8da7a36679f302d06"
 TOY_RUN = "797485d526891d38ab25e59618bbe70d83cb9cc0bab78dcc1983b3854bf66cd9"
+SAMPLING_LONG_ROUNDS = "d2b97db7e8da8860566e0236be51179cd7edfa53be88a8f1ab32bdc8335496d6"
 SWEEP_GRID = "fb11ab71acac3e944c9525b17c8229d1725b2d0a39093d629044493de7883347"
 
 
@@ -60,6 +61,16 @@ def test_sampling_run_is_byte_stable(tmp_path):
     )
     policies = [("vanilla", {}), ("ls", {"exit_layer": 2, "gamma": 4}), ("del", {})]
     assert run_digest(tmp_path, spec, cfg, policies) == SAMPLING_REGIMES
+
+
+def test_sampling_run_with_long_rounds_is_byte_stable(tmp_path):
+    # d_max = 18 lets rounds reach width 19, past the 8-element blocks in
+    # which numpy's pairwise summation changes the order of round_stats' sums
+    cfg = make_cfg(L=16, V=16, seed=17, max_new_tokens=96, prefill_window=16,
+                   decode_mode="sampling", d_max=18)
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=profile_with(16, best=3), **STABLE_CONF)
+    policies = [("vanilla", {}), ("ls", {"exit_layer": 3, "gamma": 18}), ("del", {})]
+    assert run_digest(tmp_path, spec, cfg, policies) == SAMPLING_LONG_ROUNDS
 
 
 def test_deterministic_toy_run_is_byte_stable(tmp_path):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 import warnings
 
 import numpy as np
@@ -147,6 +148,55 @@ def test_omega_zero_switches_exits_more_than_default():
     rows = omega_sweep(spec, cfg, [0.0, 0.95], 3, 16)
     by_omega = {r["omega"]: r["exit_switches"] for r in rows}
     assert by_omega[0.0] > by_omega[0.95]
+
+
+def per_omega_reference(spec, cfg, omegas, n_prompts, prompt_len) -> list[dict]:
+    """omega_sweep's rows from one model and one batch of sessions per omega."""
+    from delsim import derive_seed, make_policy, run_session
+
+    rows = []
+    for omega in omegas:
+        cfg_w = cfg.replace(omega=omega)
+        model = build_model(spec, cfg_w)
+        tokens = layers = switches = 0
+        for i, prompt in enumerate(make_prompts(model, cfg_w, n_prompts, prompt_len)):
+            seed = derive_seed(cfg.seed, "engine", "del", i)
+            res = run_session(model, make_policy("del", cfg_w), cfg_w, prompt, seed)
+            tokens += res.ledger.tokens_emitted
+            layers += res.ledger.layers_loaded
+            es = [rec["E"] for rec in res.records]
+            switches += sum(a != b for a, b in zip(es, es[1:]))
+        rows.append({"omega": omega, "etpl": tokens / layers,
+                     "sim_speedup": tokens / layers * cfg.L, "exit_switches": switches})
+    return rows
+
+
+@pytest.mark.parametrize("mode, max_new_tokens", [("greedy", 256), (SAMPLING, 48)])
+def test_omega_sweep_equals_per_omega_runs_and_steps_each_context_once(
+    mode, max_new_tokens, monkeypatch, draws
+):
+    from delsim.model import LayeredModel
+
+    cfg = make_cfg(L=16, V=64, seed=3, max_new_tokens=max_new_tokens, prefill_window=16,
+                   decode_mode=mode)
+    spec = spec_with_profile(profile_with(16, best=3))
+    omegas = [0.5, 0.7, 0.9, 0.95, 1.0]
+    expected = per_omega_reference(spec, cfg, omegas, 4, 16)
+    draws.clear()
+
+    stepped: set[tuple] = set()
+    real_step = LayeredModel.step
+
+    def step(self, context):
+        stepped.add(tuple(context))
+        return real_step(self, context)
+
+    monkeypatch.setattr(LayeredModel, "step", step)
+    assert omega_sweep(spec, cfg, omegas, 4, 16) == expected
+    if mode == "greedy":
+        # every omega's session on a prompt walks one path, and the memo
+        # computes each context the sweep steps once
+        assert len(draws) == len(stepped)
 
 
 # -- run_experiment ----------------------------------------------------------------
@@ -381,23 +431,13 @@ def test_grid_sweep_rejects_out_of_range_cells(ells, ds):
         grid_sweep(spec_with_profile(profile_with(8, best=2)), cfg, ells, ds, 1, 8)
 
 
-def test_greedy_grid_sweep_steps_each_prompt_path_once(monkeypatch):
-    from delsim.model import LayeredModel
-
-    calls = 0
-    real = LayeredModel.step
-
-    def counting(self, context):
-        nonlocal calls
-        calls += 1
-        return real(self, context)
-
-    monkeypatch.setattr(LayeredModel, "step", counting)
+def test_greedy_grid_sweep_steps_each_prompt_path_once(draws):
+    # the sweep reads every path step's layers, so it draws each step it makes
     cfg = make_cfg(L=32, V=64, seed=2, max_new_tokens=32)
     ds = list(range(0, 13))
     n_prompts = 3
     grid_sweep(_specialist_l32(), cfg, range(1, 13), ds, n_prompts, 32)
-    assert 0 < calls <= n_prompts * (cfg.max_new_tokens + max(ds))
+    assert 0 < len(draws) <= n_prompts * (cfg.max_new_tokens + max(ds))
 
 
 def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
@@ -421,7 +461,7 @@ def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
     assert "nan" in (tmp_path / "grid.csv").read_text()
 
 
-def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypatch):
+def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypatch, draws):
     from delsim.harness import vanilla_reference
     from delsim.model import LayeredModel
 
@@ -433,31 +473,27 @@ def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypa
     plain = build_model(spec, cfg, memo=False)
     prompts = make_prompts(plain, cfg, 5, 12)
     paths = [vanilla_reference(plain, cfg, p) for p in prompts]
+    assert draws == []  # a greedy vanilla session reads only target tokens
+    # the draw keys of the path positions, in path order
+    for prompt, path in zip(prompts, paths):
+        for k in range(cfg.max_new_tokens):
+            plain.step(prompt + path[:k]).top_conf
+    path_keys = draws[:]
+    assert len(set(path_keys)) == len(prompts) * cfg.max_new_tokens
+    draws.clear()
 
     calls = 0
-    computed: dict[tuple, int] = {}
-    stepping: list[tuple] = []
-    real_step, real_rng = LayeredModel.step, LayeredModel._scratch_rng
+    real_step = LayeredModel.step
 
     def step(self, context):
         nonlocal calls
         calls += 1
-        stepping.append(tuple(context))
-        try:
-            return real_step(self, context)
-        finally:
-            stepping.pop()
-
-    def scratch_rng(self, key):
-        computed[stepping[-1]] = computed.get(stepping[-1], 0) + 1
-        return real_rng(self, key)
+        return real_step(self, context)
 
     monkeypatch.setattr(LayeredModel, "step", step)
-    monkeypatch.setattr(LayeredModel, "_scratch_rng", scratch_rng)
     run_experiment(spec, cfg, policies, len(prompts), 12)
 
-    for prompt, path in zip(prompts, paths):
-        for k in range(cfg.max_new_tokens):
-            assert computed[tuple(prompt + path[:k])] == 1
+    computed = Counter(draws)
+    assert all(computed[key] == 1 for key in path_keys)
     # every session but the reference's steps the whole path again
-    assert sum(computed.values()) < calls - len(policies) * len(prompts) * cfg.max_new_tokens
+    assert len(draws) < calls - len(policies) * len(prompts) * cfg.max_new_tokens

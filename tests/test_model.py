@@ -16,21 +16,6 @@ from delsim.model import (
 from delsim.types import PROB_SUM_TOL
 
 
-def count_computed_steps(monkeypatch) -> list[int]:
-    """A one-element list counting the steps models compute from then on
-    (memo hits excluded): each computed step re-keys the scratch generator
-    exactly once."""
-    computed = [0]
-    real = LayeredModel._scratch_rng
-
-    def counting(self, key):
-        computed[0] += 1
-        return real(self, key)
-
-    monkeypatch.setattr(LayeredModel, "_scratch_rng", counting)
-    return computed
-
-
 def distinct_contexts(n, V, length=4):
     # encode the index so every context is unique and deterministic
     for i in range(n):
@@ -220,7 +205,7 @@ def test_sample_prompt_deterministic_and_in_range():
     assert all(0 <= t < cfg.V for t in p1)
 
 
-def test_wrappers_count_and_cache(monkeypatch):
+def test_wrappers_count_and_cache(draws):
     cfg = make_cfg()
     inner = toy_model(cfg)
     counting = CallCountingModel(inner)
@@ -230,12 +215,11 @@ def test_wrappers_count_and_cache(monkeypatch):
     assert counting.L == cfg.L
     # the model's own memo computes a repeated context once and hands back
     # the identical step
-    computed = count_computed_steps(monkeypatch)
     memo = CallCountingModel(agreement_model(cfg, (0.5,) * 7 + (1.0,), memo_capacity=4))
     first = memo.step([1, 2])
     assert memo.step([1, 2]) is first
     assert memo.calls == 2
-    assert computed == [1]
+    assert len(draws) == 1
 
 
 # -- step memo ----------------------------------------------------------------
@@ -272,22 +256,21 @@ def test_memoized_steps_equal_computed_steps(kind, capacity, contexts):
         assert len(memo._memo) <= capacity
 
 
-def test_memo_never_holds_more_than_its_capacity(monkeypatch):
+def test_memo_never_holds_more_than_its_capacity(draws):
     cfg = make_cfg(L=6, V=8)
-    computed = count_computed_steps(monkeypatch)
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=5)
     contexts = list(distinct_contexts(40, cfg.V))
     for ctx in contexts:
         model.step(ctx)
         assert len(model._memo) <= 5
     assert len(model._memo) == 5
-    assert computed == [40]
+    assert len(draws) == 40
     # the five most recent contexts are held; the oldest were dropped
     for ctx in contexts[-5:]:
         model.step(ctx)
-    assert computed == [40]
+    assert len(draws) == 40
     model.step(contexts[0])
-    assert computed == [41]
+    assert len(draws) == 41
     assert len(model._memo) == 5
 
 
@@ -377,3 +360,76 @@ def test_memo_is_safe_under_concurrent_steps():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
+
+
+# -- deferred draws -------------------------------------------------------------
+
+CONFIDENCES = [
+    {"dist": "beta", "a": 8.0, "b": 2.0},
+    {"dist": "fixed", "value": 0.7},
+    {"dist": "uniform", "lo": 0.2, "hi": 0.9},
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_SPECS)),
+    conf=st.sampled_from(CONFIDENCES),
+    contexts=st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=12), min_size=1, max_size=8),
+    first_reads=st.lists(st.sampled_from(["top_tokens", "top_conf", "exit_row"]), min_size=8,
+                         max_size=8),
+    order=st.randoms(use_true_random=False),
+)
+def test_deferred_steps_equal_steps_drawn_at_once(kind, conf, contexts, first_reads, order):
+    L, V = 5, 17
+    spec = ModelSpec(kind=kind, confidence_match=conf, confidence_mismatch=conf, **KIND_SPECS[kind])
+    deferred = LayeredModel(spec, L, V, 3)
+    steps = [deferred.step(ctx) for ctx in contexts]
+    # read the steps' layers in any order, each first through any field, so
+    # their draws interleave on the model's scratch generator
+    reads = list(zip(range(len(steps)), first_reads))
+    order.shuffle(reads)
+    for i, field in reads:
+        if field == "exit_row":
+            steps[i].exit_row(1 + i % (L - 1))
+        else:
+            getattr(steps[i], field)
+    # a memoized step is drawn when it is made
+    fresh = LayeredModel(spec, L, V, 3, memo_capacity=len(contexts))
+    for ctx, got in zip(contexts, steps):
+        want = fresh.step(ctx)
+        assert got.target_token == want.target_token and got.layer_count == want.layer_count == L
+        for name in ("top_tokens", "top_conf", "target"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert not x.flags.writeable
+        for ell in range(1, L):
+            assert np.array_equal(got.exit_row(ell), want.exit_row(ell))
+
+
+def test_step_draws_on_the_first_layer_read_only(draws):
+    cfg = make_cfg(L=6, V=16)
+    model = agreement_model(cfg, (0.5,) * 5 + (1.0,))
+    step = model.step([3, 1, 4])
+    assert step.target.size == cfg.V and step.layer_count == cfg.L
+    assert step.target_token == int(step.target.argmax())
+    assert draws == []
+    step.exit_row(2)
+    assert len(draws) == 1
+    step.top_tokens, step.top_conf, step.exit_row(4)
+    assert len(draws) == 1
+    with pytest.raises(AttributeError):
+        step.top_conf = np.zeros(cfg.L - 1)
+
+
+def test_memoized_steps_are_stored_drawn(draws):
+    cfg = make_cfg(L=6, V=16)
+    model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=4)
+    step = model.step([3, 1, 4])
+    assert len(draws) == 1
+    assert list(model._memo.values()) == [step]
+    # the stored step holds its arrays and nothing that reaches the model
+    assert {"top_tokens", "top_conf"} <= set(vars(step))
+    assert not any(callable(v) for v in vars(step).values())
+    step.top_tokens, step.exit_row(3), model.step([3, 1, 4]).top_conf
+    assert len(draws) == 1
