@@ -6,13 +6,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import CAP_ALGORITHM1, CAP_PLAN, ConfigError, SessionConfig, as_int
+from .config import ConfigError, SessionConfig, as_int
 from .engine import DraftPlan, RoundOutcome
 
 
 def vanilla_plan() -> DraftPlan:
     """Plain auto-regressive decoding: one target step per round."""
-    return DraftPlan(exit_layer=1, threshold=0.0, planned_len=0, cap_mode=CAP_PLAN)
+    return DraftPlan(exit_layer=1, threshold=0.0, planned_len=0, draft_bound=0)
 
 
 def ls_plan(exit_layer: int, gamma: int, L: int, d_max: int) -> DraftPlan:
@@ -21,7 +21,7 @@ def ls_plan(exit_layer: int, gamma: int, L: int, d_max: int) -> DraftPlan:
         raise ConfigError(f"exit_layer must lie in [1, {L}), got {exit_layer}")
     if not 0 <= gamma <= d_max:
         raise ConfigError(f"gamma out of [0, {d_max}]: {gamma}")
-    return DraftPlan(exit_layer=exit_layer, threshold=0.0, planned_len=gamma, cap_mode=CAP_PLAN)
+    return DraftPlan(exit_layer=exit_layer, threshold=0.0, planned_len=gamma, draft_bound=gamma)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class FsPolicy:
             exit_layer=self.exit_layer,
             threshold=0.0,
             planned_len=self.state.gamma_current,
-            cap_mode=CAP_PLAN,
+            draft_bound=self.state.gamma_current,
         )
 
     def init(self, model, prompt) -> DraftPlan:
@@ -151,7 +151,7 @@ class DvPolicy:
             exit_layer=self.exit_layer,
             threshold=self.state.threshold,
             planned_len=self.cfg.d_max,
-            cap_mode=CAP_ALGORITHM1,
+            draft_bound=self.cfg.d_max,
         )
 
     def init(self, model, prompt) -> DraftPlan:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import SessionConfig
+from .config import CAP_ALGORITHM1, SessionConfig
 from .engine import DraftPlan, RoundOutcome
 from .types import LayerStep, TokenId
 
@@ -190,7 +190,9 @@ def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -
     ``alpha``, over exit layers [1, L) and lengths [0, d_max].
 
     Ties break toward the smaller layer, then the smaller length (cheaper and
-    shorter is safer under estimation noise).
+    shorter is safer under estimation noise). Under ``algorithm1`` capping
+    the round drafts up to d_max and the threshold stops it; otherwise it
+    drafts at most the planned length.
     """
     grid = tpl_grid(alpha, cfg.d_max, cfg.L)
     flat = int(np.argmax(grid))  # row-major: smallest ell, then smallest d
@@ -200,7 +202,7 @@ def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -
         exit_layer=ell,
         threshold=float(thresholds[ell - 1]),
         planned_len=d,
-        cap_mode=cfg.draft_cap_mode,
+        draft_bound=cfg.d_max if cfg.draft_cap_mode == CAP_ALGORITHM1 else d,
     )
 
 

@@ -11,18 +11,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CAP_ALGORITHM1, CAP_MODES, GREEDY, SessionConfig
+from .config import GREEDY, SessionConfig
 from .types import InvariantViolation, LayerStep, TokenId, sample_index
 
 
 @dataclass(frozen=True)
 class DraftPlan:
-    """The controller's decision for the next round."""
+    """The controller's decision for the next round.
+
+    ``draft_bound`` is the most tokens the round may draft: a policy that
+    relies on the threshold to stop drafting passes d_max, one that drafts
+    a planned length passes that length.
+    """
 
     exit_layer: int
     threshold: float
     planned_len: int
-    cap_mode: str = CAP_ALGORITHM1
+    draft_bound: int
 
     def validate(self, cfg: SessionConfig) -> "DraftPlan":
         if not 1 <= self.exit_layer < cfg.L:
@@ -31,8 +36,8 @@ class DraftPlan:
             raise ValueError(f"threshold out of [0,1]: {self.threshold}")
         if not 0 <= self.planned_len <= cfg.d_max:
             raise ValueError(f"planned_len out of [0, {cfg.d_max}]: {self.planned_len}")
-        if self.cap_mode not in CAP_MODES:
-            raise ValueError(f"cap_mode must be one of {CAP_MODES}, got {self.cap_mode!r}")
+        if not 0 <= self.draft_bound <= cfg.d_max:
+            raise ValueError(f"draft_bound out of [0, {cfg.d_max}]: {self.draft_bound}")
         return self
 
 
@@ -68,8 +73,7 @@ def draft(
 
     Each position's confidence is the exit layer's top-1 probability; if it
     falls below the plan threshold the token is discarded and drafting stops.
-    The loop bound is d_max under ``algorithm1`` capping, otherwise
-    min(planned_len, d_max).
+    The loop runs at most ``plan.draft_bound`` times.
 
     Returns (drafted tokens, LayerSteps seen). The step list covers every
     position evaluated: g entries if the loop ran to its bound, g+1 if the
@@ -79,7 +83,6 @@ def draft(
     exit row each drafted token was sampled from is appended to ``q_rows``
     when it is given, for verification to reuse.
     """
-    cap = cfg.d_max if plan.cap_mode == CAP_ALGORITHM1 else min(plan.planned_len, cfg.d_max)
     n0 = len(context)
     drafted: list[TokenId] = []
     steps: list[LayerStep] = []
@@ -87,7 +90,7 @@ def draft(
     k = exit_layer - 1
     greedy = cfg.decode_mode == GREEDY
     try:
-        for _ in range(cap):
+        for _ in range(plan.draft_bound):
             ls = model.step(context)
             steps.append(ls)
             if ls.top_conf[k] < plan.threshold:

@@ -35,8 +35,7 @@ def outcome_with(drafted: int, accepted: int) -> RoundOutcome:
 
 def test_vanilla_plan_is_a_single_target_step():
     plan = vanilla_plan()
-    assert plan.planned_len == 0
-    assert plan.cap_mode == "plan_capped"
+    assert plan.planned_len == plan.draft_bound == 0
 
 
 def test_vanilla_etpl_is_one_over_L():

@@ -194,7 +194,7 @@ def test_alpha_monte_carlo_convergence_long_windows():
     cfg = make_cfg(L=8, V=16, d_max=50, seed=3)
     profile = (0.3, 0.5, 0.8, 0.2, 0.6, 1.0, 0.9, 1.0)
     model = agreement_model(cfg, profile)
-    plan = DraftPlan(exit_layer=6, threshold=0.0, planned_len=50, cap_mode=CAP_PLAN)
+    plan = DraftPlan(exit_layer=6, threshold=0.0, planned_len=50, draft_bound=50)
     stats = zero_stats(cfg.L - 1)
     ctx = [1, 2]
     rng = np.random.default_rng(0)
@@ -279,7 +279,11 @@ def test_select_plan_carries_threshold_of_chosen_layer():
     plan = select_plan(alpha, thresholds, cfg)
     assert plan.exit_layer == 2
     assert plan.threshold == pytest.approx(thresholds[1])
-    assert plan.cap_mode == cfg.draft_cap_mode
+    # the default algorithm1 capping drafts to d_max; plan capping drafts
+    # at most the planned length
+    assert plan.draft_bound == cfg.d_max
+    capped = select_plan(alpha, thresholds, cfg.replace(draft_cap_mode=CAP_PLAN))
+    assert capped.draft_bound == capped.planned_len == plan.planned_len
 
 
 # -- dynamic threshold -------------------------------------------------------------
@@ -336,7 +340,7 @@ def test_threshold_strictly_between_the_two_means(match_mass, miss_mass, m_mean,
 def test_threshold_beta_confidence_midpoint_converges():
     cfg = make_cfg(L=6, V=64, seed=5)
     model = agreement_model(cfg, (0.2, 0.85, 0.2, 0.2, 0.2, 1.0))
-    plan = DraftPlan(exit_layer=2, threshold=0.0, planned_len=12, cap_mode=CAP_PLAN)
+    plan = DraftPlan(exit_layer=2, threshold=0.0, planned_len=12, draft_bound=12)
     stats = zero_stats(cfg.L - 1)
     ctx = [1]
     rng = np.random.default_rng(0)

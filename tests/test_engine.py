@@ -4,7 +4,7 @@ from conftest import ScriptedModel, agreement_model, make_cfg, toy_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsim.config import CAP_ALGORITHM1, CAP_PLAN, SAMPLING
+from delsim.config import SAMPLING
 from delsim.engine import CostLedger, DraftPlan, draft, run_round, verify_greedy, verify_sampling
 from delsim.harness import (
     empirical_sd_distribution,
@@ -15,8 +15,9 @@ from delsim.baselines import make_policy
 from delsim.model import ModelSpec
 
 
-def ls_like(E, gamma, tau=0.0, cap=CAP_PLAN):
-    return DraftPlan(exit_layer=E, threshold=tau, planned_len=gamma, cap_mode=cap)
+def ls_like(E, gamma, tau=0.0, bound=None):
+    bound = gamma if bound is None else bound
+    return DraftPlan(exit_layer=E, threshold=tau, planned_len=gamma, draft_bound=bound)
 
 
 # -- draft -------------------------------------------------------------------
@@ -54,10 +55,11 @@ def test_draft_cap_modes():
     cfg = make_cfg(d_max=6)
     model = toy_model(cfg)
     rng = np.random.default_rng(0)
-    # algorithm1 ignores planned_len and drafts to d_max
-    drafted, _ = draft(model, [1], ls_like(1, 2, cap=CAP_ALGORITHM1), cfg, rng)
+    # the draft bound, not planned_len, ends the loop: algorithm1 capping
+    # passes d_max, plan capping the planned length
+    drafted, _ = draft(model, [1], ls_like(1, 2, bound=cfg.d_max), cfg, rng)
     assert len(drafted) == 6
-    drafted, _ = draft(model, [1], ls_like(1, 2, cap=CAP_PLAN), cfg, rng)
+    drafted, _ = draft(model, [1], ls_like(1, 2), cfg, rng)
     assert len(drafted) == 2
 
 
@@ -268,14 +270,18 @@ def test_sampling_micro_distribution_preservation():
 def test_plan_validation_bounds():
     cfg = make_cfg(L=8, d_max=6)
     with pytest.raises(ValueError):
-        DraftPlan(8, 0.0, 2).validate(cfg)
+        DraftPlan(8, 0.0, 2, 2).validate(cfg)
     with pytest.raises(ValueError):
-        DraftPlan(0, 0.0, 2).validate(cfg)
+        DraftPlan(0, 0.0, 2, 2).validate(cfg)
     with pytest.raises(ValueError):
-        DraftPlan(1, 1.5, 2).validate(cfg)
+        DraftPlan(1, 1.5, 2, 2).validate(cfg)
     with pytest.raises(ValueError):
-        DraftPlan(1, 0.0, 7).validate(cfg)
-    DraftPlan(7, 1.0, 6).validate(cfg)
+        DraftPlan(1, 0.0, 7, 6).validate(cfg)
+    with pytest.raises(ValueError):
+        DraftPlan(1, 0.0, 2, 7).validate(cfg)
+    with pytest.raises(ValueError):
+        DraftPlan(1, 0.0, 2, -1).validate(cfg)
+    DraftPlan(7, 1.0, 6, 6).validate(cfg)
 
 
 # -- when steps draw their layers -------------------------------------------------

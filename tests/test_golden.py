@@ -7,11 +7,13 @@ numpy release that changes a sampler's stream changes them too.
 """
 
 import hashlib
+from array import array
 
+import pytest
 from conftest import STABLE_CONF, make_cfg, profile_with
 
-from delsim.harness import grid_sweep, run_experiment
-from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, ModelSpec
+from delsim.harness import grid_sweep, make_prompts, run_experiment
+from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec
 
 ALL_POLICIES = [
     ("vanilla", {}),
@@ -86,3 +88,29 @@ def test_grid_sweep_is_byte_stable():
                       segment_len=16)
     assert grid.values.shape == (3, 4, 3)
     assert hashlib.sha256(grid.values.tobytes()).hexdigest() == SWEEP_GRID
+
+
+PROMPT_SPECS = {
+    AGREEMENT: (
+        ModelSpec(kind=AGREEMENT, agreement_profile=(0.3, 0.9, 0.5, 1.0)),
+        "52fd4ca91fbbf1ec45dc9165ddfe152e8bd28a73ef8cd22ba29f8f3f28a10003",
+    ),
+    REGIME_SWITCHING: (
+        ModelSpec(kind=REGIME_SWITCHING, base_process={"kind": "dirichlet", "concentration": 3.0},
+                  regimes=((5, (0.9, 0.1, 0.5, 1.0)), (3, (0.1, 0.9, 0.5, 1.0)))),
+        "d39a7fa77ac812a4191740c5217855d8732e01e66232b5b19f83d6cbdd040b20",
+    ),
+    DETERMINISTIC_TOY: (
+        ModelSpec(kind=DETERMINISTIC_TOY, base_process={"kind": "shift", "by": 5}),
+        "478b461f5a23e78db49c263d4a5b0873380c24fc5f9356a4c01d76971502ec01",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(PROMPT_SPECS))
+def test_prompts_are_byte_stable(kind):
+    spec, digest = PROMPT_SPECS[kind]
+    prompts = make_prompts(LayeredModel(spec, 4, 23, 5), make_cfg(L=4, V=23, seed=19), 3, 40)
+    assert [len(p) for p in prompts] == [40] * 3
+    joined = b"".join(array("q", p).tobytes() for p in prompts)
+    assert hashlib.sha256(joined).hexdigest() == digest
