@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,9 +15,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .baselines import VanillaPolicy, make_policy
+from .baselines import make_policy
 from .config import GREEDY, SessionConfig, derive_seed
-from .controller import shadow_tokens
 from .engine import CostLedger, DraftPlan, run_round
 from .model import ModelSpec, build_model, horizon_error
 from .types import InvariantViolation, TokenId
@@ -108,9 +108,14 @@ def make_prompts(model, cfg: SessionConfig, n_prompts: int, prompt_len: int) -> 
 
 
 def vanilla_reference(model, cfg: SessionConfig, prompt: Sequence[TokenId]) -> list[TokenId]:
-    """Target-only greedy output used by the losslessness hook."""
-    res = run_session(model, VanillaPolicy(cfg), cfg, prompt, derive_seed(cfg.seed, "ref"), False)
-    return res.output
+    """Target-only greedy output used by the losslessness hook: the argmax
+    chain after the prompt, which is what a greedy ``vanilla`` session
+    emits. A model with a step memo makes the chain's steps in one block
+    (``greedy_path``) and stores them, so the sessions on the prompt find
+    the path there; a model without one draws nothing."""
+    if model.memo_capacity > 0:
+        return [s.target_token for s in model.greedy_path(prompt, cfg.max_new_tokens)]
+    return model.argmax_chain(prompt, cfg.max_new_tokens)
 
 
 def run_experiment(
@@ -201,10 +206,6 @@ def write_trace(path: Path, records: list[dict]) -> None:
             f.write(json.dumps(rec) + "\n")
 
 
-def read_trace(path: Path) -> list[dict]:
-    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-
-
 def write_summary(path: Path, reports: Sequence[RunReport]) -> None:
     with path.open("w", newline="") as f:
         w = csv.writer(f)
@@ -243,6 +244,40 @@ def write_aggregate(path: Path, reports: Sequence[RunReport], cfg: SessionConfig
         w.writerows(rows)
 
 
+# ``write_trace``'s layout of the two totals a record carries; a record
+# written so is read without decoding its ``alpha_snapshot``
+_TOTALS = re.compile(
+    r'\{"round": \d+, "E": \d+, "planned_len": \d+, "g": \d+, "accepted": \d+, '
+    r'"emitted_len": (\d+), "layers_loaded": (\d+), .*\}'
+)
+
+
+def trace_totals(path: Path) -> tuple[int, int]:
+    """Summed ``emitted_len`` and ``layers_loaded`` over a trace's records.
+
+    A line that does not read as a whole record raises ValueError naming
+    the trace and the line: a line in ``write_trace``'s layout is matched,
+    any other line is decoded in full."""
+    tokens = layers = 0
+    with path.open() as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            m = _TOTALS.fullmatch(line)
+            try:
+                if m is not None:
+                    emitted, loaded = int(m[1]), int(m[2])
+                else:
+                    rec = json.loads(line)
+                    emitted, loaded = int(rec["emitted_len"]), int(rec["layers_loaded"])
+            except (ValueError, KeyError, TypeError) as e:
+                raise ValueError(f"{path} line {lineno}: unreadable record ({e})") from None
+            tokens += emitted
+            layers += loaded
+    return tokens, layers
+
+
 def replay_check(out_dir: str | Path) -> list[str]:
     """Recompute each run's totals from its trace and cross-check the summary.
 
@@ -262,9 +297,11 @@ def replay_check(out_dir: str | Path) -> list[str]:
             if not trace_rel:
                 errors.append(f"{label}: no trace recorded")
                 continue
-            trace = read_trace(out / trace_rel)
-            tokens = sum(int(r["emitted_len"]) for r in trace)
-            layers = sum(int(r["layers_loaded"]) for r in trace)
+            try:
+                tokens, layers = trace_totals(out / trace_rel)
+            except (OSError, ValueError) as e:
+                errors.append(f"{label}: {e}")
+                continue
             if tokens != int(row["tokens_emitted"]):
                 errors.append(f"{label}: tokens {tokens} != summary {row['tokens_emitted']}")
                 continue
@@ -389,16 +426,17 @@ class GreedyPath:
         self.agree = [bytearray() for _ in range(model.L - 1)]
 
     def extend(self, n: int) -> None:
-        """Step the path until its first ``n`` positions are known."""
-        steps = []
-        for _ in range(n - len(self.context) + self.prompt_len):
-            step = self.model.step(self.context)
-            steps.append(step)
-            self.context.append(step.target_token)
-        if steps:
-            sm = shadow_tokens(steps)
-            for row, new in zip(self.agree, sm.tokens == sm.target_tokens):
-                row += new.tobytes()
+        """Draw the path until its first ``n`` positions are known, in one
+        block (``model.greedy_path``)."""
+        todo = n - len(self.context) + self.prompt_len
+        if todo <= 0:
+            return
+        steps = self.model.greedy_path(self.context, todo)
+        targets = [s.target_token for s in steps]
+        self.context += targets
+        tops = np.array([s.top_tokens for s in steps])
+        for row, new in zip(self.agree, (tops == np.array(targets)[:, None]).T):
+            row += new.tobytes()
 
     def static_rounds(self, plan: DraftPlan, cfg: SessionConfig) -> list[tuple[int, int]]:
         """``(emitted_len, layers_loaded)`` of each round of a static-plan
@@ -406,12 +444,15 @@ class GreedyPath:
 
         Raises the model's horizon ConfigError when the session would have
         stepped a context past it: a round at position p drafts g tokens and
-        verifies up to context length ``prompt_len + p + g``.
+        verifies up to context length ``prompt_len + p + g``. The first round
+        that needs an unknown position extends the path as far as any round
+        of the session can read, up to the horizon, in one block.
         """
-        g = min(plan.planned_len, cfg.d_max)
+        g = plan.draft_bound
         layers = g * plan.exit_layer + cfg.L
         row = self.agree[plan.exit_layer - 1]
         horizon = self.model.spec.horizon
+        reach = min(cfg.max_new_tokens - 1 + g, horizon - self.prompt_len + 1)
         rounds = []
         p = 0
         while p < cfg.max_new_tokens:
@@ -421,7 +462,7 @@ class GreedyPath:
             accepted = 0
             while accepted < g:
                 if p + accepted >= len(row):
-                    self.extend(p + g)
+                    self.extend(reach)
                 if not row[p + accepted]:
                     break
                 accepted += 1

@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
@@ -126,25 +126,112 @@ def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
     return arr
 
 
-def _confidence_sampler(spec: Mapping[str, Any], what: str):
+# the inverse CDF of a confidence law is tabulated at u = j / TABLE_SIZE
+TABLE_SIZE = 2048
+
+
+def confidence_table(spec: Mapping[str, Any], what: str) -> np.ndarray:
+    """A confidence law as its inverse CDF at ``u = j / TABLE_SIZE`` for
+    j = 0..TABLE_SIZE. A uniform ``u`` maps to a confidence by linear
+    interpolation in this table (``LayeredModel._decode``), a draw from the
+    law whose CDF interpolates the exact one between the table's quantiles,
+    so the two CDFs differ by at most ``1 / TABLE_SIZE`` plus the table's
+    own error. ``uniform`` and ``fixed`` laws are exact; a ``beta`` law
+    comes from ``beta_table``. The array is read-only."""
     kind = spec.get("dist")
     if kind == "beta":
         a, b = (_parse(f"{what}.{k}", float, spec.get(k)) for k in ("a", "b"))
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ConfigError(f"{what} beta parameters a and b must be finite and > 0")
-        return lambda rng, size: rng.beta(a, b, size)
+        return beta_table(a, b)
     if kind == "fixed":
         v = _parse(f"{what}.value", float, spec.get("value"))
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"{what}.value out of [0,1]: {v}")
-        return lambda rng, size: np.full(size, v)
+        return _read_only(np.full(TABLE_SIZE + 1, v))
     if kind == "uniform":
         lo = _parse(f"{what}.lo", float, spec.get("lo", 0.0))
         hi = _parse(f"{what}.hi", float, spec.get("hi", 1.0))
         if not 0.0 <= lo <= hi <= 1.0:
             raise ConfigError(f"{what} uniform bounds must satisfy 0 <= lo <= hi <= 1")
-        return lambda rng, size: rng.uniform(lo, hi, size)
+        return _read_only(np.linspace(lo, hi, TABLE_SIZE + 1))
     raise ConfigError(f"{what}.dist must be one of beta/fixed/uniform, got {kind!r}")
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _beta_nodes(a: float, b: float) -> np.ndarray:
+    """Where ``beta_table`` evaluates the CDF: a uniform grid, geometric
+    tails that resolve a pole of the density at 0 or 1 (a or b below 1),
+    and a fine grid over mean +- 8 sd for a narrow law."""
+    octaves = np.exp2(-np.linspace(5.0, 60.0, 221))  # ratio 2**(1/4)
+    deep = np.exp2(-np.arange(64.0, 1024.0, 8.0))
+    top = 1.0 - np.exp2(-np.linspace(5.0, 53.0, 193))
+    mean = a / (a + b)
+    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
+    peak = np.linspace(mean - 8.0 * sd, mean + 8.0 * sd, 257)
+    peak = peak[(peak > 0.0) & (peak < 1.0)]
+    # a stable sort: np.unique and the default sort load code that costs
+    # more memory than the table
+    return np.sort(np.concatenate([deep, octaves, np.linspace(0.0, 1.0, 1025)[1:-1], top, peak]),
+                   kind="stable")
+
+
+def _beta_cdf_below(x: np.ndarray, a: float, b: float) -> np.ndarray:
+    """The regularized incomplete beta function I_x(a, b) for x in (0, 1)
+    below (a + 1) / (a + b + 2), where its continued fraction converges
+    fast (Numerical Recipes, 3rd ed., section 6.4), by the modified Lentz
+    method over all of ``x`` at once."""
+    tiny = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+
+    def guard(v: np.ndarray) -> np.ndarray:
+        v[np.abs(v) < tiny] = tiny
+        return v
+
+    c = np.ones_like(x)
+    d = 1.0 / guard(1.0 - qab / qap * x)
+    h = d.copy()
+    for m in range(1, 10_000):
+        even = m * (b - m) / ((qam + 2 * m) * (a + 2 * m)) * x
+        odd = -(a + m) * (qab + m) / ((a + 2 * m) * (qap + 2 * m)) * x
+        for coef in (even, odd):
+            d = 1.0 / guard(1.0 + coef * d)
+            c = guard(1.0 + coef / c)
+            delta = d * c
+            h *= delta
+        if np.max(np.abs(delta - 1.0), initial=0.0) < 1e-13:
+            break
+    log_beta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return np.exp(a * np.log(x) + b * np.log1p(-x) - log_beta) / a * h
+
+
+@lru_cache(maxsize=32)
+def beta_table(a: float, b: float) -> np.ndarray:
+    """The Beta(a, b) law's inverse-CDF table (see ``confidence_table``),
+    built with numpy alone and kept per process for each (a, b).
+
+    The CDF is computed exactly at fine nodes (``_beta_nodes``) and the
+    quantiles read off its linear interpolation; for the laws the tests
+    cover, from a, b < 1 to (200, 200), the tabulated law's CDF stays
+    within 2e-3 of the exact one."""
+    x = _beta_nodes(a, b)
+    lower = x <= (a + 1.0) / (a + b + 2.0)
+    cdf = np.empty_like(x)
+    cdf[lower] = _beta_cdf_below(x[lower], a, b)
+    cdf[~lower] = 1.0 - _beta_cdf_below(1.0 - x[~lower], b, a)
+    # a CDF rises from 0 to 1 and never falls
+    cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
+    cdf = np.concatenate([[0.0], cdf, [1.0]])
+    x = np.concatenate([[0.0], x, [1.0]])
+    # the quantiles come from the nodes where the CDF rises: the last node
+    # of the flat start and the first of the flat end bound the support
+    rises = np.diff(cdf) > 0.0
+    keep = np.concatenate([rises, [False]]) | np.concatenate([[False], rises])
+    return _read_only(np.interp(np.linspace(0.0, 1.0, TABLE_SIZE + 1), cdf[keep], x[keep]))
 
 
 class LayeredModel:
@@ -182,7 +269,10 @@ class LayeredModel:
             self._next_map = None
         # steps hand out rows of this matrix as their target distributions
         self._transition.flags.writeable = False
-        self._trans_argmax = np.argmax(self._transition, axis=1)
+        # the target argmax after each token, as Python ints
+        self._trans_argmax = np.argmax(self._transition, axis=1).tolist()
+        self._cum_transition = np.cumsum(self._transition, axis=1)
+        self._cum_transition.flags.writeable = False
 
         if spec.kind == AGREEMENT:
             if spec.agreement_profile is None:
@@ -206,11 +296,20 @@ class LayeredModel:
         # the draws compare against the exit layers' rates only
         self._profiles = [p[: L - 1] for p in self._profiles]
 
-        self._draw_match = _confidence_sampler(dict(spec.confidence_match), "confidence_match")
-        self._draw_mismatch = _confidence_sampler(dict(spec.confidence_mismatch), "confidence_mismatch")
-        # top-1 probability floor so the intended argmax strictly dominates the
-        # uniformly spread remainder
-        self._conf_floor = 1.0 / V + 1e-9
+        # the match law's table, then the mismatch law's, floored at a top-1
+        # probability at which the intended argmax strictly dominates the
+        # uniformly spread remainder; and each entry's rise to the next
+        tables = [
+            confidence_table(dict(spec.confidence_match), "confidence_match"),
+            confidence_table(dict(spec.confidence_mismatch), "confidence_mismatch"),
+        ]
+        conf = np.maximum(np.concatenate(tables), 1.0 / V + 1e-9)
+        rise = np.diff(conf, append=conf[-1])
+        rise[TABLE_SIZE] = 0.0
+        self._conf_table = _read_only(conf)
+        self._conf_rise = _read_only(rise)
+        # what _decode scales each block of a row of uniforms by
+        self._row_scale = _read_only(np.repeat([1.0, TABLE_SIZE, V - 1.0], L - 1))
         self._seed_key = int(seed % 2**64).to_bytes(8, "little", signed=False)
         if spec.context_hash_window < 1:
             raise ConfigError("context_hash_window must be >= 1")
@@ -283,9 +382,11 @@ class LayeredModel:
     def step(self, context: Sequence[TokenId]) -> LayerStep:
         """LM-head outputs of all L layers at the position after ``context``.
 
-        The target row is set at once. Without a memo, the keyed draws behind
-        the exit layers' top tokens and confidences are made on their first
-        read (:meth:`LayerStep.deferred`); a memoized step is drawn in full.
+        The target row is set at once. The exit layers' top tokens and
+        confidences come from one keyed row of 3(L-1) uniforms (see
+        ``_decode``). Without a memo that row is drawn on the first read of
+        a layer field (:meth:`LayerStep.deferred`); a memoized step is drawn
+        in full.
         """
         n = len(context)
         if n == 0:
@@ -299,8 +400,7 @@ class LayeredModel:
             nxt = int(self._next_map[last])
             return LayerStep(np.full(L - 1, nxt), np.ones(L - 1), self._transition[last], nxt)
 
-        win = context[-self._hash_window:] if n > self._hash_window else context
-        msg = n.to_bytes(8, "little") + array("I", win).tobytes()
+        msg = self._key(context)
         memo = self._memo
         if memo is not None:
             with self._memo_lock:
@@ -308,7 +408,7 @@ class LayeredModel:
                 if hit is not None:
                     memo.move_to_end(msg)
                     return hit
-        t_star = int(self._trans_argmax[last])
+        t_star = self._trans_argmax[last]
         target = self._transition[last]
         if memo is None:
             return LayerStep.deferred(target, t_star, L, partial(self._layers, msg, n, t_star))
@@ -316,39 +416,148 @@ class LayeredModel:
         # the memo read its layers again and again, and a stored step then
         # holds no reference back to the model
         step = LayerStep(*self._layers(msg, n, t_star), target, t_star)
-        with self._memo_lock:
-            memo[msg] = step
-            if len(memo) > self.memo_capacity:
-                memo.popitem(last=False)
+        self._store([(msg, step)])
         return step
+
+    def argmax_chain(self, context: Sequence[TokenId], n: int) -> list[TokenId]:
+        """The target's greedy continuation of ``context``: ``n`` tokens,
+        each the target argmax after the context and the tokens before it.
+        Raises the horizon ConfigError if ``step`` would, at a context past
+        ``model.horizon``."""
+        if len(context) == 0:
+            raise ValueError("context must be non-empty")
+        last_len = len(context) + n - 1
+        if n > 0 and last_len > self.spec.horizon:
+            raise horizon_error(max(len(context), self.spec.horizon + 1), self.spec.horizon)
+        argmax = self._trans_argmax
+        out = []
+        tok = int(context[-1])
+        for _ in range(n):
+            tok = argmax[tok]
+            out.append(tok)
+        return out
+
+    def greedy_path(self, context: Sequence[TokenId], n: int) -> list[LayerStep]:
+        """The steps ``step`` returns along the greedy path after
+        ``context``: step ``i`` is the step at ``context`` plus the first
+        ``i`` tokens of ``argmax_chain(context, n)``.
+
+        The path is known before anything is drawn, so its steps are made a
+        block at a time: each position not in the memo fills one row of an
+        (n, 3(L-1)) array of keyed uniforms, the same row ``step`` draws, and
+        one vectorized ``_decode`` turns the rows into every layer's top
+        token and confidence. Memo hits are served from the memo and new
+        steps stored in it. The steps are drawn in full.
+        """
+        chain = self.argmax_chain(context, n)
+        ctx = list(context)
+        if self.spec.kind == DETERMINISTIC_TOY:
+            steps = []
+            for tok in chain:
+                steps.append(self.step(ctx))
+                ctx.append(tok)
+            return steps
+        memo = self._memo
+        steps: list[LayerStep | None] = [None] * n
+        todo = []  # (index, key, context length, last token)
+        for i, tok in enumerate(chain):
+            msg = self._key(ctx)
+            hit = None
+            if memo is not None:
+                with self._memo_lock:
+                    hit = memo.get(msg)
+                    if hit is not None:
+                        memo.move_to_end(msg)
+            if hit is None:
+                todo.append((i, msg, len(ctx), ctx[-1]))
+            steps[i] = hit
+            ctx.append(tok)
+        if todo:
+            u = np.empty((len(todo), 3 * (self.L - 1)))
+            for row, (_, msg, _, _) in zip(u, todo):
+                self._uniforms(msg, row)
+            if self._segments is None:
+                profile = self._profiles[0]
+            else:
+                profile = np.array([self._profile_at(m) for _, _, m, _ in todo])
+            t_star = np.array([chain[i] for i, _, _, _ in todo])[:, None]
+            top, conf = self._decode(u, profile, t_star)
+            top.setflags(write=False)
+            conf.setflags(write=False)
+            made = []
+            for r, (i, msg, _, last) in enumerate(todo):
+                steps[i] = LayerStep(top[r], conf[r], self._transition[last], chain[i])
+                made.append((msg, steps[i]))
+            if memo is not None:
+                self._store(made)
+        return steps
+
+    def _key(self, context: Sequence[TokenId]) -> bytes:
+        """The message a context's draws are keyed by: its length and its
+        last ``context_hash_window`` tokens."""
+        n = len(context)
+        win = context[-self._hash_window:] if n > self._hash_window else context
+        return n.to_bytes(8, "little") + array("I", win).tobytes()
+
+    def _store(self, items) -> None:
+        """Put ``(key, step)`` pairs in the memo, in order, dropping the least
+        recently used beyond its capacity."""
+        memo = self._memo
+        with self._memo_lock:
+            for msg, step in items:
+                memo[msg] = step
+            while len(memo) > self.memo_capacity:
+                memo.popitem(last=False)
+
+    def _uniforms(self, msg: bytes, out: np.ndarray | None = None) -> np.ndarray:
+        """The 3(L-1) uniforms of the position keyed by ``msg``: a blake2b
+        digest of the message under the model seed keys a Philox stream,
+        which fills ``out`` (a new array when it is None)."""
+        digest = hashlib.blake2b(msg, digest_size=16, key=self._seed_key).digest()
+        rng = self._scratch_rng(np.frombuffer(digest, np.uint64))
+        return rng.random(3 * (self.L - 1), out=out)
 
     def _layers(self, msg: bytes, n: int, t_star: int) -> tuple[np.ndarray, np.ndarray]:
         """Every exit layer's top token and top-1 confidence at the position
         whose draws are keyed by ``msg``, the context's length ``n`` and last
         tokens; ``t_star`` is the target argmax there."""
-        digest = hashlib.blake2b(msg, digest_size=16, key=self._seed_key).digest()
-        rng = self._scratch_rng(np.frombuffer(digest, np.uint64))
-        L, V = self.L, self.V
-        agree = rng.random(L - 1) < self._profile_at(n)
-        conf_m = self._draw_match(rng, L - 1)
-        conf_x = self._draw_mismatch(rng, L - 1)
-        alt = (rng.random(L - 1) * (V - 1)).astype(np.intp)
-        alt += alt >= t_star
+        return self._decode(self._uniforms(msg), self._profile_at(n), t_star)
 
-        conf = np.maximum(np.where(agree, conf_m, conf_x), self._conf_floor)
-        top = np.where(agree, t_star, alt)
-        return top, conf
+    def _decode(self, u: np.ndarray, profile: np.ndarray, t_star) -> tuple[np.ndarray, np.ndarray]:
+        """Top tokens and confidences from rows of uniforms, elementwise, so
+        a row gives the same values alone or in a block.
+
+        A row holds three blocks of L-1 uniforms, one entry per exit layer:
+        layer ell agrees with the target when its agreement uniform falls
+        below ``profile[ell - 1]``; its confidence uniform goes through the
+        tabulated inverse CDF of the match or mismatch law, by linear
+        interpolation between the two table entries around it; and a layer
+        that disagrees takes the off-target token its third uniform picks,
+        uniformly among the V - 1 tokens other than ``t_star``.
+        """
+        k = self.L - 1
+        s = u * self._row_scale
+        miss = u[..., :k] >= profile
+        # position in the table: the mismatch law's entries follow the match law's
+        t = s[..., k : 2 * k]
+        np.add(t, TABLE_SIZE + 1.0, out=t, where=miss)
+        cells = s[..., k:].astype(np.intp)
+        i, alt = cells[..., :k], cells[..., k:]
+        t -= i
+        conf = self._conf_rise.take(i)
+        conf *= t
+        conf += self._conf_table.take(i)
+        alt += alt >= t_star
+        return np.where(miss, alt, t_star), conf
 
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
         """Draw a prompt of the given length from the base process."""
         if length < 1:
             raise ValueError("prompt length must be >= 1")
         out = [int(rng.integers(self.V))]
-        cum = np.cumsum(self._transition, axis=1)
-        for _ in range(length - 1):
-            u = rng.random()
-            nxt = int(np.searchsorted(cum[out[-1]], u, side="right"))
-            out.append(min(nxt, self.V - 1))
+        cum, top = self._cum_transition, self.V - 1
+        for u in rng.random(length - 1).tolist():
+            out.append(min(int(cum[out[-1]].searchsorted(u, side="right")), top))
         return out
 
 

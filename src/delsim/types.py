@@ -56,11 +56,14 @@ class LayerStep:
     is the full model: ``target`` is its distribution and ``target_token``
     its argmax. The arrays are read-only and the step is immutable.
 
-    ``target`` and ``target_token`` are set when the step is made. A step
-    made by ``deferred`` makes the keyed draws behind ``top_tokens`` and
-    ``top_conf`` on the first read of either field or of ``exit_row``, and
-    then drops the callable that makes them. The draws are a pure function
-    of the step's key, so when they are made does not change their values.
+    ``target`` and ``target_token`` are set when the step is made. The
+    per-layer fields come from the position's keyed row of 3(L-1) uniforms
+    (agreement, confidence and off-target blocks; see
+    ``LayeredModel._decode``), whether the row is drawn alone or as one row
+    of a ``greedy_path`` block. A step made by ``deferred`` draws its row on
+    the first read of either field or of ``exit_row``, and then drops the
+    callable that draws it. The row is a pure function of the step's key, so
+    when it is drawn does not change a value.
     A model without a step memo returns deferred steps: speculative-sampling
     verification reads only target rows, so a sampling-mode ``vanilla``
     session makes no draws, and an ``ls`` session draws only its drafted

@@ -55,9 +55,11 @@ def regime_model(cfg: SessionConfig, regimes, seed: int = 1, **spec_over) -> Lay
 @pytest.fixture
 def draws(monkeypatch) -> list[bytes]:
     """The keys of the layer draws ``LayeredModel``s make from here on, in
-    order: drawing a step's layers re-keys the model's scratch generator
-    exactly once, so ``len(draws)`` counts draws. Memo hits, deterministic
-    toy steps and deferred steps whose layers nobody reads make none."""
+    order: drawing one position's row of uniforms re-keys the model's
+    scratch generator exactly once, whether a step draws it alone or
+    ``greedy_path`` draws it as a row of a block, so ``len(draws)`` counts
+    positions drawn either way. Memo hits, deterministic toy steps and
+    deferred steps whose layers nobody reads make none."""
     keys: list[bytes] = []
     real = LayeredModel._scratch_rng
 

@@ -269,6 +269,42 @@ def test_replay_detects_tampering(tmp_path):
     assert errors and "layers" in errors[0]
 
 
+def test_replay_reports_a_truncated_trace_line(tmp_path):
+    cfg = make_cfg(L=8, V=32, seed=31, max_new_tokens=48)
+    spec = spec_with_profile(profile_with(8, best=2))
+    out = tmp_path / "exp"
+    run_experiment(spec, cfg, [("ls", {"exit_layer": 2, "gamma": 4}), ("del", {})], 1, 8, out)
+    assert replay_check(out) == []
+    trace = out / "traces" / "del-0.jsonl"
+    lines = trace.read_text().splitlines()
+    # cut the second record inside its alpha snapshot, after both totals
+    cut = lines[1].index('"alpha_snapshot"') + 30
+    trace.write_text("\n".join([lines[0], lines[1][:cut]] + lines[2:]) + "\n")
+    errors = replay_check(out)
+    assert len(errors) == 1
+    assert errors[0].startswith("del-0: ") and "del-0.jsonl line 2" in errors[0]
+
+
+def test_replay_reports_an_edited_emitted_len(tmp_path):
+    cfg = make_cfg(L=8, V=32, seed=31, max_new_tokens=48)
+    spec = spec_with_profile(profile_with(8, best=2))
+    out = tmp_path / "exp"
+    run_experiment(spec, cfg, [("del", {})], 1, 8, out)
+    trace = out / "traces" / "del-0.jsonl"
+    lines = trace.read_text().splitlines()
+    rec = json.loads(lines[3])
+    lines[3] = lines[3].replace(f'"emitted_len": {rec["emitted_len"]},',
+                                f'"emitted_len": {rec["emitted_len"] + 1},')
+    assert json.loads(lines[3])["emitted_len"] == rec["emitted_len"] + 1
+    trace.write_text("\n".join(lines) + "\n")
+    errors = replay_check(out)
+    assert len(errors) == 1 and errors[0].startswith("del-0: tokens")
+    # a record in another key order is read in full, with the same totals
+    lines[3] = json.dumps(json.loads(lines[3]), sort_keys=True)
+    trace.write_text("\n".join(lines) + "\n")
+    assert replay_check(out) == errors
+
+
 def test_sampling_mode_skips_losslessness_hook(tmp_path):
     cfg = make_cfg(L=8, V=32, seed=37, max_new_tokens=32, decode_mode=SAMPLING)
     spec = spec_with_profile(profile_with(8, best=2))
@@ -277,6 +313,20 @@ def test_sampling_mode_skips_losslessness_hook(tmp_path):
 
 
 # -- misc --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("memo", [False, True])
+def test_greedy_vanilla_output_is_the_greedy_path(memo):
+    from delsim.baselines import VanillaPolicy
+    from delsim.harness import run_session, vanilla_reference
+
+    cfg = make_cfg(L=8, V=32, seed=43, max_new_tokens=40)
+    model = build_model(spec_with_profile(profile_with(8, best=2)), cfg, memo=memo)
+    for prompt in make_prompts(model, cfg, 3, 10):
+        path = [s.target_token for s in model.greedy_path(prompt, cfg.max_new_tokens)]
+        out = run_session(model, VanillaPolicy(cfg), cfg, prompt, 5, False).output
+        assert out == path == vanilla_reference(model, cfg, prompt)
+        assert path == model.argmax_chain(prompt, cfg.max_new_tokens)
+
 
 def test_make_prompts_shared_and_deterministic():
     cfg = make_cfg(L=8, V=32, seed=41)
@@ -462,8 +512,7 @@ def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
 
 
 def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypatch, draws):
-    from delsim.harness import vanilla_reference
-    from delsim.model import LayeredModel
+    import delsim.harness as harness
 
     cfg = make_cfg(L=8, V=32, seed=13, max_new_tokens=48)
     # a window longer than any context keeps the prompts' contexts apart
@@ -472,28 +521,42 @@ def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypa
                 ("fs", {"exit_layer": 2, "gamma": 4}), ("dv", {"exit_layer": 2}), ("del", {})]
     plain = build_model(spec, cfg, memo=False)
     prompts = make_prompts(plain, cfg, 5, 12)
-    paths = [vanilla_reference(plain, cfg, p) for p in prompts]
-    assert draws == []  # a greedy vanilla session reads only target tokens
-    # the draw keys of the path positions, in path order
+    paths = [harness.vanilla_reference(plain, cfg, p) for p in prompts]
+    assert draws == []  # without a memo the reference is the argmax chain alone
+    # the draw keys of each prompt's path positions, in path order
+    path_keys = []
     for prompt, path in zip(prompts, paths):
-        for k in range(cfg.max_new_tokens):
-            plain.step(prompt + path[:k]).top_conf
-    path_keys = draws[:]
-    assert len(set(path_keys)) == len(prompts) * cfg.max_new_tokens
+        steps = plain.greedy_path(prompt, cfg.max_new_tokens)
+        assert [s.target_token for s in steps] == path
+        path_keys.append(draws[-cfg.max_new_tokens:])
+    assert len(set(draws)) == len(draws) == len(prompts) * cfg.max_new_tokens
     draws.clear()
 
-    calls = 0
-    real_step = LayeredModel.step
+    # the number of draws made before each reference and each session
+    phases: list[tuple[str, int, int]] = []
+    real_reference, real_session = harness.vanilla_reference, harness.run_session
 
-    def step(self, context):
-        nonlocal calls
-        calls += 1
-        return real_step(self, context)
+    def reference(model, cfg_, prompt):
+        phases.append(("reference", prompts.index(list(prompt)), len(draws)))
+        return real_reference(model, cfg_, prompt)
 
-    monkeypatch.setattr(LayeredModel, "step", step)
+    def session(model, policy, cfg_, prompt, *args, **kwargs):
+        phases.append(("session", prompts.index(list(prompt)), len(draws)))
+        return real_session(model, policy, cfg_, prompt, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "vanilla_reference", reference)
+    monkeypatch.setattr(harness, "run_session", session)
     run_experiment(spec, cfg, policies, len(prompts), 12)
 
-    computed = Counter(draws)
-    assert all(computed[key] == 1 for key in path_keys)
-    # every session but the reference's steps the whole path again
-    assert len(draws) < calls - len(policies) * len(prompts) * cfg.max_new_tokens
+    assert [(kind, i) for kind, i, _ in phases] == [
+        (kind, i) for i in range(len(prompts)) for kind in ["reference"] + ["session"] * len(policies)
+    ]
+    ends = [start for _, _, start in phases[1:]] + [len(draws)]
+    drawn_in = {}  # draw key -> the phases that drew it
+    for (kind, i, start), end in zip(phases, ends):
+        for key in draws[start:end]:
+            drawn_in.setdefault(key, []).append((kind, i))
+    # each path position is drawn once, by its prompt's reference, and no
+    # session draws it again
+    for i, keys in enumerate(path_keys):
+        assert all(drawn_in[key] == [("reference", i)] for key in keys)

@@ -9,9 +9,11 @@ from delsim.model import (
     AGREEMENT,
     DETERMINISTIC_TOY,
     REGIME_SWITCHING,
+    TABLE_SIZE,
     CallCountingModel,
     LayeredModel,
     ModelSpec,
+    beta_table,
 )
 from delsim.types import PROB_SUM_TOL
 
@@ -433,3 +435,192 @@ def test_memoized_steps_are_stored_drawn(draws):
     assert not any(callable(v) for v in vars(step).values())
     step.top_tokens, step.exit_row(3), model.step([3, 1, 4]).top_conf
     assert len(draws) == 1
+
+
+# -- greedy paths, drawn a block at a time ----------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_SPECS)),
+    match=st.sampled_from(CONFIDENCES),
+    mismatch=st.sampled_from(CONFIDENCES),
+    capacity=st.sampled_from([0, 3, 64]),
+    prompt=st.lists(st.integers(0, 16), min_size=1, max_size=12),
+    n=st.integers(0, 30),
+    stepped=st.sets(st.integers(0, 29), max_size=10),
+)
+def test_greedy_path_steps_equal_steps_along_the_argmax_chain(
+    kind, match, mismatch, capacity, prompt, n, stepped
+):
+    L, V = 5, 17
+    spec = ModelSpec(kind=kind, confidence_match=match, confidence_mismatch=mismatch,
+                     **KIND_SPECS[kind])
+    model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
+    chain = model.argmax_chain(prompt, n)
+    # positions stepped first are memo hits for the path, when they are held
+    for k in sorted(stepped):
+        if k < n:
+            model.step(prompt + chain[:k]).top_conf
+    steps = model.greedy_path(prompt, n)
+    assert len(steps) == n
+    plain = LayeredModel(spec, L, V, 3)
+    for k, got in enumerate(steps):
+        want = plain.step(prompt + chain[:k])
+        assert got.target_token == want.target_token == chain[k]
+        assert got.layer_count == L
+        for name in ("top_tokens", "top_conf", "target"):
+            x, y = getattr(got, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert not x.flags.writeable
+    if capacity:
+        assert len(model._memo) <= capacity
+
+
+def test_greedy_path_draws_each_position_it_makes_once(draws):
+    cfg = make_cfg(L=6, V=16)
+    profile = (0.5,) * 5 + (1.0,)
+    model = agreement_model(cfg, profile, memo_capacity=64)
+    prompt = [3, 1, 4]
+    model.greedy_path(prompt, 12)
+    assert len(draws) == 12
+    # a block draws the same keys as stepping the path one position at a time
+    plain = agreement_model(cfg, profile)
+    chain = plain.argmax_chain(prompt, 12)
+    for k in range(12):
+        plain.step(prompt + chain[:k]).top_conf
+    assert draws[12:] == draws[:12]
+    del draws[12:]
+    # memo hits make no draws; positions past them do
+    model.greedy_path(prompt, 12)
+    assert len(draws) == 12
+    model.greedy_path(prompt, 15)
+    assert len(draws) == 15
+    assert len(set(draws)) == 15
+
+
+def test_greedy_path_stops_at_the_horizon_as_step_does():
+    cfg = make_cfg()
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5,) * 7 + (1.0,), horizon=6)
+    model = LayeredModel(spec, cfg.L, cfg.V, 1)
+    assert len(model.greedy_path([1, 2], 5)) == 5  # contexts of length 2..6
+    for ctx, n in (([1, 2], 6), ([1] * 7, 1)):
+        with pytest.raises(ConfigError, match="exceeds horizon 6 .model.horizon"):
+            model.greedy_path(ctx, n)
+        with pytest.raises(ConfigError, match="exceeds horizon 6 .model.horizon"):
+            model.argmax_chain(ctx, n)
+    assert model.greedy_path([1] * 7, 0) == [] and model.argmax_chain([1] * 7, 0) == []
+
+
+# -- the confidence laws and the off-target tokens ----------------------------------
+
+
+@pytest.mark.parametrize("a, b", [(8, 2), (2, 8), (16, 4), (0.5, 0.5), (0.3, 0.7), (0.5, 3), (200, 200)])
+def test_beta_tables_stay_within_2e3_of_the_exact_cdf(a, b):
+    from scipy.stats import beta
+
+    table = beta_table(float(a), float(b))
+    assert table.shape == (TABLE_SIZE + 1,) and not table.flags.writeable
+    assert np.all(np.diff(table) >= 0.0) and 0.0 <= table[0] and table[-1] <= 1.0
+    x = np.concatenate([np.linspace(0.0, 1.0, 100_001), np.exp2(-np.linspace(5.0, 60.0, 2000)),
+                        1.0 - np.exp2(-np.linspace(5.0, 52.0, 2000))])
+    # a uniform u maps linearly between the quantiles at u = j / TABLE_SIZE,
+    # so the tabulated law's CDF interpolates the table's inverse
+    tabulated = np.interp(x, table, np.linspace(0.0, 1.0, TABLE_SIZE + 1))
+    assert np.max(np.abs(tabulated - beta.cdf(x, a, b))) <= 2e-3
+
+
+def test_drawn_confidences_follow_their_laws():
+    from scipy.stats import beta, kstest
+
+    # V large enough that the 1/V floor is far below both laws' mass
+    L, V = 8, 1024
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.2, 0.5, 0.8, 0.5, 0.5, 0.5, 0.5, 1.0),
+                     confidence_match={"dist": "beta", "a": 12.0, "b": 3.0},
+                     confidence_mismatch={"dist": "beta", "a": 0.7, "b": 5.0},
+                     context_hash_window=4)
+    model = LayeredModel(spec, L, V, 29)
+    steps = model.greedy_path([5], 4000)
+    tops = np.array([s.top_tokens for s in steps])
+    conf = np.array([s.top_conf for s in steps])
+    agree = tops == np.array([s.target_token for s in steps])[:, None]
+    # each layer agrees at its configured rate
+    n = len(steps)
+    for ell, a in enumerate(spec.agreement_profile[:-1]):
+        assert abs(agree[:, ell].mean() - a) <= 4.0 * np.sqrt(a * (1 - a) / n)
+    assert kstest(conf[agree], beta(12.0, 3.0).cdf).pvalue > 1e-3
+    # the mismatch law puts mass F(floor) ~ 0.03 below the floor, which
+    # takes it; above the floor it follows the law
+    floor = 1.0 / V + 1e-9
+    miss = conf[~agree]
+    f = beta(0.7, 5.0).cdf(floor)
+    at_floor = np.mean(miss == floor)
+    assert miss.min() == floor and abs(at_floor - f) <= 4.0 * np.sqrt(f * (1 - f) / miss.size)
+    above = miss[miss > floor]
+    assert kstest(above, lambda x: (beta(0.7, 5.0).cdf(x) - f) / (1.0 - f)).pvalue > 1e-3
+
+
+def test_off_target_tokens_are_uniform_over_the_other_tokens():
+    from scipy.stats import chisquare
+
+    L, V = 6, 16
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.0,) * 5 + (1.0,), context_hash_window=4)
+    model = LayeredModel(spec, L, V, 31)
+    # one path, so that no two positions share a draw key
+    steps = model.greedy_path([3], 6000)
+    tops = np.array([s.top_tokens for s in steps])
+    targets = np.array([s.target_token for s in steps])[:, None]
+    assert np.all(tops != targets)
+    # rank among the V - 1 tokens other than the target
+    ranks = (tops - (tops > targets)).ravel()
+    counts = np.bincount(ranks, minlength=V - 1)
+    assert counts.size == V - 1
+    assert chisquare(counts).pvalue > 1e-3
+
+
+def test_confidence_tables_are_shared_and_read_only():
+    cfg = make_cfg(L=4, V=8)
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.5, 0.5, 1.0),
+                     confidence_match={"dist": "uniform", "lo": 0.0, "hi": 0.5},
+                     confidence_mismatch={"dist": "fixed", "value": 0.05})
+    a = LayeredModel(spec, cfg.L, cfg.V, 1)
+    b = LayeredModel(ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.5, 0.5, 1.0)), cfg.L, 16, 2)
+    # built once per process for each law
+    assert beta_table(8.0, 2.0) is beta_table(8.0, 2.0)
+    for model in (a, b):
+        assert not model._conf_table.flags.writeable and not model._conf_rise.flags.writeable
+    # each model floors its copy at 1/V + 1e-9: the fixed law sits below it
+    floor = 1.0 / cfg.V + 1e-9
+    assert a._conf_table.min() == floor
+    assert np.all(a._conf_table[TABLE_SIZE + 1:] == floor)
+    steps = a.greedy_path([1], 50)
+    conf = np.array([s.top_conf for s in steps])
+    assert conf.min() >= floor and conf.max() <= 0.5
+
+
+def test_importing_and_building_models_leaves_scipy_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = """
+import sys
+import delsim
+from delsim.model import LayeredModel, ModelSpec
+beta = {"dist": "beta", "a": 0.5, "b": 3.0}
+specs = [
+    ModelSpec(kind="agreement", agreement_profile=(0.5, 0.5, 1.0), confidence_mismatch=beta),
+    ModelSpec(kind="regime_switching", regimes=((4, (0.9, 0.1, 1.0)), (4, (0.1, 0.9, 1.0))),
+              confidence_match={"dist": "beta", "a": 200, "b": 200}),
+    ModelSpec(kind="deterministic_toy"),
+]
+for spec in specs:
+    model = LayeredModel(spec, 3, 8, 1)
+    model.greedy_path([1, 2], 5)
+    model.step([3]).top_conf
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+"""
+    res = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
