@@ -163,21 +163,15 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _beta_nodes(a: float, b: float) -> np.ndarray:
-    """Where ``beta_table`` evaluates the CDF: a uniform grid, geometric
-    tails that resolve a pole of the density at 0 or 1 (a or b below 1),
-    and a fine grid over mean +- 8 sd for a narrow law."""
-    octaves = np.exp2(-np.linspace(5.0, 60.0, 221))  # ratio 2**(1/4)
-    deep = np.exp2(-np.arange(64.0, 1024.0, 8.0))
+def _beta_nodes() -> np.ndarray:
+    """Where ``beta_table`` evaluates the CDF, in order: a grid of
+    step 1/4096 over [1/32, 31/32], and geometric tails on either side that
+    resolve a pole of the density at 0 or 1 (a or b below 1)."""
+    deep = np.exp2(-np.arange(1016.0, 63.0, -8.0))
+    octaves = np.exp2(-np.linspace(60.0, 5.0, 221))  # ratio 2**(1/4)
+    middle = np.linspace(1.0 / 32.0, 31.0 / 32.0, 3841)[1:-1]
     top = 1.0 - np.exp2(-np.linspace(5.0, 53.0, 193))
-    mean = a / (a + b)
-    sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-    peak = np.linspace(mean - 8.0 * sd, mean + 8.0 * sd, 257)
-    peak = peak[(peak > 0.0) & (peak < 1.0)]
-    # a stable sort: np.unique and the default sort load code that costs
-    # more memory than the table
-    return np.sort(np.concatenate([deep, octaves, np.linspace(0.0, 1.0, 1025)[1:-1], top, peak]),
-                   kind="stable")
+    return np.concatenate([deep, octaves, middle, top])
 
 
 def _beta_cdf_below(x: np.ndarray, a: float, b: float) -> np.ndarray:
@@ -218,7 +212,7 @@ def beta_table(a: float, b: float) -> np.ndarray:
     quantiles read off its linear interpolation; for the laws the tests
     cover, from a, b < 1 to (200, 200), the tabulated law's CDF stays
     within 2e-3 of the exact one."""
-    x = _beta_nodes(a, b)
+    x = _beta_nodes()
     lower = x <= (a + 1.0) / (a + b + 2.0)
     cdf = np.empty_like(x)
     cdf[lower] = _beta_cdf_below(x[lower], a, b)

@@ -45,10 +45,10 @@ def run_digest(tmp_path, spec, cfg, policies, prompt_len=16) -> str:
     return output_digest(tmp_path)
 
 
-GREEDY_ALL_POLICIES = "136fe1c12699b10b2acaaee3437cc04112df5a15dea61223087fdb674b67953e"
-SAMPLING_REGIMES = "2aef7563ea8b216c56d875217e277c3fe89221df3d9b4e53689d83f74c51e450"
+GREEDY_ALL_POLICIES = "af0c1289c18362880609ddde23e4eead4349ea466f1aad8c8b0cd558a549a653"
+SAMPLING_REGIMES = "02998bbfcb7556440109f4962151e1afba91726412c3ee67a5f3a00c3f98db06"
 TOY_RUN = "797485d526891d38ab25e59618bbe70d83cb9cc0bab78dcc1983b3854bf66cd9"
-SAMPLING_LONG_ROUNDS = "33623378209250c8403d68050eb4ae6942712ecc3f26c97335cfb59881bee52a"
+SAMPLING_LONG_ROUNDS = "2c8dc51bcd0d936aa2573cb99adaf9080f3078895977faa10d7856204f500af8"
 SWEEP_GRID = "fb11ab71acac3e944c9525b17c8229d1725b2d0a39093d629044493de7883347"
 
 
