@@ -244,9 +244,9 @@ def write_aggregate(path: Path, reports: Sequence[RunReport], cfg: SessionConfig
         w.writerows(rows)
 
 
-# ``write_trace``'s layout of the two totals a record carries; a record
-# written so is read without decoding its ``alpha_snapshot``
-_TOTALS = re.compile(
+# a record as ``write_trace`` lays it out, read up to its two totals
+# without decoding the ``alpha_snapshot`` after them
+_RECORD = re.compile(
     r'\{"round": \d+, "E": \d+, "planned_len": \d+, "g": \d+, "accepted": \d+, '
     r'"emitted_len": (\d+), "layers_loaded": (\d+), .*\}'
 )
@@ -254,27 +254,19 @@ _TOTALS = re.compile(
 
 def trace_totals(path: Path) -> tuple[int, int]:
     """Summed ``emitted_len`` and ``layers_loaded`` over a trace's records.
-
-    A line that does not read as a whole record raises ValueError naming
-    the trace and the line: a line in ``write_trace``'s layout is matched,
-    any other line is decoded in full."""
+    A line that is not a whole record raises ValueError naming the trace
+    and the line."""
     tokens = layers = 0
     with path.open() as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            m = _TOTALS.fullmatch(line)
-            try:
-                if m is not None:
-                    emitted, loaded = int(m[1]), int(m[2])
-                else:
-                    rec = json.loads(line)
-                    emitted, loaded = int(rec["emitted_len"]), int(rec["layers_loaded"])
-            except (ValueError, KeyError, TypeError) as e:
-                raise ValueError(f"{path} line {lineno}: unreadable record ({e})") from None
-            tokens += emitted
-            layers += loaded
+            m = _RECORD.fullmatch(line)
+            if m is None:
+                raise ValueError(f"{path} line {lineno}: not a whole trace record")
+            tokens += int(m[1])
+            layers += int(m[2])
     return tokens, layers
 
 

@@ -129,6 +129,10 @@ def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
 # the inverse CDF of a confidence law is tabulated at u = j / TABLE_SIZE
 TABLE_SIZE = 2048
 
+# greedy_path decodes at most this many rows at once: longer blocks save
+# little per row, and their temporaries grew the benchmark's peak memory
+_PATH_ROWS = 32
+
 
 def confidence_table(spec: Mapping[str, Any], what: str) -> np.ndarray:
     """A confidence law as its inverse CDF at ``u = j / TABLE_SIZE`` for
@@ -437,11 +441,12 @@ class LayeredModel:
         ``i`` tokens of ``argmax_chain(context, n)``.
 
         The path is known before anything is drawn, so its steps are made a
-        block at a time: each position not in the memo fills one row of an
-        (n, 3(L-1)) array of keyed uniforms, the same row ``step`` draws, and
-        one vectorized ``_decode`` turns the rows into every layer's top
-        token and confidence. Memo hits are served from the memo and new
-        steps stored in it. The steps are drawn in full.
+        block at a time: each position not in the memo fills one row of a
+        block of keyed uniforms, the same row ``step`` draws, and one
+        vectorized ``_decode`` per block of up to 32 rows turns the rows
+        into every layer's top token and confidence. Memo hits are served
+        from the memo and new steps stored in it. The steps are drawn in
+        full.
         """
         chain = self.argmax_chain(context, n)
         ctx = list(context)
@@ -466,25 +471,33 @@ class LayeredModel:
                 todo.append((i, msg, len(ctx), ctx[-1]))
             steps[i] = hit
             ctx.append(tok)
-        if todo:
-            u = np.empty((len(todo), 3 * (self.L - 1)))
-            for row, (_, msg, _, _) in zip(u, todo):
-                self._uniforms(msg, row)
-            if self._segments is None:
-                profile = self._profiles[0]
-            else:
-                profile = np.array([self._profile_at(m) for _, _, m, _ in todo])
-            t_star = np.array([chain[i] for i, _, _, _ in todo])[:, None]
-            top, conf = self._decode(u, profile, t_star)
-            top.setflags(write=False)
-            conf.setflags(write=False)
-            made = []
-            for r, (i, msg, _, last) in enumerate(todo):
-                steps[i] = LayerStep(top[r], conf[r], self._transition[last], chain[i])
-                made.append((msg, steps[i]))
+        for lo in range(0, len(todo), _PATH_ROWS):
+            part = todo[lo : lo + _PATH_ROWS]
+            made = self._draw_rows(part, chain)
+            for (i, _, _, _), step in zip(part, made):
+                steps[i] = step
             if memo is not None:
-                self._store(made)
+                self._store([(msg, step) for (_, msg, _, _), step in zip(part, made)])
         return steps
+
+    def _draw_rows(self, todo, chain: list[TokenId]) -> list[LayerStep]:
+        """The step of each path position in ``todo`` (index, key, context
+        length, last token): one row of uniforms each, decoded in one pass."""
+        u = np.empty((len(todo), 3 * (self.L - 1)))
+        for row, (_, msg, _, _) in zip(u, todo):
+            self._uniforms(msg, row)
+        if self._segments is None:
+            profile = self._profiles[0]
+        else:
+            profile = np.array([self._profile_at(m) for _, _, m, _ in todo])
+        t_star = np.array([chain[i] for i, _, _, _ in todo])[:, None]
+        top, conf = self._decode(u, profile, t_star)
+        top.setflags(write=False)
+        conf.setflags(write=False)
+        return [
+            LayerStep(top[r], conf[r], self._transition[last], chain[i])
+            for r, (i, _, _, last) in enumerate(todo)
+        ]
 
     def _key(self, context: Sequence[TokenId]) -> bytes:
         """The message a context's draws are keyed by: its length and its
@@ -530,7 +543,9 @@ class LayeredModel:
         uniformly among the V - 1 tokens other than ``t_star``.
         """
         k = self.L - 1
-        s = u * self._row_scale
+        # scaled in place: the agreement block's scale is 1
+        s = u
+        s *= self._row_scale
         miss = u[..., :k] >= profile
         # position in the table: the mismatch law's entries follow the match law's
         t = s[..., k : 2 * k]

@@ -299,10 +299,6 @@ def test_replay_reports_an_edited_emitted_len(tmp_path):
     trace.write_text("\n".join(lines) + "\n")
     errors = replay_check(out)
     assert len(errors) == 1 and errors[0].startswith("del-0: tokens")
-    # a record in another key order is read in full, with the same totals
-    lines[3] = json.dumps(json.loads(lines[3]), sort_keys=True)
-    trace.write_text("\n".join(lines) + "\n")
-    assert replay_check(out) == errors
 
 
 def test_sampling_mode_skips_losslessness_hook(tmp_path):
