@@ -5,18 +5,12 @@ from .config import ConfigError, SessionConfig, derive_seed, validate_config
 from .controller import DecayedStats, DelController, select_plan, tpl
 from .engine import CostLedger, DraftPlan, RoundOutcome, run_round
 from .harness import RunReport, compute_etpl, grid_sweep, run_experiment, run_session
-from .model import (
-    CallCountingModel,
-    LayeredModel,
-    ModelSpec,
-    build_model,
-)
+from .model import LayeredModel, ModelSpec, build_model
 from .types import InvariantViolation, LayerStep, TokenId
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CallCountingModel",
     "ConfigError",
     "CostLedger",
     "DecayedStats",

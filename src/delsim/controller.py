@@ -72,9 +72,12 @@ def zero_stats(n_exit_layers: int) -> DecayedStats:
 
 
 def shadow_tokens(steps: Sequence[LayerStep]) -> ShadowMatrix:
-    """Every layer's greedy token and top-1 confidence at every position."""
+    """Every layer's greedy token and top-1 confidence at every position.
+
+    Steps still pending are drawn together, in one block decode."""
     if len(steps) == 0:
         raise ValueError("steps must be non-empty")
+    LayerStep.draw_pending(steps)
     return ShadowMatrix(
         tokens=np.ascontiguousarray(np.array([s.top_tokens for s in steps]).T),
         target_tokens=np.array([s.target_token for s in steps]),
@@ -143,7 +146,15 @@ def estimate_alpha(
             return np.asarray(fallback, dtype=np.float64)
         return np.full_like(stats.sc, eps)
     denom = stats.su if stats.su > 0.0 else stats.scnt
-    return np.clip(stats.sc / denom, eps, 1.0)
+    return _clamp(stats.sc / denom, eps)
+
+
+def _clamp(x: np.ndarray, lo: float) -> np.ndarray:
+    """``np.clip(x, lo, 1.0)`` for a new array ``x``, in place and with the
+    same values, at a third of its cost."""
+    np.maximum(x, lo, out=x)
+    np.minimum(x, 1.0, out=x)
+    return x
 
 
 def tpl(alpha: float, ell: int, d: int, L: int) -> float:
@@ -217,6 +228,12 @@ def update_threshold(stats: DecayedStats, cfg: SessionConfig) -> np.ndarray:
     sc = stats.sc
     su_prime = stats.su + stats.scnt
     miss_mass = su_prime - sc
+    if sc.min() > 0.0 and miss_mass.min() > 1e-12:
+        # every layer has both means: the midpoint, as the chain below gives it
+        tau = stats.stcs / sc
+        tau += stats.sfcs / miss_mass
+        tau *= 0.5
+        return _clamp(tau, 0.0)
 
     have_match = sc > 0.0
     have_miss = miss_mass > 1e-12
@@ -228,7 +245,7 @@ def update_threshold(stats: DecayedStats, cfg: SessionConfig) -> np.ndarray:
     tau = np.where(both, 0.5 * (matched_mean + miss_mean), tau)
     tau = np.where(have_match & ~have_miss, matched_mean, tau)
     tau = np.where(~have_match & have_miss, miss_mean, tau)
-    return np.clip(tau, 0.0, 1.0)
+    return _clamp(tau, 0.0)
 
 
 def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):

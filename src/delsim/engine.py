@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GREEDY, SessionConfig
-from .types import InvariantViolation, LayerStep, TokenId, sample_index
+from .types import InvariantViolation, LayerStep, TokenId, exit_distribution, sample_index
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,10 @@ def draft(
 ):
     """Auto-regressively draft tokens at the plan's exit layer.
 
-    Each position's confidence is the exit layer's top-1 probability; if it
-    falls below the plan threshold the token is discarded and drafting stops.
+    Each position's confidence is the exit layer's top-1 probability
+    (``LayerStep.layer``, which decodes that layer alone on a pending step);
+    if it falls below the plan threshold the token is discarded and drafting
+    stops.
     The loop runs at most ``plan.draft_bound`` times.
 
     Returns (drafted tokens, LayerSteps seen). The step list covers every
@@ -87,18 +89,16 @@ def draft(
     drafted: list[TokenId] = []
     steps: list[LayerStep] = []
     exit_layer = plan.exit_layer
-    k = exit_layer - 1
     greedy = cfg.decode_mode == GREEDY
     try:
         for _ in range(plan.draft_bound):
             ls = model.step(context)
             steps.append(ls)
-            if ls.top_conf[k] < plan.threshold:
+            tok, conf = ls.layer(exit_layer)
+            if conf < plan.threshold:
                 break
-            if greedy:
-                tok = int(ls.top_tokens[k])
-            else:
-                q = ls.exit_row(exit_layer)
+            if not greedy:
+                q = exit_distribution(tok, conf, ls.target.size)
                 tok = sample_index(q, rng)
                 if q_rows is not None:
                     q_rows.append(q)

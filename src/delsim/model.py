@@ -17,7 +17,7 @@ from array import array
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import Any, Mapping, Sequence
 
@@ -232,6 +232,42 @@ def beta_table(a: float, b: float) -> np.ndarray:
     return _read_only(np.interp(np.linspace(0.0, 1.0, TABLE_SIZE + 1), cdf[keep], x[keep]))
 
 
+class _PendingRow:
+    """The per-layer draws of a memo-less step, made when they are read (see
+    ``LayerStep.deferred``): the step's key, context length ``n`` and target
+    argmax, and once a layer is read the position's keyed row of uniforms,
+    filled once and kept until the step is drawn in full."""
+
+    __slots__ = ("model", "msg", "n", "t_star", "u")
+
+    def __init__(self, model: "LayeredModel", msg: bytes, n: int, t_star: int):
+        self.model = model
+        self.msg = msg
+        self.n = n
+        self.t_star = t_star
+        self.u = None
+
+    def uniforms(self) -> np.ndarray:
+        u = self.u
+        if u is None:
+            u = self.u = self.model._uniforms(self.msg)
+        return u
+
+    def layer(self, ell: int) -> tuple[TokenId, float]:
+        return self.model._decode_layer(self.uniforms(), self.n, self.t_star, ell)
+
+    def draw_block(self, rows: list["_PendingRow"]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The read-only top tokens and confidences of each row in ``rows``,
+        decoded in one block when they all belong to this row's model."""
+        m = self.model
+        if any(r.model is not m for r in rows):
+            return [r.draw_block([r])[0] for r in rows]
+        # a copy: the kept rows stay unscaled for one-layer reads
+        u = np.array([r.uniforms() for r in rows])
+        top, conf = m._decode_rows(u, [r.n for r in rows], [r.t_star for r in rows])
+        return list(zip(top, conf))
+
+
 class LayeredModel:
     """A synthetic L-layer model over a V-token vocabulary.
 
@@ -382,9 +418,11 @@ class LayeredModel:
 
         The target row is set at once. The exit layers' top tokens and
         confidences come from one keyed row of 3(L-1) uniforms (see
-        ``_decode``). Without a memo that row is drawn on the first read of
-        a layer field (:meth:`LayerStep.deferred`); a memoized step is drawn
-        in full.
+        ``_decode``). Without a memo the step is pending
+        (:meth:`LayerStep.deferred`): it fills that row on the first layer
+        read and keeps it, a one-layer read decodes that layer alone, and
+        ``controller.shadow_tokens`` decodes a round's pending steps in one
+        block. A memoized step is drawn in full.
         """
         n = len(context)
         if n == 0:
@@ -409,11 +447,12 @@ class LayeredModel:
         t_star = self._trans_argmax[last]
         target = self._transition[last]
         if memo is None:
-            return LayerStep.deferred(target, t_star, L, partial(self._layers, msg, n, t_star))
+            return LayerStep.deferred(target, t_star, L, _PendingRow(self, msg, n, t_star))
         # a memoized step is drawn before it is stored: the sessions sharing
         # the memo read its layers again and again, and a stored step then
         # holds no reference back to the model
-        step = LayerStep(*self._layers(msg, n, t_star), target, t_star)
+        top, conf = self._decode(self._uniforms(msg), self._profile_at(n), t_star)
+        step = LayerStep(top, conf, target, t_star)
         self._store([(msg, step)])
         return step
 
@@ -486,18 +525,25 @@ class LayeredModel:
         u = np.empty((len(todo), 3 * (self.L - 1)))
         for row, (_, msg, _, _) in zip(u, todo):
             self._uniforms(msg, row)
-        if self._segments is None:
-            profile = self._profiles[0]
-        else:
-            profile = np.array([self._profile_at(m) for _, _, m, _ in todo])
-        t_star = np.array([chain[i] for i, _, _, _ in todo])[:, None]
-        top, conf = self._decode(u, profile, t_star)
-        top.setflags(write=False)
-        conf.setflags(write=False)
+        lengths = [m for _, _, m, _ in todo]
+        top, conf = self._decode_rows(u, lengths, [chain[i] for i, _, _, _ in todo])
         return [
             LayerStep(top[r], conf[r], self._transition[last], chain[i])
             for r, (i, _, _, last) in enumerate(todo)
         ]
+
+    def _decode_rows(self, u: np.ndarray, lengths, t_stars) -> tuple[np.ndarray, np.ndarray]:
+        """``_decode`` over a block of rows ``u`` (scaled in place), one per
+        position, at the context lengths ``lengths`` and with the target
+        argmaxes ``t_stars``; the two (rows, L-1) arrays are read-only."""
+        if self._segments is None:
+            profile = self._profiles[0]
+        else:
+            profile = np.array([self._profile_at(m) for m in lengths])
+        top, conf = self._decode(u, profile, np.array(t_stars)[:, None])
+        top.setflags(write=False)
+        conf.setflags(write=False)
+        return top, conf
 
     def _key(self, context: Sequence[TokenId]) -> bytes:
         """The message a context's draws are keyed by: its length and its
@@ -523,12 +569,6 @@ class LayeredModel:
         digest = hashlib.blake2b(msg, digest_size=16, key=self._seed_key).digest()
         rng = self._scratch_rng(np.frombuffer(digest, np.uint64))
         return rng.random(3 * (self.L - 1), out=out)
-
-    def _layers(self, msg: bytes, n: int, t_star: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every exit layer's top token and top-1 confidence at the position
-        whose draws are keyed by ``msg``, the context's length ``n`` and last
-        tokens; ``t_star`` is the target argmax there."""
-        return self._decode(self._uniforms(msg), self._profile_at(n), t_star)
 
     def _decode(self, u: np.ndarray, profile: np.ndarray, t_star) -> tuple[np.ndarray, np.ndarray]:
         """Top tokens and confidences from rows of uniforms, elementwise, so
@@ -558,6 +598,23 @@ class LayeredModel:
         conf += self._conf_table.take(i)
         alt += alt >= t_star
         return np.where(miss, alt, t_star), conf
+
+    def _decode_layer(self, u: np.ndarray, n: int, t_star: int, ell: int) -> tuple[int, float]:
+        """Exit layer ``ell``'s top token and confidence from the position's
+        unscaled row ``u``, in plain Python: ``_decode``'s arithmetic on one
+        layer's three uniforms, so the values are bit-identical."""
+        k = self.L - 1
+        j = ell - 1
+        miss = u.item(j) >= self._profile_at(n).item(j)
+        t = u.item(k + j) * TABLE_SIZE
+        if miss:
+            t += TABLE_SIZE + 1.0
+        i = int(t)
+        conf = self._conf_rise.item(i) * (t - i) + self._conf_table.item(i)
+        if not miss:
+            return t_star, conf
+        alt = int(u.item(2 * k + j) * (self.V - 1.0))
+        return alt + (alt >= t_star), conf
 
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
         """Draw a prompt of the given length from the base process."""
@@ -601,18 +658,3 @@ def build_model(
         spec, cfg.L, cfg.V, derive_seed(cfg.seed, "model") if seed is None else seed,
         step_memo_capacity(cfg) if memo else 0,
     )
-
-
-class CallCountingModel:
-    """Wrapper that counts ``step`` invocations; used to audit policies."""
-
-    def __init__(self, inner: LayeredModel):
-        self.inner = inner
-        self.calls = 0
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)
-
-    def step(self, context: Sequence[TokenId]) -> LayerStep:
-        self.calls += 1
-        return self.inner.step(context)

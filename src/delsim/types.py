@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -34,16 +34,8 @@ class _Drawn:
         if step is None:
             return self
         d = step.__dict__
-        draws = d["_draws"]
-        if draws is not None:
-            # Concurrent first reads may both draw; they store equal arrays,
-            # and each field is stored before the callable is dropped.
-            top, conf = draws()
-            top.setflags(write=False)
-            conf.setflags(write=False)
-            d["top_tokens"] = top
-            d["top_conf"] = conf
-            d["_draws"] = None
+        if d["_pending"] is not None:
+            LayerStep.draw_pending((step,))
         return d[self.name]
 
 
@@ -52,24 +44,28 @@ class LayerStep:
 
     Exit layer ``ell`` (1 <= ell < L) puts probability ``top_conf[ell - 1]``
     on token ``top_tokens[ell - 1]`` and spreads the remainder uniformly over
-    the other V - 1 tokens; ``exit_row`` rebuilds that distribution. Layer L
-    is the full model: ``target`` is its distribution and ``target_token``
-    its argmax. The arrays are read-only and the step is immutable.
+    the other V - 1 tokens; ``layer(ell)`` reads that pair and ``exit_row``
+    rebuilds that distribution. Layer L is the full model: ``target`` is its
+    distribution and ``target_token`` its argmax. The arrays are read-only
+    and the step is immutable.
 
     ``target`` and ``target_token`` are set when the step is made. The
     per-layer fields come from the position's keyed row of 3(L-1) uniforms
     (agreement, confidence and off-target blocks; see
     ``LayeredModel._decode``), whether the row is drawn alone or as one row
-    of a ``greedy_path`` block. A step made by ``deferred`` draws its row on
-    the first read of either field or of ``exit_row``, and then drops the
-    callable that draws it. The row is a pure function of the step's key, so
-    when it is drawn does not change a value.
-    A model without a step memo returns deferred steps: speculative-sampling
+    of a ``greedy_path`` block. A step made by ``deferred`` is pending: it
+    fills its row on the first layer read and keeps it. ``layer(ell)`` then
+    decodes that one layer alone; a read of either array field decodes the
+    whole row, and ``draw_pending`` decodes the rows of many steps in one
+    block. Either way the step then holds both arrays and drops its row. The
+    row is a pure function of the step's key, so when or how it is decoded
+    does not change a value.
+    A model without a step memo returns pending steps: speculative-sampling
     verification reads only target rows, so a sampling-mode ``vanilla``
     session makes no draws, and an ``ls`` session draws only its drafted
-    positions. A step the model stores in its memo is drawn in full first:
-    the sessions sharing the memo read its layers again and again, and a
-    stored step must hold no reference back to the model.
+    positions, one layer each. A step the model stores in its memo is drawn
+    in full first: the sessions sharing the memo read its layers again and
+    again, and a stored step must hold no reference back to the model.
     """
 
     top_tokens = _Drawn()  # (L-1,) token ids
@@ -87,23 +83,42 @@ class LayerStep:
         d["target"] = target
         d["target_token"] = target_token
         d["layer_count"] = int(top_tokens.size) + 1
-        d["_draws"] = None
+        d["_pending"] = None
         d["top_tokens"] = top_tokens
         d["top_conf"] = top_conf
 
     @classmethod
     def deferred(cls, target: np.ndarray, target_token: TokenId, layer_count: int,
-                 draws: Callable[[], tuple[np.ndarray, np.ndarray]]) -> "LayerStep":
-        """A step whose ``(top_tokens, top_conf)`` come from ``draws()`` on
-        their first read. ``target`` must already be read-only, as the rows
-        of a model's transition matrix are."""
+                 pending) -> "LayerStep":
+        """A step whose per-layer fields come from ``pending`` when they are
+        read: ``pending.layer(ell)`` gives one exit layer's (token,
+        confidence), and ``pending.draw_block(rows)`` the read-only
+        ``(top_tokens, top_conf)`` arrays of each of several such rows.
+        ``target`` must already be read-only, as the rows of a model's
+        transition matrix are."""
         step = cls.__new__(cls)
         d = step.__dict__
         d["target"] = target
         d["target_token"] = target_token
         d["layer_count"] = layer_count
-        d["_draws"] = draws
+        d["_pending"] = pending
         return step
+
+    @staticmethod
+    def draw_pending(steps: Sequence["LayerStep"]) -> None:
+        """Draw the per-layer fields of every step in ``steps`` that is still
+        pending, all in one block: a step reads the same values as it would
+        alone."""
+        pending = [s for s in steps if s.__dict__["_pending"] is not None]
+        if pending:
+            rows = [s.__dict__["_pending"] for s in pending]
+            for step, (top, conf) in zip(pending, rows[0].draw_block(rows)):
+                # Concurrent first reads may both draw; they store equal
+                # arrays, and each field is stored before the row is dropped.
+                d = step.__dict__
+                d["top_tokens"] = top
+                d["top_conf"] = conf
+                d["_pending"] = None
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"LayerStep is immutable: cannot set {name!r}")
@@ -111,11 +126,26 @@ class LayerStep:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"LayerStep is immutable: cannot delete {name!r}")
 
+    def layer(self, ell: int) -> tuple[TokenId, float]:
+        """Exit layer ``ell``'s top token and top-1 confidence; a pending
+        step decodes this layer alone."""
+        d = self.__dict__
+        if not 1 <= ell < d["layer_count"]:
+            raise ValueError(f"exit layer must lie in [1, {d['layer_count']}), got {ell}")
+        pending = d["_pending"]
+        if pending is not None:
+            return pending.layer(ell)
+        return d["top_tokens"].item(ell - 1), d["top_conf"].item(ell - 1)
+
     def exit_row(self, ell: int) -> np.ndarray:
         """The full next-token distribution read after exit layer ``ell``."""
-        if not 1 <= ell < self.layer_count:
-            raise ValueError(f"exit layer must lie in [1, {self.layer_count}), got {ell}")
-        c = float(self.top_conf[ell - 1])
-        row = np.full(self.target.size, (1.0 - c) / (self.target.size - 1))
-        row[self.top_tokens[ell - 1]] = c
-        return row
+        return exit_distribution(*self.layer(ell), self.target.size)
+
+
+def exit_distribution(token: TokenId, conf: float, size: int) -> np.ndarray:
+    """The exit row that puts ``conf`` on ``token`` and spreads the rest
+    uniformly over the other ``size - 1`` tokens."""
+    row = np.empty(size)
+    row.fill((1.0 - conf) / (size - 1))
+    row[token] = conf
+    return row

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 
 from delsim.config import SessionConfig
 from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec
-from delsim.types import LayerStep
+from delsim.types import LayerStep, TokenId
 
 TIGHT_CONF = {
     "confidence_match": {"dist": "beta", "a": 16, "b": 4},
@@ -69,6 +71,21 @@ def draws(monkeypatch) -> list[bytes]:
 
     monkeypatch.setattr(LayeredModel, "_scratch_rng", counting)
     return keys
+
+
+class CallCountingModel:
+    """Wrapper that counts ``step`` invocations; used to audit policies."""
+
+    def __init__(self, inner: LayeredModel):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
+
+    def step(self, context: Sequence[TokenId]) -> LayerStep:
+        self.calls += 1
+        return self.inner.step(context)
 
 
 class ScriptedModel:

@@ -6,7 +6,7 @@ its stated tolerance; run with ``pytest tests/test_acceptance.py -v -s``.
 
 import numpy as np
 import pytest
-from conftest import STABLE_CONF, TIGHT_CONF, make_cfg, profile_with
+from conftest import STABLE_CONF, TIGHT_CONF, CallCountingModel, make_cfg, profile_with
 
 from delsim.baselines import make_policy
 from delsim.config import SAMPLING, SessionConfig, derive_seed
@@ -31,7 +31,6 @@ from delsim.model import (
     AGREEMENT,
     DETERMINISTIC_TOY,
     REGIME_SWITCHING,
-    CallCountingModel,
     LayeredModel,
     ModelSpec,
     build_model,

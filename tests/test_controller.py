@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import TIGHT_CONF, agreement_model, make_cfg, profile_with, regime_model, toy_model
+from conftest import TIGHT_CONF, CallCountingModel, agreement_model, make_cfg, profile_with, regime_model, toy_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from delsim.controller import (
     zero_stats,
 )
 from delsim.engine import CostLedger, DraftPlan, run_round
-from delsim.model import CallCountingModel
 from delsim.types import LayerStep
 
 
@@ -84,6 +83,37 @@ def test_shadow_single_position_direct_argmax():
 def test_shadow_tokens_requires_steps():
     with pytest.raises(ValueError):
         shadow_tokens([])
+
+
+def test_shadow_tokens_over_pending_and_drawn_steps_equals_steps_drawn_one_by_one():
+    cfg = make_cfg(L=6, V=16)
+    regimes = ((7, (0.9, 0.1, 0.5, 0.0, 0.7, 1.0)), (5, (0.0, 1.0, 0.2, 0.7, 0.4, 1.0)))
+    models = [regime_model(cfg, regimes, seed=s, **TIGHT_CONF) for s in (1, 2)]
+    contexts = [[(3 * i + j) % cfg.V for j in range(n)] for i, n in enumerate(range(1, 21))]
+
+    def steps_of(model_of):
+        return [model_of(i).step(ctx) for i, ctx in enumerate(contexts)]
+
+    # the steps of one model, then of two models mixed, some drawn in full,
+    # some read at one layer, the rest untouched
+    for model_of in (lambda i: models[0], lambda i: models[i % 2]):
+        steps = steps_of(model_of)
+        for i, s in enumerate(steps):
+            if i % 3 == 0:
+                s.top_conf
+            elif i % 3 == 1:
+                s.layer(1 + i % (cfg.L - 1))
+        sm = shadow_tokens(steps)
+        one_by_one = steps_of(model_of)
+        for s in one_by_one:
+            s.top_tokens
+        want = shadow_tokens(one_by_one)
+        for name in ("tokens", "target_tokens", "confidences"):
+            x, y = getattr(sm, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        for s, w in zip(steps, one_by_one):
+            assert "top_tokens" in vars(s) and not s.top_conf.flags.writeable
+            assert np.array_equal(s.top_conf, w.top_conf)
 
 
 # -- round stats ---------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import ScriptedModel, agreement_model, make_cfg, toy_model
+from conftest import CallCountingModel, ScriptedModel, agreement_model, make_cfg, toy_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -293,7 +293,7 @@ def test_plan_validation_bounds():
 ])
 def test_sampling_sessions_draw_only_the_steps_they_read(policy, params, draws):
     from delsim.harness import run_session
-    from delsim.model import CallCountingModel, build_model
+    from delsim.model import build_model
 
     cfg = make_cfg(L=8, V=32, seed=4, max_new_tokens=96, prefill_window=16, d_max=8,
                    decode_mode=SAMPLING)
@@ -311,3 +311,34 @@ def test_sampling_sessions_draw_only_the_steps_they_read(policy, params, draws):
     else:
         # the controller shadows every step: prefill window and every round's
         assert len(draws) == model.calls == cfg.prefill_window + drafted + res.rounds
+
+
+@pytest.mark.parametrize("policy, params", [
+    ("ls", {"exit_layer": 2, "gamma": 5}),
+    ("del", {}),
+])
+def test_sampling_sessions_decode_one_block_per_round_at_most(policy, params, monkeypatch):
+    from delsim.harness import run_session
+    from delsim.model import LayeredModel, build_model
+
+    decodes = []
+    real = LayeredModel._decode
+
+    def counting(self, u, profile, t_star):
+        decodes.append(u.shape)
+        return real(self, u, profile, t_star)
+
+    monkeypatch.setattr(LayeredModel, "_decode", counting)
+    cfg = make_cfg(L=8, V=32, seed=4, max_new_tokens=96, prefill_window=16, d_max=8,
+                   decode_mode=SAMPLING)
+    spec = ModelSpec(kind="agreement", agreement_profile=(0.4, 0.9, 0.5, 0.3, 0.6, 0.2, 0.7, 1.0))
+    model = build_model(spec, cfg)
+    prompt = model.sample_prompt(24, np.random.default_rng(0))
+    res = run_session(model, make_policy(policy, cfg, **params), cfg, prompt, 9)
+    if policy == "ls":
+        # drafting decodes its exit layer alone; verification reads no layer
+        assert sum(rec["g"] for rec in res.records) > 0 and decodes == []
+    else:
+        # the prefill window, then each round's steps, in one block each
+        assert 1 < len(decodes) <= res.rounds + 1
+        assert decodes[0] == (cfg.prefill_window, 3 * (cfg.L - 1))

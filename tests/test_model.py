@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import agreement_model, make_cfg, regime_model, toy_model
+from conftest import CallCountingModel, agreement_model, make_cfg, regime_model, toy_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +10,6 @@ from delsim.model import (
     DETERMINISTIC_TOY,
     REGIME_SWITCHING,
     TABLE_SIZE,
-    CallCountingModel,
     LayeredModel,
     ModelSpec,
     beta_table,
@@ -435,6 +434,56 @@ def test_memoized_steps_are_stored_drawn(draws):
     assert not any(callable(v) for v in vars(step).values())
     step.top_tokens, step.exit_row(3), model.step([3, 1, 4]).top_conf
     assert len(draws) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_SPECS)),
+    match=st.sampled_from(CONFIDENCES),
+    mismatch=st.sampled_from(CONFIDENCES),
+    V=st.sampled_from([2, 16, 64]),
+    tokens=st.lists(st.integers(0, 63), min_size=14, max_size=14),
+)
+def test_one_layer_reads_equal_the_drawn_arrays(kind, match, mismatch, V, tokens):
+    L = 5
+    spec = ModelSpec(kind=kind, confidence_match=match, confidence_mismatch=mismatch,
+                     **KIND_SPECS[kind])
+    pending = LayeredModel(spec, L, V, 3)
+    drawn = LayeredModel(spec, L, V, 3, memo_capacity=64)
+    # the regime-switching segments (7, 5) switch profiles at context lengths
+    # 7 and 12: read positions on both sides of each
+    for n in (1, 6, 7, 11, 12, 13, 14):
+        ctx = [t % V for t in tokens[:n]]
+        want = drawn.step(ctx)
+        expect = [(int(want.top_tokens[k]), float(want.top_conf[k])) for k in range(L - 1)]
+        step = pending.step(ctx)
+        before = [step.layer(ell) for ell in range(1, L)]
+        for name in ("top_tokens", "top_conf"):
+            x, y = getattr(step, name), getattr(want, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+            assert not x.flags.writeable
+        after = [step.layer(ell) for ell in range(1, L)]
+        assert before == after == expect
+        assert all(type(tok) is int and type(c) is float for tok, c in before)
+        for ell in (0, L):
+            with pytest.raises(ValueError, match="exit layer must lie in"):
+                step.layer(ell)
+
+
+def test_one_layer_reads_fill_the_row_once_and_decode_nothing_else(draws, monkeypatch):
+    cfg = make_cfg(L=6, V=16)
+    model = agreement_model(cfg, (0.5,) * 5 + (1.0,))
+    decodes = []
+    real = LayeredModel._decode
+    monkeypatch.setattr(LayeredModel, "_decode",
+                        lambda self, *a: decodes.append(1) or real(self, *a))
+    step = model.step([3, 1, 4])
+    reads = [step.layer(ell) for ell in range(1, cfg.L)] + [step.layer(2)]
+    step.exit_row(4)
+    assert len(draws) == 1 and decodes == []
+    # a full read decodes the kept row: no second fill
+    assert [(int(t), float(c)) for t, c in zip(step.top_tokens, step.top_conf)] == reads[:-1]
+    assert len(draws) == 1 and len(decodes) == 1
 
 
 # -- greedy paths, drawn a block at a time ----------------------------------------
