@@ -151,7 +151,7 @@ def estimate_alpha(
 
 def _clamp(x: np.ndarray, lo: float) -> np.ndarray:
     """``np.clip(x, lo, 1.0)`` for a new array ``x``, in place and with the
-    same values, at a third of its cost."""
+    same values, at about half its cost."""
     np.maximum(x, lo, out=x)
     np.minimum(x, 1.0, out=x)
     return x

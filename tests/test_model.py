@@ -475,8 +475,12 @@ def test_one_layer_reads_fill_the_row_once_and_decode_nothing_else(draws, monkey
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,))
     decodes = []
     real = LayeredModel._decode
-    monkeypatch.setattr(LayeredModel, "_decode",
-                        lambda self, *a: decodes.append(1) or real(self, *a))
+
+    def counting(self, *args):
+        decodes.append(args[0].shape)
+        return real(self, *args)
+
+    monkeypatch.setattr(LayeredModel, "_decode", counting)
     step = model.step([3, 1, 4])
     reads = [step.layer(ell) for ell in range(1, cfg.L)] + [step.layer(2)]
     step.exit_row(4)
