@@ -158,9 +158,10 @@ def _clamp(x: np.ndarray, lo: float) -> np.ndarray:
 
 
 def tpl(alpha: float, ell: int, d: int, L: int) -> float:
-    """Expected tokens generated per layer loaded for one SD round.
+    """Expected tokens generated per layer loaded for one SD round: the
+    cell (ell, d) of ``tpl_grid`` for acceptance ``alpha`` at every layer.
 
-    Computed as the geometric sum of acceptance powers over the drafting cost
+    The geometric sum of acceptance powers over the drafting cost
     d*ell + L; finite at alpha = 1 where it equals (d+1)/(d*ell + L).
     """
     if not 0.0 <= alpha <= 1.0:
@@ -169,12 +170,7 @@ def tpl(alpha: float, ell: int, d: int, L: int) -> float:
         raise ValueError(f"ell must lie in [1, {L}), got {ell}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    total = 1.0
-    term = 1.0
-    for _ in range(d):
-        term *= alpha
-        total += term
-    return total / (d * ell + L)
+    return float(tpl_grid(np.full(ell, alpha), d, L)[ell - 1, d])
 
 
 @lru_cache(maxsize=16)

@@ -363,7 +363,8 @@ def grid_sweep(
     model = build_model(model_spec, cfg, memo=False)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
-    per_prompt = np.zeros((len(ells), len(ds), n_seg, n_prompts))
+    # per cell, each prompt's eTPL per window
+    cells = [[[] for _ in ds] for _ in ells]
     for i, prompt in enumerate(prompts):
         path = GreedyPath(model, prompt) if cfg.decode_mode == GREEDY else None
         for a, ell in enumerate(ells):
@@ -374,7 +375,10 @@ def grid_sweep(
                     seed = derive_seed(cfg.seed, "sweep", ell, d, i)
                     res = run_session(model, policies[a][b], cfg, prompt, seed)
                     rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
-                per_prompt[a, b, :, i] = _segment_etpl(rounds, segment_len, n_seg)
+                cells[a][b].append(_segment_etpl(rounds, segment_len, n_seg))
+    # (ells, ds, windows, prompts), laid out as the mean below reads it
+    per_prompt = np.array(cells).reshape(len(ells), len(ds), n_prompts, n_seg)
+    per_prompt = np.ascontiguousarray(per_prompt.swapaxes(2, 3))
     # the mean over the prompts that started a round in the window, NaN when
     # none did (np.nanmean would also warn about the empty slice)
     with np.errstate(invalid="ignore"):
@@ -383,19 +387,18 @@ def grid_sweep(
     return SweepGrid(ells=ells, ds=ds, segment_len=segment_len, values=values)
 
 
-def _segment_etpl(rounds, segment_len: int | None, n_seg: int) -> np.ndarray:
+def _segment_etpl(rounds, segment_len: int | None, n_seg: int) -> list[float]:
     """eTPL per window of emitted tokens from a session's per-round
     ``(emitted_len, layers_loaded)``; NaN for a window no round started in."""
-    tok = np.zeros(n_seg)
-    lay = np.zeros(n_seg)
+    tok = [0] * n_seg
+    lay = [0] * n_seg
     emitted_before = 0
     for emitted, layers in rounds:
         seg = 0 if segment_len is None else min(emitted_before // segment_len, n_seg - 1)
         tok[seg] += emitted
         lay[seg] += layers
         emitted_before += emitted
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(lay > 0, tok / np.maximum(lay, 1), np.nan)
+    return [t / n if n > 0 else math.nan for t, n in zip(tok, lay)]
 
 
 class GreedyPath:
@@ -419,15 +422,13 @@ class GreedyPath:
 
     def extend(self, n: int) -> None:
         """Draw the path until its first ``n`` positions are known, in one
-        block (``model.greedy_path``)."""
+        block of agreement flags (``model.path_agreement``)."""
         todo = n - len(self.context) + self.prompt_len
         if todo <= 0:
             return
-        steps = self.model.greedy_path(self.context, todo)
-        targets = [s.target_token for s in steps]
-        self.context += targets
-        tops = np.array([s.top_tokens for s in steps])
-        for row, new in zip(self.agree, (tops == np.array(targets)[:, None]).T):
+        chain, agree = self.model.path_agreement(self.context, todo)
+        self.context += chain
+        for row, new in zip(self.agree, agree.T):
             row += new.tobytes()
 
     def static_rounds(self, plan: DraftPlan, cfg: SessionConfig) -> list[tuple[int, int]]:
@@ -444,21 +445,28 @@ class GreedyPath:
         layers = g * plan.exit_layer + cfg.L
         row = self.agree[plan.exit_layer - 1]
         horizon = self.model.spec.horizon
-        reach = min(cfg.max_new_tokens - 1 + g, horizon - self.prompt_len + 1)
+        total = cfg.max_new_tokens
+        reach = min(total - 1 + g, horizon - self.prompt_len + 1)
+        # the last position a round can start at without passing the horizon
+        last_start = horizon - self.prompt_len - g
         rounds = []
         p = 0
-        while p < cfg.max_new_tokens:
-            n0 = self.prompt_len + p
-            if n0 + g > horizon:
-                raise horizon_error(max(n0, horizon + 1), horizon)
-            accepted = 0
-            while accepted < g:
-                if p + accepted >= len(row):
+        while p < total:
+            if p > last_start:
+                raise horizon_error(max(self.prompt_len + p, horizon + 1), horizon)
+            # the round accepts the run of agreements from p, capped at g,
+            # up to ``end``; the path is drawn further only when that run
+            # reaches the end of what is known
+            end = p + g
+            if g:
+                miss = row.find(0, p, end)
+                if miss < 0 and end > len(row):
                     self.extend(reach)
-                if not row[p + accepted]:
-                    break
-                accepted += 1
-            emitted = min(accepted + 1, cfg.max_new_tokens - p)
+                    miss = row.find(0, p, end)
+                if miss >= 0:
+                    end = miss
+            # and emits one token more, cut to the budget
+            emitted = min(end + 1, total) - p
             rounds.append((emitted, layers))
             p += emitted
         return rounds

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 import threading
 from array import array
 from bisect import bisect_right
@@ -132,6 +133,10 @@ TABLE_SIZE = 2048
 # greedy_path decodes at most this many rows at once: longer blocks save
 # little per row, and their temporaries grew the benchmark's peak memory
 _PATH_ROWS = 32
+
+# a 16-byte key digest as the two 64-bit words of a Philox key, in the
+# order np.frombuffer(digest, np.uint64) gives them
+_KEY_WORDS = struct.Struct("<2Q")
 
 
 def confidence_table(spec: Mapping[str, Any], what: str) -> np.ndarray:
@@ -388,21 +393,27 @@ class LayeredModel:
         # any non-table base process falls back to the +1 cycle
         return (np.arange(V) + as_int(base.get("by", 1), "base_process.by")) % V
 
-    def _scratch_rng(self, key: np.ndarray) -> np.random.Generator:
+    def _scratch_rng(self, digest: bytes) -> np.random.Generator:
         # Re-keying a thread-local Philox is ~2x faster than constructing a
         # Generator per step and yields the identical stream. The state dict
-        # is kept and re-keyed in place rather than read back through the
-        # ``state`` getter: with the buffer marked spent and only 64-bit draws
-        # made, nothing else in the dict affects the stream.
+        # holds plain ints, so the ``state`` setter reads them without numpy
+        # scalars, and is re-keyed in place: with the counter at 0 and the
+        # buffer marked spent the setter starts the new key's stream afresh,
+        # and with only 64-bit draws made nothing else in it matters.
         loc = self._local
         st = getattr(loc, "state", None)
         if st is None:
             loc.bitgen = np.random.Philox(key=0)
             loc.gen = np.random.Generator(loc.bitgen)
-            loc.state = st = loc.bitgen.state
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][:] = key
-        st["buffer_pos"] = 4
+            loc.state = st = {
+                "bit_generator": "Philox",
+                "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+                "buffer": (0, 0, 0, 0),
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+        st["state"]["key"] = _KEY_WORDS.unpack(digest)
         loc.bitgen.state = st
         return loc.gen
 
@@ -410,6 +421,13 @@ class LayeredModel:
         if self._segments is None:
             return self._profiles[0]
         return self._profiles[bisect_right(self._segments, position % self._segments[-1])]
+
+    def _profile_rows(self, lengths: Sequence[int]) -> np.ndarray:
+        """The profile at each context length in ``lengths``, as rows of a
+        block; one row serves every length when the profile never changes."""
+        if self._segments is None:
+            return self._profiles[0]
+        return np.array([self._profile_at(m) for m in lengths]).reshape(len(lengths), self.L - 1)
 
     # -- public API --------------------------------------------------------
 
@@ -488,8 +506,8 @@ class LayeredModel:
         full.
         """
         chain = self.argmax_chain(context, n)
-        ctx = list(context)
         if self.spec.kind == DETERMINISTIC_TOY:
+            ctx = list(context)
             steps = []
             for tok in chain:
                 steps.append(self.step(ctx))
@@ -497,9 +515,8 @@ class LayeredModel:
             return steps
         memo = self._memo
         steps: list[LayerStep | None] = [None] * n
-        todo = []  # (index, key, context length, last token)
-        for i, tok in enumerate(chain):
-            msg = self._key(ctx)
+        todo = []  # (index, key) of the positions to draw
+        for i, msg in enumerate(self._path_keys(context, chain)):
             hit = None
             if memo is not None:
                 with self._memo_lock:
@@ -507,40 +524,74 @@ class LayeredModel:
                     if hit is not None:
                         memo.move_to_end(msg)
             if hit is None:
-                todo.append((i, msg, len(ctx), ctx[-1]))
+                todo.append((i, msg))
             steps[i] = hit
-            ctx.append(tok)
+        # the token each path position follows
+        last = [int(context[-1])] + chain
         for lo in range(0, len(todo), _PATH_ROWS):
             part = todo[lo : lo + _PATH_ROWS]
-            made = self._draw_rows(part, chain)
-            for (i, _, _, _), step in zip(part, made):
+            index = [i for i, _ in part]
+            u = self._fill_rows([msg for _, msg in part], 3 * (self.L - 1))
+            top, conf = self._decode_rows(u, [len(context) + i for i in index], [chain[i] for i in index])
+            made = [
+                LayerStep(top[r], conf[r], self._transition[last[i]], chain[i])
+                for r, i in enumerate(index)
+            ]
+            for i, step in zip(index, made):
                 steps[i] = step
             if memo is not None:
-                self._store([(msg, step) for (_, msg, _, _), step in zip(part, made)])
+                self._store([(msg, step) for (_, msg), step in zip(part, made)])
         return steps
 
-    def _draw_rows(self, todo, chain: list[TokenId]) -> list[LayerStep]:
-        """The step of each path position in ``todo`` (index, key, context
-        length, last token): one row of uniforms each, decoded in one pass."""
-        u = np.empty((len(todo), 3 * (self.L - 1)))
-        for row, (_, msg, _, _) in zip(u, todo):
+    def path_agreement(self, context: Sequence[TokenId], n: int) -> tuple[list[TokenId], np.ndarray]:
+        """The greedy path after ``context`` and which exit layers agree
+        with the target along it: ``argmax_chain(context, n)`` and an
+        (n, L-1) bool array whose row ``i`` holds, per exit layer, whether
+        the top token of ``greedy_path(context, n)[i]`` is the target's.
+
+        Only the agreement block of each position's keyed row is drawn: its
+        first L - 1 uniforms, which Philox yields first, so they are the
+        full row's. The deterministic toy, whose layers all agree, draws
+        nothing, and the memo is neither read nor filled. Raises the horizon
+        ConfigError as ``argmax_chain`` does.
+        """
+        chain = self.argmax_chain(context, n)
+        k = self.L - 1
+        if self.spec.kind == DETERMINISTIC_TOY:
+            return chain, np.ones((n, k), dtype=bool)
+        u = self._fill_rows(self._path_keys(context, chain), k)
+        return chain, u < self._profile_rows(range(len(context), len(context) + n))
+
+    def _path_keys(self, context: Sequence[TokenId], chain: list[TokenId]) -> list[bytes]:
+        """The key (``_key``) of each context along a path: ``context``,
+        then ``context`` plus each proper prefix of ``chain``, one per
+        token of ``chain``."""
+        n0 = len(context)
+        w = self._hash_window
+        start = max(n0 - w, 0)
+        # the window of the first context, then the path; each key reads its
+        # window as a slice of this
+        tokens = memoryview(array("I", list(context[start:]) + chain))
+        keys = []
+        for i in range(len(chain)):
+            n = n0 + i
+            lo = max(n - w, 0) - start
+            keys.append(n.to_bytes(8, "little") + tokens[lo : n - start].tobytes())
+        return keys
+
+    def _fill_rows(self, keys: list[bytes], width: int) -> np.ndarray:
+        """A (len(keys), width) block: row ``r`` holds the first ``width``
+        uniforms of the keyed row ``_uniforms(keys[r])``."""
+        u = np.empty((len(keys), width))
+        for row, msg in zip(u, keys):
             self._uniforms(msg, row)
-        lengths = [m for _, _, m, _ in todo]
-        top, conf = self._decode_rows(u, lengths, [chain[i] for i, _, _, _ in todo])
-        return [
-            LayerStep(top[r], conf[r], self._transition[last], chain[i])
-            for r, (i, _, _, last) in enumerate(todo)
-        ]
+        return u
 
     def _decode_rows(self, u: np.ndarray, lengths, t_stars) -> tuple[np.ndarray, np.ndarray]:
         """``_decode`` over a block of rows ``u`` (scaled in place), one per
         position, at the context lengths ``lengths`` and with the target
         argmaxes ``t_stars``; the two (rows, L-1) arrays are read-only."""
-        if self._segments is None:
-            profile = self._profiles[0]
-        else:
-            profile = np.array([self._profile_at(m) for m in lengths])
-        top, conf = self._decode(u, profile, np.array(t_stars)[:, None])
+        top, conf = self._decode(u, self._profile_rows(lengths), np.array(t_stars)[:, None])
         top.setflags(write=False)
         conf.setflags(write=False)
         return top, conf
@@ -564,11 +615,14 @@ class LayeredModel:
 
     def _uniforms(self, msg: bytes, out: np.ndarray | None = None) -> np.ndarray:
         """The 3(L-1) uniforms of the position keyed by ``msg``: a blake2b
-        digest of the message under the model seed keys a Philox stream,
-        which fills ``out`` (a new array when it is None)."""
+        digest of the message under the model seed keys a Philox stream.
+        With ``out`` the stream fills it, so a shorter ``out`` gets the
+        start of the row; without, a new row."""
         digest = hashlib.blake2b(msg, digest_size=16, key=self._seed_key).digest()
-        rng = self._scratch_rng(np.frombuffer(digest, np.uint64))
-        return rng.random(3 * (self.L - 1), out=out)
+        rng = self._scratch_rng(digest)
+        if out is None:
+            return rng.random(3 * (self.L - 1))
+        return rng.random(out=out)
 
     def _decode(self, u: np.ndarray, profile: np.ndarray, t_star) -> tuple[np.ndarray, np.ndarray]:
         """Top tokens and confidences from rows of uniforms, elementwise, so

@@ -486,6 +486,15 @@ def test_greedy_grid_sweep_steps_each_prompt_path_once(draws):
     assert 0 < len(draws) <= n_prompts * (cfg.max_new_tokens + max(ds))
 
 
+
+def test_greedy_grid_sweep_of_length_zero_draws_nothing(draws):
+    # a d = 0 round reads no layer, so a sweep of d = 0 cells draws no path
+    cfg = make_cfg(L=32, V=64, seed=2, max_new_tokens=32)
+    for segment_len in (None, 8):
+        grid = grid_sweep(_specialist_l32(), cfg, range(1, 13), [0], 3, 32, segment_len)
+        assert (grid.values == 1 / cfg.L).all()
+    assert draws == []
+
 def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
     from delsim.cli import main
 

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 from conftest import CallCountingModel, agreement_model, make_cfg, regime_model, toy_model
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from delsim.config import ConfigError
@@ -564,6 +566,102 @@ def test_greedy_path_stops_at_the_horizon_as_step_does():
             model.argmax_chain(ctx, n)
     assert model.greedy_path([1] * 7, 0) == [] and model.argmax_chain([1] * 7, 0) == []
 
+
+
+def _path_spec(kind: str, L: int, window: int) -> ModelSpec:
+    """A model spec at any L: profile entries cycle through 0 to 1, and the
+    regime-switching segments are 3 and 4 positions long, so a path
+    crosses several boundaries."""
+    def profile(shift):
+        return tuple((0.0, 0.25, 0.5, 0.75, 1.0)[(j * 3 + shift) % 5] for j in range(L - 1)) + (1.0,)
+
+    over = {
+        AGREEMENT: {"agreement_profile": profile(0)},
+        REGIME_SWITCHING: {"regimes": ((3, profile(1)), (4, profile(4)))},
+        DETERMINISTIC_TOY: {},
+    }[kind]
+    return ModelSpec(kind=kind, context_hash_window=window, **over)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_SPECS)),
+    L=st.sampled_from([2, 8, 32]),
+    capacity=st.sampled_from([0, 64]),
+    window=st.sampled_from([1, 3, 64]),
+    prompt=st.lists(st.integers(0, 16), min_size=1, max_size=12),
+    n=st.integers(0, 40),
+    horizon=st.sampled_from([None, "at the end", "one short"]),
+)
+def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, prompt, n, horizon):
+    V = 17
+    spec = _path_spec(kind, L, window)
+    if horizon is not None:
+        # the path's last context has length len(prompt) + n - 1
+        last = len(prompt) + n - 1
+        assume(n > 0 and last - (horizon == "one short") >= 1)
+        spec = ModelSpec(**{**spec.__dict__, "horizon": last - (horizon == "one short")})
+    model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
+    if horizon == "one short":
+        with pytest.raises(ConfigError) as path_error:
+            model.greedy_path(prompt, n)
+        with pytest.raises(ConfigError) as flags_error:
+            model.path_agreement(prompt, n)
+        assert str(flags_error.value) == str(path_error.value)
+        assert "model.horizon" in str(flags_error.value)
+        return
+    chain, agree = model.path_agreement(prompt, n)
+    # the memo is neither read nor filled
+    assert capacity == 0 or len(model._memo) == 0
+    steps = model.greedy_path(prompt, n)
+    assert chain == [s.target_token for s in steps] == model.argmax_chain(prompt, n)
+    assert agree.dtype == bool and agree.shape == (n, L - 1)
+    for k, step in enumerate(steps):
+        assert np.array_equal(agree[k], step.top_tokens == step.target_token)
+        # and the path's keys are the keys step draws by, however the
+        # context hash window slides
+        want = LayeredModel(spec, L, V, 3).step(prompt + chain[:k])
+        assert np.array_equal(step.top_tokens, want.top_tokens)
+        assert np.array_equal(step.top_conf, want.top_conf)
+
+
+def test_path_agreement_draws_the_path_keys_and_skips_the_memo(draws):
+    cfg = make_cfg(L=6, V=16)
+    profile = (0.5,) * 5 + (1.0,)
+    model = agreement_model(cfg, profile, memo_capacity=64)
+    prompt = [3, 1, 4]
+    model.greedy_path(prompt, 12)
+    assert len(draws) == 12
+    # a full memo serves greedy_path, never path_agreement
+    model.path_agreement(prompt, 12)
+    assert draws[12:] == draws[:12]
+    assert len(model._memo) == 12
+    del draws[:]
+    toy = toy_model(cfg)
+    chain, agree = toy.path_agreement(prompt, 9)
+    assert draws == [] and agree.all() and agree.shape == (9, cfg.L - 1)
+    assert chain == toy.argmax_chain(prompt, 9)
+
+
+def test_uniforms_equal_a_philox_keyed_by_the_digest(draws):
+    # the scratch generator is re-keyed for every fill; fills of other keys,
+    # some of which leave the Philox buffer half read, come in between
+    cfg = make_cfg(L=8, V=16)
+    k = 3 * (cfg.L - 1)
+    model = agreement_model(cfg, (0.5,) * 7 + (1.0,), seed=2**64 + 9)
+    seed_key = (9).to_bytes(8, "little")
+    rng = np.random.default_rng(5)
+    msgs = [rng.bytes(int(size)) for size in rng.integers(1, 80, size=300)]
+    for i, msg in enumerate(msgs):
+        digest = hashlib.blake2b(msg, digest_size=16, key=seed_key).digest()
+        want = np.random.Generator(np.random.Philox(key=np.frombuffer(digest, np.uint64))).random(k)
+        model._uniforms(msgs[i - 1], np.empty(1 + i % 5))
+        got = model._uniforms(msg)
+        model._uniforms(msgs[i - 2])
+        short = model._uniforms(msg, np.empty(cfg.L - 1))
+        assert np.array_equal(got, want)
+        assert np.array_equal(short, want[: cfg.L - 1])
+        assert draws[4 * i + 1] == draws[4 * i + 3] == digest
 
 # -- the confidence laws and the off-target tokens ----------------------------------
 
