@@ -532,7 +532,8 @@ class LayeredModel:
             part = todo[lo : lo + _PATH_ROWS]
             index = [i for i, _ in part]
             u = self._fill_rows([msg for _, msg in part], 3 * (self.L - 1))
-            top, conf = self._decode_rows(u, [len(context) + i for i in index], [chain[i] for i in index])
+            lengths = [len(context) + i for i in index]
+            top, conf = self._decode_rows(u, lengths, [chain[i] for i in index])
             made = [
                 LayerStep(top[r], conf[r], self._transition[last[i]], chain[i])
                 for r, i in enumerate(index)

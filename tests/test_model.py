@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -600,7 +601,7 @@ def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, 
         # the path's last context has length len(prompt) + n - 1
         last = len(prompt) + n - 1
         assume(n > 0 and last - (horizon == "one short") >= 1)
-        spec = ModelSpec(**{**spec.__dict__, "horizon": last - (horizon == "one short")})
+        spec = dataclasses.replace(spec, horizon=last - (horizon == "one short"))
     model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
     if horizon == "one short":
         with pytest.raises(ConfigError) as path_error:
@@ -611,16 +612,17 @@ def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, 
         assert "model.horizon" in str(flags_error.value)
         return
     chain, agree = model.path_agreement(prompt, n)
-    # the memo is neither read nor filled
+    # it fills no memo (that it reads none shows in the draws test below)
     assert capacity == 0 or len(model._memo) == 0
     steps = model.greedy_path(prompt, n)
     assert chain == [s.target_token for s in steps] == model.argmax_chain(prompt, n)
     assert agree.dtype == bool and agree.shape == (n, L - 1)
+    plain = LayeredModel(spec, L, V, 3)
     for k, step in enumerate(steps):
         assert np.array_equal(agree[k], step.top_tokens == step.target_token)
         # and the path's keys are the keys step draws by, however the
         # context hash window slides
-        want = LayeredModel(spec, L, V, 3).step(prompt + chain[:k])
+        want = plain.step(prompt + chain[:k])
         assert np.array_equal(step.top_tokens, want.top_tokens)
         assert np.array_equal(step.top_conf, want.top_conf)
 
