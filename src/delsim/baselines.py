@@ -140,7 +140,7 @@ class DvPolicy:
             raise ConfigError(f"threshold out of [0,1]: {threshold}")
         if not 0.0 <= target_rate <= 1.0:
             raise ConfigError(f"target_rate out of [0,1]: {target_rate}")
-        if step <= 0.0:
+        if not step > 0.0:
             raise ConfigError(f"step must be > 0, got {step}")
         self.cfg = cfg
         self.exit_layer = exit_layer

@@ -223,17 +223,22 @@ def _parse_list(text: str, typ, field: str) -> list:
         raise ConfigError(f"bad {field} list {text!r}: {e}") from e
 
 
-def _parse_range(text: str | None, field: str) -> list[int]:
+def _parse_range(text: str | None, field: str, lo: int, hi: int) -> list[int]:
+    """The ints a range (``a..b``) or comma list names, each in [lo, hi]; a
+    range's ends are checked before it is expanded."""
     if not text:
         raise ConfigError(f"{field} range is required (e.g. 1..8 or 0,2,4)")
     try:
         if ".." in text:
             a, b = text.split("..")
-            values = list(range(int(a), int(b) + 1))
+            ends = [int(a), int(b)]
         else:
-            values = [int(x) for x in text.split(",") if x.strip() != ""]
+            ends = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError as e:
         raise ConfigError(f"bad {field} range {text!r}: {e}") from e
+    if any(not lo <= v <= hi for v in ends):
+        raise ConfigError(f"{field} values must lie in [{lo}, {hi}]")
+    values = list(range(ends[0], ends[1] + 1)) if ".." in text else ends
     if not values:
         raise ConfigError(f"{field} range is empty: {text!r}")
     return values
@@ -261,12 +266,8 @@ def cmd_sweep(args) -> int:
     cfg = _session_from(args, file_cfg)
     spec = _model_from(args, file_cfg)
     n_prompts, prompt_len = _run_counts(args, file_cfg)
-    ells = _parse_range(args.ell, "--ell")
-    ds = _parse_range(args.d, "--d")
-    if any(not 1 <= e < cfg.L for e in ells):
-        raise ConfigError(f"--ell values must lie in [1, {cfg.L})")
-    if any(not 0 <= d <= cfg.d_max for d in ds):
-        raise ConfigError(f"--d values must lie in [0, {cfg.d_max}]")
+    ells = _parse_range(args.ell, "--ell", 1, cfg.L - 1)
+    ds = _parse_range(args.d, "--d", 0, cfg.d_max)
     if args.segment_len is not None and args.segment_len < 1:
         raise ConfigError(f"--segment-len must be >= 1, got {args.segment_len}")
     out = _resolve_out(args)
@@ -322,6 +323,8 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"--alpha out of [0,1]: {args.alpha}")
     if args.d < 0:
         raise ConfigError(f"--d must be >= 0, got {args.d}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     mc = mc_expected_tokens(args.alpha, args.d, args.trials, args.seed)
     closed = expected_tokens_closed_form(args.alpha, args.d)
     rel = abs(mc - closed) / closed

@@ -110,11 +110,7 @@ def make_prompts(model, cfg: SessionConfig, n_prompts: int, prompt_len: int) -> 
 def vanilla_reference(model, cfg: SessionConfig, prompt: Sequence[TokenId]) -> list[TokenId]:
     """Target-only greedy output used by the losslessness hook: the argmax
     chain after the prompt, which is what a greedy ``vanilla`` session
-    emits. A model with a step memo makes the chain's steps in one block
-    (``greedy_path``) and stores them, so the sessions on the prompt find
-    the path there; a model without one draws nothing."""
-    if model.memo_capacity > 0:
-        return [s.target_token for s in model.greedy_path(prompt, cfg.max_new_tokens)]
+    emits. It draws nothing."""
     return model.argmax_chain(prompt, cfg.max_new_tokens)
 
 
@@ -279,32 +275,45 @@ def replay_check(out_dir: str | Path) -> list[str]:
     summary = out / "summary.csv"
     if not summary.exists():
         return [f"missing summary: {summary}"]
-    config = json.loads((out / "config.json").read_text())
-    L = int(config["session"]["L"])
+    config = out / "config.json"
+    try:
+        L = int(json.loads(config.read_text())["session"]["L"])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        return [f"bad config: {config} has no readable session.L ({type(e).__name__}: {e})"]
+    try:
+        with summary.open() as f:
+            rows = list(csv.DictReader(f))
+    except (OSError, ValueError, csv.Error) as e:
+        return [f"unreadable summary: {summary} ({type(e).__name__}: {e})"]
     errors: list[str] = []
-    with summary.open() as f:
-        for row in csv.DictReader(f):
+    for i, row in enumerate(rows):
+        try:
             label = f"{row['policy']}-{row['prompt_index']}"
             trace_rel = row["trace_path"]
-            if not trace_rel:
-                errors.append(f"{label}: no trace recorded")
-                continue
-            try:
-                tokens, layers = trace_totals(out / trace_rel)
-            except (OSError, ValueError) as e:
-                errors.append(f"{label}: {e}")
-                continue
-            if tokens != int(row["tokens_emitted"]):
-                errors.append(f"{label}: tokens {tokens} != summary {row['tokens_emitted']}")
-                continue
-            if layers != int(row["layers_loaded"]):
-                errors.append(f"{label}: layers {layers} != summary {row['layers_loaded']}")
-                continue
-            etpl = tokens / layers
-            if etpl != float(row["etpl"]):
-                errors.append(f"{label}: etpl {etpl!r} != summary {row['etpl']}")
-            if etpl * L != float(row["sim_speedup"]):
-                errors.append(f"{label}: sim_speedup {etpl * L!r} != summary {row['sim_speedup']}")
+            want_tokens, want_layers = int(row["tokens_emitted"]), int(row["layers_loaded"])
+            want_etpl, want_speedup = float(row["etpl"]), float(row["sim_speedup"])
+        except (KeyError, TypeError, ValueError) as e:
+            errors.append(f"{summary} row {i + 1}: not a whole summary row ({type(e).__name__}: {e})")
+            continue
+        if not trace_rel:
+            errors.append(f"{label}: no trace recorded")
+            continue
+        try:
+            tokens, layers = trace_totals(out / trace_rel)
+        except (OSError, ValueError) as e:
+            errors.append(f"{label}: {e}")
+            continue
+        if tokens != want_tokens:
+            errors.append(f"{label}: tokens {tokens} != summary {row['tokens_emitted']}")
+            continue
+        if layers != want_layers:
+            errors.append(f"{label}: layers {layers} != summary {row['layers_loaded']}")
+            continue
+        etpl = tokens / layers if layers else math.nan
+        if etpl != want_etpl:
+            errors.append(f"{label}: etpl {etpl!r} != summary {row['etpl']}")
+        if etpl * L != want_speedup:
+            errors.append(f"{label}: sim_speedup {etpl * L!r} != summary {row['sim_speedup']}")
     return errors
 
 
@@ -358,9 +367,7 @@ def grid_sweep(
     # a bad exit layer or length raises ConfigError before any work is done;
     # the static policy is stateless, so one per cell serves every prompt
     policies = [[make_policy("ls", cfg, exit_layer=ell, gamma=d) for d in ds] for ell in ells]
-    # a greedy path steps each position once, and sampling sessions share
-    # almost no contexts: no step memo
-    model = build_model(model_spec, cfg, memo=False)
+    model = build_model(model_spec, cfg)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
     # per cell, each prompt's eTPL per window

@@ -120,7 +120,8 @@ def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
     arr = np.asarray(profile, dtype=np.float64)
     if arr.shape != (L,):
         raise ConfigError(f"{what} must have exactly L={L} entries, got {arr.shape}")
-    if np.any(arr < 0) or np.any(arr > 1):
+    # written so that NaN, which fails every comparison, fails it too
+    if not np.all((arr >= 0) & (arr <= 1)):
         raise ConfigError(f"{what} entries must lie in [0,1]")
     if arr[-1] != 1.0:
         raise ConfigError(f"{what} last entry (layer L) must be 1.0")
@@ -129,10 +130,6 @@ def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
 
 # the inverse CDF of a confidence law is tabulated at u = j / TABLE_SIZE
 TABLE_SIZE = 2048
-
-# greedy_path decodes at most this many rows at once: longer blocks save
-# little per row, and their temporaries grew the benchmark's peak memory
-_PATH_ROWS = 32
 
 # a 16-byte key digest as the two 64-bit words of a Philox key, in the
 # order np.frombuffer(digest, np.uint64) gives them
@@ -238,7 +235,7 @@ def beta_table(a: float, b: float) -> np.ndarray:
 
 
 class _PendingRow:
-    """The per-layer draws of a memo-less step, made when they are read (see
+    """The per-layer draws of a step, made when they are read (see
     ``LayerStep.deferred``): the step's key, context length ``n`` and target
     argmax, and once a layer is read the position's keyed row of uniforms,
     filled once and kept until the step is drawn in full."""
@@ -259,7 +256,23 @@ class _PendingRow:
         return u
 
     def layer(self, ell: int) -> tuple[TokenId, float]:
-        return self.model._decode_layer(self.uniforms(), self.n, self.t_star, ell)
+        """Exit layer ``ell``'s top token and confidence from the unscaled
+        row, in plain Python: ``_decode``'s arithmetic on one layer's three
+        uniforms, so the values are bit-identical."""
+        m = self.model
+        u = self.uniforms()
+        k = m.L - 1
+        j = ell - 1
+        miss = u.item(j) >= m._profile_at(self.n).item(j)
+        t = u.item(k + j) * TABLE_SIZE
+        if miss:
+            t += TABLE_SIZE + 1.0
+        i = int(t)
+        conf = m._conf_rise.item(i) * (t - i) + m._conf_table.item(i)
+        if not miss:
+            return self.t_star, conf
+        alt = int(u.item(2 * k + j) * (m.V - 1.0))
+        return alt + (alt >= self.t_star), conf
 
     def draw_block(self, rows: list["_PendingRow"]) -> list[tuple[np.ndarray, np.ndarray]]:
         """The read-only top tokens and confidences of each row in ``rows``,
@@ -269,7 +282,10 @@ class _PendingRow:
             return [r.draw_block([r])[0] for r in rows]
         # a copy: the kept rows stay unscaled for one-layer reads
         u = np.array([r.uniforms() for r in rows])
-        top, conf = m._decode_rows(u, [r.n for r in rows], [r.t_star for r in rows])
+        t_stars = np.array([r.t_star for r in rows])[:, None]
+        top, conf = m._decode(u, m._profile_rows([r.n for r in rows]), t_stars)
+        top.setflags(write=False)
+        conf.setflags(write=False)
         return list(zip(top, conf))
 
 
@@ -377,7 +393,7 @@ class LayeredModel:
             if t.shape != (V, V):
                 raise ConfigError(f"base_process.probs must be shape ({V},{V})")
             sums = t.sum(axis=1)
-            if np.any(t < 0) or np.any(np.abs(sums - 1.0) > PROB_SUM_TOL):
+            if not (np.all(t >= 0) and np.all(np.abs(sums - 1.0) <= PROB_SUM_TOL)):
                 raise ConfigError("base_process.probs rows must be distributions")
             return t
         raise ConfigError(f"base_process.kind must be dirichlet/uniform/table, got {kind!r}")
@@ -436,11 +452,14 @@ class LayeredModel:
 
         The target row is set at once. The exit layers' top tokens and
         confidences come from one keyed row of 3(L-1) uniforms (see
-        ``_decode``). Without a memo the step is pending
-        (:meth:`LayerStep.deferred`): it fills that row on the first layer
-        read and keeps it, a one-layer read decodes that layer alone, and
+        ``_decode``), drawn when they are read: the step is pending
+        (:meth:`LayerStep.deferred`), fills that row on the first layer read
+        and keeps it, a one-layer read decodes that layer alone, and
         ``controller.shadow_tokens`` decodes a round's pending steps in one
-        block. A memoized step is drawn in full.
+        block. With a memo the model stores the same pending step, so the
+        sessions sharing it fill each row once, whoever reads it first. A
+        stored step refers back to the model through its pending row until
+        it is drawn in full; Python's cycle collector frees that cycle.
         """
         n = len(context)
         if n == 0:
@@ -463,15 +482,13 @@ class LayeredModel:
                     memo.move_to_end(msg)
                     return hit
         t_star = self._trans_argmax[last]
-        target = self._transition[last]
-        if memo is None:
-            return LayerStep.deferred(target, t_star, L, _PendingRow(self, msg, n, t_star))
-        # a memoized step is drawn before it is stored: the sessions sharing
-        # the memo read its layers again and again, and a stored step then
-        # holds no reference back to the model
-        top, conf = self._decode(self._uniforms(msg), self._profile_at(n), t_star)
-        step = LayerStep(top, conf, target, t_star)
-        self._store([(msg, step)])
+        step = LayerStep.deferred(self._transition[last], t_star, L, _PendingRow(self, msg, n, t_star))
+        if memo is not None:
+            with self._memo_lock:
+                memo[msg] = step
+                # drop the least recently used beyond the capacity
+                while len(memo) > self.memo_capacity:
+                    memo.popitem(last=False)
         return step
 
     def argmax_chain(self, context: Sequence[TokenId], n: int) -> list[TokenId]:
@@ -492,63 +509,12 @@ class LayeredModel:
             out.append(tok)
         return out
 
-    def greedy_path(self, context: Sequence[TokenId], n: int) -> list[LayerStep]:
-        """The steps ``step`` returns along the greedy path after
-        ``context``: step ``i`` is the step at ``context`` plus the first
-        ``i`` tokens of ``argmax_chain(context, n)``.
-
-        The path is known before anything is drawn, so its steps are made a
-        block at a time: each position not in the memo fills one row of a
-        block of keyed uniforms, the same row ``step`` draws, and one
-        vectorized ``_decode`` per block of up to 32 rows turns the rows
-        into every layer's top token and confidence. Memo hits are served
-        from the memo and new steps stored in it. The steps are drawn in
-        full.
-        """
-        chain = self.argmax_chain(context, n)
-        if self.spec.kind == DETERMINISTIC_TOY:
-            ctx = list(context)
-            steps = []
-            for tok in chain:
-                steps.append(self.step(ctx))
-                ctx.append(tok)
-            return steps
-        memo = self._memo
-        steps: list[LayerStep | None] = [None] * n
-        todo = []  # (index, key) of the positions to draw
-        for i, msg in enumerate(self._path_keys(context, chain)):
-            hit = None
-            if memo is not None:
-                with self._memo_lock:
-                    hit = memo.get(msg)
-                    if hit is not None:
-                        memo.move_to_end(msg)
-            if hit is None:
-                todo.append((i, msg))
-            steps[i] = hit
-        # the token each path position follows
-        last = [int(context[-1])] + chain
-        for lo in range(0, len(todo), _PATH_ROWS):
-            part = todo[lo : lo + _PATH_ROWS]
-            index = [i for i, _ in part]
-            u = self._fill_rows([msg for _, msg in part], 3 * (self.L - 1))
-            lengths = [len(context) + i for i in index]
-            top, conf = self._decode_rows(u, lengths, [chain[i] for i in index])
-            made = [
-                LayerStep(top[r], conf[r], self._transition[last[i]], chain[i])
-                for r, i in enumerate(index)
-            ]
-            for i, step in zip(index, made):
-                steps[i] = step
-            if memo is not None:
-                self._store([(msg, step) for (_, msg), step in zip(part, made)])
-        return steps
-
     def path_agreement(self, context: Sequence[TokenId], n: int) -> tuple[list[TokenId], np.ndarray]:
         """The greedy path after ``context`` and which exit layers agree
         with the target along it: ``argmax_chain(context, n)`` and an
         (n, L-1) bool array whose row ``i`` holds, per exit layer, whether
-        the top token of ``greedy_path(context, n)[i]`` is the target's.
+        the top token of the step at ``context`` plus the first ``i`` tokens
+        of the chain is the target's.
 
         Only the agreement block of each position's keyed row is drawn: its
         first L - 1 uniforms, which Philox yields first, so they are the
@@ -560,7 +526,9 @@ class LayeredModel:
         k = self.L - 1
         if self.spec.kind == DETERMINISTIC_TOY:
             return chain, np.ones((n, k), dtype=bool)
-        u = self._fill_rows(self._path_keys(context, chain), k)
+        u = np.empty((n, k))
+        for row, msg in zip(u, self._path_keys(context, chain)):
+            self._uniforms(msg, row)
         return chain, u < self._profile_rows(range(len(context), len(context) + n))
 
     def _path_keys(self, context: Sequence[TokenId], chain: list[TokenId]) -> list[bytes]:
@@ -580,39 +548,12 @@ class LayeredModel:
             keys.append(n.to_bytes(8, "little") + tokens[lo : n - start].tobytes())
         return keys
 
-    def _fill_rows(self, keys: list[bytes], width: int) -> np.ndarray:
-        """A (len(keys), width) block: row ``r`` holds the first ``width``
-        uniforms of the keyed row ``_uniforms(keys[r])``."""
-        u = np.empty((len(keys), width))
-        for row, msg in zip(u, keys):
-            self._uniforms(msg, row)
-        return u
-
-    def _decode_rows(self, u: np.ndarray, lengths, t_stars) -> tuple[np.ndarray, np.ndarray]:
-        """``_decode`` over a block of rows ``u`` (scaled in place), one per
-        position, at the context lengths ``lengths`` and with the target
-        argmaxes ``t_stars``; the two (rows, L-1) arrays are read-only."""
-        top, conf = self._decode(u, self._profile_rows(lengths), np.array(t_stars)[:, None])
-        top.setflags(write=False)
-        conf.setflags(write=False)
-        return top, conf
-
     def _key(self, context: Sequence[TokenId]) -> bytes:
         """The message a context's draws are keyed by: its length and its
         last ``context_hash_window`` tokens."""
         n = len(context)
         win = context[-self._hash_window:] if n > self._hash_window else context
         return n.to_bytes(8, "little") + array("I", win).tobytes()
-
-    def _store(self, items) -> None:
-        """Put ``(key, step)`` pairs in the memo, in order, dropping the least
-        recently used beyond its capacity."""
-        memo = self._memo
-        with self._memo_lock:
-            for msg, step in items:
-                memo[msg] = step
-            while len(memo) > self.memo_capacity:
-                memo.popitem(last=False)
 
     def _uniforms(self, msg: bytes, out: np.ndarray | None = None) -> np.ndarray:
         """The 3(L-1) uniforms of the position keyed by ``msg``: a blake2b
@@ -654,23 +595,6 @@ class LayeredModel:
         alt += alt >= t_star
         return np.where(miss, alt, t_star), conf
 
-    def _decode_layer(self, u: np.ndarray, n: int, t_star: int, ell: int) -> tuple[int, float]:
-        """Exit layer ``ell``'s top token and confidence from the position's
-        unscaled row ``u``, in plain Python: ``_decode``'s arithmetic on one
-        layer's three uniforms, so the values are bit-identical."""
-        k = self.L - 1
-        j = ell - 1
-        miss = u.item(j) >= self._profile_at(n).item(j)
-        t = u.item(k + j) * TABLE_SIZE
-        if miss:
-            t += TABLE_SIZE + 1.0
-        i = int(t)
-        conf = self._conf_rise.item(i) * (t - i) + self._conf_table.item(i)
-        if not miss:
-            return t_star, conf
-        alt = int(u.item(2 * k + j) * (self.V - 1.0))
-        return alt + (alt >= t_star), conf
-
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
         """Draw a prompt of the given length from the base process."""
         if length < 1:
@@ -703,13 +627,11 @@ def step_memo_capacity(cfg: SessionConfig) -> int:
     return cfg.prefill_window + 2 * (cfg.max_new_tokens + cfg.d_max + 1)
 
 
-def build_model(
-    spec: ModelSpec, cfg: SessionConfig, seed: int | None = None, memo: bool = True
-) -> LayeredModel:
-    """Construct the model for a session; the model seed defaults to a stream
-    derived from the session seed so all policies share one realization.
-    With ``memo`` the model keeps a step memo sized by ``step_memo_capacity``."""
+def build_model(spec: ModelSpec, cfg: SessionConfig, seed: int | None = None) -> LayeredModel:
+    """Construct the model for a session, with a step memo sized by
+    ``step_memo_capacity``; the model seed defaults to a stream derived from
+    the session seed so all policies share one realization."""
     return LayeredModel(
         spec, cfg.L, cfg.V, derive_seed(cfg.seed, "model") if seed is None else seed,
-        step_memo_capacity(cfg) if memo else 0,
+        step_memo_capacity(cfg),
     )

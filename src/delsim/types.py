@@ -52,20 +52,21 @@ class LayerStep:
     ``target`` and ``target_token`` are set when the step is made. The
     per-layer fields come from the position's keyed row of 3(L-1) uniforms
     (agreement, confidence and off-target blocks; see
-    ``LayeredModel._decode``), whether the row is drawn alone or as one row
-    of a ``greedy_path`` block. A step made by ``deferred`` is pending: it
-    fills its row on the first layer read and keeps it. ``layer(ell)`` then
-    decodes that one layer alone; a read of either array field decodes the
-    whole row, and ``draw_pending`` decodes the rows of many steps in one
-    block. Either way the step then holds both arrays and drops its row. The
-    row is a pure function of the step's key, so when or how it is decoded
-    does not change a value.
-    A model without a step memo returns pending steps: speculative-sampling
-    verification reads only target rows, so a sampling-mode ``vanilla``
-    session makes no draws, and an ``ls`` session draws only its drafted
-    positions, one layer each. A step the model stores in its memo is drawn
-    in full first: the sessions sharing the memo read its layers again and
-    again, and a stored step must hold no reference back to the model.
+    ``LayeredModel._decode``). The model makes its steps with ``deferred``
+    (a deterministic toy's need no draws and come drawn). Such a step is
+    pending: it fills its row on the first layer read and keeps it.
+    ``layer(ell)`` then decodes that one layer alone; a read of either array
+    field decodes the whole row, and ``draw_pending`` decodes the rows of
+    many steps in one block. Either way the step then holds both arrays and
+    drops its row. The row is a pure function of the step's key, so when or
+    how it is decoded does not change a value.
+    Speculative-sampling verification reads only target rows, so a
+    sampling-mode ``vanilla`` session makes no draws, and an ``ls`` session
+    draws only its drafted positions, one layer each. A model with a step
+    memo stores the pending step itself, so the sessions sharing the memo
+    fill its row once. Until it is drawn in full such a step refers back to
+    the model (model, memo, step, pending row, model); Python's cycle
+    collector frees that cycle when the model is dropped.
     """
 
     top_tokens = _Drawn()  # (L-1,) token ids
@@ -109,9 +110,15 @@ class LayerStep:
         """Draw the per-layer fields of every step in ``steps`` that is still
         pending, all in one block: a step reads the same values as it would
         alone."""
-        pending = [s for s in steps if s.__dict__["_pending"] is not None]
+        # each step's row is read once: a concurrent first read of a step
+        # shared through a memo may drop it meanwhile
+        pending, rows = [], []
+        for s in steps:
+            row = s.__dict__["_pending"]
+            if row is not None:
+                pending.append(s)
+                rows.append(row)
         if pending:
-            rows = [s.__dict__["_pending"] for s in pending]
             for step, (top, conf) in zip(pending, rows[0].draw_block(rows)):
                 # Concurrent first reads may both draw; they store equal
                 # arrays, and each field is stored before the row is dropped.

@@ -57,12 +57,13 @@ def regime_model(cfg: SessionConfig, regimes, seed: int = 1, **spec_over) -> Lay
 @pytest.fixture
 def draws(monkeypatch) -> list[bytes]:
     """The keys (16-byte digests) of the layer draws ``LayeredModel``s make
-    from here on, in order: drawing one position's row of uniforms re-keys
-    the model's scratch generator exactly once, whether a step draws it
-    alone or ``greedy_path`` or ``path_agreement`` draws it as a row of a
-    block, so ``len(draws)`` counts positions drawn either way. Memo hits,
-    deterministic toy steps and deferred steps whose layers nobody reads
-    make none."""
+    from here on, in order: filling one position's row of uniforms re-keys
+    the model's scratch generator exactly once, whether a step's first
+    layer read fills it or ``path_agreement`` fills it as a row of a block,
+    so ``len(draws)`` counts positions drawn either way. A step fills its
+    row once, however often it is read and whether the model hands it out
+    again from its memo; deterministic toy steps and steps whose layers
+    nobody reads make none."""
     keys: list[bytes] = []
     real = LayeredModel._scratch_rng
 

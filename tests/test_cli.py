@@ -1,9 +1,15 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delsim.cli import main
+from delsim.cli import SESSION_FLAGS, main
 
 
 def write_config(path, L=8, V=32, seed=7, max_new_tokens=64, **extra):
@@ -225,6 +231,10 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "del"], {"run": {"del_per_layer_window": False}},
          "del_per_layer_window"),
         (["run", "--policy", "del", "--del-per-layer-window"], {}, "--del-per-layer-window"),
+        (["run", "--policy", "dv", "--exit-layer", "2", "--dv-step", "nan"], {}, "step"),
+        # a range's ends are checked before it is expanded
+        (["sweep", "--ell", "1..99999999999", "--d", "0,2"], {}, "--ell"),
+        (["sweep", "--ell", "1..2", "--d", "-99999999999..2"], {}, "--d"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
@@ -232,7 +242,8 @@ def test_help_exits_zero(capsys):
          "run-exit-layer-fractional", "model-not-object", "run-prompts-fractional",
          "confidence-beta-zero", "base-process-concentration", "model-horizon-negative",
          "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len",
-         "run-del-per-layer-window", "del-per-layer-window-flag"],
+         "run-del-per-layer-window", "del-per-layer-window-flag", "dv-step-nan", "sweep-ell-range-huge",
+         "sweep-d-range-huge"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)
@@ -241,3 +252,183 @@ def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field
     assert code == 1
     assert field in captured.err
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_nan_entries_are_rejected_naming_the_field(tmp_path, capsys):
+    nan = float("nan")
+    profile = [0.5] * 7 + [1.0]
+    cases = [
+        (["--profile", "nan," + ",".join(map(str, profile[1:]))], {}, "agreement_profile"),
+        ([], {"model": {"kind": "regime_switching",
+                        "regimes": [[4, profile], [4, profile[:3] + [nan] + profile[4:]]]}},
+         "regimes[1] profile"),
+        ([], {"model": {"base_process": {"kind": "table", "probs": [[nan] * 32] * 32}}},
+         "base_process.probs"),
+    ]
+    for flags, extra, field in cases:
+        cfg_file = write_config(tmp_path / "exp.json", **extra)
+        code = main(["run", "--policy", "del", "--config", str(cfg_file),
+                     "--out", str(tmp_path / "x")] + flags)
+        err = capsys.readouterr().err
+        assert code == 1 and field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", [None, "{not json", '{"session": {"V": 32}}'],
+                         ids=["missing", "not-json", "no-session-L"])
+def test_replay_reports_a_missing_or_bad_config_as_a_mismatch(tmp_path, capsys, config):
+    cfg_file = write_config(tmp_path / "exp.json")
+    out = tmp_path / "rr"
+    assert main(["run", "--config", str(cfg_file), "--policy", "vanilla", "--out", str(out)]) == 0
+    path = out / "config.json"
+    if config is None:
+        path.unlink()
+    else:
+        path.write_text(config)
+    assert main(["replay", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "replay mismatch: " in err and str(path) in err and "Traceback" not in err
+
+
+def test_replay_reports_malformed_summary_rows_as_mismatches(tmp_path, capsys):
+    cfg_file = write_config(tmp_path / "exp.json")
+    out = tmp_path / "rr"
+    assert main(["run", "--config", str(cfg_file), "--policy", "vanilla", "--out", str(out)]) == 0
+    summary = out / "summary.csv"
+    lines = summary.read_text().splitlines()
+    # a count that is not an int, and a row cut short
+    first = lines[1].split(",")
+    first[lines[0].split(",").index("tokens_emitted")] = "many"
+    lines[1] = ",".join(first)
+    lines[2] = lines[2].split(",")[0]
+    summary.write_text("\n".join(lines) + "\n")
+    assert main(["replay", "--dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("not a whole summary row") == 2 and "Traceback" not in err
+
+
+def test_oracle_negative_seed_is_usage_error(capsys):
+    assert main(["oracle", "--alpha", "0.5", "--d", "2", "--seed", "-1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+# -- bad input of any kind ---------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+# wrong for most fields: not a number, not finite, fractional, negative, zero,
+# past every bound, or a list where one value is wanted
+BAD_TEXT = ["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2.5", "1e308", "-0.0",
+            "99999999999999999999", "-99999999999999999999", "1,2", "0..3", "3..0",
+            "1..99999999999", "-99999999999..2", "1..2..3", ",,"]
+# the same as config file values, of every JSON type
+BAD_JSON = [None, True, False, "x", "", -1, 0, 1, 2.5, 1e308, NAN, INF, -INF, 2**70, -(2**70),
+            [], {}, [1, 2], {"kind": "x"}, [[1]], "0.5"]
+# fields whose valid values set the work a run does, with the largest value
+# each takes: they take small ints, so that a valid value keeps the run
+# short, or the wrong kinds of value
+SIZE_FIELDS = {"L": 6, "V": 16, "d_max": 8, "max_new_tokens": 8, "prompts": 2, "prompt_len": 8}
+SIZE_FLAGS = {"--L": 6, "--V": 16, "--d-max": 8, "--max-new-tokens": 8, "--prompts": 2,
+              "--prompt-len": 8, "--trials": 200, "--vocab": 4, "--horizon": 2}
+SIZE_TEXT = [t for t in BAD_TEXT if not t.lstrip("-").isdigit()]
+SIZE_JSON = [v for v in BAD_JSON if not (isinstance(v, (int, float)) and abs(v) > 100)]
+PROFILE = [0.3, 0.9, 0.3, 0.3, 0.3, 1.0]
+# malformed model parts: NaN and out-of-range entries, short rows, bad laws
+BAD_MODEL_PARTS = [
+    [0.5, NAN, 0.3, 0.3, 0.3, 1.0], [0.5, 1.5, 0.3, 0.3, 0.3, 1.0], PROFILE[:5], PROFILE[:5] + [0.9],
+    [[4, PROFILE], [4, PROFILE[:2] + [NAN] + PROFILE[3:]]], [[0, PROFILE]], [[2.5, PROFILE]],
+    [[4]], [[4, PROFILE, 1]], {"kind": "table", "probs": [[NAN] * 8] * 8},
+    {"kind": "table", "probs": [[0.5] * 8] * 8}, {"kind": "table", "probs": [[1.0] + [0.0] * 7]},
+    {"kind": "dirichlet", "concentration": NAN}, {"kind": "next_map", "map": [9] * 8},
+    {"kind": "next_map", "map": [1.5] * 8}, {"kind": "uniform"}, {"kind": "shift", "by": NAN},
+    {"dist": "beta", "a": NAN, "b": 1}, {"dist": "beta", "a": INF, "b": 1},
+    {"dist": "fixed", "value": NAN}, {"dist": "fixed", "value": 1.5},
+    {"dist": "uniform", "lo": NAN}, {"dist": "uniform", "lo": 0.9, "hi": 0.1}, {"dist": "x"},
+]
+
+SECTION_KEYS = {
+    "session": ["L", "V", "d_max", "omega", "prefill_window", "max_new_tokens", "decode_mode",
+                "seed", "draft_cap_mode", "alpha_clamp_eps", "default_threshold", "bogus"],
+    "model": ["kind", "base_process", "agreement_profile", "confidence_match",
+              "confidence_mismatch", "regimes", "horizon", "context_hash_window", "bogus"],
+    "run": ["policy", "exit_layer", "gamma", "dv_target_rate", "dv_step", "dv_threshold",
+            "prompts", "prompt_len", "del_per_layer_window", "bogus"],
+}
+MODEL_FLAGS = ["--model-kind", "--profile", "--toy-map"]
+SESSION_FLAG_NAMES = [flag for flag, _, _ in SESSION_FLAGS]
+COMMAND_FLAGS = {
+    "run": SESSION_FLAG_NAMES + MODEL_FLAGS + [
+        "--policy", "--exit-layer", "--gamma", "--dv-target-rate", "--dv-step", "--dv-threshold",
+        "--prompts", "--prompt-len"],
+    "sweep": SESSION_FLAG_NAMES + MODEL_FLAGS + [
+        "--ell", "--d", "--segment-len", "--prompts", "--prompt-len"],
+    "omega-sweep": SESSION_FLAG_NAMES + MODEL_FLAGS + ["--omegas", "--prompts", "--prompt-len"],
+    "oracle": ["--alpha", "--d", "--trials", "--vocab", "--horizon", "--seed"],
+}
+WORDS = ["agreement", "regime_switching", "deterministic_toy", "greedy", "sampling", "algorithm1",
+         "plan_capped", "vanilla", "ls", "fs", "dv", "del"]
+
+
+def _flag_value(command: str, flag: str):
+    # oracle's --d sizes its Monte-Carlo draws; sweep's --d is a range
+    bound = 8 if (command, flag) == ("oracle", "--d") else SIZE_FLAGS.get(flag)
+    if bound is not None:
+        return st.one_of(st.sampled_from(SIZE_TEXT), st.integers(-2, bound).map(str))
+    lists = st.lists(st.sampled_from(["0.5", "1", "0", "nan", "-0.1", "1.5", "inf", "x", "7", ""]),
+                     min_size=1, max_size=8).map(",".join)
+    return st.one_of(st.sampled_from(BAD_TEXT + WORDS), lists,
+                     st.integers(-(2**65), 2**65).map(str))
+
+
+def _config_value(key: str):
+    if key in SIZE_FIELDS:
+        return st.one_of(st.sampled_from(SIZE_JSON), st.integers(-2, SIZE_FIELDS[key]))
+    return st.sampled_from(BAD_JSON + BAD_MODEL_PARTS + WORDS)
+
+
+@st.composite
+def bad_invocations(draw):
+    """A small valid invocation of a command and its config file, with one
+    to three flags or config fields (or whole sections) set to bad values."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    policy = draw(st.sampled_from(["vanilla", "ls", "fs", "dv", "del"]))
+    config = {
+        "session": {"L": 6, "V": 8, "seed": 7, "max_new_tokens": 8, "prefill_window": 4,
+                    "d_max": 4, "decode_mode": draw(st.sampled_from(["greedy", "sampling"]))},
+        "model": {"kind": "agreement", "agreement_profile": list(PROFILE)},
+        "run": {"policy": policy, "exit_layer": 2, "gamma": 2, "prompts": 2, "prompt_len": 4},
+    }
+    argv = {
+        "run": [command],
+        "sweep": [command, "--ell", "1..2", "--d", "0,2"],
+        "omega-sweep": [command, "--omegas", "0.5,1.0"],
+        "oracle": [command, "--alpha", "0.5", "--d", "2", "--trials", "200", "--vocab", "3",
+                   "--horizon", "1"] + draw(st.sampled_from([[], ["--distribution-check"]])),
+    }[command]
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["flag", "field", "section"] if command != "oracle" else ["flag"]))
+        if where == "flag":
+            flag = draw(st.sampled_from(COMMAND_FLAGS[command]))
+            argv += [flag, draw(_flag_value(command, flag))]
+        elif where == "field":
+            section = draw(st.sampled_from(sorted(SECTION_KEYS)))
+            key = draw(st.sampled_from(SECTION_KEYS[section]))
+            if isinstance(config[section], dict):
+                config[section][key] = draw(_config_value(key))
+        else:
+            config[draw(st.sampled_from(sorted(SECTION_KEYS)))] = draw(st.sampled_from(BAD_JSON))
+    return argv, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_invocations())
+def test_bad_flags_and_config_sections_end_in_an_exit_code(invocation):
+    argv, config = invocation
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        if argv[0] != "oracle":
+            path = Path(tmp) / "exp.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path), "--out", str(Path(tmp) / "out")]
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -314,14 +314,16 @@ def test_sampling_mode_skips_losslessness_hook(tmp_path):
 def test_greedy_vanilla_output_is_the_greedy_path(memo):
     from delsim.baselines import VanillaPolicy
     from delsim.harness import run_session, vanilla_reference
+    from delsim.model import LayeredModel, step_memo_capacity
 
     cfg = make_cfg(L=8, V=32, seed=43, max_new_tokens=40)
-    model = build_model(spec_with_profile(profile_with(8, best=2)), cfg, memo=memo)
+    spec = spec_with_profile(profile_with(8, best=2))
+    model = LayeredModel(spec, cfg.L, cfg.V, 5, step_memo_capacity(cfg) if memo else 0)
     for prompt in make_prompts(model, cfg, 3, 10):
-        path = [s.target_token for s in model.greedy_path(prompt, cfg.max_new_tokens)]
+        chain = model.argmax_chain(prompt, cfg.max_new_tokens)
+        path = [model.step(prompt + chain[:k]).target_token for k in range(len(chain))]
         out = run_session(model, VanillaPolicy(cfg), cfg, prompt, 5, False).output
-        assert out == path == vanilla_reference(model, cfg, prompt)
-        assert path == model.argmax_chain(prompt, cfg.max_new_tokens)
+        assert out == path == chain == vanilla_reference(model, cfg, prompt)
 
 
 def test_make_prompts_shared_and_deterministic():
@@ -518,21 +520,22 @@ def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
 
 def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypatch, draws):
     import delsim.harness as harness
+    from delsim.types import LayerStep
 
     cfg = make_cfg(L=8, V=32, seed=13, max_new_tokens=48)
     # a window longer than any context keeps the prompts' contexts apart
     spec = spec_with_profile(profile_with(8, best=2), context_hash_window=256)
     policies = [("vanilla", {}), ("ls", {"exit_layer": 2, "gamma": 4}),
                 ("fs", {"exit_layer": 2, "gamma": 4}), ("dv", {"exit_layer": 2}), ("del", {})]
-    plain = build_model(spec, cfg, memo=False)
-    prompts = make_prompts(plain, cfg, 5, 12)
-    paths = [harness.vanilla_reference(plain, cfg, p) for p in prompts]
-    assert draws == []  # without a memo the reference is the argmax chain alone
+    model = build_model(spec, cfg)
+    prompts = make_prompts(model, cfg, 5, 12)
+    paths = [harness.vanilla_reference(model, cfg, p) for p in prompts]
+    assert draws == []  # the reference is the argmax chain alone
     # the draw keys of each prompt's path positions, in path order
     path_keys = []
     for prompt, path in zip(prompts, paths):
-        steps = plain.greedy_path(prompt, cfg.max_new_tokens)
-        assert [s.target_token for s in steps] == path
+        steps = [model.step(prompt + path[:k]) for k in range(len(path))]
+        LayerStep.draw_pending(steps)
         path_keys.append(draws[-cfg.max_new_tokens:])
     assert len(set(draws)) == len(draws) == len(prompts) * cfg.max_new_tokens
     draws.clear()
@@ -561,7 +564,8 @@ def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypa
     for (kind, i, start), end in zip(phases, ends):
         for key in draws[start:end]:
             drawn_in.setdefault(key, []).append((kind, i))
-    # each path position is drawn once, by its prompt's reference, and no
-    # session draws it again
+    # the references draw nothing, and each path position is drawn at most
+    # once, by a session on its prompt; the memo serves it to the rest
+    assert all(kind == "session" for by in drawn_in.values() for kind, _ in by)
     for i, keys in enumerate(path_keys):
-        assert all(drawn_in[key] == [("reference", i)] for key in keys)
+        assert all(drawn_in.get(key, [("session", i)]) == [("session", i)] for key in keys)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,17 @@ from delsim.model import (
     ModelSpec,
     beta_table,
 )
-from delsim.types import PROB_SUM_TOL
+from delsim.types import PROB_SUM_TOL, LayerStep
+
+
+def path_steps(model, prompt, n):
+    """The ``n`` steps along the greedy path after ``prompt`` (the contexts
+    ``prompt`` plus each prefix of ``argmax_chain(prompt, n)``), drawn in
+    one block."""
+    ctx = list(prompt) + model.argmax_chain(prompt, n)
+    steps = [model.step(ctx[: len(prompt) + k]) for k in range(n)]
+    LayerStep.draw_pending(steps)
+    return steps
 
 
 def distinct_contexts(n, V, length=4):
@@ -217,12 +229,14 @@ def test_wrappers_count_and_cache(draws):
     counting.step([1])
     assert counting.calls == 2
     assert counting.L == cfg.L
-    # the model's own memo computes a repeated context once and hands back
-    # the identical step
+    # the model's own memo hands a repeated context back the identical step,
+    # whose row is filled once
     memo = CallCountingModel(agreement_model(cfg, (0.5,) * 7 + (1.0,), memo_capacity=4))
     first = memo.step([1, 2])
+    first.top_conf
     assert memo.step([1, 2]) is first
-    assert memo.calls == 2
+    memo.step([1, 2]).top_tokens
+    assert memo.calls == 3
     assert len(draws) == 1
 
 
@@ -265,15 +279,15 @@ def test_memo_never_holds_more_than_its_capacity(draws):
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=5)
     contexts = list(distinct_contexts(40, cfg.V))
     for ctx in contexts:
-        model.step(ctx)
+        model.step(ctx).top_conf
         assert len(model._memo) <= 5
     assert len(model._memo) == 5
     assert len(draws) == 40
     # the five most recent contexts are held; the oldest were dropped
     for ctx in contexts[-5:]:
-        model.step(ctx)
+        model.step(ctx).top_conf
     assert len(draws) == 40
-    model.step(contexts[0])
+    model.step(contexts[0]).top_conf
     assert len(draws) == 41
     assert len(model._memo) == 5
 
@@ -301,8 +315,10 @@ def test_memo_is_on_for_greedy_sessions_only(monkeypatch):
     monkeypatch.setattr(harness, "build_model", recording)
     harness.grid_sweep(spec, cfg, [1, 2], [0, 3], 1, 8)
     harness.grid_sweep(spec, cfg.replace(decode_mode=SAMPLING), [1], [2], 1, 8)
+    # a greedy sweep reads its path's agreement flags, never the memo; a
+    # sampling sweep's model has none
     assert len(built) == 2
-    assert all(m._memo is None for m in built)
+    assert len(built[0]._memo) == 0 and built[1]._memo is None
 
 
 @pytest.mark.parametrize("capacity", [0, 16])
@@ -344,6 +360,11 @@ def test_memo_is_safe_under_concurrent_steps():
         try:
             for ctx in contexts[offset:] + contexts[:offset]:
                 got, want = memo.step(ctx), expected[tuple(ctx)]
+                # the memo hands out pending steps: threads race to fill a
+                # shared step's row, one layer or the whole row first
+                ell = 1 + (offset + ctx[0]) % 3
+                if got.layer(ell) != want.layer(ell):
+                    errors.append(f"layer {ell} of {ctx} differs")
                 if not (np.array_equal(got.top_tokens, want.top_tokens)
                         and np.array_equal(got.top_conf, want.top_conf)):
                     errors.append(f"step of {ctx} differs")
@@ -398,10 +419,10 @@ def test_deferred_steps_equal_steps_drawn_at_once(kind, conf, contexts, first_re
             steps[i].exit_row(1 + i % (L - 1))
         else:
             getattr(steps[i], field)
-    # a memoized step is drawn when it is made
-    fresh = LayeredModel(spec, L, V, 3, memo_capacity=len(contexts))
-    for ctx, got in zip(contexts, steps):
-        want = fresh.step(ctx)
+    # a fresh model's steps, drawn in one block
+    wants = [LayeredModel(spec, L, V, 3).step(ctx) for ctx in contexts]
+    LayerStep.draw_pending(wants)
+    for got, want in zip(steps, wants):
         assert got.target_token == want.target_token and got.layer_count == want.layer_count == L
         for name in ("top_tokens", "top_conf", "target"):
             x, y = getattr(got, name), getattr(want, name)
@@ -426,17 +447,33 @@ def test_step_draws_on_the_first_layer_read_only(draws):
         step.top_conf = np.zeros(cfg.L - 1)
 
 
-def test_memoized_steps_are_stored_drawn(draws):
+def test_memoized_steps_are_stored_pending(draws):
     cfg = make_cfg(L=6, V=16)
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=4)
     step = model.step([3, 1, 4])
-    assert len(draws) == 1
+    assert draws == []
     assert list(model._memo.values()) == [step]
-    # the stored step holds its arrays and nothing that reaches the model
-    assert {"top_tokens", "top_conf"} <= set(vars(step))
-    assert not any(callable(v) for v in vars(step).values())
-    step.top_tokens, step.exit_row(3), model.step([3, 1, 4]).top_conf
+    assert not {"top_tokens", "top_conf"} & set(vars(step))
+    # one-layer reads through memo hits fill the stored step's row once
+    hits = [model.step([3, 1, 4]) for _ in range(3)]
+    assert all(hit is step for hit in hits)
+    reads = [hit.layer(1 + k) for k, hit in enumerate(hits)]
     assert len(draws) == 1
+    # and a full read decodes that kept row
+    assert [(int(t), float(c)) for t, c in zip(step.top_tokens, step.top_conf)][:3] == reads
+    model.step([3, 1, 4]).exit_row(5)
+    assert len(draws) == 1
+    # a drawn step keeps its arrays and drops its row, and with it the
+    # reference back to the model
+    assert {"top_tokens", "top_conf"} <= set(vars(step))
+    assert vars(step)["_pending"] is None
+    # a stored step still pending refers back to the model; the cycle
+    # collector frees the model with it
+    model.step([2, 7]).layer(1)
+    ref = weakref.ref(model)
+    del model, step, hits
+    gc.collect()
+    assert ref() is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,7 +489,7 @@ def test_one_layer_reads_equal_the_drawn_arrays(kind, match, mismatch, V, tokens
     spec = ModelSpec(kind=kind, confidence_match=match, confidence_mismatch=mismatch,
                      **KIND_SPECS[kind])
     pending = LayeredModel(spec, L, V, 3)
-    drawn = LayeredModel(spec, L, V, 3, memo_capacity=64)
+    drawn = LayeredModel(spec, L, V, 3)
     # the regime-switching segments (7, 5) switch profiles at context lengths
     # 7 and 12: read positions on both sides of each
     for n in (1, 6, 7, 11, 12, 13, 14):
@@ -493,7 +530,7 @@ def test_one_layer_reads_fill_the_row_once_and_decode_nothing_else(draws, monkey
     assert len(draws) == 1 and len(decodes) == 1
 
 
-# -- greedy paths, drawn a block at a time ----------------------------------------
+# -- greedy paths ------------------------------------------------------------------
 
 
 @settings(max_examples=80, deadline=None)
@@ -514,11 +551,12 @@ def test_greedy_path_steps_equal_steps_along_the_argmax_chain(
                      **KIND_SPECS[kind])
     model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
     chain = model.argmax_chain(prompt, n)
-    # positions stepped first are memo hits for the path, when they are held
+    # positions read one layer first come back as memo hits, when they are
+    # held, with their rows kept
     for k in sorted(stepped):
         if k < n:
-            model.step(prompt + chain[:k]).top_conf
-    steps = model.greedy_path(prompt, n)
+            model.step(prompt + chain[:k]).layer(1 + k % (L - 1))
+    steps = path_steps(model, prompt, n)
     assert len(steps) == n
     plain = LayeredModel(spec, L, V, 3)
     for k, got in enumerate(steps):
@@ -538,9 +576,9 @@ def test_greedy_path_draws_each_position_it_makes_once(draws):
     profile = (0.5,) * 5 + (1.0,)
     model = agreement_model(cfg, profile, memo_capacity=64)
     prompt = [3, 1, 4]
-    model.greedy_path(prompt, 12)
+    path_steps(model, prompt, 12)
     assert len(draws) == 12
-    # a block draws the same keys as stepping the path one position at a time
+    # the block draws the same keys as reading the path one position at a time
     plain = agreement_model(cfg, profile)
     chain = plain.argmax_chain(prompt, 12)
     for k in range(12):
@@ -548,9 +586,9 @@ def test_greedy_path_draws_each_position_it_makes_once(draws):
     assert draws[12:] == draws[:12]
     del draws[12:]
     # memo hits make no draws; positions past them do
-    model.greedy_path(prompt, 12)
+    path_steps(model, prompt, 12)
     assert len(draws) == 12
-    model.greedy_path(prompt, 15)
+    path_steps(model, prompt, 15)
     assert len(draws) == 15
     assert len(set(draws)) == 15
 
@@ -559,14 +597,13 @@ def test_greedy_path_stops_at_the_horizon_as_step_does():
     cfg = make_cfg()
     spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5,) * 7 + (1.0,), horizon=6)
     model = LayeredModel(spec, cfg.L, cfg.V, 1)
-    assert len(model.greedy_path([1, 2], 5)) == 5  # contexts of length 2..6
+    assert len(path_steps(model, [1, 2], 5)) == 5  # contexts of length 2..6
     for ctx, n in (([1, 2], 6), ([1] * 7, 1)):
         with pytest.raises(ConfigError, match="exceeds horizon 6 .model.horizon"):
-            model.greedy_path(ctx, n)
-        with pytest.raises(ConfigError, match="exceeds horizon 6 .model.horizon"):
             model.argmax_chain(ctx, n)
-    assert model.greedy_path([1] * 7, 0) == [] and model.argmax_chain([1] * 7, 0) == []
-
+        with pytest.raises(ConfigError, match="exceeds horizon 6 .model.horizon"):
+            model.step(ctx + [1] * (n - 1))
+    assert model.argmax_chain([1] * 7, 0) == []
 
 
 def _path_spec(kind: str, L: int, window: int) -> ModelSpec:
@@ -604,18 +641,22 @@ def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, 
         spec = dataclasses.replace(spec, horizon=last - (horizon == "one short"))
     model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
     if horizon == "one short":
-        with pytest.raises(ConfigError) as path_error:
-            model.greedy_path(prompt, n)
         with pytest.raises(ConfigError) as flags_error:
             model.path_agreement(prompt, n)
-        assert str(flags_error.value) == str(path_error.value)
+        # the error step raises at the first path context past the horizon
+        ctx = list(prompt) + [0] * (n - 1)
+        with pytest.raises(ConfigError) as step_error:
+            for m in range(len(prompt), len(ctx) + 1):
+                model.step(ctx[:m])
+        assert str(flags_error.value) == str(step_error.value)
         assert "model.horizon" in str(flags_error.value)
         return
     chain, agree = model.path_agreement(prompt, n)
     # it fills no memo (that it reads none shows in the draws test below)
     assert capacity == 0 or len(model._memo) == 0
-    steps = model.greedy_path(prompt, n)
-    assert chain == [s.target_token for s in steps] == model.argmax_chain(prompt, n)
+    assert chain == model.argmax_chain(prompt, n)
+    steps = path_steps(model, prompt, n)
+    assert chain == [s.target_token for s in steps]
     assert agree.dtype == bool and agree.shape == (n, L - 1)
     plain = LayeredModel(spec, L, V, 3)
     for k, step in enumerate(steps):
@@ -632,9 +673,9 @@ def test_path_agreement_draws_the_path_keys_and_skips_the_memo(draws):
     profile = (0.5,) * 5 + (1.0,)
     model = agreement_model(cfg, profile, memo_capacity=64)
     prompt = [3, 1, 4]
-    model.greedy_path(prompt, 12)
+    path_steps(model, prompt, 12)
     assert len(draws) == 12
-    # a full memo serves greedy_path, never path_agreement
+    # a full memo serves step, never path_agreement
     model.path_agreement(prompt, 12)
     assert draws[12:] == draws[:12]
     assert len(model._memo) == 12
@@ -693,7 +734,7 @@ def test_drawn_confidences_follow_their_laws():
                      confidence_mismatch={"dist": "beta", "a": 0.7, "b": 5.0},
                      context_hash_window=4)
     model = LayeredModel(spec, L, V, 29)
-    steps = model.greedy_path([5], 4000)
+    steps = path_steps(model, [5], 4000)
     tops = np.array([s.top_tokens for s in steps])
     conf = np.array([s.top_conf for s in steps])
     agree = tops == np.array([s.target_token for s in steps])[:, None]
@@ -720,7 +761,7 @@ def test_off_target_tokens_are_uniform_over_the_other_tokens():
     spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.0,) * 5 + (1.0,), context_hash_window=4)
     model = LayeredModel(spec, L, V, 31)
     # one path, so that no two positions share a draw key
-    steps = model.greedy_path([3], 6000)
+    steps = path_steps(model, [3], 6000)
     tops = np.array([s.top_tokens for s in steps])
     targets = np.array([s.target_token for s in steps])[:, None]
     assert np.all(tops != targets)
@@ -746,7 +787,7 @@ def test_confidence_tables_are_shared_and_read_only():
     floor = 1.0 / cfg.V + 1e-9
     assert a._conf_table.min() == floor
     assert np.all(a._conf_table[TABLE_SIZE + 1:] == floor)
-    steps = a.greedy_path([1], 50)
+    steps = path_steps(a, [1], 50)
     conf = np.array([s.top_conf for s in steps])
     assert conf.min() >= floor and conf.max() <= 0.5
 
@@ -761,6 +802,7 @@ def test_importing_and_building_models_leaves_scipy_unloaded():
 import sys
 import delsim
 from delsim.model import LayeredModel, ModelSpec
+from delsim.types import LayerStep
 beta = {"dist": "beta", "a": 0.5, "b": 3.0}
 specs = [
     ModelSpec(kind="agreement", agreement_profile=(0.5, 0.5, 1.0), confidence_mismatch=beta),
@@ -770,7 +812,8 @@ specs = [
 ]
 for spec in specs:
     model = LayeredModel(spec, 3, 8, 1)
-    model.greedy_path([1, 2], 5)
+    chain = model.argmax_chain([1, 2], 5)
+    LayerStep.draw_pending([model.step([1, 2] + chain[:k]) for k in range(5)])
     model.step([3]).top_conf
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
