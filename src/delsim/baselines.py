@@ -4,93 +4,57 @@ confidence-feedback draft-and-verify variant."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import ConfigError, SessionConfig, as_int
 from .engine import DraftPlan, RoundOutcome
 
 
-def vanilla_plan() -> DraftPlan:
+class Policy:
+    """The shape every policy shares, ``del``'s controller included: ``plan``
+    is the plan of the next round, which ``init(model, prompt)`` and
+    ``observe(outcome)`` return, and ``alpha_snapshot`` and ``u_r`` are the
+    trace fields of the last update (None for a baseline). This base keeps
+    one fixed plan."""
+
+    alpha_snapshot = None
+    u_r = None
+
+    def __init__(self, cfg: SessionConfig, plan: DraftPlan):
+        self.cfg = cfg
+        self.plan = plan
+
+    def init(self, model, prompt) -> DraftPlan:
+        return self.plan
+
+    def observe(self, outcome: RoundOutcome) -> DraftPlan:
+        return self.plan
+
+
+class VanillaPolicy(Policy):
     """Plain auto-regressive decoding: one target step per round."""
-    return DraftPlan(exit_layer=1, threshold=0.0, planned_len=0, draft_bound=0)
 
-
-def ls_plan(exit_layer: int, gamma: int, L: int, d_max: int) -> DraftPlan:
-    """Static plan: fixed exit layer, fixed speculation length, never stops early."""
-    if not 1 <= exit_layer < L:
-        raise ConfigError(f"exit_layer must lie in [1, {L}), got {exit_layer}")
-    if not 0 <= gamma <= d_max:
-        raise ConfigError(f"gamma out of [0, {d_max}]: {gamma}")
-    return DraftPlan(exit_layer=exit_layer, threshold=0.0, planned_len=gamma, draft_bound=gamma)
-
-
-@dataclass(frozen=True)
-class FsState:
-    gamma_current: int
-
-
-def fs_update(state: FsState, outcome: RoundOutcome, d_max: int) -> FsState:
-    """Finite-state rule: +1 on a fully accepted round, -1 on any rejection,
-    clamped into [1, d_max]."""
-    if outcome.accepted_count >= len(outcome.drafted):
-        return FsState(min(state.gamma_current + 1, d_max))
-    return FsState(max(state.gamma_current - 1, 1))
-
-
-@dataclass(frozen=True)
-class DvState:
-    threshold: float
-    target_rate: float
-    step: float
-
-
-def dv_update(state: DvState, outcome: RoundOutcome) -> DvState:
-    """Confidence-feedback rule: lower the draft threshold when the observed
-    acceptance rate beats the target (draft more boldly), raise it otherwise.
-    Rounds that drafted nothing carry no signal."""
-    g = len(outcome.drafted)
-    if g == 0:
-        return state
-    rate = outcome.accepted_count / g
-    if rate > state.target_rate:
-        return DvState(max(0.0, state.threshold - state.step), state.target_rate, state.step)
-    return DvState(min(1.0, state.threshold + state.step), state.target_rate, state.step)
-
-
-class VanillaPolicy:
     name = "vanilla"
 
     def __init__(self, cfg: SessionConfig):
-        self.cfg = cfg
-
-    def init(self, model, prompt) -> DraftPlan:
-        return vanilla_plan()
-
-    def observe(self, outcome: RoundOutcome) -> DraftPlan:
-        return vanilla_plan()
-
-    def trace_fields(self) -> dict:
-        return {"alpha_snapshot": None, "u_r": None}
+        super().__init__(cfg, DraftPlan(exit_layer=1, threshold=0.0, planned_len=0, draft_bound=0))
 
 
-class LsPolicy:
+class LsPolicy(Policy):
+    """Static plan: fixed exit layer, fixed speculation length, never stops early."""
+
     name = "ls"
 
     def __init__(self, cfg: SessionConfig, exit_layer: int, gamma: int):
-        self.cfg = cfg
-        self.plan = ls_plan(exit_layer, gamma, cfg.L, cfg.d_max)
-
-    def init(self, model, prompt) -> DraftPlan:
-        return self.plan
-
-    def observe(self, outcome: RoundOutcome) -> DraftPlan:
-        return self.plan
-
-    def trace_fields(self) -> dict:
-        return {"alpha_snapshot": None, "u_r": None}
+        if not 1 <= exit_layer < cfg.L:
+            raise ConfigError(f"exit_layer must lie in [1, {cfg.L}), got {exit_layer}")
+        if not 0 <= gamma <= cfg.d_max:
+            raise ConfigError(f"gamma out of [0, {cfg.d_max}]: {gamma}")
+        super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma, gamma))
 
 
-class FsPolicy:
+class FsPolicy(Policy):
+    """Finite-state length rule: +1 on a fully accepted round, -1 on any
+    rejection, clamped into [1, d_max]."""
+
     name = "fs"
 
     def __init__(self, cfg: SessionConfig, exit_layer: int, gamma: int):
@@ -98,30 +62,24 @@ class FsPolicy:
             raise ConfigError(f"exit_layer must lie in [1, {cfg.L}), got {exit_layer}")
         if not 1 <= gamma <= cfg.d_max:
             raise ConfigError(f"gamma out of [1, {cfg.d_max}]: {gamma}")
-        self.cfg = cfg
-        self.exit_layer = exit_layer
-        self.state = FsState(gamma)
-
-    def _plan(self) -> DraftPlan:
-        return DraftPlan(
-            exit_layer=self.exit_layer,
-            threshold=0.0,
-            planned_len=self.state.gamma_current,
-            draft_bound=self.state.gamma_current,
-        )
-
-    def init(self, model, prompt) -> DraftPlan:
-        return self._plan()
+        super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma, gamma))
 
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
-        self.state = fs_update(self.state, outcome, self.cfg.d_max)
-        return self._plan()
+        gamma = self.plan.planned_len
+        if outcome.accepted_count >= len(outcome.drafted):
+            gamma = min(gamma + 1, self.cfg.d_max)
+        else:
+            gamma = max(gamma - 1, 1)
+        self.plan = DraftPlan(self.plan.exit_layer, 0.0, gamma, gamma)
+        return self.plan
 
-    def trace_fields(self) -> dict:
-        return {"alpha_snapshot": None, "u_r": None}
 
+class DvPolicy(Policy):
+    """Confidence-feedback rule: lower the draft threshold by ``step`` when a
+    round's acceptance rate beats ``target_rate`` (draft more boldly), raise
+    it otherwise, within [0, 1]. Rounds that drafted nothing carry no
+    signal."""
 
-class DvPolicy:
     name = "dv"
 
     # target/step/threshold defaults are a declared stand-in: the feedback law
@@ -142,27 +100,21 @@ class DvPolicy:
             raise ConfigError(f"target_rate out of [0,1]: {target_rate}")
         if not step > 0.0:
             raise ConfigError(f"step must be > 0, got {step}")
-        self.cfg = cfg
-        self.exit_layer = exit_layer
-        self.state = DvState(threshold, target_rate, step)
-
-    def _plan(self) -> DraftPlan:
-        return DraftPlan(
-            exit_layer=self.exit_layer,
-            threshold=self.state.threshold,
-            planned_len=self.cfg.d_max,
-            draft_bound=self.cfg.d_max,
-        )
-
-    def init(self, model, prompt) -> DraftPlan:
-        return self._plan()
+        super().__init__(cfg, DraftPlan(exit_layer, threshold, cfg.d_max, cfg.d_max))
+        self.target_rate = target_rate
+        self.step = step
 
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
-        self.state = dv_update(self.state, outcome)
-        return self._plan()
-
-    def trace_fields(self) -> dict:
-        return {"alpha_snapshot": None, "u_r": None}
+        g = len(outcome.drafted)
+        if g == 0:
+            return self.plan
+        p = self.plan
+        if outcome.accepted_count / g > self.target_rate:
+            threshold = max(0.0, p.threshold - self.step)
+        else:
+            threshold = min(1.0, p.threshold + self.step)
+        self.plan = DraftPlan(p.exit_layer, threshold, p.planned_len, p.draft_bound)
+        return self.plan
 
 
 def make_policy(name: str, cfg: SessionConfig, **params):
@@ -192,15 +144,18 @@ def make_policy(name: str, cfg: SessionConfig, **params):
 def _param(params: dict, field: str, policy: str, typ, default=None):
     """``params[field]`` converted by ``typ``; absent means ``default``, and
     a field without a default is required. An int field takes only exact
-    integers."""
+    integers, and no field takes a bool."""
     val = params.get(field)
     if val is None:
         if default is None:
             raise ConfigError(f"{field} is required for policy {policy!r}")
         return default
+    what = f"{field} for policy {policy!r}"
     if typ is int:
-        return as_int(val, f"{field} for policy {policy!r}")
+        return as_int(val, what)
+    if isinstance(val, bool):
+        raise ConfigError(f"{what} must be {typ.__name__}, got {val!r}")
     try:
         return typ(val)
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"{field} for policy {policy!r} must be {typ.__name__}, got {val!r}") from e
+        raise ConfigError(f"{what} must be {typ.__name__}, got {val!r}") from e

@@ -59,35 +59,40 @@ def _is_number(x: Any) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_int(x: Any) -> bool:
+    # a JSON true or false is a bool, which Python counts as an int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_int(val: Any, what: str) -> int:
     """``val`` as an int; a value that is not an exact integer (2.7, "two",
-    inf, a list) raises ConfigError naming ``what``."""
+    inf, a list, true) raises ConfigError naming ``what``."""
     try:
         out = int(val)
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"{what} must be an integer, got {val!r}") from e
-    if isinstance(val, numbers.Real) and out != val:
+    if isinstance(val, bool) or isinstance(val, numbers.Real) and out != val:
         raise ConfigError(f"{what} must be an integer, got {val!r}")
     return out
 
 
 def validate_config(cfg: SessionConfig) -> SessionConfig:
     """Return cfg unchanged if valid, else raise naming the first bad field."""
-    if not isinstance(cfg.L, int) or cfg.L < 2:
+    if not _is_int(cfg.L) or cfg.L < 2:
         raise ConfigError(f"L must be an integer >= 2, got {cfg.L!r}")
-    if not isinstance(cfg.V, int) or cfg.V < 2:
+    if not _is_int(cfg.V) or cfg.V < 2:
         raise ConfigError(f"V must be an integer >= 2, got {cfg.V!r}")
-    if not isinstance(cfg.d_max, int) or cfg.d_max < 0:
+    if not _is_int(cfg.d_max) or cfg.d_max < 0:
         raise ConfigError(f"d_max must be an integer >= 0, got {cfg.d_max!r}")
     if not _is_number(cfg.omega) or not 0.0 <= cfg.omega <= 1.0:
         raise ConfigError(f"omega out of [0,1]: {cfg.omega!r}")
-    if not isinstance(cfg.prefill_window, int) or cfg.prefill_window < 1:
+    if not _is_int(cfg.prefill_window) or cfg.prefill_window < 1:
         raise ConfigError(f"prefill_window must be an integer >= 1, got {cfg.prefill_window!r}")
-    if not isinstance(cfg.max_new_tokens, int) or cfg.max_new_tokens < 1:
+    if not _is_int(cfg.max_new_tokens) or cfg.max_new_tokens < 1:
         raise ConfigError(f"max_new_tokens must be an integer >= 1, got {cfg.max_new_tokens!r}")
     if cfg.decode_mode not in DECODE_MODES:
         raise ConfigError(f"decode_mode must be one of {DECODE_MODES}, got {cfg.decode_mode!r}")
-    if not isinstance(cfg.seed, int) or not -(2**63) <= cfg.seed < 2**64:
+    if not _is_int(cfg.seed) or not -(2**63) <= cfg.seed < 2**64:
         raise ConfigError(f"seed must be a 64-bit integer, got {cfg.seed!r}")
     if cfg.draft_cap_mode not in CAP_MODES:
         raise ConfigError(f"draft_cap_mode must be one of {CAP_MODES}, got {cfg.draft_cap_mode!r}")

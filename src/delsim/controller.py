@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .baselines import Policy
 from .config import CAP_ALGORITHM1, SessionConfig
 from .engine import DraftPlan, RoundOutcome
 from .types import LayerStep, TokenId
@@ -92,29 +93,24 @@ def _first_mismatch(mismatch_row: np.ndarray) -> int:
     return int(mismatch_row.size - 1)
 
 
-def round_stats(sm: ShadowMatrix, exit_layer: int) -> RoundStats:
+def round_stats(sm: ShadowMatrix, exit_layer: int | None) -> RoundStats:
     """Window statistics for one round, windowed by the exit layer's first
-    shadow mismatch."""
-    n_exit = sm.tokens.shape[0]
-    if not 1 <= exit_layer <= n_exit:
-        raise ValueError(f"exit_layer must lie in [1, {n_exit + 1}), got {exit_layer}")
+    shadow mismatch; with ``exit_layer`` None (the prefill pseudo-round)
+    every position counts, u = width - 1."""
     matches = sm.tokens == sm.target_tokens[None, :]
-    u = _first_mismatch(~matches[exit_layer - 1])
+    if exit_layer is None:
+        u = sm.width - 1
+    else:
+        n_exit = sm.tokens.shape[0]
+        if not 1 <= exit_layer <= n_exit:
+            raise ValueError(f"exit_layer must lie in [1, {n_exit + 1}), got {exit_layer}")
+        u = _first_mismatch(~matches[exit_layer - 1])
     mask = (np.arange(sm.width) <= u)[None, :]
     in_window = matches & mask
     c = in_window.sum(axis=1).astype(np.float64)
     tcs = (sm.confidences * in_window).sum(axis=1)
     fcs = (sm.confidences * (~matches & mask)).sum(axis=1)
     return RoundStats(u_r=u, c=c, tcs=tcs, fcs=fcs)
-
-
-def prefill_round_stats(sm: ShadowMatrix) -> RoundStats:
-    """Pseudo-round over a prompt window: all positions count, u = width - 1."""
-    matches = sm.tokens == sm.target_tokens[None, :]
-    c = matches.sum(axis=1).astype(np.float64)
-    tcs = (sm.confidences * matches).sum(axis=1)
-    fcs = (sm.confidences * ~matches).sum(axis=1)
-    return RoundStats(u_r=sm.width - 1, c=c, tcs=tcs, fcs=fcs)
 
 
 def push(stats: DecayedStats, rs: RoundStats, omega: float) -> DecayedStats:
@@ -129,22 +125,14 @@ def push(stats: DecayedStats, rs: RoundStats, omega: float) -> DecayedStats:
     )
 
 
-def estimate_alpha(
-    stats: DecayedStats,
-    eps: float,
-    fallback: np.ndarray | None = None,
-) -> np.ndarray:
+def estimate_alpha(stats: DecayedStats, eps: float) -> np.ndarray:
     """Per-layer acceptance-rate estimate: decayed matches over decayed window
     indices, clamped into [eps, 1].
 
     When the window-index sum is zero (every round so far had u_r = 0) the
-    decayed round count is used as denominator instead; with no data at all
-    the fallback (e.g. the prefill-seeded estimate) is returned.
+    decayed round count is used as denominator instead. The stats must hold
+    at least one round, as they do from the prefill pseudo-round on.
     """
-    if stats.scnt <= 0.0:
-        if fallback is not None:
-            return np.asarray(fallback, dtype=np.float64)
-        return np.full_like(stats.sc, eps)
     denom = stats.su if stats.su > 0.0 else stats.scnt
     return _clamp(stats.sc / denom, eps)
 
@@ -249,8 +237,9 @@ def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):
 
     Computes LayerSteps over the last min(prefill_window, len(prompt)) prompt
     positions, folds them in as one pseudo-round, and derives the initial
-    thresholds and plan. Prefill cost is not charged to any ledger: it falls
-    outside the generation cost window and is shared by every method.
+    thresholds, acceptance estimate and plan. Prefill cost is not charged to
+    any ledger: it falls outside the generation cost window and is shared by
+    every method.
     """
     if len(prompt) == 0:
         raise ValueError("prompt must be non-empty")
@@ -258,70 +247,44 @@ def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):
     start = len(prompt) - window + 1
     steps = [model.step(list(prompt[:k])) for k in range(start, len(prompt) + 1)]
     sm = shadow_tokens(steps)
-    stats = push(zero_stats(cfg.L - 1), prefill_round_stats(sm), cfg.omega)
+    stats = push(zero_stats(cfg.L - 1), round_stats(sm, None), cfg.omega)
     thresholds = update_threshold(stats, cfg)
-    plan = select_plan(estimate_alpha(stats, cfg.alpha_clamp_eps), thresholds, cfg)
-    return stats, thresholds, plan
+    alpha = estimate_alpha(stats, cfg.alpha_clamp_eps)
+    return stats, thresholds, alpha, select_plan(alpha, thresholds, cfg)
 
 
-def del_update(
-    outcome: RoundOutcome,
-    stats: DecayedStats,
-    cfg: SessionConfig,
-    fallback_alpha: np.ndarray | None = None,
-):
-    """Fold one round's outcome into the statistics and produce the next plan.
+class DelController(Policy):
+    """The dynamic policy. Its ``alpha_snapshot`` (a list) and ``u_r`` are
+    the acceptance estimate and window of the last update.
 
-    Composes shadow_tokens -> round_stats -> push -> estimate_alpha ->
-    threshold update -> plan selection, using only the LayerSteps the round
-    already produced. The returned plan carries the freshly updated threshold
-    of its exit layer.
-    """
-    sm = shadow_tokens(outcome.steps)
-    rs = round_stats(sm, outcome.exit_layer_used)
-    stats = push(stats, rs, cfg.omega)
-    alpha = estimate_alpha(stats, cfg.alpha_clamp_eps, fallback_alpha)
-    thresholds = update_threshold(stats, cfg)
-    plan = select_plan(alpha, thresholds, cfg)
-    aux = {"alpha": alpha, "thresholds": thresholds, "u_r": int(rs.u_r)}
-    return plan, stats, aux
-
-
-class DelController:
-    """Stateful policy wrapper around the update pipeline.
-
-    Interface shared with the baselines: ``init(model, prompt)`` returns the
-    first plan, ``observe(outcome)`` returns the next one.
+    ``observe`` composes shadow_tokens -> round_stats -> push ->
+    estimate_alpha -> threshold update -> plan selection, using only the
+    LayerSteps the round already produced. The plan carries the freshly
+    updated threshold of its exit layer.
     """
 
     name = "del"
 
     def __init__(self, cfg: SessionConfig):
-        self.cfg = cfg
+        super().__init__(cfg, None)
         self.stats: DecayedStats | None = None
         self.thresholds: np.ndarray | None = None
-        self._prefill_alpha: np.ndarray | None = None
-        self._last_alpha: np.ndarray | None = None
-        self._last_u: int | None = None
 
     def init(self, model, prompt: Sequence[TokenId]) -> DraftPlan:
-        stats, thresholds, plan = prefill_init(model, prompt, self.cfg)
-        self.stats = stats
-        self.thresholds = thresholds
-        self._prefill_alpha = estimate_alpha(stats, self.cfg.alpha_clamp_eps)
-        self._last_alpha = self._prefill_alpha
-        self._last_u = None
-        return plan
+        self.stats, self.thresholds, alpha, self.plan = prefill_init(model, prompt, self.cfg)
+        self.alpha_snapshot = alpha.tolist()
+        self.u_r = None
+        return self.plan
 
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
         if self.stats is None:
             raise RuntimeError("init must be called before observe")
-        plan, self.stats, aux = del_update(outcome, self.stats, self.cfg, self._prefill_alpha)
-        self.thresholds = aux["thresholds"]
-        self._last_alpha = aux["alpha"]
-        self._last_u = aux["u_r"]
-        return plan
-
-    def trace_fields(self) -> dict:
-        alpha = None if self._last_alpha is None else self._last_alpha.tolist()
-        return {"alpha_snapshot": alpha, "u_r": self._last_u}
+        cfg = self.cfg
+        rs = round_stats(shadow_tokens(outcome.steps), outcome.exit_layer_used)
+        self.stats = push(self.stats, rs, cfg.omega)
+        alpha = estimate_alpha(self.stats, cfg.alpha_clamp_eps)
+        self.thresholds = update_threshold(self.stats, cfg)
+        self.plan = select_plan(alpha, self.thresholds, cfg)
+        self.alpha_snapshot = alpha.tolist()
+        self.u_r = rs.u_r
+        return self.plan

@@ -57,7 +57,6 @@ def run_session(
         out.extend(outcome.emitted)
         next_plan = policy.observe(outcome)
         if collect_trace:
-            extra = policy.trace_fields()
             records.append(
                 {
                     "round": rounds,
@@ -68,8 +67,8 @@ def run_session(
                     "emitted_len": len(outcome.emitted),
                     "layers_loaded": outcome.layers_loaded,
                     "tau": plan.threshold,
-                    "alpha_snapshot": extra.get("alpha_snapshot"),
-                    "u_r": extra.get("u_r"),
+                    "alpha_snapshot": policy.alpha_snapshot,
+                    "u_r": policy.u_r,
                 }
             )
         plan = next_plan
@@ -512,7 +511,8 @@ def mc_expected_tokens(alpha: float, d: int, trials: int, seed: int = 0) -> floa
         return 1.0
     rng = np.random.default_rng(seed)
     total = 0
-    chunk = 250_000
+    # blocks of ~250,000 floats; they split one stream, so their size changes no draw
+    chunk = max(1, 250_000 // d)
     done = 0
     while done < trials:
         n = min(chunk, trials - done)

@@ -44,10 +44,10 @@ class LayerStep:
 
     Exit layer ``ell`` (1 <= ell < L) puts probability ``top_conf[ell - 1]``
     on token ``top_tokens[ell - 1]`` and spreads the remainder uniformly over
-    the other V - 1 tokens; ``layer(ell)`` reads that pair and ``exit_row``
-    rebuilds that distribution. Layer L is the full model: ``target`` is its
-    distribution and ``target_token`` its argmax. The arrays are read-only
-    and the step is immutable.
+    the other V - 1 tokens; ``layer(ell)`` reads that pair and
+    ``exit_distribution`` rebuilds that distribution from it. Layer L is the
+    full model: ``target`` is its distribution and ``target_token`` its
+    argmax. The arrays are read-only and the step is immutable.
 
     ``target`` and ``target_token`` are set when the step is made. The
     per-layer fields come from the position's keyed row of 3(L-1) uniforms
@@ -143,10 +143,6 @@ class LayerStep:
         if pending is not None:
             return pending.layer(ell)
         return d["top_tokens"].item(ell - 1), d["top_conf"].item(ell - 1)
-
-    def exit_row(self, ell: int) -> np.ndarray:
-        """The full next-token distribution read after exit layer ``ell``."""
-        return exit_distribution(*self.layer(ell), self.target.size)
 
 
 def exit_distribution(token: TokenId, conf: float, size: int) -> np.ndarray:

@@ -2,19 +2,7 @@ import numpy as np
 import pytest
 from conftest import agreement_model, make_cfg, toy_model
 
-from delsim.baselines import (
-    DvPolicy,
-    DvState,
-    FsPolicy,
-    FsState,
-    LsPolicy,
-    VanillaPolicy,
-    dv_update,
-    fs_update,
-    ls_plan,
-    make_policy,
-    vanilla_plan,
-)
+from delsim.baselines import DvPolicy, FsPolicy, LsPolicy, VanillaPolicy, make_policy
 from delsim.config import ConfigError
 from delsim.engine import RoundOutcome
 from delsim.harness import compute_etpl, run_session
@@ -34,8 +22,9 @@ def outcome_with(drafted: int, accepted: int) -> RoundOutcome:
 # -- vanilla -----------------------------------------------------------------
 
 def test_vanilla_plan_is_a_single_target_step():
-    plan = vanilla_plan()
-    assert plan.planned_len == plan.draft_bound == 0
+    policy = VanillaPolicy(make_cfg())
+    for plan in (policy.init(None, [1]), policy.observe(outcome_with(0, 0))):
+        assert plan.planned_len == plan.draft_bound == 0
 
 
 def test_vanilla_etpl_is_one_over_L():
@@ -72,25 +61,32 @@ def test_ls_gamma_zero_equals_vanilla():
 
 
 def test_ls_plan_bounds():
+    cfg = make_cfg(L=8, d_max=18)
     with pytest.raises(ConfigError):
-        ls_plan(8, 2, L=8, d_max=18)
+        LsPolicy(cfg, 8, 2)
     with pytest.raises(ConfigError):
-        ls_plan(2, 19, L=8, d_max=18)
+        LsPolicy(cfg, 2, 19)
 
 
 # -- finite-state length controller --------------------------------------------
 
+def fs_gamma_after(gamma: int, outcome: RoundOutcome, d_max: int) -> int:
+    plan = FsPolicy(make_cfg(L=8, d_max=d_max), 2, gamma).observe(outcome)
+    assert plan.planned_len == plan.draft_bound
+    return plan.planned_len
+
+
 def test_fs_increments_on_full_acceptance():
-    assert fs_update(FsState(6), outcome_with(6, 6), d_max=18).gamma_current == 7
+    assert fs_gamma_after(6, outcome_with(6, 6), d_max=18) == 7
 
 
 def test_fs_decrements_on_any_rejection():
-    assert fs_update(FsState(6), outcome_with(6, 3), d_max=18).gamma_current == 5
+    assert fs_gamma_after(6, outcome_with(6, 3), d_max=18) == 5
 
 
 def test_fs_bounds():
-    assert fs_update(FsState(1), outcome_with(1, 0), d_max=18).gamma_current == 1
-    assert fs_update(FsState(18), outcome_with(18, 18), d_max=18).gamma_current == 18
+    assert fs_gamma_after(1, outcome_with(1, 0), d_max=18) == 1
+    assert fs_gamma_after(18, outcome_with(18, 18), d_max=18) == 18
 
 
 def test_fs_trajectory_stays_in_bounds():
@@ -105,24 +101,28 @@ def test_fs_trajectory_stays_in_bounds():
 
 # -- confidence-feedback controller ----------------------------------------------
 
+def dv_policy(threshold: float, target_rate: float, step: float) -> DvPolicy:
+    return DvPolicy(make_cfg(L=8), 2, target_rate=target_rate, step=step, threshold=threshold)
+
+
 def test_dv_threshold_moves_toward_target():
-    st = DvState(threshold=0.5, target_rate=0.9, step=0.01)
-    up = dv_update(st, outcome_with(4, 4))  # rate 1.0 > target: draft more boldly
-    assert up.threshold == pytest.approx(0.49)
-    down = dv_update(st, outcome_with(4, 2))  # rate 0.5 <= target
-    assert down.threshold == pytest.approx(0.51)
+    up = dv_policy(threshold=0.5, target_rate=0.9, step=0.01).observe(outcome_with(4, 4))
+    assert up.threshold == pytest.approx(0.49)  # rate 1.0 > target: draft more boldly
+    down = dv_policy(threshold=0.5, target_rate=0.9, step=0.01).observe(outcome_with(4, 2))
+    assert down.threshold == pytest.approx(0.51)  # rate 0.5 <= target
 
 
 def test_dv_no_draft_no_signal():
-    st = DvState(threshold=0.5, target_rate=0.9, step=0.01)
-    assert dv_update(st, outcome_with(0, 0)) == st
+    policy = dv_policy(threshold=0.5, target_rate=0.9, step=0.01)
+    before = policy.init(None, [1])
+    assert policy.observe(outcome_with(0, 0)) == before
 
 
 def test_dv_threshold_clamped_to_unit_interval():
-    st = DvState(threshold=0.004, target_rate=0.5, step=0.01)
-    assert dv_update(st, outcome_with(2, 2)).threshold == 0.0
-    st = DvState(threshold=0.997, target_rate=0.99, step=0.01)
-    assert dv_update(st, outcome_with(2, 1)).threshold == 1.0
+    policy = dv_policy(threshold=0.004, target_rate=0.5, step=0.01)
+    assert policy.observe(outcome_with(2, 2)).threshold == 0.0
+    policy = dv_policy(threshold=0.997, target_rate=0.99, step=0.01)
+    assert policy.observe(outcome_with(2, 1)).threshold == 1.0
 
 
 def test_dv_long_run_acceptance_tracks_target():

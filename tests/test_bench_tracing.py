@@ -1,0 +1,68 @@
+"""The traced benchmark (bench/tracing.py) wraps each policy class's
+``init``/``observe`` by name and the controller's stages as module
+attributes. These tests install that wrapping, unedited, over short sessions
+of every policy: a class that inherited a wrapped method from another wrapped
+class would be wrapped twice, and a stage called other than through its
+module attribute would go unseen."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+from conftest import agreement_model, make_cfg, profile_with
+
+from delsim import baselines, controller, harness
+from delsim.baselines import make_policy
+
+ROOT = Path(__file__).resolve().parents[1]
+METHOD_SPANS = ["baselines.init", "baselines.observe", "controller.init", "controller.observe"]
+STAGES = ("shadow_tokens", "round_stats", "push", "estimate_alpha", "update_threshold", "select_plan")
+POLICIES = [
+    ("vanilla", {}, "baselines"),
+    ("ls", {"exit_layer": 2, "gamma": 3}, "baselines"),
+    ("fs", {"exit_layer": 2, "gamma": 3}, "baselines"),
+    ("dv", {"exit_layer": 2}, "baselines"),
+    ("del", {}, "controller"),
+]
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_sees_one_policy_update_span_per_round_and_every_stage():
+    tracer = load_tracing().Tracer()
+    cfg = make_cfg(L=8, V=32, max_new_tokens=24)
+    model = agreement_model(cfg, profile_with(8, best=2))
+    prompt = model.sample_prompt(8, np.random.default_rng(0))
+    classes = (baselines.VanillaPolicy, baselines.LsPolicy, baselines.FsPolicy, baselines.DvPolicy,
+               controller.DelController)
+    tracer.install()
+    try:
+        for name, params, module in POLICIES:
+            first = len(tracer.name)
+            res = harness.run_session(model, make_policy(name, cfg, **params), cfg, prompt, 1)
+            # copies: a view of the tracer's buffers would stop it appending
+            nid, parent = [np.array(a) for a in tracer.arrays()[:2]]
+            span_names = np.array(tracer.names)[nid]
+            names = span_names[first:]
+            parents = np.where(parent >= 0, span_names[np.maximum(parent, 0)], "")[first:]
+            assert np.sum(names == f"{module}.init") == 1, name
+            assert np.sum(names == f"{module}.observe") == res.rounds, name
+            # a method wrapped twice shows as a span nested in one of its own name
+            assert not np.any((names == parents) & np.isin(names, METHOD_SPANS)), name
+            for stage in STAGES:
+                in_update = (names == f"controller.{stage}") & (parents == "controller.observe")
+                assert np.sum(in_update) == (res.rounds if name == "del" else 0), (name, stage)
+    finally:
+        tracer.restore()
+    for cls in classes:
+        for method in ("init", "observe"):
+            assert not hasattr(getattr(cls, method), "__wrapped__")
+    for stage in STAGES:
+        assert not hasattr(getattr(controller, stage), "__wrapped__")

@@ -235,6 +235,23 @@ def test_help_exits_zero(capsys):
         # a range's ends are checked before it is expanded
         (["sweep", "--ell", "1..99999999999", "--d", "0,2"], {}, "--ell"),
         (["sweep", "--ell", "1..2", "--d", "-99999999999..2"], {}, "--d"),
+        # a JSON true is a bool, which Python counts as the int 1
+        (["run", "--policy", "del"], {"session": {"max_new_tokens": True}}, "max_new_tokens"),
+        (["run", "--policy", "del"], {"session": {"d_max": True}}, "d_max"),
+        (["run", "--policy", "del"], {"session": {"prefill_window": True}}, "prefill_window"),
+        (["run", "--policy", "del"], {"run": {"prompts": True}}, "run.prompts"),
+        (["run", "--policy", "del"], {"run": {"prompt_len": True}}, "run.prompt_len"),
+        (["run", "--policy", "del"], {"model": {"context_hash_window": True}}, "context_hash_window"),
+        (["run", "--policy", "del"],
+         {"model": {"kind": "regime_switching", "agreement_profile": None,
+                    "regimes": [[True, [0.5] * 7 + [1.0]], [4, [0.5] * 7 + [1.0]]]}},
+         "segment length"),
+        (["run", "--policy", "del"],
+         {"model": {"kind": "deterministic_toy", "base_process": {"kind": "shift", "by": True}}},
+         "base_process.by"),
+        (["run"], {"run": {"policy": "ls", "exit_layer": True, "gamma": 2}}, "exit_layer"),
+        (["run"], {"run": {"policy": "fs", "exit_layer": 2, "gamma": True}}, "gamma"),
+        (["run"], {"run": {"policy": "dv", "exit_layer": 2, "dv_threshold": True}}, "threshold"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
@@ -243,7 +260,10 @@ def test_help_exits_zero(capsys):
          "confidence-beta-zero", "base-process-concentration", "model-horizon-negative",
          "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len",
          "run-del-per-layer-window", "del-per-layer-window-flag", "dv-step-nan", "sweep-ell-range-huge",
-         "sweep-d-range-huge"],
+         "sweep-d-range-huge", "session-max-new-tokens-true", "session-d-max-true",
+         "session-prefill-window-true", "run-prompts-true", "run-prompt-len-true",
+         "model-context-hash-window-true", "regime-segment-length-true", "base-process-by-true",
+         "run-exit-layer-true", "run-gamma-true", "run-dv-threshold-true"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)

@@ -8,7 +8,6 @@ from delsim.config import CAP_PLAN
 from delsim.controller import (
     DecayedStats,
     DelController,
-    del_update,
     estimate_alpha,
     prefill_init,
     push,
@@ -21,7 +20,7 @@ from delsim.controller import (
     zero_stats,
 )
 from delsim.engine import CostLedger, DraftPlan, run_round
-from delsim.types import LayerStep
+from delsim.types import LayerStep, exit_distribution
 
 
 def steps_from_tokens(layer_rows, target_row, confs=None, V=12):
@@ -74,7 +73,7 @@ def test_shadow_single_position_direct_argmax():
     ls = model.step([3, 1])
     sm = shadow_tokens([ls])
     for ell in range(1, cfg.L):
-        row = ls.exit_row(ell)
+        row = exit_distribution(*ls.layer(ell), cfg.V)
         assert sm.tokens[ell - 1, 0] == row.argmax()
         assert sm.confidences[ell - 1, 0] == row.max()
     assert sm.target_tokens[0] == ls.target.argmax()
@@ -136,6 +135,19 @@ def test_match_count_over_inclusive_window():
     rs = round_stats(shadow_tokens(steps), exit_layer=1)
     assert rs.u_r == 2
     assert rs.c.tolist() == [2.0, 2.0]
+
+
+def test_prefill_window_counts_every_position():
+    # without an exit layer the window is the full width, past the exit
+    # layer's first mismatch
+    steps = steps_from_tokens([[5, 0, 9], [5, 9, 1]], [5, 7, 1])
+    sm = shadow_tokens(steps)
+    assert round_stats(sm, exit_layer=1).c.tolist() == [1.0, 1.0]
+    rs = round_stats(sm, exit_layer=None)
+    assert rs.u_r == 2
+    assert rs.c.tolist() == [1.0, 2.0]
+    assert rs.tcs.tolist() == pytest.approx([0.7, 1.4])
+    assert rs.fcs.tolist() == pytest.approx([1.4, 0.7])
 
 
 def test_confidence_sums_split_by_match():
@@ -209,12 +221,6 @@ def test_alpha_clamp_floor_and_ceiling():
 def test_alpha_falls_back_to_round_count_when_u_always_zero():
     stats = DecayedStats(sc=np.array([3.0]), su=0.0, stcs=np.zeros(1), sfcs=np.zeros(1), scnt=4.0)
     assert estimate_alpha(stats, 1e-6)[0] == pytest.approx(0.75)
-
-
-def test_alpha_fallback_vector_when_no_data():
-    stats = zero_stats(2)
-    assert np.all(estimate_alpha(stats, 1e-6) == 1e-6)
-    assert np.allclose(estimate_alpha(stats, 1e-6, np.array([0.4, 0.6])), [0.4, 0.6])
 
 
 def test_alpha_monte_carlo_convergence_long_windows():
@@ -388,7 +394,7 @@ def test_prefill_short_prompt_uses_all_positions():
     cfg = make_cfg(L=4, prefill_window=32)
     model = agreement_model(cfg, (0.5, 0.9, 0.3, 1.0))
     counting = CallCountingModel(model)
-    stats, thresholds, plan = prefill_init(counting, [1, 2, 3, 4, 5], cfg)
+    stats, thresholds, alpha, plan = prefill_init(counting, [1, 2, 3, 4, 5], cfg)
     assert counting.calls == 5
     assert stats.su == pytest.approx(4.0 * cfg.omega ** 0)  # u_0 = window - 1
     assert stats.scnt == pytest.approx(1.0)
@@ -406,8 +412,8 @@ def test_prefill_window_clamps_long_prompt():
 def test_prefill_toy_gives_unit_alpha():
     cfg = make_cfg()
     model = toy_model(cfg)
-    stats, thresholds, plan = prefill_init(model, [1, 2, 3, 4, 5, 6], cfg)
-    alpha = estimate_alpha(stats, cfg.alpha_clamp_eps)
+    stats, thresholds, alpha, plan = prefill_init(model, [1, 2, 3, 4, 5, 6], cfg)
+    assert np.array_equal(alpha, estimate_alpha(stats, cfg.alpha_clamp_eps))
     assert np.all(alpha == 1.0)
 
 
@@ -418,8 +424,7 @@ def test_prefill_alpha_seeding_monte_carlo():
     for seed in range(seeds):
         model = agreement_model(cfg, (0.2, 0.2, 0.9, 1.0), seed=seed)
         prompt = model.sample_prompt(32, np.random.default_rng(seed))
-        stats, _, _ = prefill_init(model, prompt, cfg)
-        alpha = estimate_alpha(stats, cfg.alpha_clamp_eps)
+        _, _, alpha, _ = prefill_init(model, prompt, cfg)
         if 0.75 <= alpha[2] <= 1.0:
             in_range += 1
     assert in_range >= 93
@@ -515,11 +520,11 @@ def test_trace_fields_expose_alpha_and_u():
     model = agreement_model(cfg, (0.5, 0.9, 0.3, 1.0))
     policy = DelController(cfg)
     plan = policy.init(model, [1, 2, 3])
-    fields = policy.trace_fields()
-    assert len(fields["alpha_snapshot"]) == cfg.L - 1
-    assert fields["u_r"] is None
+    assert plan is policy.plan
+    assert len(policy.alpha_snapshot) == cfg.L - 1
+    assert policy.u_r is None
     ctx = [1, 2, 3]
     out = run_round(model, ctx, plan, np.random.default_rng(0), CostLedger(), cfg)
-    policy.observe(out)
-    fields = policy.trace_fields()
-    assert 0 <= fields["u_r"] <= len(out.drafted)
+    assert policy.observe(out) is policy.plan
+    assert policy.alpha_snapshot == estimate_alpha(policy.stats, cfg.alpha_clamp_eps).tolist()
+    assert 0 <= policy.u_r <= len(out.drafted)

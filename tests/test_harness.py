@@ -52,6 +52,28 @@ def test_mc_expected_tokens_degenerate_cases():
     assert mc_expected_tokens(0.3, 0, 1000) == 1.0
 
 
+def test_mc_expected_tokens_draws_bounded_blocks_equal_to_one_block(monkeypatch):
+    alpha, d, trials = 0.9, 64, 3 * (250_000 // 64) + 5
+    # one block of every trial: what the oracle drew before it bounded its blocks
+    flags = np.random.default_rng(3).random((trials, d)) < alpha
+    want = np.logical_and.accumulate(flags, axis=1).sum() / trials + 1.0
+    blocks = []
+    real = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self, shape):
+            blocks.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    assert mc_expected_tokens(alpha, d, trials, seed=3) == want
+    assert len(blocks) >= 4 and sum(n for n, _ in blocks) == trials
+    assert all(n * width <= 250_000 for n, width in blocks)
+
+
 def test_mc_expected_tokens_validation():
     with pytest.raises(ValueError):
         mc_expected_tokens(0.5, 2, 0)

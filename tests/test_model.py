@@ -19,7 +19,7 @@ from delsim.model import (
     ModelSpec,
     beta_table,
 )
-from delsim.types import PROB_SUM_TOL, LayerStep
+from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution
 
 
 def path_steps(model, prompt, n):
@@ -150,7 +150,7 @@ def test_steps_are_valid_distributions(kind, ctx, conf):
     assert abs(ls.target.sum() - 1.0) <= PROB_SUM_TOL
     assert ls.target.argmax() == ls.target_token
     for ell in range(1, L):
-        row = ls.exit_row(ell)
+        row = exit_distribution(*ls.layer(ell), V)
         top, c = ls.top_tokens[ell - 1], ls.top_conf[ell - 1]
         assert np.all(row >= 0.0)
         assert abs(row.sum() - 1.0) <= PROB_SUM_TOL
@@ -205,10 +205,10 @@ def test_exit_and_target_distribution_accessors():
     assert ls.target_token == table[3].argmax()
     # drafting with the full model is the vanilla path, not an exit
     with pytest.raises(ValueError):
-        ls.exit_row(cfg.L)
+        exit_distribution(*ls.layer(cfg.L), cfg.V)
     # forced agreement and forced disagreement
-    assert ls.exit_row(1).argmax() == ls.target_token
-    assert ls.exit_row(2).argmax() != ls.target_token
+    assert exit_distribution(*ls.layer(1), cfg.V).argmax() == ls.target_token
+    assert exit_distribution(*ls.layer(2), cfg.V).argmax() != ls.target_token
 
 
 def test_sample_prompt_deterministic_and_in_range():
@@ -401,8 +401,8 @@ CONFIDENCES = [
     kind=st.sampled_from(sorted(KIND_SPECS)),
     conf=st.sampled_from(CONFIDENCES),
     contexts=st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=12), min_size=1, max_size=8),
-    first_reads=st.lists(st.sampled_from(["top_tokens", "top_conf", "exit_row"]), min_size=8,
-                         max_size=8),
+    first_reads=st.lists(st.sampled_from(["top_tokens", "top_conf", "exit_distribution"]),
+                         min_size=8, max_size=8),
     order=st.randoms(use_true_random=False),
 )
 def test_deferred_steps_equal_steps_drawn_at_once(kind, conf, contexts, first_reads, order):
@@ -415,8 +415,8 @@ def test_deferred_steps_equal_steps_drawn_at_once(kind, conf, contexts, first_re
     reads = list(zip(range(len(steps)), first_reads))
     order.shuffle(reads)
     for i, field in reads:
-        if field == "exit_row":
-            steps[i].exit_row(1 + i % (L - 1))
+        if field == "exit_distribution":
+            exit_distribution(*steps[i].layer(1 + i % (L - 1)), V)
         else:
             getattr(steps[i], field)
     # a fresh model's steps, drawn in one block
@@ -429,7 +429,8 @@ def test_deferred_steps_equal_steps_drawn_at_once(kind, conf, contexts, first_re
             assert x.dtype == y.dtype and np.array_equal(x, y)
             assert not x.flags.writeable
         for ell in range(1, L):
-            assert np.array_equal(got.exit_row(ell), want.exit_row(ell))
+            assert np.array_equal(exit_distribution(*got.layer(ell), V),
+                                  exit_distribution(*want.layer(ell), V))
 
 
 def test_step_draws_on_the_first_layer_read_only(draws):
@@ -439,9 +440,9 @@ def test_step_draws_on_the_first_layer_read_only(draws):
     assert step.target.size == cfg.V and step.layer_count == cfg.L
     assert step.target_token == int(step.target.argmax())
     assert draws == []
-    step.exit_row(2)
+    exit_distribution(*step.layer(2), cfg.V)
     assert len(draws) == 1
-    step.top_tokens, step.top_conf, step.exit_row(4)
+    step.top_tokens, step.top_conf, exit_distribution(*step.layer(4), cfg.V)
     assert len(draws) == 1
     with pytest.raises(AttributeError):
         step.top_conf = np.zeros(cfg.L - 1)
@@ -461,7 +462,7 @@ def test_memoized_steps_are_stored_pending(draws):
     assert len(draws) == 1
     # and a full read decodes that kept row
     assert [(int(t), float(c)) for t, c in zip(step.top_tokens, step.top_conf)][:3] == reads
-    model.step([3, 1, 4]).exit_row(5)
+    exit_distribution(*model.step([3, 1, 4]).layer(5), cfg.V)
     assert len(draws) == 1
     # a drawn step keeps its arrays and drops its row, and with it the
     # reference back to the model
@@ -523,7 +524,7 @@ def test_one_layer_reads_fill_the_row_once_and_decode_nothing_else(draws, monkey
     monkeypatch.setattr(LayeredModel, "_decode", counting)
     step = model.step([3, 1, 4])
     reads = [step.layer(ell) for ell in range(1, cfg.L)] + [step.layer(2)]
-    step.exit_row(4)
+    exit_distribution(*step.layer(4), cfg.V)
     assert len(draws) == 1 and decodes == []
     # a full read decodes the kept row: no second fill
     assert [(int(t), float(c)) for t, c in zip(step.top_tokens, step.top_conf)] == reads[:-1]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from delsim.config import ConfigError
 from delsim.model import AGREEMENT, LayeredModel, ModelSpec
-from delsim.types import PROB_SUM_TOL, LayerStep, sample_index
+from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_index
 
 
 def table_model(row, L=3):
@@ -73,10 +73,10 @@ def test_layer_step_accessors():
     ls = LayerStep(np.array([0]), np.array([0.6]), np.array([0.1, 0.9]), 1)
     assert ls.layer_count == 2
     assert ls.target.size == 2
-    assert ls.exit_row(1).tolist() == [0.6, 0.4]
+    assert exit_distribution(*ls.layer(1), 2).tolist() == [0.6, 0.4]
     assert ls.target.argmax() == ls.target_token == 1
     # layer L is the target, not an exit
     for ell in (0, 2):
         with pytest.raises(ValueError):
-            ls.exit_row(ell)
+            exit_distribution(*ls.layer(ell), 2)
 
