@@ -21,19 +21,19 @@ from .types import LayerStep, TokenId
 
 @dataclass(frozen=True, eq=False)
 class ShadowMatrix:
-    """Greedy per-layer tokens and confidences for one round's positions.
+    """Per-layer agreement and confidences for one round's positions.
 
-    Row ``ell - 1`` of ``tokens`` holds what layer ``ell`` would have drafted
-    at each position; ``target_tokens`` are the full model's argmaxes.
+    Row ``ell - 1`` of ``matches`` holds whether the token layer ``ell``
+    would have drafted at each position is the full model's argmax. Both
+    arrays are C-contiguous, the layout ``round_stats`` sums over.
     """
 
-    tokens: np.ndarray  # (L-1, g+1) token ids
-    target_tokens: np.ndarray  # (g+1,)
+    matches: np.ndarray  # (L-1, g+1) bool
     confidences: np.ndarray  # (L-1, g+1) top-1 probabilities
 
     @property
     def width(self) -> int:
-        return int(self.target_tokens.size)
+        return int(self.matches.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,44 +73,52 @@ def zero_stats(n_exit_layers: int) -> DecayedStats:
 
 
 def shadow_tokens(steps: Sequence[LayerStep]) -> ShadowMatrix:
-    """Every layer's greedy token and top-1 confidence at every position.
+    """Whether every layer's greedy token matches the target, and its top-1
+    confidence, at every position.
 
-    Steps still pending are drawn together, in one block decode."""
+    The pending steps are read together in one block that decodes only
+    their agreement and confidence uniforms (``LayerStep.shadow``); they
+    stay pending."""
     if len(steps) == 0:
         raise ValueError("steps must be non-empty")
-    LayerStep.draw_pending(steps)
-    return ShadowMatrix(
-        tokens=np.ascontiguousarray(np.array([s.top_tokens for s in steps]).T),
-        target_tokens=np.array([s.target_token for s in steps]),
-        confidences=np.ascontiguousarray(np.array([s.top_conf for s in steps]).T),
-    )
+    return ShadowMatrix(*LayerStep.shadow(steps))
 
 
-def _first_mismatch(mismatch_row: np.ndarray) -> int:
-    # first True index, or the last position when the row fully matches
-    if mismatch_row.any():
-        return int(np.argmax(mismatch_row))
-    return int(mismatch_row.size - 1)
+def _first_mismatch(match_row: np.ndarray) -> int:
+    # first False index, or the last position when the row fully matches
+    if match_row.all():
+        return int(match_row.size - 1)
+    return int(match_row.argmin())
 
 
 def round_stats(sm: ShadowMatrix, exit_layer: int | None) -> RoundStats:
     """Window statistics for one round, windowed by the exit layer's first
     shadow mismatch; with ``exit_layer`` None (the prefill pseudo-round)
     every position counts, u = width - 1."""
-    matches = sm.tokens == sm.target_tokens[None, :]
+    matches, conf = sm.matches, sm.confidences
+    width = sm.width
     if exit_layer is None:
-        u = sm.width - 1
+        u = width - 1
     else:
-        n_exit = sm.tokens.shape[0]
+        n_exit = matches.shape[0]
         if not 1 <= exit_layer <= n_exit:
             raise ValueError(f"exit_layer must lie in [1, {n_exit + 1}), got {exit_layer}")
-        u = _first_mismatch(~matches[exit_layer - 1])
-    mask = (np.arange(sm.width) <= u)[None, :]
-    in_window = matches & mask
-    c = in_window.sum(axis=1).astype(np.float64)
-    tcs = (sm.confidences * in_window).sum(axis=1)
-    fcs = (sm.confidences * (~matches & mask)).sum(axis=1)
-    return RoundStats(u_r=u, c=c, tcs=tcs, fcs=fcs)
+        u = _first_mismatch(matches[exit_layer - 1])
+    if u < width - 1:
+        window = np.arange(width) <= u
+        in_window = matches & window
+        windowed = conf * window
+    else:
+        in_window, windowed = matches, conf
+    # each entry is a confidence or +0.0, so the mismatched mass in the
+    # window is the difference of the two products, exactly
+    matched = conf * in_window
+    return RoundStats(
+        u_r=u,
+        c=in_window.sum(axis=1).astype(np.float64),
+        tcs=matched.sum(axis=1),
+        fcs=(windowed - matched).sum(axis=1),
+    )
 
 
 def push(stats: DecayedStats, rs: RoundStats, omega: float) -> DecayedStats:
@@ -163,21 +171,26 @@ def tpl(alpha: float, ell: int, d: int, L: int) -> float:
 
 @lru_cache(maxsize=16)
 def _tpl_axes(n: int, d_max: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """``tpl_grid``'s exponents d, shape (1, d_max+1), and costs d*ell + L,
-    shape (n, d_max+1); read-only, since every caller shares them."""
-    exponents = np.arange(d_max + 1)[None, :]
-    denom = exponents * np.arange(1, n + 1)[:, None] + L
+    """``tpl_grid``'s exponents d, shape (d_max+1, 1), and costs d*ell + L
+    as floats, shape (d_max+1, n); read-only, since every caller shares
+    them."""
+    exponents = np.arange(d_max + 1.0)[:, None]
+    denom = exponents * np.arange(1, n + 1) + L
     exponents.setflags(write=False)
     denom.setflags(write=False)
     return exponents, denom
 
 
 def tpl_grid(alpha: np.ndarray, d_max: int, L: int) -> np.ndarray:
-    """TPL over the full (ell, d) grid; row ell-1, column d."""
+    """TPL over the full (ell, d) grid; row ell-1, column d.
+
+    Computed in (d, ell) layout, where each layer's running sum of powers
+    is one ``cumsum`` down a column, and returned as its (ell, d) view."""
     alpha = np.asarray(alpha, dtype=np.float64)
     exponents, denom = _tpl_axes(alpha.size, d_max, L)
-    numer = np.cumsum(alpha[:, None] ** exponents, axis=1)
-    return numer / denom
+    numer = np.cumsum(alpha ** exponents, axis=0)
+    numer /= denom
+    return numer.T
 
 
 def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -> DraftPlan:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GREEDY, SessionConfig
-from .types import InvariantViolation, LayerStep, TokenId, exit_distribution, sample_index
+from .types import InvariantViolation, LayerStep, TokenId, exit_distribution, sample_exit, sample_index
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def draft(
     plan: DraftPlan,
     cfg: SessionConfig,
     rng: np.random.Generator,
-    q_rows: list[np.ndarray] | None = None,
+    q_rows: list[tuple[TokenId, float]] | None = None,
 ):
     """Auto-regressively draft tokens at the plan's exit layer.
 
@@ -81,9 +81,10 @@ def draft(
     position evaluated: g entries if the loop ran to its bound, g+1 if the
     threshold stopped it early. Drafted tokens are appended to ``context``
     while the loop runs and removed before returning, so ``model.step`` must
-    not keep the list it is given. In sampling mode the
-    exit row each drafted token was sampled from is appended to ``q_rows``
-    when it is given, for verification to reuse.
+    not keep the list it is given. In sampling mode each drafted token is
+    sampled from its exit row (``sample_exit``, which does not build the
+    row), and that row's (top token, confidence) pair is appended to
+    ``q_rows`` when it is given, for verification to read.
     """
     n0 = len(context)
     drafted: list[TokenId] = []
@@ -98,10 +99,9 @@ def draft(
             if conf < plan.threshold:
                 break
             if not greedy:
-                q = exit_distribution(tok, conf, ls.target.size)
-                tok = sample_index(q, rng)
                 if q_rows is not None:
-                    q_rows.append(q)
+                    q_rows.append((tok, conf))
+                tok = sample_exit(tok, conf, ls.target.size, rng)
             drafted.append(tok)
             context.append(tok)
     finally:
@@ -128,18 +128,25 @@ def verify_greedy(target_tokens, drafted):
 def verify_sampling(drafted, q_rows, p_rows, rng: np.random.Generator):
     """Speculative sampling verification.
 
-    Token i is accepted with probability min(1, p_i(x)/q_i(x)); the first
-    rejection resamples from the normalized positive residual max(0, p - q).
-    Full acceptance samples the bonus token from p at position g.
+    ``q_rows[i]`` is the (top token, confidence) pair of the exit row that
+    drafted token i (see ``exit_distribution``): q_i(x) is the confidence
+    when x is the top token and (1 - confidence) / (V - 1) otherwise, the
+    very floats the row holds. Token i is accepted with probability
+    min(1, p_i(x)/q_i(x)); the first rejection builds the row and resamples
+    from the normalized positive residual max(0, p - q). Full acceptance
+    samples the bonus token from p at position g.
     """
     for i, tok in enumerate(drafted):
-        q = float(q_rows[i][tok])
-        p = float(p_rows[i][tok])
+        top, conf = q_rows[i]
+        p_row = p_rows[i]
+        size = p_row.size
+        q = conf if tok == top else (1.0 - conf) / (size - 1)
+        p = float(p_row[tok])
         if q <= 0.0:
             raise InvariantViolation("drafted token has zero draft probability")
         if rng.random() < min(1.0, p / q):
             continue
-        residual = np.maximum(p_rows[i] - q_rows[i], 0.0)
+        residual = np.maximum(p_row - exit_distribution(top, conf, size), 0.0)
         total = float(residual.sum())
         if total <= 0.0:
             # p == q with all mass on the drafted token is accepted by the
@@ -164,13 +171,17 @@ def run_round(
 
     Charges the ledger g*E + L layer loads regardless of how many tokens
     survive verification; if ``budget_left`` is given, the emitted sequence is
-    truncated to it but the full round cost is still charged.
+    truncated to it but the full round cost is still charged. A sampling
+    round builds no exit row per drafted position: the draft samples each
+    token from its row's closed-form CDF and hands verification the row's
+    (top token, confidence) pair, and verification builds a row only at a
+    rejection.
     """
     if budget_left is not None and budget_left < 1:
         raise ValueError("generation budget exhausted")
     plan.validate(cfg)
 
-    q_rows: list[np.ndarray] = []
+    q_rows: list[tuple[TokenId, float]] = []
     drafted, steps = draft(model, context, plan, cfg, rng, q_rows)
     g = len(drafted)
     if len(steps) == g:

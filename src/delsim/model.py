@@ -139,7 +139,7 @@ _KEY_WORDS = struct.Struct("<2Q")
 def confidence_table(spec: Mapping[str, Any], what: str) -> np.ndarray:
     """A confidence law as its inverse CDF at ``u = j / TABLE_SIZE`` for
     j = 0..TABLE_SIZE. A uniform ``u`` maps to a confidence by linear
-    interpolation in this table (``LayeredModel._decode``), a draw from the
+    interpolation in this table (``LayeredModel._confidence``), a draw from the
     law whose CDF interpolates the exact one between the table's quantiles,
     so the two CDFs differ by at most ``1 / TABLE_SIZE`` plus the table's
     own error. ``uniform`` and ``fixed`` laws are exact; a ``beta`` law
@@ -280,13 +280,32 @@ class _PendingRow:
         m = self.model
         if any(r.model is not m for r in rows):
             return [r.draw_block([r])[0] for r in rows]
-        # a copy: the kept rows stay unscaled for one-layer reads
         u = np.array([r.uniforms() for r in rows])
         t_stars = np.array([r.t_star for r in rows])[:, None]
         top, conf = m._decode(u, m._profile_rows([r.n for r in rows]), t_stars)
         top.setflags(write=False)
         conf.setflags(write=False)
         return list(zip(top, conf))
+
+    def shadow_block(self, rows: list["_PendingRow"]) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each exit layer's top token is the target's, and its
+        confidence, for the rows in ``rows``, all of this row's model: two
+        C-contiguous (L-1, len(rows)) arrays, column j for ``rows[j]``.
+
+        A layer's top token is the target's exactly when its agreement
+        uniform falls below the profile, since ``_decode`` picks a
+        disagreeing layer's token among those other than ``t_star``; so
+        only the agreement and confidence blocks are decoded, with
+        ``_decode``'s arithmetic. The rows are filled if they are not yet,
+        and kept."""
+        m = self.model
+        k = m.L - 1
+        u = np.array([r.uniforms() for r in rows]).T
+        profile = m._profile_rows([r.n for r in rows])
+        miss = np.greater_equal(u[:k], profile.T if profile.ndim == 2 else profile[:, None],
+                                order="C")
+        conf = m._confidence(np.multiply(u[k : 2 * k], TABLE_SIZE, order="C"), miss)
+        return ~miss, conf
 
 
 class LayeredModel:
@@ -363,8 +382,6 @@ class LayeredModel:
         rise[TABLE_SIZE] = 0.0
         self._conf_table = _read_only(conf)
         self._conf_rise = _read_only(rise)
-        # what _decode scales each block of a row of uniforms by
-        self._row_scale = _read_only(np.repeat([1.0, TABLE_SIZE, V - 1.0], L - 1))
         self._seed_key = int(seed % 2**64).to_bytes(8, "little", signed=False)
         if spec.context_hash_window < 1:
             raise ConfigError("context_hash_window must be >= 1")
@@ -440,10 +457,14 @@ class LayeredModel:
 
     def _profile_rows(self, lengths: Sequence[int]) -> np.ndarray:
         """The profile at each context length in ``lengths``, as rows of a
-        block; one row serves every length when the profile never changes."""
+        block; one row serves every length when they all fall in one
+        segment, as they do when the profile never changes."""
         if self._segments is None:
             return self._profiles[0]
-        return np.array([self._profile_at(m) for m in lengths]).reshape(len(lengths), self.L - 1)
+        rows = [self._profile_at(m) for m in lengths]
+        if rows and all(r is rows[0] for r in rows):
+            return rows[0]
+        return np.array(rows).reshape(len(lengths), self.L - 1)
 
     # -- public API --------------------------------------------------------
 
@@ -455,11 +476,12 @@ class LayeredModel:
         ``_decode``), drawn when they are read: the step is pending
         (:meth:`LayerStep.deferred`), fills that row on the first layer read
         and keeps it, a one-layer read decodes that layer alone, and
-        ``controller.shadow_tokens`` decodes a round's pending steps in one
-        block. With a memo the model stores the same pending step, so the
-        sessions sharing it fill each row once, whoever reads it first. A
-        stored step refers back to the model through its pending row until
-        it is drawn in full; Python's cycle collector frees that cycle.
+        ``controller.shadow_tokens`` reads a round's pending steps' agreement
+        and confidences in one block. With a memo the model stores the same
+        pending step, so the sessions sharing it fill each row once, whoever
+        reads it first. A stored step refers back to the model through its
+        pending row until it is drawn in full; Python's cycle collector
+        frees that cycle.
         """
         n = len(context)
         if n == 0:
@@ -572,28 +594,32 @@ class LayeredModel:
 
         A row holds three blocks of L-1 uniforms, one entry per exit layer:
         layer ell agrees with the target when its agreement uniform falls
-        below ``profile[ell - 1]``; its confidence uniform goes through the
-        tabulated inverse CDF of the match or mismatch law, by linear
-        interpolation between the two table entries around it; and a layer
-        that disagrees takes the off-target token its third uniform picks,
-        uniformly among the V - 1 tokens other than ``t_star``.
+        below ``profile[ell - 1]``; its confidence uniform goes through
+        ``_confidence``; and a layer that disagrees takes the off-target
+        token its third uniform picks, uniformly among the V - 1 tokens
+        other than ``t_star``.
         """
         k = self.L - 1
-        # scaled in place: the agreement block's scale is 1
-        s = u
-        s *= self._row_scale
         miss = u[..., :k] >= profile
+        conf = self._confidence(u[..., k : 2 * k] * TABLE_SIZE, miss)
+        alt = (u[..., 2 * k :] * (self.V - 1.0)).astype(np.intp)
+        alt += alt >= t_star
+        return np.where(miss, alt, t_star), conf
+
+    def _confidence(self, t: np.ndarray, miss: np.ndarray) -> np.ndarray:
+        """Confidences, elementwise, from confidence uniforms times
+        ``TABLE_SIZE`` (``t``, a new array, which this overwrites) and the
+        mask of layers that disagree: the tabulated inverse CDF of the match
+        or mismatch law, by linear interpolation between the two table
+        entries around each. The result has ``t``'s layout."""
         # position in the table: the mismatch law's entries follow the match law's
-        t = s[..., k : 2 * k]
         np.add(t, TABLE_SIZE + 1.0, out=t, where=miss)
-        cells = s[..., k:].astype(np.intp)
-        i, alt = cells[..., :k], cells[..., k:]
+        i = t.astype(np.intp)
         t -= i
         conf = self._conf_rise.take(i)
         conf *= t
         conf += self._conf_table.take(i)
-        alt += alt >= t_star
-        return np.where(miss, alt, t_star), conf
+        return conf
 
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
         """Draw a prompt of the given length from the base process."""

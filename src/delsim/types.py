@@ -17,9 +17,49 @@ class InvariantViolation(AssertionError):
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from a probability vector (an array) via inverse CDF."""
-    u = rng.random()
+    return _search(probs, rng.random())
+
+
+def _search(probs: np.ndarray, u: float) -> int:
     idx = int(probs.cumsum().searchsorted(u, side="right"))
     return min(idx, len(probs) - 1)
+
+
+# A closed-form CDF step and the row's own cumsum differ by at most size + 5
+# roundings of sums of at most 1, each by at most eps / 2. sample_exit
+# searches the row for a draw within (size + 4) * _STEP_ULPS of a step, over
+# four times that bound.
+_STEP_ULPS = 2.0 * np.finfo(np.float64).eps
+
+
+def sample_exit(token: TokenId, conf: float, size: int, rng: np.random.Generator) -> int:
+    """``sample_index(exit_distribution(token, conf, size), rng)``, from the
+    same single ``rng.random()``, without building the row.
+
+    The row's CDF is closed form: steps of r = (1 - conf) / (size - 1) up to
+    ``token * r``, then ``conf``, then steps of r again. A draw that falls
+    within rounding distance of a step searches the row itself instead.
+    """
+    u = rng.random()
+    r = (1.0 - conf) / (size - 1)
+    below = token * r
+    if u < below:
+        # r > 0 here: u >= 0 = below when r == 0
+        idx = int(u / r)
+        lo, hi = idx * r, (idx + 1) * r
+    else:
+        hi = below + conf
+        if u < hi:
+            idx, lo = token, below
+        else:
+            k = int((u - hi) / r)
+            idx = token + 1 + k
+            lo = hi + k * r
+            hi = lo + r
+    tol = (size + 4) * _STEP_ULPS
+    if u - lo <= tol or hi - u <= tol:
+        return _search(exit_distribution(token, conf, size), u)
+    return min(idx, size - 1)
 
 
 class _Drawn:
@@ -58,7 +98,9 @@ class LayerStep:
     ``layer(ell)`` then decodes that one layer alone; a read of either array
     field decodes the whole row, and ``draw_pending`` decodes the rows of
     many steps in one block. Either way the step then holds both arrays and
-    drops its row. The row is a pure function of the step's key, so when or
+    drops its row. ``shadow`` reads, for many steps in one block, only which
+    layers agree with the target and their confidences, and leaves the
+    steps pending. The row is a pure function of the step's key, so when or
     how it is decoded does not change a value.
     Speculative-sampling verification reads only target rows, so a
     sampling-mode ``vanilla`` session makes no draws, and an ``ls`` session
@@ -93,8 +135,9 @@ class LayerStep:
                  pending) -> "LayerStep":
         """A step whose per-layer fields come from ``pending`` when they are
         read: ``pending.layer(ell)`` gives one exit layer's (token,
-        confidence), and ``pending.draw_block(rows)`` the read-only
-        ``(top_tokens, top_conf)`` arrays of each of several such rows.
+        confidence), ``pending.draw_block(rows)`` the read-only
+        ``(top_tokens, top_conf)`` arrays of each of several such rows, and
+        ``pending.shadow_block(rows)`` what ``shadow`` returns for them.
         ``target`` must already be read-only, as the rows of a model's
         transition matrix are."""
         step = cls.__new__(cls)
@@ -126,6 +169,39 @@ class LayerStep:
                 d["top_tokens"] = top
                 d["top_conf"] = conf
                 d["_pending"] = None
+
+    @staticmethod
+    def shadow(steps: Sequence["LayerStep"]) -> tuple[np.ndarray, np.ndarray]:
+        """Whether each exit layer's top token is the target's, and its
+        confidence, at each step: two C-contiguous (L-1, len(steps)) arrays,
+        column j for ``steps[j]``. The pending steps of each model are read
+        in one block (``pending.shadow_block(rows)``), which decodes no
+        token; they stay pending. A drawn step gives ``top_tokens ==
+        target_token`` and ``top_conf``."""
+        # each step's row is read once, as in draw_pending
+        drawn: list[int] = []
+        groups: dict[object, tuple[list[int], list]] = {}
+        for j, s in enumerate(steps):
+            row = s.__dict__["_pending"]
+            if row is None:
+                drawn.append(j)
+            else:
+                cols, rows = groups.setdefault(row.model, ([], []))
+                cols.append(j)
+                rows.append(row)
+        if not drawn and len(groups) == 1:
+            rows = next(iter(groups.values()))[1]
+            return rows[0].shadow_block(rows)
+        k = steps[0].layer_count - 1
+        matches = np.empty((k, len(steps)), dtype=bool)
+        conf = np.empty((k, len(steps)))
+        for j in drawn:
+            s = steps[j]
+            matches[:, j] = s.top_tokens == s.target_token
+            conf[:, j] = s.top_conf
+        for cols, rows in groups.values():
+            matches[:, cols], conf[:, cols] = rows[0].shadow_block(rows)
+        return matches, conf
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"LayerStep is immutable: cannot set {name!r}")

@@ -8,6 +8,7 @@ from delsim.config import CAP_PLAN
 from delsim.controller import (
     DecayedStats,
     DelController,
+    ShadowMatrix,
     estimate_alpha,
     prefill_init,
     push,
@@ -45,8 +46,8 @@ def steps_from_tokens(layer_rows, target_row, confs=None, V=12):
 def test_shadow_tokens_recover_scripted_structure():
     steps = steps_from_tokens([[5, 7], [5, 1]], [5, 7])
     sm = shadow_tokens(steps)
-    assert sm.tokens.tolist() == [[5, 7], [5, 1]]
-    assert sm.target_tokens.tolist() == [5, 7]
+    assert sm.matches.tolist() == [[True, True], [True, False]]
+    assert sm.confidences.tolist() == [[0.7, 0.7], [0.7, 0.7]]
     assert sm.width == 2
 
 
@@ -54,7 +55,7 @@ def test_shadow_tokens_toy_all_rows_agree():
     cfg = make_cfg()
     model = toy_model(cfg)
     sm = shadow_tokens([model.step([1]), model.step([1, 2])])
-    assert np.all(sm.tokens == sm.target_tokens[None, :])
+    assert sm.matches.shape == (cfg.L - 1, 2) and np.all(sm.matches)
     assert np.all(sm.confidences == 1.0)
 
 
@@ -62,8 +63,8 @@ def test_shadow_tokens_never_agree_layer():
     cfg = make_cfg(L=3)
     model = agreement_model(cfg, (0.0, 1.0, 1.0))
     sm = shadow_tokens([model.step([i + 1]) for i in range(6)])
-    assert np.all(sm.tokens[0] != sm.target_tokens)
-    assert np.all(sm.tokens[1] == sm.target_tokens)
+    assert not np.any(sm.matches[0])
+    assert np.all(sm.matches[1])
 
 
 def test_shadow_single_position_direct_argmax():
@@ -74,9 +75,8 @@ def test_shadow_single_position_direct_argmax():
     sm = shadow_tokens([ls])
     for ell in range(1, cfg.L):
         row = exit_distribution(*ls.layer(ell), cfg.V)
-        assert sm.tokens[ell - 1, 0] == row.argmax()
+        assert sm.matches[ell - 1, 0] == (row.argmax() == ls.target.argmax())
         assert sm.confidences[ell - 1, 0] == row.max()
-    assert sm.target_tokens[0] == ls.target.argmax()
 
 
 def test_shadow_tokens_requires_steps():
@@ -107,12 +107,66 @@ def test_shadow_tokens_over_pending_and_drawn_steps_equals_steps_drawn_one_by_on
         for s in one_by_one:
             s.top_tokens
         want = shadow_tokens(one_by_one)
-        for name in ("tokens", "target_tokens", "confidences"):
+        for name in ("matches", "confidences"):
             x, y = getattr(sm, name), getattr(want, name)
             assert x.dtype == y.dtype and np.array_equal(x, y)
-        for s, w in zip(steps, one_by_one):
-            assert "top_tokens" in vars(s) and not s.top_conf.flags.writeable
+        # the read decodes no token: the steps it read pending stay pending
+        for i, (s, w) in enumerate(zip(steps, one_by_one)):
+            assert ("top_tokens" in vars(s)) == (i % 3 == 0)
+            assert np.array_equal(s.top_tokens, w.top_tokens)
             assert np.array_equal(s.top_conf, w.top_conf)
+
+
+SHADOW_MODELS = {
+    "agreement": lambda cfg, seed: agreement_model(cfg, (0.9, 0.1, 0.5, 0.0, 0.7, 1.0), seed, **TIGHT_CONF),
+    # segments of 7 and 5 positions: a path of up to 19 positions from a
+    # prompt of 1 to 20 tokens crosses one or more profile switches
+    "regime_switching": lambda cfg, seed: regime_model(
+        cfg, ((7, (0.9, 0.1, 0.5, 0.0, 0.7, 1.0)), (5, (0.0, 1.0, 0.2, 0.7, 0.4, 1.0))), seed, **TIGHT_CONF),
+    "deterministic_toy": lambda cfg, seed: toy_model(cfg, seed),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SHADOW_MODELS)),
+    two_models=st.booleans(),
+    prompt=st.lists(st.integers(0, 15), min_size=1, max_size=20),
+    reads=st.lists(st.sampled_from(["none", "layer", "drawn"]), min_size=1, max_size=19),
+)
+def test_shadow_read_equals_drawn_arrays_bit_for_bit(kind, two_models, prompt, reads):
+    # widths 1-19 run past numpy's 8-element pairwise-summation blocks
+    cfg = make_cfg(L=6, V=16)
+    path = prompt + [(7 * i + 3) % cfg.V for i in range(len(reads))]
+    contexts = [path[: len(prompt) + i] for i in range(len(reads))]
+
+    def steps_of(models):
+        return [models[i % len(models)].step(ctx) for i, ctx in enumerate(contexts)]
+
+    seeds = (1, 2) if two_models else (1,)
+    steps = steps_of([SHADOW_MODELS[kind](cfg, seed) for seed in seeds])
+    for i, (s, how) in enumerate(zip(steps, reads)):
+        if how == "layer":
+            s.layer(1 + i % (cfg.L - 1))
+        elif how == "drawn":
+            s.top_tokens
+    sm = shadow_tokens(steps)
+    # what the drawn arrays of fresh steps give, in the (L-1, width) layout
+    drawn = steps_of([SHADOW_MODELS[kind](cfg, seed) for seed in seeds])
+    LayerStep.draw_pending(drawn)
+    matches = np.ascontiguousarray(np.array([s.top_tokens == s.target_token for s in drawn]).T)
+    confidences = np.ascontiguousarray(np.array([s.top_conf for s in drawn]).T)
+    for got, want in ((sm.matches, matches), (sm.confidences, confidences)):
+        assert got.dtype == want.dtype and got.shape == (cfg.L - 1, len(reads))
+        assert got.flags.c_contiguous and np.array_equal(got, want)
+    assert sm.width == len(reads)
+    # the window sums, which sum over each layer's row, agree to the bit
+    for exit_layer in (None, 1 + len(reads) % (cfg.L - 1)):
+        got_rs, want_rs = (round_stats(ShadowMatrix(*arrays), exit_layer)
+                           for arrays in ((sm.matches, sm.confidences), (matches, confidences)))
+        assert got_rs.u_r == want_rs.u_r
+        for name in ("c", "tcs", "fcs"):
+            assert getattr(got_rs, name).tobytes() == getattr(want_rs, name).tobytes()
 
 
 # -- round stats ---------------------------------------------------------------

@@ -85,16 +85,16 @@ def test_verify_greedy_empty_draft_is_vanilla_step():
 
 def test_verify_sampling_ratio_one_always_accepts():
     rng = np.random.default_rng(0)
-    q = np.array([0.3, 0.7])
-    rows = [q, q, q]
-    accepted, emitted = verify_sampling([1, 1], rows[:2], rows, rng)
+    # the exit row (0.3, 0.7), as its (top token, confidence) pair
+    rows = [np.array([0.3, 0.7])] * 3
+    accepted, emitted = verify_sampling([1, 1], [(1, 0.7)] * 2, rows, rng)
     assert accepted == 2
     assert len(emitted) == 3
 
 
 def test_verify_sampling_residual_is_exact():
     # q puts mass 1 on A; p splits A/B evenly: accept A w.p. 0.5, else emit B
-    q = np.array([1.0, 0.0])
+    q = (0, 1.0)
     p = np.array([0.5, 0.5])
     rng = np.random.default_rng(1)
     n = 20_000
@@ -109,8 +109,8 @@ def test_verify_sampling_residual_is_exact():
 
 
 def test_verify_sampling_forced_acceptance_when_q_is_one_hot_target():
-    q = np.array([1.0, 0.0])
-    accepted, emitted = verify_sampling([0], [q], [q, q], np.random.default_rng(0))
+    p = np.array([1.0, 0.0])
+    accepted, emitted = verify_sampling([0], [(0, 1.0)], [p, p], np.random.default_rng(0))
     assert accepted == 1 and emitted[0] == 0
 
 
@@ -319,26 +319,33 @@ def test_sampling_sessions_draw_only_the_steps_they_read(policy, params, draws):
 ])
 def test_sampling_sessions_decode_one_block_per_round_at_most(policy, params, monkeypatch):
     from delsim.harness import run_session
-    from delsim.model import LayeredModel, build_model
+    from delsim.model import LayeredModel, _PendingRow, build_model
 
-    decodes = []
-    real = LayeredModel._decode
+    decodes, blocks = [], []
+    real_decode, real_block = LayeredModel._decode, _PendingRow.shadow_block
 
-    def counting(self, u, profile, t_star):
+    def counting_decode(self, u, profile, t_star):
         decodes.append(u.shape)
-        return real(self, u, profile, t_star)
+        return real_decode(self, u, profile, t_star)
 
-    monkeypatch.setattr(LayeredModel, "_decode", counting)
+    def counting_block(self, rows):
+        blocks.append(len(rows))
+        return real_block(self, rows)
+
+    monkeypatch.setattr(LayeredModel, "_decode", counting_decode)
+    monkeypatch.setattr(_PendingRow, "shadow_block", counting_block)
     cfg = make_cfg(L=8, V=32, seed=4, max_new_tokens=96, prefill_window=16, d_max=8,
                    decode_mode=SAMPLING)
     spec = ModelSpec(kind="agreement", agreement_profile=(0.4, 0.9, 0.5, 0.3, 0.6, 0.2, 0.7, 1.0))
     model = build_model(spec, cfg)
     prompt = model.sample_prompt(24, np.random.default_rng(0))
     res = run_session(model, make_policy(policy, cfg, **params), cfg, prompt, 9)
+    # no step is decoded in full: drafting decodes its exit layer alone
+    assert decodes == []
     if policy == "ls":
-        # drafting decodes its exit layer alone; verification reads no layer
-        assert sum(rec["g"] for rec in res.records) > 0 and decodes == []
+        # verification reads no layer
+        assert sum(rec["g"] for rec in res.records) > 0 and blocks == []
     else:
         # the prefill window, then each round's steps, in one block each
-        assert 1 < len(decodes) <= res.rounds + 1
-        assert decodes[0] == (cfg.prefill_window, 3 * (cfg.L - 1))
+        assert 1 < len(blocks) <= res.rounds + 1
+        assert blocks[0] == cfg.prefill_window

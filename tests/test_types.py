@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from delsim.config import ConfigError
 from delsim.model import AGREEMENT, LayeredModel, ModelSpec
-from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_index
+from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_exit, sample_index
 
 
 def table_model(row, L=3):
@@ -80,3 +80,43 @@ def test_layer_step_accessors():
         with pytest.raises(ValueError):
             exit_distribution(*ls.layer(ell), 2)
 
+
+class FixedUniform:
+    """An rng stub whose ``random()`` returns ``u``, counting the calls."""
+
+    def __init__(self, u: float):
+        self.u = u
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self.u
+
+
+def exit_draws_agree(token, conf, V, u):
+    got, want = FixedUniform(u), FixedUniform(u)
+    assert sample_exit(token, conf, V, got) == sample_index(exit_distribution(token, conf, V), want)
+    assert got.calls == want.calls == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), V=st.integers(2, 256),
+       uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_sample_exit_equals_sampling_the_built_row(data, V, uniforms):
+    token = data.draw(st.integers(0, V - 1), label="token")
+    conf = data.draw(st.floats(1.0 / V + 1e-9, 1.0), label="conf")
+    # every CDF step of the row and the doubles on either side of it, where
+    # a closed form that rounded differently would pick the next index
+    steps = exit_distribution(token, conf, V).cumsum()
+    near = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
+    for u in uniforms + [0.0, np.nextafter(1.0, 0.0)] + near[(near >= 0.0) & (near < 1.0)].tolist():
+        exit_draws_agree(token, conf, V, u)
+
+
+def test_sample_exit_at_full_confidence_returns_the_token():
+    # conf = 1 puts no mass off the token: r = 0 must not be divided by
+    for V in (2, 3, 64, 256):
+        for token in (0, V // 2, V - 1):
+            for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                assert sample_exit(token, 1.0, V, FixedUniform(u)) == token
+                exit_draws_agree(token, 1.0, V, u)
