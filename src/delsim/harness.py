@@ -17,7 +17,7 @@ import numpy as np
 
 from .baselines import make_policy
 from .config import GREEDY, SessionConfig, derive_seed
-from .engine import CostLedger, DraftPlan, run_round
+from .engine import CostLedger, run_round
 from .model import ModelSpec, build_model, horizon_error
 from .types import InvariantViolation, TokenId
 
@@ -355,9 +355,10 @@ def grid_sweep(
     produced per window (each round attributed to the window holding its
     first emitted token).
 
-    Greedy sweeps walk every cell's rounds over each prompt's one greedy
-    target path (see :class:`GreedyPath`); the values equal those of a
-    session per cell. Sampling sweeps run a session per cell and prompt.
+    Greedy sweeps draw each prompt's greedy path once and read every cell's
+    rounds off a next-mismatch table along it (see :func:`_greedy_windows`);
+    the values equal those of a session per cell. Sampling sweeps run a
+    session per cell and prompt.
     """
     ells = list(ells)
     ds = list(ds)
@@ -369,26 +370,29 @@ def grid_sweep(
     model = build_model(model_spec, cfg)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
-    # per cell, each prompt's eTPL per window
-    cells = [[[] for _ in ds] for _ in ells]
+    # per prompt, each cell's eTPL per window, in one flat list
+    cells = []
     for i, prompt in enumerate(prompts):
-        path = GreedyPath(model, prompt) if cfg.decode_mode == GREEDY else None
-        for a, ell in enumerate(ells):
-            for b, d in enumerate(ds):
-                if path is not None:
-                    rounds = path.static_rounds(policies[a][b].plan, cfg)
-                else:
-                    seed = derive_seed(cfg.seed, "sweep", ell, d, i)
-                    res = run_session(model, policies[a][b], cfg, prompt, seed)
-                    rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
-                cells[a][b].append(_segment_etpl(rounds, segment_len, n_seg))
+        if cfg.decode_mode == GREEDY:
+            cells.append(_greedy_windows(model, prompt, policies, cfg, segment_len, n_seg))
+            continue
+        windows = []
+        for ell, row in zip(ells, policies):
+            for d, policy in zip(ds, row):
+                res = run_session(model, policy, cfg, prompt, derive_seed(cfg.seed, "sweep", ell, d, i))
+                rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
+                windows += _segment_etpl(rounds, segment_len, n_seg)
+        cells.append(windows)
     # (ells, ds, windows, prompts), laid out as the mean below reads it
-    per_prompt = np.array(cells).reshape(len(ells), len(ds), n_prompts, n_seg)
-    per_prompt = np.ascontiguousarray(per_prompt.swapaxes(2, 3))
+    per_prompt = np.array(cells).reshape(n_prompts, len(ells), len(ds), n_seg)
+    per_prompt = np.ascontiguousarray(per_prompt.transpose(1, 2, 3, 0))
     # the mean over the prompts that started a round in the window, NaN when
-    # none did (np.nanmean would also warn about the empty slice)
+    # none did (np.nanmean would also warn about the empty slice); the sums
+    # are np.nansum's, without its wrapper
+    started = ~np.isnan(per_prompt)
+    sums = np.add.reduce(np.where(started, per_prompt, 0.0), axis=-1)
     with np.errstate(invalid="ignore"):
-        means = np.nansum(per_prompt, axis=-1) / np.sum(~np.isnan(per_prompt), axis=-1)
+        means = sums / np.add.reduce(started, axis=-1)
     values = np.ascontiguousarray(means.transpose(2, 0, 1))
     return SweepGrid(ells=ells, ds=ds, segment_len=segment_len, values=values)
 
@@ -407,75 +411,64 @@ def _segment_etpl(rounds, segment_len: int | None, n_seg: int) -> list[float]:
     return [t / n if n > 0 else math.nan for t, n in zip(tok, lay)]
 
 
-class GreedyPath:
-    """The target's greedy continuation of one prompt, stepped on demand,
-    with every exit layer's agreement with the target along it.
+def _greedy_windows(model, prompt: Sequence[TokenId], policies, cfg: SessionConfig,
+                    segment_len: int | None, n_seg: int) -> list[float]:
+    """Each static policy's eTPL per window on one prompt, in cell order, in
+    one flat list, equal to ``_segment_etpl`` of its greedy session's rounds.
 
     Greedy speculative decoding is lossless, so every static session on the
-    prompt emits this path. A round at path position p with length g drafts
-    layer E's shadow tokens: while they agree with the target they are the
-    path, and the first disagreement ends acceptance. So the round accepts
-    the run of agreements from p, capped at g, and emits one more token;
-    nothing drafted after the first mismatch can change the outcome.
+    prompt emits the target's greedy path. A round at path position p with
+    length g drafts layer E's shadow tokens: while they agree with the target
+    they are the path, and the first disagreement ends acceptance. So the
+    round accepts the run of agreements from p, capped at g, and emits one
+    token more: the next round starts at ``min(nz[p], p + g) + 1``, where
+    ``nz[p]`` is layer E's first disagreement at or after p. The path is
+    drawn once, as far as any round can read, by ``model.path_agreement``;
+    a sweep of d = 0 alone reads no layer and draws nothing.
+
+    Raises the model's horizon ConfigError at the first round, in cell order,
+    that would step a context past it: a round at p drafts g tokens and
+    verifies up to context length ``len(prompt) + p + g``.
     """
-
-    def __init__(self, model, prompt: Sequence[TokenId]):
-        self.model = model
-        self.context = list(prompt)
-        self.prompt_len = len(prompt)
-        # row ell - 1 holds 1 where layer ell's shadow token is the target's
-        self.agree = [bytearray() for _ in range(model.L - 1)]
-
-    def extend(self, n: int) -> None:
-        """Draw the path until its first ``n`` positions are known, in one
-        block of agreement flags (``model.path_agreement``)."""
-        todo = n - len(self.context) + self.prompt_len
-        if todo <= 0:
-            return
-        chain, agree = self.model.path_agreement(self.context, todo)
-        self.context += chain
-        for row, new in zip(self.agree, agree.T):
-            row += new.tobytes()
-
-    def static_rounds(self, plan: DraftPlan, cfg: SessionConfig) -> list[tuple[int, int]]:
-        """``(emitted_len, layers_loaded)`` of each round of a static-plan
-        session, as ``run_session`` would produce them.
-
-        Raises the model's horizon ConfigError when the session would have
-        stepped a context past it: a round at position p drafts g tokens and
-        verifies up to context length ``prompt_len + p + g``. The first round
-        that needs an unknown position extends the path as far as any round
-        of the session can read, up to the horizon, in one block.
-        """
+    plans = [policy.plan for row in policies for policy in row]
+    total = cfg.max_new_tokens
+    horizon = model.spec.horizon
+    n0 = len(prompt)
+    # per cell, the start of the round after one that starts at each
+    # position: a d = 0 round emits one token and reads no flag
+    after = [range(1, total + 1)] * len(plans)
+    if any(plan.draft_bound for plan in plans):
+        exits, gs = np.array([(plan.exit_layer, plan.draft_bound) for plan in plans]).T
+        # a round at p reads the flags at p .. min(p + g, total - 1) - 1,
+        # and one that keeps within the horizon has p + g <= horizon - n0
+        reach = max(min(total - 1, horizon - n0), 0)
+        # per position and cell, whether the cell's exit layer agrees with
+        # the target (none past the flags read), and where it next disagrees
+        agree = np.zeros((reach + 1, len(plans)), dtype=bool)
+        agree[:reach] = model.path_agreement(prompt, reach)[1][:, exits - 1]
+        at = np.arange(reach + 1)[:, None]
+        nz = np.minimum.accumulate(np.where(agree, reach, at)[::-1], axis=0)[::-1]
+        after = (np.minimum(nz, at + gs) + 1).T.tolist()
+    out = []
+    for plan, after_p in zip(plans, after):
         g = plan.draft_bound
-        layers = g * plan.exit_layer + cfg.L
-        row = self.agree[plan.exit_layer - 1]
-        horizon = self.model.spec.horizon
-        total = cfg.max_new_tokens
-        reach = min(total - 1 + g, horizon - self.prompt_len + 1)
-        # the last position a round can start at without passing the horizon
-        last_start = horizon - self.prompt_len - g
-        rounds = []
+        # the rounds that start before ``limit`` stay within the horizon
+        limit = min(total, horizon - n0 - g + 1)
+        starts = []
         p = 0
-        while p < total:
-            if p > last_start:
-                raise horizon_error(max(self.prompt_len + p, horizon + 1), horizon)
-            # the round accepts the run of agreements from p, capped at g,
-            # up to ``end``; the path is drawn further only when that run
-            # reaches the end of what is known
-            end = p + g
-            if g:
-                miss = row.find(0, p, end)
-                if miss < 0 and end > len(row):
-                    self.extend(reach)
-                    miss = row.find(0, p, end)
-                if miss >= 0:
-                    end = miss
-            # and emits one token more, cut to the budget
-            emitted = min(end + 1, total) - p
-            rounds.append((emitted, layers))
-            p += emitted
-        return rounds
+        while p < limit:
+            starts.append(p)
+            p = after_p[p]
+        if p < total:
+            raise horizon_error(max(n0 + p, horizon + 1), horizon)
+        layers = g * plan.exit_layer + cfg.L
+        if segment_len is None:
+            # the rounds emit all ``total`` tokens
+            out.append(total / (len(starts) * layers))
+        else:
+            rounds = [(end - p, layers) for p, end in zip(starts, starts[1:] + [total])]
+            out += _segment_etpl(rounds, segment_len, n_seg)
+    return out
 
 
 def write_grid_csv(grid: SweepGrid, path: str | Path) -> None:

@@ -20,7 +20,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -238,9 +238,10 @@ class _PendingRow:
     """The per-layer draws of a step, made when they are read (see
     ``LayerStep.deferred``): the step's key, context length ``n`` and target
     argmax, and once a layer is read the position's keyed row of uniforms,
-    filled once and kept until the step is drawn in full."""
+    filled once and kept until the step is drawn in full, with the profile
+    at ``n`` (``p``, set with the row)."""
 
-    __slots__ = ("model", "msg", "n", "t_star", "u")
+    __slots__ = ("model", "msg", "n", "t_star", "u", "p")
 
     def __init__(self, model: "LayeredModel", msg: bytes, n: int, t_star: int):
         self.model = model
@@ -252,6 +253,7 @@ class _PendingRow:
     def uniforms(self) -> np.ndarray:
         u = self.u
         if u is None:
+            self.p = self.model._profile_at(self.n)
             u = self.u = self.model._uniforms(self.msg)
         return u
 
@@ -263,7 +265,7 @@ class _PendingRow:
         u = self.uniforms()
         k = m.L - 1
         j = ell - 1
-        miss = u.item(j) >= m._profile_at(self.n).item(j)
+        miss = u.item(j) >= self.p.item(j)
         t = u.item(k + j) * TABLE_SIZE
         if miss:
             t += TABLE_SIZE + 1.0
@@ -282,7 +284,7 @@ class _PendingRow:
             return [r.draw_block([r])[0] for r in rows]
         u = np.array([r.uniforms() for r in rows])
         t_stars = np.array([r.t_star for r in rows])[:, None]
-        top, conf = m._decode(u, m._profile_rows([r.n for r in rows]), t_stars)
+        top, conf = m._decode(u, m._profile_rows(r.p for r in rows), t_stars)
         top.setflags(write=False)
         conf.setflags(write=False)
         return list(zip(top, conf))
@@ -301,7 +303,7 @@ class _PendingRow:
         m = self.model
         k = m.L - 1
         u = np.array([r.uniforms() for r in rows]).T
-        profile = m._profile_rows([r.n for r in rows])
+        profile = m._profile_rows(r.p for r in rows)
         miss = np.greater_equal(u[:k], profile.T if profile.ndim == 2 else profile[:, None],
                                 order="C")
         conf = m._confidence(np.multiply(u[k : 2 * k], TABLE_SIZE, order="C"), miss)
@@ -455,16 +457,17 @@ class LayeredModel:
             return self._profiles[0]
         return self._profiles[bisect_right(self._segments, position % self._segments[-1])]
 
-    def _profile_rows(self, lengths: Sequence[int]) -> np.ndarray:
-        """The profile at each context length in ``lengths``, as rows of a
-        block; one row serves every length when they all fall in one
-        segment, as they do when the profile never changes."""
+    def _profile_rows(self, profiles: Iterable[np.ndarray]) -> np.ndarray:
+        """The profiles ``profiles`` yields, one per context length, as rows
+        of a block; one row serves every length when they all fall in one
+        segment, as they do when the profile never changes (and then, with
+        no regimes, ``profiles`` is not read)."""
         if self._segments is None:
             return self._profiles[0]
-        rows = [self._profile_at(m) for m in lengths]
+        rows = list(profiles)
         if rows and all(r is rows[0] for r in rows):
             return rows[0]
-        return np.array(rows).reshape(len(lengths), self.L - 1)
+        return np.array(rows).reshape(len(rows), self.L - 1)
 
     # -- public API --------------------------------------------------------
 
@@ -551,7 +554,8 @@ class LayeredModel:
         u = np.empty((n, k))
         for row, msg in zip(u, self._path_keys(context, chain)):
             self._uniforms(msg, row)
-        return chain, u < self._profile_rows(range(len(context), len(context) + n))
+        lengths = range(len(context), len(context) + n)
+        return chain, u < self._profile_rows(map(self._profile_at, lengths))
 
     def _path_keys(self, context: Sequence[TokenId], chain: list[TokenId]) -> list[bytes]:
         """The key (``_key``) of each context along a path: ``context``,

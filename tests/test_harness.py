@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import TIGHT_CONF, make_cfg, profile_with
 
-from delsim.config import SAMPLING
+from delsim.config import SAMPLING, ConfigError
 from delsim.engine import CostLedger
 from delsim.harness import (
     bootstrap_ci,
@@ -20,7 +22,7 @@ from delsim.harness import (
     run_experiment,
     write_grid_csv,
 )
-from delsim.model import AGREEMENT, REGIME_SWITCHING, ModelSpec, build_model
+from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec, build_model
 from delsim.types import InvariantViolation
 
 
@@ -492,22 +494,80 @@ def test_grid_sweep_horizon_matches_the_session_loop():
         grid_sweep(short, cfg, ells, ds, 2, 10)
 
 
+@st.composite
+def greedy_sweeps(draw):
+    """A greedy sweep: its model spec, config, cells, prompts and windows,
+    and an offset of the horizon from the longest context its sessions step."""
+    L = draw(st.integers(2, 32))
+    kind = draw(st.sampled_from([AGREEMENT, REGIME_SWITCHING, DETERMINISTIC_TOY]))
+    levels = st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0])
+
+    def profile():
+        return tuple(draw(st.lists(levels, min_size=L - 1, max_size=L - 1))) + (1.0,)
+
+    if kind == AGREEMENT:
+        spec = ModelSpec(kind=kind, agreement_profile=profile())
+    elif kind == REGIME_SWITCHING:
+        spec = ModelSpec(kind=kind, regimes=tuple((draw(st.integers(1, 20)), profile()) for _ in range(2)))
+    else:
+        spec = ModelSpec(kind=kind)
+    d_max = draw(st.integers(1, 12))
+    cfg = make_cfg(L=L, V=draw(st.sampled_from([2, 5, 32])), seed=draw(st.integers(0, 2**16)),
+                   max_new_tokens=draw(st.integers(1, 40)), d_max=d_max)
+    ells = sorted(draw(st.sets(st.integers(1, L - 1), min_size=1, max_size=3)))
+    # a sweep of d = 0 alone draws no path
+    ds = [0] if draw(st.booleans()) else sorted(draw(st.sets(st.integers(0, d_max), max_size=2)) | {0, d_max})
+    segment_len = draw(st.none() | st.integers(1, 20))
+    return (spec, cfg, ells, ds, draw(st.integers(1, 2)), draw(st.integers(1, 16)), segment_len,
+            draw(st.integers(-3, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(greedy_sweeps())
+def test_greedy_grid_sweep_equals_per_cell_sessions_near_the_horizon(sweep):
+    import dataclasses
+
+    spec, cfg, ells, ds, n_prompts, prompt_len, segment_len, offset = sweep
+    args = (cfg, ells, ds, n_prompts, prompt_len, segment_len)
+    values, reach = reference_grid(spec, *args)
+    top = max(reach.values())
+    horizon = max(top + offset, 1)
+    spec = dataclasses.replace(spec, horizon=horizon)
+    if horizon >= top:
+        assert grid_sweep(spec, *args).values.tobytes() == values.tobytes()
+        return
+    # past the horizon both raise, with the same text
+    with pytest.raises(ConfigError) as expected:
+        reference_grid(spec, *args)
+    with pytest.raises(ConfigError) as got:
+        grid_sweep(spec, *args)
+    assert str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize("ells, ds", [([0, 1], [2]), ([1, 8], [2]), ([1], [-1, 2]), ([1], [2, 5])])
 def test_grid_sweep_rejects_out_of_range_cells(ells, ds):
-    from delsim.config import ConfigError
-
     cfg = make_cfg(L=8, V=32, d_max=4, max_new_tokens=16)
     with pytest.raises(ConfigError):
         grid_sweep(spec_with_profile(profile_with(8, best=2)), cfg, ells, ds, 1, 8)
 
 
-def test_greedy_grid_sweep_steps_each_prompt_path_once(draws):
-    # the sweep reads every path step's layers, so it draws each step it makes
+def test_greedy_grid_sweep_steps_each_prompt_path_once(monkeypatch, draws):
+    # each prompt's path is drawn by one path_agreement call, as far as a
+    # round reads: no round reads the flag at the last position, max_new_tokens - 1
+    calls = []
+    real = LayeredModel.path_agreement
+
+    def counting(self, context, n):
+        calls.append((list(context), n))
+        return real(self, context, n)
+
+    monkeypatch.setattr(LayeredModel, "path_agreement", counting)
     cfg = make_cfg(L=32, V=64, seed=2, max_new_tokens=32)
-    ds = list(range(0, 13))
     n_prompts = 3
-    grid_sweep(_specialist_l32(), cfg, range(1, 13), ds, n_prompts, 32)
-    assert 0 < len(draws) <= n_prompts * (cfg.max_new_tokens + max(ds))
+    grid_sweep(_specialist_l32(), cfg, range(1, 13), range(0, 13), n_prompts, 32)
+    prompts = make_prompts(build_model(_specialist_l32(), cfg), cfg, n_prompts, 32)
+    assert calls == [(prompt, cfg.max_new_tokens - 1) for prompt in prompts]
+    assert len(draws) == n_prompts * (cfg.max_new_tokens - 1)
 
 
 
