@@ -8,6 +8,16 @@ from .config import ConfigError, SessionConfig, as_int
 from .engine import DraftPlan, RoundOutcome
 
 
+def check_exit_layer(cfg: SessionConfig, exit_layer: int) -> None:
+    if not 1 <= exit_layer < cfg.L:
+        raise ConfigError(f"exit_layer must lie in [1, {cfg.L}), got {exit_layer}")
+
+
+def check_gamma(cfg: SessionConfig, gamma: int, lo: int = 0) -> None:
+    if not lo <= gamma <= cfg.d_max:
+        raise ConfigError(f"gamma out of [{lo}, {cfg.d_max}]: {gamma}")
+
+
 class Policy:
     """The shape every policy shares, ``del``'s controller included: ``plan``
     is the plan of the next round, which ``init(model, prompt)`` and
@@ -44,10 +54,8 @@ class LsPolicy(Policy):
     name = "ls"
 
     def __init__(self, cfg: SessionConfig, exit_layer: int, gamma: int):
-        if not 1 <= exit_layer < cfg.L:
-            raise ConfigError(f"exit_layer must lie in [1, {cfg.L}), got {exit_layer}")
-        if not 0 <= gamma <= cfg.d_max:
-            raise ConfigError(f"gamma out of [0, {cfg.d_max}]: {gamma}")
+        check_exit_layer(cfg, exit_layer)
+        check_gamma(cfg, gamma)
         super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma, gamma))
 
 
@@ -58,15 +66,13 @@ class FsPolicy(Policy):
     name = "fs"
 
     def __init__(self, cfg: SessionConfig, exit_layer: int, gamma: int):
-        if not 1 <= exit_layer < cfg.L:
-            raise ConfigError(f"exit_layer must lie in [1, {cfg.L}), got {exit_layer}")
-        if not 1 <= gamma <= cfg.d_max:
-            raise ConfigError(f"gamma out of [1, {cfg.d_max}]: {gamma}")
+        check_exit_layer(cfg, exit_layer)
+        check_gamma(cfg, gamma, 1)
         super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma, gamma))
 
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
         gamma = self.plan.planned_len
-        if outcome.accepted_count >= len(outcome.drafted):
+        if outcome.accepted_count >= outcome.g:
             gamma = min(gamma + 1, self.cfg.d_max)
         else:
             gamma = max(gamma - 1, 1)
@@ -92,8 +98,7 @@ class DvPolicy(Policy):
         step: float = 0.01,
         threshold: float = 0.6,
     ):
-        if not 1 <= exit_layer < cfg.L:
-            raise ConfigError(f"exit_layer must lie in [1, {cfg.L}), got {exit_layer}")
+        check_exit_layer(cfg, exit_layer)
         if not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"threshold out of [0,1]: {threshold}")
         if not 0.0 <= target_rate <= 1.0:
@@ -105,7 +110,7 @@ class DvPolicy(Policy):
         self.step = step
 
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
-        g = len(outcome.drafted)
+        g = outcome.g
         if g == 0:
             return self.plan
         p = self.plan
@@ -139,6 +144,41 @@ def make_policy(name: str, cfg: SessionConfig, **params):
     if name == "del":
         return DelController(cfg)
     raise ConfigError(f"unknown policy {name!r}; expected vanilla/ls/fs/dv/del")
+
+
+def static_cells(cfg: SessionConfig, ells, ds) -> list[tuple[int, int]]:
+    """The (exit layer, length) cells of a static-policy grid in (ell, d)
+    order, each as ``make_policy("ls", cfg, exit_layer=ell, gamma=d)``
+    takes it. Each ell and each d is checked once, and the first bad cell
+    raises the ConfigError that its ``make_policy`` call would: that call
+    converts the exit layer, then the length, then checks their ranges."""
+
+    def checked(values, field, check):
+        # per value: the int, and the errors of its conversion and its range
+        out = []
+        for v in values:
+            conv = bad = None
+            try:
+                v = _param({field: v}, field, "ls", int)
+            except ConfigError as e:
+                conv = e
+            else:
+                try:
+                    check(cfg, v)
+                except ConfigError as e:
+                    bad = e
+            out.append((v, conv, bad))
+        return out
+
+    d_checks = checked(ds, "gamma", check_gamma)
+    cells = []
+    for ell, ell_conv, ell_bad in checked(ells, "exit_layer", check_exit_layer):
+        for d, d_conv, d_bad in d_checks:
+            err = ell_conv or d_conv or ell_bad or d_bad
+            if err is not None:
+                raise err
+            cells.append((ell, d))
+    return cells
 
 
 def _param(params: dict, field: str, policy: str, typ, default=None):

@@ -16,7 +16,7 @@ import numpy as np
 from .baselines import Policy
 from .config import CAP_ALGORITHM1, SessionConfig
 from .engine import DraftPlan, RoundOutcome
-from .types import LayerStep, TokenId
+from .types import InvariantViolation, LayerStep, TokenId
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +273,10 @@ class DelController(Policy):
     ``observe`` composes shadow_tokens -> round_stats -> push ->
     estimate_alpha -> threshold update -> plan selection, using only the
     LayerSteps the round already produced. The plan carries the freshly
-    updated threshold of its exit layer.
+    updated threshold of its exit layer. Every plan after prefill has a
+    threshold above 0 (each confidence is floored above 0, so both means
+    are), so its rounds read all g + 1 positions; ``observe`` raises
+    InvariantViolation on a round that read fewer.
     """
 
     name = "del"
@@ -292,6 +295,10 @@ class DelController(Policy):
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
         if self.stats is None:
             raise RuntimeError("init must be called before observe")
+        if len(outcome.steps) != outcome.g + 1:
+            raise InvariantViolation(
+                f"round read {len(outcome.steps)} positions, not its g + 1 = {outcome.g + 1}"
+            )
         cfg = self.cfg
         rs = round_stats(shadow_tokens(outcome.steps), outcome.exit_layer_used)
         self.stats = push(self.stats, rs, cfg.omega)

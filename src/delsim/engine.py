@@ -1,7 +1,7 @@
 """One speculative decoding round: draft, verify, accept, resample, account.
 
 Policy-agnostic: the caller supplies a :class:`DraftPlan` and gets back a
-:class:`RoundOutcome` carrying every LayerStep the round touched, so policy
+:class:`RoundOutcome` carrying every LayerStep the round read, so policy
 updates never need extra model calls.
 """
 
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GREEDY, SessionConfig
+from .model import horizon_error
 from .types import InvariantViolation, LayerStep, TokenId, exit_distribution, sample_exit, sample_index
 
 
@@ -51,111 +52,133 @@ class CostLedger:
 
 @dataclass(frozen=True, eq=False)
 class RoundOutcome:
-    """Everything one SD round produced."""
+    """Everything one SD round produced.
+
+    ``g`` is the number of tokens drafted, which the cost model charges
+    for. ``steps`` and ``drafted`` cover the positions the round read: a
+    plan with a threshold reads all g + 1 (position g is the bonus slot),
+    a plan without one reads up to its first rejection, or all g + 1 on
+    full acceptance.
+    """
 
     drafted: tuple[TokenId, ...]
     emitted: tuple[TokenId, ...]
     accepted_count: int
-    steps: tuple[LayerStep, ...]  # positions 0..g, position g is the bonus slot
+    steps: tuple[LayerStep, ...]
     exit_layer_used: int
     layers_loaded: int  # this round's g*E + L
+    g: int
 
 
-def draft(
-    model,
-    context: list[TokenId],
-    plan: DraftPlan,
-    cfg: SessionConfig,
-    rng: np.random.Generator,
-    q_rows: list[tuple[TokenId, float]] | None = None,
-):
-    """Auto-regressively draft tokens at the plan's exit layer.
+class Positions:
+    """One round's positions, each stepped the first time it is read.
 
-    Each position's confidence is the exit layer's top-1 probability
-    (``LayerStep.layer``, which decodes that layer alone on a pending step);
-    if it falls below the plan threshold the token is discarded and drafting
-    stops.
-    The loop runs at most ``plan.draft_bound`` times.
-
-    Returns (drafted tokens, LayerSteps seen). The step list covers every
-    position evaluated: g entries if the loop ran to its bound, g+1 if the
-    threshold stopped it early. Drafted tokens are appended to ``context``
-    while the loop runs and removed before returning, so ``model.step`` must
-    not keep the list it is given. In sampling mode each drafted token is
-    sampled from its exit row (``sample_exit``, which does not build the
-    row), and that row's (top token, confidence) pair is appended to
-    ``q_rows`` when it is given, for verification to read.
+    Position i is the step after the round's context and the first i
+    drafted tokens; ``context`` holds the drafted tokens while the round
+    runs, and the round removes them, so ``model.step`` must not keep the
+    list it is given. Positions are read in order.
     """
-    n0 = len(context)
-    drafted: list[TokenId] = []
-    steps: list[LayerStep] = []
-    exit_layer = plan.exit_layer
-    greedy = cfg.decode_mode == GREEDY
-    try:
-        for _ in range(plan.draft_bound):
-            ls = model.step(context)
-            steps.append(ls)
-            tok, conf = ls.layer(exit_layer)
-            if conf < plan.threshold:
-                break
-            if not greedy:
-                if q_rows is not None:
-                    q_rows.append((tok, conf))
-                tok = sample_exit(tok, conf, ls.target.size, rng)
-            drafted.append(tok)
-            context.append(tok)
-    finally:
-        del context[n0:]
-    return drafted, steps
+
+    __slots__ = ("model", "context", "greedy", "steps", "drafted", "q_rows", "uniforms")
+
+    def __init__(self, model, context: list[TokenId], greedy: bool):
+        self.model = model
+        self.context = context
+        self.greedy = greedy
+        self.steps: list[LayerStep] = []
+        self.drafted: list[TokenId] = []
+        self.q_rows: list[tuple[TokenId, float]] = []
+        # a zero-threshold sampling round's draft uniforms, drawn by ``draft``
+        self.uniforms: list[float] | None = None
+
+    def step(self, i: int) -> LayerStep:
+        steps = self.steps
+        if i == len(steps):
+            steps.append(self.model.step(self.context))
+        return steps[i]
+
+    def push(self, step: LayerStep, tok: TokenId, conf: float, u: float) -> None:
+        """Draft the next token from ``step``'s exit layer, whose top token
+        and confidence are ``tok`` and ``conf``: that token in greedy mode,
+        in sampling mode a draw from its exit row with the uniform ``u``
+        (``sample_exit``, which does not build the row). The row's (top
+        token, confidence) pair is kept for verification to read."""
+        if not self.greedy:
+            self.q_rows.append((tok, conf))
+            tok = sample_exit(tok, conf, step.target.size, u)
+        self.drafted.append(tok)
+        self.context.append(tok)
 
 
-def verify_greedy(target_tokens, drafted):
-    """Greedy verification: longest matching prefix plus one target token.
+def draft(positions: Positions, plan: DraftPlan, rng: np.random.Generator) -> int:
+    """Draft at the plan's exit layer; returns g, the number of tokens
+    drafted, at most ``plan.draft_bound``.
 
-    ``target_tokens`` are the target argmaxes at positions 0..g; the emitted
-    sequence is the accepted prefix followed by the target token at the first
-    mismatch (the bonus token when nothing mismatched).
+    A plan with a threshold drafts here. It steps each position and stops at
+    the first whose exit-layer confidence (``LayerStep.layer``, which
+    decodes that layer alone on a pending step) is below the threshold;
+    that position is then the bonus slot g. In sampling mode it draws each
+    token's uniform as it drafts it.
+
+    A plan whose threshold is 0 cannot stop early, since every confidence is
+    floored above 0, so g is its draft bound before any step. It steps
+    nothing here: in sampling mode it draws the round's g draft uniforms as
+    one ``rng.random(g)``, the same stream as g single draws, and the round
+    drafts each position when verification reads it. A round that would
+    step a context past the model's horizon raises its ConfigError here.
     """
-    accepted = 0
-    for tok, tgt in zip(drafted, target_tokens):
-        if tok != tgt:
-            break
-        accepted += 1
-    emitted = list(drafted[:accepted]) + [target_tokens[accepted]]
-    return accepted, emitted
+    g = plan.draft_bound
+    if plan.threshold <= 0.0:
+        n0 = len(positions.context)
+        horizon = positions.model.spec.horizon
+        if n0 + g > horizon:
+            raise horizon_error(max(n0, horizon + 1), horizon)
+        if g and not positions.greedy:
+            positions.uniforms = rng.random(g).tolist()
+        return g
+    for i in range(g):
+        step = positions.step(i)
+        tok, conf = step.layer(plan.exit_layer)
+        if conf < plan.threshold:
+            return i
+        positions.push(step, tok, conf, 0.0 if positions.greedy else rng.random())
+    return g
 
 
-def verify_sampling(drafted, q_rows, p_rows, rng: np.random.Generator):
-    """Speculative sampling verification.
+def verify_greedy(tok: TokenId, target_token: TokenId) -> TokenId | None:
+    """Greedy verification of one drafted token: None when it is the
+    target's argmax, which accepts it; else that argmax, which the round
+    emits in its place."""
+    return None if tok == target_token else target_token
 
-    ``q_rows[i]`` is the (top token, confidence) pair of the exit row that
-    drafted token i (see ``exit_distribution``): q_i(x) is the confidence
-    when x is the top token and (1 - confidence) / (V - 1) otherwise, the
-    very floats the row holds. Token i is accepted with probability
-    min(1, p_i(x)/q_i(x)); the first rejection builds the row and resamples
-    from the normalized positive residual max(0, p - q). Full acceptance
-    samples the bonus token from p at position g.
+
+def verify_sampling(tok: TokenId, q_row: tuple[TokenId, float], p_row: np.ndarray,
+                    rng: np.random.Generator) -> TokenId | None:
+    """Speculative sampling verification of one drafted token.
+
+    ``q_row`` is the (top token, confidence) pair of the exit row that
+    drafted ``tok`` (see ``exit_distribution``): q(x) is the confidence when
+    x is the top token and (1 - confidence) / (V - 1) otherwise, the very
+    floats the row holds. The token is accepted, and None returned, with
+    probability min(1, p(x)/q(x)); a rejection builds the row and returns a
+    sample of the normalized positive residual max(0, p - q), which the
+    round emits in its place.
     """
-    for i, tok in enumerate(drafted):
-        top, conf = q_rows[i]
-        p_row = p_rows[i]
-        size = p_row.size
-        q = conf if tok == top else (1.0 - conf) / (size - 1)
-        p = float(p_row[tok])
-        if q <= 0.0:
-            raise InvariantViolation("drafted token has zero draft probability")
-        if rng.random() < min(1.0, p / q):
-            continue
-        residual = np.maximum(p_row - exit_distribution(top, conf, size), 0.0)
-        total = float(residual.sum())
-        if total <= 0.0:
-            # p == q with all mass on the drafted token is accepted by the
-            # min(1, .) rule, so a zero residual is unreachable
-            raise InvariantViolation("zero residual distribution at rejection")
-        corr = sample_index(residual / total, rng)
-        return i, list(drafted[:i]) + [corr]
-    bonus = sample_index(p_rows[len(drafted)], rng)
-    return len(drafted), list(drafted) + [bonus]
+    top, conf = q_row
+    size = p_row.size
+    q = conf if tok == top else (1.0 - conf) / (size - 1)
+    p = float(p_row[tok])
+    if q <= 0.0:
+        raise InvariantViolation("drafted token has zero draft probability")
+    if rng.random() < min(1.0, p / q):
+        return None
+    residual = np.maximum(p_row - exit_distribution(top, conf, size), 0.0)
+    total = float(residual.sum())
+    if total <= 0.0:
+        # p == q with all mass on the drafted token is accepted by the
+        # min(1, .) rule, so a zero residual is unreachable
+        raise InvariantViolation("zero residual distribution at rejection")
+    return sample_index(residual / total, rng)
 
 
 def run_round(
@@ -169,37 +192,51 @@ def run_round(
 ) -> RoundOutcome:
     """Run one full SD round and append the emitted tokens to ``context``.
 
+    Verification walks the drafted positions in order and stops at the
+    first rejection; full acceptance reads position g for the bonus token
+    (the target's argmax, or a sample of its row). A plan with a threshold
+    has stepped every position before verification, and steps position g
+    too, since ``del`` reads them all. A plan whose threshold is 0 steps,
+    and drafts, a position only when verification reads it, so nothing
+    after the first rejection is stepped. Either way the emitted tokens and
+    the draws from ``rng`` are those of drafting all g tokens first.
+
     Charges the ledger g*E + L layer loads regardless of how many tokens
     survive verification; if ``budget_left`` is given, the emitted sequence is
-    truncated to it but the full round cost is still charged. A sampling
-    round builds no exit row per drafted position: the draft samples each
-    token from its row's closed-form CDF and hands verification the row's
-    (top token, confidence) pair, and verification builds a row only at a
-    rejection.
+    truncated to it but the full round cost is still charged.
     """
     if budget_left is not None and budget_left < 1:
         raise ValueError("generation budget exhausted")
     plan.validate(cfg)
-
-    q_rows: list[tuple[TokenId, float]] = []
-    drafted, steps = draft(model, context, plan, cfg, rng, q_rows)
-    g = len(drafted)
-    if len(steps) == g:
-        # loop ran to its bound: the verification pass covers one more position
-        n0 = len(context)
-        context.extend(drafted)
-        try:
-            steps.append(model.step(context))
-        finally:
-            del context[n0:]
-    assert len(steps) == g + 1
-
-    if cfg.decode_mode == GREEDY:
-        target_tokens = [s.target_token for s in steps]
-        accepted, emitted = verify_greedy(target_tokens, drafted)
-    else:
-        p_rows = [s.target for s in steps]
-        accepted, emitted = verify_sampling(drafted, q_rows, p_rows, rng)
+    greedy = cfg.decode_mode == GREEDY
+    n0 = len(context)
+    positions = Positions(model, context, greedy)
+    drafted, q_rows = positions.drafted, positions.q_rows
+    try:
+        g = draft(positions, plan, rng)
+        uniforms = positions.uniforms
+        if plan.threshold > 0.0:
+            # del's update reads all g + 1 positions of such a round
+            positions.step(g)
+        for i in range(g):
+            step = positions.step(i)
+            if i == len(drafted):
+                # a zero-threshold round drafts a position when it is reached
+                positions.push(step, *step.layer(plan.exit_layer), 0.0 if greedy else uniforms[i])
+            if greedy:
+                end = verify_greedy(drafted[i], step.target_token)
+            else:
+                end = verify_sampling(drafted[i], q_rows[i], step.target, rng)
+            if end is not None:
+                break
+        else:
+            i = g
+            step = positions.step(g)
+            end = step.target_token if greedy else sample_index(step.target, rng)
+    finally:
+        del context[n0:]
+    emitted = drafted[:i]
+    emitted.append(end)
 
     if budget_left is not None and len(emitted) > budget_left:
         emitted = emitted[:budget_left]
@@ -212,8 +249,9 @@ def run_round(
     return RoundOutcome(
         drafted=tuple(drafted),
         emitted=tuple(emitted),
-        accepted_count=accepted,
-        steps=tuple(steps),
+        accepted_count=i,
+        steps=tuple(positions.steps),
         exit_layer_used=plan.exit_layer,
         layers_loaded=layers,
+        g=g,
     )

@@ -15,9 +15,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .baselines import make_policy
+from .baselines import Policy, make_policy, static_cells
 from .config import GREEDY, SessionConfig, derive_seed
-from .engine import CostLedger, run_round
+from .engine import CostLedger, DraftPlan, run_round
 from .model import ModelSpec, build_model, horizon_error
 from .types import InvariantViolation, TokenId
 
@@ -62,7 +62,7 @@ def run_session(
                     "round": rounds,
                     "E": plan.exit_layer,
                     "planned_len": plan.planned_len,
-                    "g": len(outcome.drafted),
+                    "g": outcome.g,
                     "accepted": outcome.accepted_count,
                     "emitted_len": len(outcome.emitted),
                     "layers_loaded": outcome.layers_loaded,
@@ -364,27 +364,27 @@ def grid_sweep(
     ds = list(ds)
     if not ells or not ds:
         raise ValueError("sweep ranges must be non-empty")
-    # a bad exit layer or length raises ConfigError before any work is done;
-    # the static policy is stateless, so one per cell serves every prompt
-    policies = [[make_policy("ls", cfg, exit_layer=ell, gamma=d) for d in ds] for ell in ells]
+    # a bad exit layer or length raises ConfigError before any work is done
+    cells = static_cells(cfg, ells, ds)
     model = build_model(model_spec, cfg)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
     # per prompt, each cell's eTPL per window, in one flat list
-    cells = []
+    windows = []
     for i, prompt in enumerate(prompts):
         if cfg.decode_mode == GREEDY:
-            cells.append(_greedy_windows(model, prompt, policies, cfg, segment_len, n_seg))
+            windows.append(_greedy_windows(model, prompt, cells, cfg, segment_len, n_seg))
             continue
-        windows = []
-        for ell, row in zip(ells, policies):
-            for d, policy in zip(ds, row):
-                res = run_session(model, policy, cfg, prompt, derive_seed(cfg.seed, "sweep", ell, d, i))
-                rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
-                windows += _segment_etpl(rounds, segment_len, n_seg)
-        cells.append(windows)
+        flat = []
+        for ell, d in cells:
+            # the static policy is stateless: a fixed plan
+            policy = Policy(cfg, DraftPlan(ell, 0.0, d, d))
+            res = run_session(model, policy, cfg, prompt, derive_seed(cfg.seed, "sweep", ell, d, i))
+            rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
+            flat += _segment_etpl(rounds, segment_len, n_seg)
+        windows.append(flat)
     # (ells, ds, windows, prompts), laid out as the mean below reads it
-    per_prompt = np.array(cells).reshape(n_prompts, len(ells), len(ds), n_seg)
+    per_prompt = np.array(windows).reshape(n_prompts, len(ells), len(ds), n_seg)
     per_prompt = np.ascontiguousarray(per_prompt.transpose(1, 2, 3, 0))
     # the mean over the prompts that started a round in the window, NaN when
     # none did (np.nanmean would also warn about the empty slice); the sums
@@ -411,10 +411,11 @@ def _segment_etpl(rounds, segment_len: int | None, n_seg: int) -> list[float]:
     return [t / n if n > 0 else math.nan for t, n in zip(tok, lay)]
 
 
-def _greedy_windows(model, prompt: Sequence[TokenId], policies, cfg: SessionConfig,
+def _greedy_windows(model, prompt: Sequence[TokenId], cells, cfg: SessionConfig,
                     segment_len: int | None, n_seg: int) -> list[float]:
-    """Each static policy's eTPL per window on one prompt, in cell order, in
+    """Each static cell's eTPL per window on one prompt, in cell order, in
     one flat list, equal to ``_segment_etpl`` of its greedy session's rounds.
+    A cell is an (exit layer, length) pair.
 
     Greedy speculative decoding is lossless, so every static session on the
     prompt emits the target's greedy path. A round at path position p with
@@ -430,28 +431,26 @@ def _greedy_windows(model, prompt: Sequence[TokenId], policies, cfg: SessionConf
     that would step a context past it: a round at p drafts g tokens and
     verifies up to context length ``len(prompt) + p + g``.
     """
-    plans = [policy.plan for row in policies for policy in row]
     total = cfg.max_new_tokens
     horizon = model.spec.horizon
     n0 = len(prompt)
     # per cell, the start of the round after one that starts at each
     # position: a d = 0 round emits one token and reads no flag
-    after = [range(1, total + 1)] * len(plans)
-    if any(plan.draft_bound for plan in plans):
-        exits, gs = np.array([(plan.exit_layer, plan.draft_bound) for plan in plans]).T
+    after = [range(1, total + 1)] * len(cells)
+    if any(g for _, g in cells):
+        exits, gs = np.array(cells).T
         # a round at p reads the flags at p .. min(p + g, total - 1) - 1,
         # and one that keeps within the horizon has p + g <= horizon - n0
         reach = max(min(total - 1, horizon - n0), 0)
         # per position and cell, whether the cell's exit layer agrees with
         # the target (none past the flags read), and where it next disagrees
-        agree = np.zeros((reach + 1, len(plans)), dtype=bool)
+        agree = np.zeros((reach + 1, len(cells)), dtype=bool)
         agree[:reach] = model.path_agreement(prompt, reach)[1][:, exits - 1]
         at = np.arange(reach + 1)[:, None]
         nz = np.minimum.accumulate(np.where(agree, reach, at)[::-1], axis=0)[::-1]
         after = (np.minimum(nz, at + gs) + 1).T.tolist()
     out = []
-    for plan, after_p in zip(plans, after):
-        g = plan.draft_bound
+    for (exit_layer, g), after_p in zip(cells, after):
         # the rounds that start before ``limit`` stay within the horizon
         limit = min(total, horizon - n0 - g + 1)
         starts = []
@@ -461,7 +460,7 @@ def _greedy_windows(model, prompt: Sequence[TokenId], policies, cfg: SessionConf
             p = after_p[p]
         if p < total:
             raise horizon_error(max(n0 + p, horizon + 1), horizon)
-        layers = g * plan.exit_layer + cfg.L
+        layers = g * exit_layer + cfg.L
         if segment_len is None:
             # the rounds emit all ``total`` tokens
             out.append(total / (len(starts) * layers))

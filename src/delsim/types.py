@@ -32,15 +32,15 @@ def _search(probs: np.ndarray, u: float) -> int:
 _STEP_ULPS = 2.0 * np.finfo(np.float64).eps
 
 
-def sample_exit(token: TokenId, conf: float, size: int, rng: np.random.Generator) -> int:
-    """``sample_index(exit_distribution(token, conf, size), rng)``, from the
-    same single ``rng.random()``, without building the row.
+def sample_exit(token: TokenId, conf: float, size: int, u: float) -> int:
+    """The index of ``exit_distribution(token, conf, size)`` whose CDF step
+    holds the uniform ``u``, as ``sample_index`` finds it for a generator
+    that draws ``u``, without building the row.
 
     The row's CDF is closed form: steps of r = (1 - conf) / (size - 1) up to
     ``token * r``, then ``conf``, then steps of r again. A draw that falls
     within rounding distance of a step searches the row itself instead.
     """
-    u = rng.random()
     r = (1.0 - conf) / (size - 1)
     below = token * r
     if u < below:
@@ -104,9 +104,9 @@ class LayerStep:
     how it is decoded does not change a value.
     Speculative-sampling verification reads only target rows, so a
     sampling-mode ``vanilla`` session makes no draws, and an ``ls`` session
-    draws only its drafted positions, one layer each. A model with a step
-    memo stores the pending step itself, so the sessions sharing the memo
-    fill its row once. Until it is drawn in full such a step refers back to
+    draws only the drafted positions its verification reads, one layer
+    each. A model with a step memo stores the pending step itself, so the
+    sessions sharing the memo fill its row once. Until it is drawn in full such a step refers back to
     the model (model, memo, step, pending row, model); Python's cycle
     collector frees that cycle when the model is dropped.
     """

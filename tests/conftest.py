@@ -95,10 +95,11 @@ class ScriptedModel:
 
     Position i (= len(context) - base_len) returns an L=2 LayerStep whose
     exit layer puts ``conf[i]`` on ``draft_tok[i]`` and whose target row puts
-    mass 0.9 on ``target_tok[i]``.
+    mass 0.9 on ``target_tok[i]``. Its horizon is the last scripted position.
     """
 
     def __init__(self, base_len: int, confs, draft_toks, target_toks, V: int = 8):
+        self.spec = ModelSpec(kind=AGREEMENT, horizon=base_len + len(confs) - 1)
         self.base_len = base_len
         self.confs = list(confs)
         self.draft_toks = list(draft_toks)

@@ -16,6 +16,7 @@ def outcome_with(drafted: int, accepted: int) -> RoundOutcome:
         steps=(),
         exit_layer_used=1,
         layers_loaded=0,
+        g=drafted,
     )
 
 

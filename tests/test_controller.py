@@ -21,6 +21,7 @@ from delsim.controller import (
     zero_stats,
 )
 from delsim.engine import CostLedger, DraftPlan, run_round
+from delsim.model import AGREEMENT, REGIME_SWITCHING, LayeredModel, ModelSpec
 from delsim.types import LayerStep, exit_distribution
 
 
@@ -582,3 +583,77 @@ def test_trace_fields_expose_alpha_and_u():
     assert policy.observe(out) is policy.plan
     assert policy.alpha_snapshot == estimate_alpha(policy.stats, cfg.alpha_clamp_eps).tolist()
     assert 0 <= policy.u_r <= len(out.drafted)
+
+
+# -- every del round reads all its positions -----------------------------------------
+
+CONFIDENCE_LAWS = st.sampled_from([
+    {"dist": "fixed", "value": 0.0},  # every confidence at the 1/V floor
+    {"dist": "fixed", "value": 1.0 / 32},
+    {"dist": "fixed", "value": 1.0},
+    {"dist": "uniform", "lo": 0.0, "hi": 0.02},
+    {"dist": "uniform", "lo": 0.0, "hi": 1.0},
+    {"dist": "beta", "a": 16, "b": 4},
+    {"dist": "beta", "a": 4, "b": 16},
+    {"dist": "beta", "a": 0.5, "b": 0.5},
+])
+
+
+@st.composite
+def del_sessions(draw):
+    """A model with any profile and confidence laws, a config and a prompt."""
+    L = draw(st.integers(2, 8))
+    levels = st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0])
+
+    def profile():
+        return tuple(draw(st.lists(levels, min_size=L - 1, max_size=L - 1))) + (1.0,)
+
+    laws = {"confidence_match": draw(CONFIDENCE_LAWS), "confidence_mismatch": draw(CONFIDENCE_LAWS)}
+    if draw(st.booleans()):
+        spec = ModelSpec(kind=AGREEMENT, agreement_profile=profile(), **laws)
+    else:
+        regimes = tuple((draw(st.integers(1, 12)), profile()) for _ in range(2))
+        spec = ModelSpec(kind=REGIME_SWITCHING, regimes=regimes, **laws)
+    cfg = make_cfg(
+        L=L, V=draw(st.sampled_from([2, 5, 32])), seed=draw(st.integers(0, 2**16)),
+        d_max=draw(st.integers(1, 8)), max_new_tokens=draw(st.integers(1, 40)),
+        prefill_window=draw(st.integers(1, 12)), omega=draw(st.sampled_from([0.0, 0.5, 0.95, 1.0])),
+        decode_mode=draw(st.sampled_from(["greedy", "sampling"])),
+        draft_cap_mode=draw(st.sampled_from(["algorithm1", CAP_PLAN])),
+    )
+    model = LayeredModel(spec, cfg.L, cfg.V, draw(st.integers(0, 3)))
+    prompt = draw(st.lists(st.integers(0, cfg.V - 1), min_size=1, max_size=12))
+    return model, cfg, prompt, draw(st.integers(0, 2**16))
+
+
+@given(del_sessions())
+@settings(max_examples=120, deadline=None)
+def test_every_del_plan_has_a_threshold_so_its_rounds_read_every_position(case):
+    model, cfg, prompt, seed = case
+    policy = DelController(cfg)
+    plan = policy.init(model, prompt)
+    ctx, rng, ledger = list(prompt), np.random.default_rng(seed), CostLedger()
+    while ledger.tokens_emitted < cfg.max_new_tokens:
+        assert plan.threshold > 0.0
+        out = run_round(model, ctx, plan, rng, ledger, cfg, cfg.max_new_tokens - ledger.tokens_emitted)
+        assert len(out.steps) == out.g + 1
+        plan = policy.observe(out)
+
+
+def test_del_observe_rejects_a_round_that_read_fewer_positions():
+    from delsim.types import InvariantViolation
+
+    cfg = make_cfg(L=4, V=16, d_max=6)
+    model = CallCountingModel(agreement_model(cfg, (0.3, 0.3, 0.3, 1.0)))
+    policy = DelController(cfg)
+    policy.init(model, [1, 2, 3])
+    ctx, rng = [1, 2, 3], np.random.default_rng(0)
+    # a zero-threshold round that stops at an early rejection
+    out = run_round(model, ctx, DraftPlan(1, 0.0, 6, 6), rng, CostLedger(), cfg)
+    while out.accepted_count == out.g:
+        out = run_round(model, ctx, DraftPlan(1, 0.0, 6, 6), rng, CostLedger(), cfg)
+    assert len(out.steps) < out.g + 1
+    stats, calls = policy.stats, model.calls
+    with pytest.raises(InvariantViolation, match="g \\+ 1"):
+        policy.observe(out)
+    assert model.calls == calls and policy.stats is stats

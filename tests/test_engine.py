@@ -4,15 +4,24 @@ from conftest import CallCountingModel, ScriptedModel, agreement_model, make_cfg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsim.config import SAMPLING
-from delsim.engine import CostLedger, DraftPlan, draft, run_round, verify_greedy, verify_sampling
+from delsim.config import SAMPLING, ConfigError
+from delsim.engine import (
+    CostLedger,
+    DraftPlan,
+    Positions,
+    draft,
+    run_round,
+    verify_greedy,
+    verify_sampling,
+)
 from delsim.harness import (
     empirical_sd_distribution,
     enumerate_target_distribution,
     total_variation,
 )
 from delsim.baselines import make_policy
-from delsim.model import ModelSpec
+from delsim.model import LayeredModel, ModelSpec
+from delsim.types import exit_distribution, sample_index
 
 
 def ls_like(E, gamma, tau=0.0, bound=None):
@@ -26,29 +35,36 @@ def test_draft_zero_threshold_never_stops():
     cfg = make_cfg(d_max=8)
     model = toy_model(cfg)
     ctx = [1]
-    drafted, steps = draft(model, ctx, ls_like(1, 4), cfg, np.random.default_rng(0))
-    assert len(drafted) == 4
-    assert len(steps) == 4  # loop hit its bound; bonus position comes from run_round
-    assert [s.top_conf[0] for s in steps] == [1.0] * 4
-    assert ctx == [1]  # drafted tokens leave the caller's context as it was
+    positions = Positions(model, ctx, True)
+    # g is the bound, known before any step: the round steps each position
+    # when verification reads it
+    assert draft(positions, ls_like(1, 4), np.random.default_rng(0)) == 4
+    assert positions.steps == [] and positions.drafted == [] and ctx == [1]
+    out = run_round(model, ctx, ls_like(1, 4), np.random.default_rng(0), CostLedger(), cfg)
+    # the toy's exit layers agree with the target: full acceptance reads all g + 1
+    assert out.g == len(out.drafted) == out.accepted_count == 4
+    assert len(out.steps) == 5
+    assert [s.top_conf[0] for s in out.steps] == [1.0] * 5
 
 
 def test_draft_unit_threshold_gives_empty_draft():
     cfg = make_cfg(L=4)
     model = agreement_model(cfg, (0.6, 0.8, 0.9, 1.0))
-    drafted, steps = draft(model, [1], ls_like(1, 4, tau=1.0), cfg, np.random.default_rng(0))
-    assert drafted == []
-    assert len(steps) == 1
+    positions = Positions(model, [1], True)
+    assert draft(positions, ls_like(1, 4, tau=1.0), np.random.default_rng(0)) == 0
+    assert positions.drafted == []
+    assert len(positions.steps) == 1
 
 
 def test_draft_stops_at_scripted_confidence():
     confs = [0.9, 0.8, 0.4, 0.95, 0.9, 0.9]
     model = ScriptedModel(base_len=1, confs=confs, draft_toks=[1] * 6, target_toks=[1] * 6)
-    cfg = make_cfg(L=2, V=8, d_max=5)
-    drafted, steps = draft(model, [0], ls_like(1, 5, tau=0.5), cfg, np.random.default_rng(0))
-    assert len(drafted) == 2
-    assert len(steps) == 3  # the low-confidence position is kept as the bonus slot
-    assert [s.top_conf[0] for s in steps] == [0.9, 0.8, 0.4]
+    ctx = [0]
+    positions = Positions(model, ctx, True)
+    assert draft(positions, ls_like(1, 5, tau=0.5), np.random.default_rng(0)) == 2
+    assert positions.drafted == [1, 1] and ctx == [0, 1, 1]  # the round removes them
+    # the low-confidence position is kept as the bonus slot
+    assert [s.top_conf[0] for s in positions.steps] == [0.9, 0.8, 0.4]
 
 
 def test_draft_cap_modes():
@@ -57,39 +73,47 @@ def test_draft_cap_modes():
     rng = np.random.default_rng(0)
     # the draft bound, not planned_len, ends the loop: algorithm1 capping
     # passes d_max, plan capping the planned length
-    drafted, _ = draft(model, [1], ls_like(1, 2, bound=cfg.d_max), cfg, rng)
-    assert len(drafted) == 6
-    drafted, _ = draft(model, [1], ls_like(1, 2), cfg, rng)
-    assert len(drafted) == 2
+    for tau in (0.0, 0.5):
+        assert draft(Positions(model, [1], True), ls_like(1, 2, tau, cfg.d_max), rng) == 6
+        assert draft(Positions(model, [1], True), ls_like(1, 2, tau), rng) == 2
 
 
 # -- verification -------------------------------------------------------------
 
 def test_verify_greedy_full_acceptance_and_bonus():
-    accepted, emitted = verify_greedy([5, 7, 9, 2], [5, 7, 9])
-    assert accepted == 3
-    assert emitted == [5, 7, 9, 2]
+    assert verify_greedy(5, 5) is None
+    cfg = make_cfg(L=8, V=16)
+    # the toy's exit layers all agree: three accepted, then the bonus token
+    out = run_round(toy_model(cfg), [4], ls_like(2, 3), np.random.default_rng(0), CostLedger(), cfg)
+    assert out.accepted_count == 3
+    assert out.emitted == (5, 6, 7, 8)
 
 
 def test_verify_greedy_prefix_walk():
-    accepted, emitted = verify_greedy([5, 1, 9, 2], [5, 7, 9])
-    assert accepted == 1
-    assert emitted == [5, 1]
+    assert verify_greedy(7, 1) == 1
+    model = ScriptedModel(base_len=1, confs=[0.9] * 4, draft_toks=[5, 7, 9, 2], target_toks=[5, 1, 9, 2],
+                          V=16)
+    cfg = make_cfg(L=2, V=16, d_max=3)
+    out = run_round(model, [0], ls_like(1, 3), np.random.default_rng(0), CostLedger(), cfg)
+    assert out.accepted_count == 1
+    assert out.emitted == (5, 1)
+    # nothing after the first rejection is read
+    assert out.drafted == (5, 7) and len(out.steps) == 2 and out.g == 3
 
 
 def test_verify_greedy_empty_draft_is_vanilla_step():
-    accepted, emitted = verify_greedy([4], [])
-    assert accepted == 0
-    assert emitted == [4]
+    model = ScriptedModel(base_len=1, confs=[0.9], draft_toks=[3], target_toks=[4])
+    cfg = make_cfg(L=2, V=8)
+    out = run_round(model, [0], ls_like(1, 0), np.random.default_rng(0), CostLedger(), cfg)
+    assert out.accepted_count == 0
+    assert out.emitted == (4,)
 
 
 def test_verify_sampling_ratio_one_always_accepts():
     rng = np.random.default_rng(0)
     # the exit row (0.3, 0.7), as its (top token, confidence) pair
-    rows = [np.array([0.3, 0.7])] * 3
-    accepted, emitted = verify_sampling([1, 1], [(1, 0.7)] * 2, rows, rng)
-    assert accepted == 2
-    assert len(emitted) == 3
+    row = np.array([0.3, 0.7])
+    assert all(verify_sampling(1, (1, 0.7), row, rng) is None for _ in range(100))
 
 
 def test_verify_sampling_residual_is_exact():
@@ -100,18 +124,17 @@ def test_verify_sampling_residual_is_exact():
     n = 20_000
     accepted_count = 0
     for _ in range(n):
-        accepted, emitted = verify_sampling([0], [q], [p, p], rng)
-        if accepted == 1:
+        end = verify_sampling(0, q, p, rng)
+        if end is None:
             accepted_count += 1
         else:
-            assert emitted == [1]  # residual mass is all on B
+            assert end == 1  # residual mass is all on B
     assert abs(accepted_count / n - 0.5) < 0.02
 
 
 def test_verify_sampling_forced_acceptance_when_q_is_one_hot_target():
     p = np.array([1.0, 0.0])
-    accepted, emitted = verify_sampling([0], [(0, 1.0)], [p, p], np.random.default_rng(0))
-    assert accepted == 1 and emitted[0] == 0
+    assert verify_sampling(0, (0, 1.0), p, np.random.default_rng(0)) is None
 
 
 # -- run_round ----------------------------------------------------------------
@@ -200,11 +223,11 @@ def test_sampling_draft_tokens_come_from_q_but_confidences_are_top1():
     confs = [0.6] * 12
     model = ScriptedModel(base_len=1, confs=confs, draft_toks=[2] * 12, target_toks=[2] * 12)
     cfg = make_cfg(L=2, V=8, d_max=8, decode_mode=SAMPLING)
-    rng = np.random.default_rng(5)
-    drafted, steps = draft(model, [0], ls_like(1, 8), cfg, rng)
-    assert len(drafted) == 8
-    assert all(abs(s.top_conf[0] - 0.6) < 1e-12 for s in steps)
-    assert any(t != 2 for t in drafted)  # sampled, not argmaxed
+    positions = Positions(model, [0], False)
+    assert draft(positions, ls_like(1, 8, tau=0.5), np.random.default_rng(5)) == 8
+    assert all(abs(s.top_conf[0] - 0.6) < 1e-12 for s in positions.steps)
+    assert positions.q_rows == [(2, 0.6)] * 8
+    assert any(t != 2 for t in positions.drafted)  # sampled, not argmaxed
 
 
 @given(
@@ -225,7 +248,7 @@ def test_ledger_exactness(plans):
     expected_tokens = 0
     for E, gamma in plans:
         out = run_round(model, ctx, ls_like(E, gamma), rng, ledger, cfg)
-        expected_layers += len(out.drafted) * E + cfg.L
+        expected_layers += out.g * E + cfg.L
         expected_tokens += len(out.emitted)
     assert ledger.layers_loaded == expected_layers
     assert ledger.tokens_emitted == expected_tokens
@@ -306,8 +329,12 @@ def test_sampling_sessions_draw_only_the_steps_they_read(policy, params, draws):
         # verification reads only the target rows
         assert drafted == 0 and draws == []
     elif policy == "ls":
-        # one draw per drafted position; no verification step is read
-        assert len(draws) == drafted == model.calls - res.rounds
+        # a round steps the positions up to its first rejection, or all g + 1
+        # on full acceptance, and draws each drafted one; the bonus position
+        # is not drawn
+        assert model.calls == sum(rec["accepted"] + 1 for rec in res.records)
+        assert len(draws) == sum(min(rec["accepted"] + 1, rec["g"]) for rec in res.records)
+        assert len(draws) < drafted
     else:
         # the controller shadows every step: prefill window and every round's
         assert len(draws) == model.calls == cfg.prefill_window + drafted + res.rounds
@@ -349,3 +376,115 @@ def test_sampling_sessions_decode_one_block_per_round_at_most(policy, params, mo
         # the prefill window, then each round's steps, in one block each
         assert 1 < len(blocks) <= res.rounds + 1
         assert blocks[0] == cfg.prefill_window
+
+
+# -- a zero-threshold round steps only what verification reads ----------------------
+
+def eager_round(model, context, plan, rng, ledger, cfg, budget_left=None):
+    """A round of a plan whose threshold is 0, as drafting all g tokens,
+    stepping position g, then verifying: what ``run_round`` must equal.
+    Sampling draws each drafted token from its built exit row."""
+    greedy = cfg.decode_mode != SAMPLING
+    ctx = list(context)
+    drafted, steps, q_rows = [], [], []
+    for _ in range(plan.draft_bound):
+        step = model.step(ctx)
+        steps.append(step)
+        tok, conf = step.layer(plan.exit_layer)
+        if not greedy:
+            q_rows.append(exit_distribution(tok, conf, step.target.size))
+            tok = sample_index(q_rows[-1], rng)
+        drafted.append(tok)
+        ctx.append(tok)
+    steps.append(model.step(ctx))
+    g = len(drafted)
+    accepted, end = g, None
+    for i, tok in enumerate(drafted):
+        p_row = steps[i].target
+        if greedy:
+            if tok != steps[i].target_token:
+                accepted, end = i, steps[i].target_token
+                break
+        elif rng.random() >= min(1.0, p_row[tok] / q_rows[i][tok]):
+            residual = np.maximum(p_row - q_rows[i], 0.0)
+            accepted, end = i, sample_index(residual / residual.sum(), rng)
+            break
+    if end is None:
+        end = steps[g].target_token if greedy else sample_index(steps[g].target, rng)
+    emitted = (drafted[:accepted] + [end])[:budget_left]
+    layers = g * plan.exit_layer + cfg.L
+    ledger.layers_loaded += layers
+    ledger.tokens_emitted += len(emitted)
+    context.extend(emitted)
+    return emitted, accepted, layers, g
+
+
+@st.composite
+def zero_threshold_rounds(draw):
+    """A model, config, context and ``ls`` plan, a budget, and a horizon
+    from len(context) + g - 2 to + 2."""
+    L = draw(st.integers(2, 8))
+    V = draw(st.integers(2, 16))
+    mode = draw(st.sampled_from(["greedy", SAMPLING]))
+    cfg = make_cfg(L=L, V=V, d_max=8, decode_mode=mode)
+    levels = st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0])
+
+    def profile():
+        return tuple(draw(st.lists(levels, min_size=L - 1, max_size=L - 1))) + (1.0,)
+
+    ctx = draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=6))
+    E = draw(st.integers(1, L - 1))
+    g = draw(st.integers(0, cfg.d_max))
+    horizon = max(1, len(ctx) + g + draw(st.integers(-2, 2)))
+    kind = draw(st.sampled_from(["agreement", "regime_switching", "deterministic_toy"]))
+    if kind == "agreement":
+        spec = ModelSpec(kind=kind, agreement_profile=profile(), horizon=horizon)
+    elif kind == "regime_switching":
+        regimes = tuple((draw(st.integers(1, 6)), profile()) for _ in range(2))
+        spec = ModelSpec(kind=kind, regimes=regimes, horizon=horizon)
+    else:
+        spec = ModelSpec(kind=kind, horizon=horizon)
+    model = LayeredModel(spec, L, V, draw(st.integers(0, 3)))
+    budget = draw(st.one_of(st.none(), st.integers(1, g + 2)))
+    return model, cfg, ctx, ls_like(E, g), budget, draw(st.integers(0, 2**32))
+
+
+@given(zero_threshold_rounds())
+@settings(max_examples=300, deadline=None)
+def test_zero_threshold_round_equals_drafting_every_position_first(case):
+    model, cfg, ctx, plan, budget, seed = case
+    ref_ctx, ref_ledger, ref_rng = list(ctx), CostLedger(), np.random.default_rng(seed)
+    got_ctx, ledger, rng = list(ctx), CostLedger(), np.random.default_rng(seed)
+    try:
+        want = eager_round(model, ref_ctx, plan, ref_rng, ref_ledger, cfg, budget)
+    except ConfigError as e:
+        with pytest.raises(ConfigError) as got:
+            run_round(model, got_ctx, plan, rng, ledger, cfg, budget)
+        assert str(got.value) == str(e)
+        assert got_ctx == ctx
+        return
+    out = run_round(model, got_ctx, plan, rng, ledger, cfg, budget)
+    assert (list(out.emitted), out.accepted_count, out.layers_loaded, out.g) == want
+    assert (ledger.tokens_emitted, ledger.layers_loaded) == (
+        ref_ledger.tokens_emitted, ref_ledger.layers_loaded)
+    assert got_ctx == ref_ctx
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # the positions read: up to the first rejection, or all g + 1
+    assert len(out.steps) == out.accepted_count + 1
+    assert len(out.drafted) == min(out.accepted_count + 1, out.g)
+
+
+@pytest.mark.parametrize("mode", ["greedy", SAMPLING])
+def test_ls_round_steps_up_to_its_first_rejection(mode):
+    cfg = make_cfg(L=4, V=16, d_max=8, decode_mode=mode)
+    model = CallCountingModel(agreement_model(cfg, (0.6, 0.3, 0.8, 1.0)))
+    rng = np.random.default_rng(3)
+    ends = set()
+    for seed in range(200):
+        ctx = [seed % cfg.V, (seed // cfg.V) % cfg.V, 5]
+        before = model.calls
+        out = run_round(model, ctx, ls_like(3, 1 + seed % 6), rng, CostLedger(), cfg)
+        # the rejection index is the accepted count; full acceptance reads g + 1
+        assert model.calls - before == out.accepted_count + 1 == len(out.steps)
+        ends.add(out.accepted_count == out.g)
+    assert ends == {True, False}

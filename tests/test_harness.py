@@ -371,33 +371,23 @@ def test_bootstrap_ci_brackets_mean():
 def reference_grid(spec, cfg, ells, ds, n_prompts, prompt_len, segment_len=None):
     """The sweep as one static-policy session per cell and prompt, windows
     attributed by each round's first emitted token. Returns the values and,
-    per cell, the longest context any of its sessions stepped."""
+    per cell, the longest context any of its rounds reaches: a round after
+    p emitted tokens drafts g and verifies up to context length
+    ``len(prompt) + p + g``, which its records give."""
     import math
 
     from delsim.baselines import make_policy
     from delsim.config import derive_seed
     from delsim.harness import run_session
 
-    class ReachModel:
-        def __init__(self, inner):
-            self.inner = inner
-            self.reach = 0
-
-        def __getattr__(self, name):
-            return getattr(self.inner, name)
-
-        def step(self, context):
-            self.reach = max(self.reach, len(context))
-            return self.inner.step(context)
-
-    base = build_model(spec, cfg)
-    prompts = make_prompts(base, cfg, n_prompts, prompt_len)
+    model = build_model(spec, cfg)
+    prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     n_seg = 1 if segment_len is None else math.ceil(cfg.max_new_tokens / segment_len)
     values = np.zeros((n_seg, len(ells), len(ds)))
     reach = {}
     for a, ell in enumerate(ells):
         for b, d in enumerate(ds):
-            model = ReachModel(base)
+            reach[(ell, d)] = 0
             per_prompt = np.zeros((n_seg, n_prompts))
             for i, prompt in enumerate(prompts):
                 policy = make_policy("ls", cfg, exit_layer=ell, gamma=d)
@@ -406,6 +396,7 @@ def reference_grid(spec, cfg, ells, ds, n_prompts, prompt_len, segment_len=None)
                 lay = np.zeros(n_seg)
                 before = 0
                 for rec in res.records:
+                    reach[(ell, d)] = max(reach[(ell, d)], len(prompt) + before + rec["g"])
                     seg = 0 if segment_len is None else min(before // segment_len, n_seg - 1)
                     tok[seg] += rec["emitted_len"]
                     lay[seg] += rec["layers_loaded"]
@@ -415,7 +406,6 @@ def reference_grid(spec, cfg, ells, ds, n_prompts, prompt_len, segment_len=None)
             with np.errstate(invalid="ignore"), warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 values[:, a, b] = np.nanmean(per_prompt, axis=1)
-            reach[(ell, d)] = model.reach
     return values, reach
 
 
@@ -544,11 +534,25 @@ def test_greedy_grid_sweep_equals_per_cell_sessions_near_the_horizon(sweep):
     assert str(got.value) == str(expected.value)
 
 
-@pytest.mark.parametrize("ells, ds", [([0, 1], [2]), ([1, 8], [2]), ([1], [-1, 2]), ([1], [2, 5])])
+@pytest.mark.parametrize("ells, ds", [
+    ([0, 1], [2]), ([1, 8], [2]), ([1], [-1, 2]), ([1], [2, 5]),
+    ([1, 0], [2, 9]), ([0, 2.5], [9]), ([1, True], ["x", 9]), ([8], [2.5]),
+])
 def test_grid_sweep_rejects_out_of_range_cells(ells, ds):
+    from delsim.baselines import make_policy
+
     cfg = make_cfg(L=8, V=32, d_max=4, max_new_tokens=16)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as got:
         grid_sweep(spec_with_profile(profile_with(8, best=2)), cfg, ells, ds, 1, 8)
+    # the error of the first cell, in (ell, d) order, that make_policy rejects
+    errors = []
+    for ell in ells:
+        for d in ds:
+            try:
+                make_policy("ls", cfg, exit_layer=ell, gamma=d)
+            except ConfigError as e:
+                errors.append(str(e))
+    assert str(got.value) == errors[0]
 
 
 def test_greedy_grid_sweep_steps_each_prompt_path_once(monkeypatch, draws):
