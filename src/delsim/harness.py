@@ -10,6 +10,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -57,6 +58,7 @@ def run_session(
         out.extend(outcome.emitted)
         next_plan = policy.observe(outcome)
         if collect_trace:
+            # the fields of ``TRACE_LAYOUT``, in its order
             records.append(
                 {
                     "round": rounds,
@@ -194,11 +196,51 @@ SUMMARY_FIELDS = (
 )
 
 
+# a trace record's fields in the order ``run_session`` writes them, each
+# with the text its value takes in a line: the round's counts, the plan's
+# threshold, then the policy's last estimate (a list of floats) and window
+# index
+TRACE_LAYOUT = (
+    ("round", r"\d+"),
+    ("E", r"\d+"),
+    ("planned_len", r"\d+"),
+    ("g", r"\d+"),
+    ("accepted", r"\d+"),
+    ("emitted_len", r"\d+"),
+    ("layers_loaded", r"\d+"),
+    ("tau", r"[\d.e+-]+"),
+    ("alpha_snapshot", r"\[.*\]"),
+    ("u_r", r"\d+"),
+)
+# the fields a baseline leaves None, which a line writes as null
+_NULLABLE = ("alpha_snapshot", "u_r")
+
+
+def _line_template(nulls) -> str:
+    """A line with null for each field in ``nulls`` and ``%(name)r`` for
+    the rest. For the values a session records, ``template % record`` is
+    ``json.dumps(record) + "\n"``: the repr of an int, a finite float or a
+    list of floats is its JSON text. One ``%`` reads every field by name; a
+    loop over the fields costs several times as much per record."""
+    return "{" + ", ".join(
+        f'"{name}": ' + ("null" if name in nulls else f"%({name})r") for name, _ in TRACE_LAYOUT
+    ) + "}\n"
+
+
+# a line's template, keyed by whether each of ``_NULLABLE``'s fields is None
+_LINES = {
+    nones: _line_template([name for name, none in zip(_NULLABLE, nones) if none])
+    for nones in product((False, True), repeat=len(_NULLABLE))
+}
+
+
 def write_trace(path: Path, records: list[dict]) -> None:
+    """One JSON line per record, with ``TRACE_LAYOUT``'s keys in its order.
+    The values must be as ``run_session`` records them: Python ints, finite
+    floats, a list of floats, or None (a numpy scalar's repr is not JSON)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+        f.writelines(_LINES[rec["alpha_snapshot"] is None, rec["u_r"] is None] % rec for rec in records)
 
 
 def write_summary(path: Path, reports: Sequence[RunReport]) -> None:
@@ -223,7 +265,8 @@ def bootstrap_ci(values: Sequence[float], seed: int, n_resamples: int = 1000) ->
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
     means = arr[idx].mean(axis=1)
-    return float(np.percentile(means, 2.5)), float(np.percentile(means, 97.5))
+    lo, hi = np.percentile(means, (2.5, 97.5))
+    return float(lo), float(hi)
 
 
 def write_aggregate(path: Path, reports: Sequence[RunReport], cfg: SessionConfig) -> None:
@@ -239,11 +282,19 @@ def write_aggregate(path: Path, reports: Sequence[RunReport], cfg: SessionConfig
         w.writerows(rows)
 
 
-# a record as ``write_trace`` lays it out, read up to its two totals
-# without decoding the ``alpha_snapshot`` after them
+# a line as ``write_trace`` lays it out, its two totals as named groups;
+# the fields after them are matched, not decoded
+_TOTALS = ("emitted_len", "layers_loaded")
 _RECORD = re.compile(
-    r'\{"round": \d+, "E": \d+, "planned_len": \d+, "g": \d+, "accepted": \d+, '
-    r'"emitted_len": (\d+), "layers_loaded": (\d+), .*\}'
+    r"\{"
+    + ", ".join(
+        f'"{name}": '
+        + (f"(?P<{name}>{text})" if name in _TOTALS
+           else f"(?:null|{text})" if name in _NULLABLE
+           else f"(?:{text})")
+        for name, text in TRACE_LAYOUT
+    )
+    + r"\}"
 )
 
 
@@ -260,8 +311,8 @@ def trace_totals(path: Path) -> tuple[int, int]:
             m = _RECORD.fullmatch(line)
             if m is None:
                 raise ValueError(f"{path} line {lineno}: not a whole trace record")
-            tokens += int(m[1])
-            layers += int(m[2])
+            tokens += int(m["emitted_len"])
+            layers += int(m["layers_loaded"])
     return tokens, layers
 
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import TIGHT_CONF, make_cfg, profile_with
 
-from delsim.config import SAMPLING, ConfigError
+from delsim import harness
+from delsim.baselines import make_policy
+from delsim.config import GREEDY, SAMPLING, ConfigError
 from delsim.engine import CostLedger
 from delsim.harness import (
     bootstrap_ci,
@@ -20,7 +22,10 @@ from delsim.harness import (
     omega_sweep,
     replay_check,
     run_experiment,
+    run_session,
+    trace_totals,
     write_grid_csv,
+    write_trace,
 )
 from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec, build_model
 from delsim.types import InvariantViolation
@@ -330,6 +335,59 @@ def test_sampling_mode_skips_losslessness_hook(tmp_path):
     spec = spec_with_profile(profile_with(8, best=2))
     reports = run_experiment(spec, cfg, [("del", {})], 1, 8, tmp_path / "s")
     assert len(reports) == 1
+
+
+# -- trace layout ------------------------------------------------------------------
+
+TRACE_FIELDS = [name for name, _ in harness.TRACE_LAYOUT]
+
+# floats whose repr changes notation or rounds: JSON must read the same text
+NOTABLE_FLOATS = (1e-05, 0.0001, 1e16, 5e-324, 0.1 + 0.2, 1.0, 0.0)
+trace_floats = st.sampled_from(NOTABLE_FLOATS) | st.floats(
+    min_value=0.0, allow_nan=False, allow_infinity=False
+)
+trace_counts = st.integers(min_value=0)
+# a record as the session loop builds one: counts, the plan's threshold (a
+# float, or the int 0 a hand-built plan may carry), and a dynamic policy's
+# estimate and window index or a baseline's two Nones
+trace_records = st.tuples(
+    *[trace_counts] * 7,
+    st.just(0) | trace_floats,
+    st.none() | st.lists(trace_floats, max_size=80),
+    st.none() | trace_counts,
+).map(lambda values: dict(zip(TRACE_FIELDS, values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(trace_records, max_size=6))
+def test_write_trace_writes_json_dumps_of_each_record(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "trace.jsonl"
+    write_trace(path, records)
+    text = path.read_text()
+    assert text == "".join(json.dumps(rec) + "\n" for rec in records)
+    assert all(harness._RECORD.fullmatch(line) for line in text.splitlines())
+    assert trace_totals(path) == (
+        sum(rec["emitted_len"] for rec in records),
+        sum(rec["layers_loaded"] for rec in records),
+    )
+
+
+@pytest.mark.parametrize("mode", [GREEDY, SAMPLING])
+def test_run_session_records_follow_the_trace_layout(mode):
+    cfg = make_cfg(L=8, V=32, seed=5, max_new_tokens=48, prefill_window=8, decode_mode=mode)
+    model = build_model(spec_with_profile(profile_with(8, best=2)), cfg)
+    prompt = make_prompts(model, cfg, 1, 8)[0]
+    policies = [
+        ("vanilla", {}),
+        ("ls", {"exit_layer": 2, "gamma": 4}),
+        ("fs", {"exit_layer": 2, "gamma": 4}),
+        ("dv", {"exit_layer": 2}),
+        ("del", {}),
+    ]
+    for name, params in policies:
+        res = run_session(model, make_policy(name, cfg, **params), cfg, prompt, 3)
+        assert res.records
+        assert all(list(rec) == TRACE_FIELDS for rec in res.records), name
 
 
 # -- misc --------------------------------------------------------------------------
