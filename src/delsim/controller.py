@@ -76,9 +76,8 @@ def shadow_tokens(steps: Sequence[LayerStep]) -> ShadowMatrix:
     """Whether every layer's greedy token matches the target, and its top-1
     confidence, at every position.
 
-    The pending steps are read together in one block that decodes only
-    their agreement and confidence uniforms (``LayerStep.shadow``); they
-    stay pending."""
+    The steps are read together in one block that decodes only their
+    agreement and confidence uniforms (``LayerStep.shadow``)."""
     if len(steps) == 0:
         raise ValueError("steps must be non-empty")
     return ShadowMatrix(*LayerStep.shadow(steps))

@@ -116,7 +116,7 @@ def draft(positions: Positions, plan: DraftPlan, rng: np.random.Generator) -> in
 
     A plan with a threshold drafts here. It steps each position and stops at
     the first whose exit-layer confidence (``LayerStep.layer``, which
-    decodes that layer alone on a pending step) is below the threshold;
+    decodes that layer alone on a model's step) is below the threshold;
     that position is then the bonus slot g. In sampling mode it draws each
     token's uniform as it drafts it.
 

@@ -386,9 +386,6 @@ class SweepGrid:
         i, j = flat // grid.shape[1], flat % grid.shape[1]
         return self.ells[i], self.ds[j], float(grid[i, j])
 
-    def cell_value(self, ell: int, d: int, segment: int = 0) -> float:
-        return float(self.values[segment, self.ells.index(ell), self.ds.index(d)])
-
 
 def grid_sweep(
     model_spec: ModelSpec,

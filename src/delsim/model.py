@@ -235,11 +235,13 @@ def beta_table(a: float, b: float) -> np.ndarray:
 
 
 class _PendingRow:
-    """The per-layer draws of a step, made when they are read (see
-    ``LayerStep.deferred``): the step's key, context length ``n`` and target
-    argmax, and once a layer is read the position's keyed row of uniforms,
-    filled once and kept until the step is drawn in full, with the profile
-    at ``n`` (``p``, set with the row)."""
+    """The per-layer draws of a model's step, made when they are read (the
+    row of ``LayerStep.deferred``): the step's key, context length ``n`` and
+    target argmax, and once a layer is read the position's keyed row of
+    uniforms, filled once and kept for the step's life, with the profile at
+    ``n`` (``p``, set with the row). ``layer`` and ``shadow_block`` decode
+    what they read with ``LayeredModel._decode``'s arithmetic, so the values
+    are bit-identical to that vectorized decode of the row."""
 
     __slots__ = ("model", "msg", "n", "t_star", "u", "p")
 
@@ -275,19 +277,6 @@ class _PendingRow:
             return self.t_star, conf
         alt = int(u.item(2 * k + j) * (m.V - 1.0))
         return alt + (alt >= self.t_star), conf
-
-    def draw_block(self, rows: list["_PendingRow"]) -> list[tuple[np.ndarray, np.ndarray]]:
-        """The read-only top tokens and confidences of each row in ``rows``,
-        decoded in one block when they all belong to this row's model."""
-        m = self.model
-        if any(r.model is not m for r in rows):
-            return [r.draw_block([r])[0] for r in rows]
-        u = np.array([r.uniforms() for r in rows])
-        t_stars = np.array([r.t_star for r in rows])[:, None]
-        top, conf = m._decode(u, m._profile_rows(r.p for r in rows), t_stars)
-        top.setflags(write=False)
-        conf.setflags(write=False)
-        return list(zip(top, conf))
 
     def shadow_block(self, rows: list["_PendingRow"]) -> tuple[np.ndarray, np.ndarray]:
         """Whether each exit layer's top token is the target's, and its
@@ -476,15 +465,15 @@ class LayeredModel:
 
         The target row is set at once. The exit layers' top tokens and
         confidences come from one keyed row of 3(L-1) uniforms (see
-        ``_decode``), drawn when they are read: the step is pending
-        (:meth:`LayerStep.deferred`), fills that row on the first layer read
-        and keeps it, a one-layer read decodes that layer alone, and
-        ``controller.shadow_tokens`` reads a round's pending steps' agreement
-        and confidences in one block. With a memo the model stores the same
-        pending step, so the sessions sharing it fill each row once, whoever
-        reads it first. A stored step refers back to the model through its
-        pending row until it is drawn in full; Python's cycle collector
-        frees that cycle.
+        ``_decode``), drawn when they are read: the step's row
+        (:meth:`LayerStep.deferred`) is filled on the first read and kept, a
+        one-layer read decodes that layer alone, and
+        ``controller.shadow_tokens`` reads a round's steps' agreement and
+        confidences in one block. With a memo the model stores the step
+        itself, so the sessions sharing it fill each row once, whoever reads
+        it first. A step refers back to the model through its row; Python's
+        cycle collector frees that cycle when the model is dropped. The
+        deterministic toy's steps need no draws and hold fixed arrays.
         """
         n = len(context)
         if n == 0:
@@ -601,7 +590,8 @@ class LayeredModel:
         below ``profile[ell - 1]``; its confidence uniform goes through
         ``_confidence``; and a layer that disagrees takes the off-target
         token its third uniform picks, uniformly among the V - 1 tokens
-        other than ``t_star``.
+        other than ``t_star``. Steps read their rows through
+        ``_PendingRow``; the tests check those reads against this.
         """
         k = self.L - 1
         miss = u[..., :k] >= profile

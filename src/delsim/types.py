@@ -62,143 +62,106 @@ def sample_exit(token: TokenId, conf: float, size: int, u: float) -> int:
     return min(idx, size - 1)
 
 
-class _Drawn:
-    """A per-layer field of a step. Its first read makes the step's draws
-    and stores both per-layer fields on the instance, where they shadow this
-    descriptor from then on (as ``functools.cached_property`` does)."""
+class _FixedRow:
+    """The per-layer outputs of a step made from arrays (``LayerStep``'s
+    constructor): exit layer ``ell``'s top token and confidence are entry
+    ``ell - 1`` of ``tokens`` and ``conf``. It belongs to no model."""
 
-    def __set_name__(self, owner, name: str) -> None:
-        self.name = name
+    __slots__ = ("tokens", "conf", "t_star")
+    model = None
 
-    def __get__(self, step, owner=None):
-        if step is None:
-            return self
-        d = step.__dict__
-        if d["_pending"] is not None:
-            LayerStep.draw_pending((step,))
-        return d[self.name]
+    def __init__(self, tokens: np.ndarray, conf: np.ndarray, t_star: TokenId):
+        tokens.setflags(write=False)
+        conf.setflags(write=False)
+        self.tokens = tokens
+        self.conf = conf
+        self.t_star = t_star
+
+    def layer(self, ell: int) -> tuple[TokenId, float]:
+        return self.tokens.item(ell - 1), self.conf.item(ell - 1)
+
+    def shadow_block(self, rows: list["_FixedRow"]) -> tuple[np.ndarray, np.ndarray]:
+        """What ``LayerStep.shadow`` returns for the steps of ``rows``."""
+        matches = np.array([r.tokens == r.t_star for r in rows]).T
+        conf = np.array([r.conf for r in rows], dtype=np.float64).T
+        return np.ascontiguousarray(matches), np.ascontiguousarray(conf)
 
 
 class LayerStep:
     """LM-head outputs of every layer at one decoding position.
 
-    Exit layer ``ell`` (1 <= ell < L) puts probability ``top_conf[ell - 1]``
-    on token ``top_tokens[ell - 1]`` and spreads the remainder uniformly over
-    the other V - 1 tokens; ``layer(ell)`` reads that pair and
-    ``exit_distribution`` rebuilds that distribution from it. Layer L is the
-    full model: ``target`` is its distribution and ``target_token`` its
-    argmax. The arrays are read-only and the step is immutable.
+    Exit layer ``ell`` (1 <= ell < L) puts probability ``conf`` on token
+    ``tok``, where ``(tok, conf) = layer(ell)``, and spreads the remainder
+    uniformly over the other V - 1 tokens; ``exit_distribution`` rebuilds
+    that distribution from the pair. Layer L is the full model: ``target``
+    is its distribution (a read-only array) and ``target_token`` its argmax.
+    The step is immutable: no attribute is set after it is made.
 
-    ``target`` and ``target_token`` are set when the step is made. The
-    per-layer fields come from the position's keyed row of 3(L-1) uniforms
-    (agreement, confidence and off-target blocks; see
-    ``LayeredModel._decode``). The model makes its steps with ``deferred``
-    (a deterministic toy's need no draws and come drawn). Such a step is
-    pending: it fills its row on the first layer read and keeps it.
-    ``layer(ell)`` then decodes that one layer alone; a read of either array
-    field decodes the whole row, and ``draw_pending`` decodes the rows of
-    many steps in one block. Either way the step then holds both arrays and
-    drops its row. ``shadow`` reads, for many steps in one block, only which
-    layers agree with the target and their confidences, and leaves the
-    steps pending. The row is a pure function of the step's key, so when or
-    how it is decoded does not change a value.
+    The per-layer outputs are read through one row object, in only two
+    ways: ``layer(ell)`` reads one exit layer, and ``shadow`` reads, for
+    many steps in one block, which layers agree with the target and their
+    confidences. A step made by the constructor holds its arrays in a fixed
+    row. The model makes its steps with ``deferred``: the row is the
+    position's keyed row of 3(L-1) uniforms (agreement, confidence and
+    off-target blocks; see ``LayeredModel._decode``), filled on the first
+    read and kept, so a one-layer read decodes that layer alone and
+    ``shadow`` decodes no token. The row is a pure function of the step's
+    key, so when or how it is read does not change a value.
     Speculative-sampling verification reads only target rows, so a
     sampling-mode ``vanilla`` session makes no draws, and an ``ls`` session
-    draws only the drafted positions its verification reads, one layer
-    each. A model with a step memo stores the pending step itself, so the
-    sessions sharing the memo fill its row once. Until it is drawn in full such a step refers back to
-    the model (model, memo, step, pending row, model); Python's cycle
-    collector frees that cycle when the model is dropped.
+    draws only the drafted positions its verification reads. A model with a
+    step memo stores the step itself, so the sessions sharing the memo fill
+    its row once. Such a row refers back to its model (model, memo, step,
+    row, model); Python's cycle collector frees that cycle when the model
+    is dropped.
     """
 
-    top_tokens = _Drawn()  # (L-1,) token ids
-    top_conf = _Drawn()  # (L-1,) top-1 probabilities
-
-    # Every step stores its attributes one by one in this order, the
-    # per-layer fields last, so that all steps' attribute dicts share one
-    # key table; one dict.update would give each step a dict of its own.
-    def __init__(self, top_tokens: np.ndarray, top_conf: np.ndarray, target: np.ndarray,
+    # Every step stores its attributes one by one in this order, so that
+    # all steps' attribute dicts share one key table; one dict.update would
+    # give each step a dict of its own.
+    def __init__(self, tokens: np.ndarray, conf: np.ndarray, target: np.ndarray,
                  target_token: TokenId):
         target.setflags(write=False)
-        top_tokens.setflags(write=False)
-        top_conf.setflags(write=False)
         d = self.__dict__
         d["target"] = target
         d["target_token"] = target_token
-        d["layer_count"] = int(top_tokens.size) + 1
-        d["_pending"] = None
-        d["top_tokens"] = top_tokens
-        d["top_conf"] = top_conf
+        d["layer_count"] = int(tokens.size) + 1
+        d["_row"] = _FixedRow(tokens, conf, target_token)
 
     @classmethod
     def deferred(cls, target: np.ndarray, target_token: TokenId, layer_count: int,
-                 pending) -> "LayerStep":
-        """A step whose per-layer fields come from ``pending`` when they are
-        read: ``pending.layer(ell)`` gives one exit layer's (token,
-        confidence), ``pending.draw_block(rows)`` the read-only
-        ``(top_tokens, top_conf)`` arrays of each of several such rows, and
-        ``pending.shadow_block(rows)`` what ``shadow`` returns for them.
-        ``target`` must already be read-only, as the rows of a model's
-        transition matrix are."""
+                 row) -> "LayerStep":
+        """A step whose per-layer outputs come from ``row`` when they are
+        read: ``row.layer(ell)`` gives one exit layer's (token, confidence),
+        and ``row.shadow_block(rows)`` what ``shadow`` returns for several
+        rows of ``row.model``. ``target`` must already be read-only, as the
+        rows of a model's transition matrix are."""
         step = cls.__new__(cls)
         d = step.__dict__
         d["target"] = target
         d["target_token"] = target_token
         d["layer_count"] = layer_count
-        d["_pending"] = pending
+        d["_row"] = row
         return step
-
-    @staticmethod
-    def draw_pending(steps: Sequence["LayerStep"]) -> None:
-        """Draw the per-layer fields of every step in ``steps`` that is still
-        pending, all in one block: a step reads the same values as it would
-        alone."""
-        # each step's row is read once: a concurrent first read of a step
-        # shared through a memo may drop it meanwhile
-        pending, rows = [], []
-        for s in steps:
-            row = s.__dict__["_pending"]
-            if row is not None:
-                pending.append(s)
-                rows.append(row)
-        if pending:
-            for step, (top, conf) in zip(pending, rows[0].draw_block(rows)):
-                # Concurrent first reads may both draw; they store equal
-                # arrays, and each field is stored before the row is dropped.
-                d = step.__dict__
-                d["top_tokens"] = top
-                d["top_conf"] = conf
-                d["_pending"] = None
 
     @staticmethod
     def shadow(steps: Sequence["LayerStep"]) -> tuple[np.ndarray, np.ndarray]:
         """Whether each exit layer's top token is the target's, and its
         confidence, at each step: two C-contiguous (L-1, len(steps)) arrays,
-        column j for ``steps[j]``. The pending steps of each model are read
-        in one block (``pending.shadow_block(rows)``), which decodes no
-        token; they stay pending. A drawn step gives ``top_tokens ==
-        target_token`` and ``top_conf``."""
-        # each step's row is read once, as in draw_pending
-        drawn: list[int] = []
+        column j for ``steps[j]``. The rows of each model (and the fixed
+        rows, as one group) are read in one block, ``shadow_block``."""
         groups: dict[object, tuple[list[int], list]] = {}
         for j, s in enumerate(steps):
-            row = s.__dict__["_pending"]
-            if row is None:
-                drawn.append(j)
-            else:
-                cols, rows = groups.setdefault(row.model, ([], []))
-                cols.append(j)
-                rows.append(row)
-        if not drawn and len(groups) == 1:
+            row = s._row
+            cols, rows = groups.setdefault(row.model, ([], []))
+            cols.append(j)
+            rows.append(row)
+        if len(groups) == 1:
             rows = next(iter(groups.values()))[1]
             return rows[0].shadow_block(rows)
         k = steps[0].layer_count - 1
         matches = np.empty((k, len(steps)), dtype=bool)
         conf = np.empty((k, len(steps)))
-        for j in drawn:
-            s = steps[j]
-            matches[:, j] = s.top_tokens == s.target_token
-            conf[:, j] = s.top_conf
         for cols, rows in groups.values():
             matches[:, cols], conf[:, cols] = rows[0].shadow_block(rows)
         return matches, conf
@@ -210,15 +173,11 @@ class LayerStep:
         raise AttributeError(f"LayerStep is immutable: cannot delete {name!r}")
 
     def layer(self, ell: int) -> tuple[TokenId, float]:
-        """Exit layer ``ell``'s top token and top-1 confidence; a pending
-        step decodes this layer alone."""
+        """Exit layer ``ell``'s top token and top-1 confidence."""
         d = self.__dict__
         if not 1 <= ell < d["layer_count"]:
             raise ValueError(f"exit layer must lie in [1, {d['layer_count']}), got {ell}")
-        pending = d["_pending"]
-        if pending is not None:
-            return pending.layer(ell)
-        return d["top_tokens"].item(ell - 1), d["top_conf"].item(ell - 1)
+        return d["_row"].layer(ell)
 
 
 def exit_distribution(token: TokenId, conf: float, size: int) -> np.ndarray:

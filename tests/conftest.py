@@ -54,16 +54,37 @@ def regime_model(cfg: SessionConfig, regimes, seed: int = 1, **spec_over) -> Lay
     return LayeredModel(spec, cfg.L, cfg.V, seed)
 
 
+def layer_arrays(step: LayerStep) -> tuple[np.ndarray, np.ndarray]:
+    """The (L-1,) top tokens and confidences of a step's exit layers, read
+    one layer at a time through ``step.layer``."""
+    pairs = [step.layer(ell) for ell in range(1, step.layer_count)]
+    return np.array([t for t, _ in pairs]), np.array([c for _, c in pairs])
+
+
+def decoded(step: LayerStep) -> tuple[np.ndarray, np.ndarray]:
+    """The (L-1,) top tokens and confidences of a step as
+    ``LayeredModel._decode`` gives them from the step's own keyed row, in
+    one vectorized block: the reference ``layer`` and ``shadow`` are checked
+    against bit for bit. A step made from arrays (the deterministic toy's)
+    gives its arrays."""
+    row = vars(step)["_row"]
+    m = row.model
+    if m is None:
+        return row.tokens, row.conf
+    return m._decode(row.uniforms(), m._profile_at(row.n), row.t_star)
+
+
 @pytest.fixture
 def draws(monkeypatch) -> list[bytes]:
     """The keys (16-byte digests) of the layer draws ``LayeredModel``s make
     from here on, in order: filling one position's row of uniforms re-keys
     the model's scratch generator exactly once, whether a step's first
-    layer read fills it or ``path_agreement`` fills it as a row of a block,
-    so ``len(draws)`` counts positions drawn either way. A step fills its
-    row once, however often it is read and whether the model hands it out
-    again from its memo; deterministic toy steps and steps whose layers
-    nobody reads make none."""
+    read (``layer``, ``shadow`` or ``decoded``) fills it or
+    ``path_agreement`` fills it as a row of a block, so ``len(draws)``
+    counts positions drawn either way. A step fills its row once and keeps
+    it, however often it is read and whether the model hands it out again
+    from its memo; deterministic toy steps and steps whose layers nobody
+    reads make none."""
     keys: list[bytes] = []
     real = LayeredModel._scratch_rng
 

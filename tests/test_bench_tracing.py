@@ -66,3 +66,18 @@ def test_tracer_sees_one_policy_update_span_per_round_and_every_stage():
             assert not hasattr(getattr(cls, method), "__wrapped__")
     for stage in STAGES:
         assert not hasattr(getattr(controller, stage), "__wrapped__")
+
+
+def test_a_model_step_returns_only_its_target_row():
+    # returned_bytes gives model.step.bytes from vars(step): the arrays a
+    # step holds are its target row alone, before and after its layers are
+    # read (a LayerStep with __slots__ has no vars and would crash it)
+    cfg = make_cfg(L=8, V=32)
+    model = agreement_model(cfg, profile_with(8, best=2))
+    returned_bytes = load_tracing().returned_bytes
+    for ctx in ([1], [1, 2, 3]):
+        step = model.step(ctx)
+        arrays = [v for v in vars(step).values() if isinstance(v, np.ndarray)]
+        assert sum(a.nbytes for a in arrays) == cfg.V * 8
+        controller.shadow_tokens([step])
+        assert returned_bytes(step) == cfg.V * 8

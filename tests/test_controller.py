@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
-from conftest import TIGHT_CONF, CallCountingModel, agreement_model, make_cfg, profile_with, regime_model, toy_model
+from conftest import (
+    TIGHT_CONF,
+    CallCountingModel,
+    agreement_model,
+    decoded,
+    layer_arrays,
+    make_cfg,
+    profile_with,
+    regime_model,
+    toy_model,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -94,28 +104,27 @@ def test_shadow_tokens_over_pending_and_drawn_steps_equals_steps_drawn_one_by_on
     def steps_of(model_of):
         return [model_of(i).step(ctx) for i, ctx in enumerate(contexts)]
 
-    # the steps of one model, then of two models mixed, some drawn in full,
-    # some read at one layer, the rest untouched
+    # the steps of one model, then of two models mixed, some read at every
+    # layer, some at one layer, the rest untouched
     for model_of in (lambda i: models[0], lambda i: models[i % 2]):
         steps = steps_of(model_of)
         for i, s in enumerate(steps):
             if i % 3 == 0:
-                s.top_conf
+                layer_arrays(s)
             elif i % 3 == 1:
                 s.layer(1 + i % (cfg.L - 1))
         sm = shadow_tokens(steps)
-        one_by_one = steps_of(model_of)
-        for s in one_by_one:
-            s.top_tokens
-        want = shadow_tokens(one_by_one)
-        for name in ("matches", "confidences"):
-            x, y = getattr(sm, name), getattr(want, name)
+        # fresh steps, each decoded alone
+        fresh = steps_of(model_of)
+        one_by_one = [decoded(s) for s in fresh]
+        matches = np.array([tops == s.target_token for s, (tops, _) in zip(fresh, one_by_one)]).T
+        confidences = np.array([conf for _, conf in one_by_one]).T
+        for x, y in ((sm.matches, matches), (sm.confidences, confidences)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
-        # the read decodes no token: the steps it read pending stay pending
-        for i, (s, w) in enumerate(zip(steps, one_by_one)):
-            assert ("top_tokens" in vars(s)) == (i % 3 == 0)
-            assert np.array_equal(s.top_tokens, w.top_tokens)
-            assert np.array_equal(s.top_conf, w.top_conf)
+        # and the steps' layers read after the block read are the same
+        for s, (tops, conf) in zip(steps, one_by_one):
+            got_tops, got_conf = layer_arrays(s)
+            assert np.array_equal(got_tops, tops) and np.array_equal(got_conf, conf)
 
 
 SHADOW_MODELS = {
@@ -133,7 +142,7 @@ SHADOW_MODELS = {
     kind=st.sampled_from(sorted(SHADOW_MODELS)),
     two_models=st.booleans(),
     prompt=st.lists(st.integers(0, 15), min_size=1, max_size=20),
-    reads=st.lists(st.sampled_from(["none", "layer", "drawn"]), min_size=1, max_size=19),
+    reads=st.lists(st.sampled_from(["none", "layer", "layers"]), min_size=1, max_size=19),
 )
 def test_shadow_read_equals_drawn_arrays_bit_for_bit(kind, two_models, prompt, reads):
     # widths 1-19 run past numpy's 8-element pairwise-summation blocks
@@ -149,14 +158,14 @@ def test_shadow_read_equals_drawn_arrays_bit_for_bit(kind, two_models, prompt, r
     for i, (s, how) in enumerate(zip(steps, reads)):
         if how == "layer":
             s.layer(1 + i % (cfg.L - 1))
-        elif how == "drawn":
-            s.top_tokens
+        elif how == "layers":
+            layer_arrays(s)
     sm = shadow_tokens(steps)
-    # what the drawn arrays of fresh steps give, in the (L-1, width) layout
-    drawn = steps_of([SHADOW_MODELS[kind](cfg, seed) for seed in seeds])
-    LayerStep.draw_pending(drawn)
-    matches = np.ascontiguousarray(np.array([s.top_tokens == s.target_token for s in drawn]).T)
-    confidences = np.ascontiguousarray(np.array([s.top_conf for s in drawn]).T)
+    # what the decoded arrays of fresh steps give, in the (L-1, width) layout
+    fresh = steps_of([SHADOW_MODELS[kind](cfg, seed) for seed in seeds])
+    arrays = [decoded(s) for s in fresh]
+    matches = np.ascontiguousarray(np.array([tops == s.target_token for s, (tops, _) in zip(fresh, arrays)]).T)
+    confidences = np.ascontiguousarray(np.array([conf for _, conf in arrays]).T)
     for got, want in ((sm.matches, matches), (sm.confidences, confidences)):
         assert got.dtype == want.dtype and got.shape == (cfg.L - 1, len(reads))
         assert got.flags.c_contiguous and np.array_equal(got, want)
@@ -545,7 +554,8 @@ def test_del_converges_to_grid_optimal_cell():
     assert modal[0] == best_ell
     # adjacent lengths at high acceptance sit within noise of each other, so
     # compare the modal cell's value, not its exact coordinates
-    modal_val = grid.cell_value(modal[0], min(grid.ds, key=lambda d: abs(d - modal[1])))
+    modal_d = min(grid.ds, key=lambda d: abs(d - modal[1]))
+    modal_val = float(grid.values[0, grid.ells.index(modal[0]), grid.ds.index(modal_d)])
     assert modal_val >= 0.95 * best_val
     assert sum(1 for p in final if p == modal) >= 90
 

@@ -44,7 +44,7 @@ def test_draft_zero_threshold_never_stops():
     # the toy's exit layers agree with the target: full acceptance reads all g + 1
     assert out.g == len(out.drafted) == out.accepted_count == 4
     assert len(out.steps) == 5
-    assert [s.top_conf[0] for s in out.steps] == [1.0] * 5
+    assert [s.layer(1)[1] for s in out.steps] == [1.0] * 5
 
 
 def test_draft_unit_threshold_gives_empty_draft():
@@ -64,7 +64,7 @@ def test_draft_stops_at_scripted_confidence():
     assert draft(positions, ls_like(1, 5, tau=0.5), np.random.default_rng(0)) == 2
     assert positions.drafted == [1, 1] and ctx == [0, 1, 1]  # the round removes them
     # the low-confidence position is kept as the bonus slot
-    assert [s.top_conf[0] for s in positions.steps] == [0.9, 0.8, 0.4]
+    assert [s.layer(1)[1] for s in positions.steps] == [0.9, 0.8, 0.4]
 
 
 def test_draft_cap_modes():
@@ -162,7 +162,7 @@ def test_round_cost_matches_cost_model():
     assert out.layers_loaded == 6 * 8 + 32 == 80
     assert ledger.layers_loaded == 80
     assert len(out.steps) == 7
-    assert [s.top_conf[7] for s in out.steps] == [1.0] * 7
+    assert [s.layer(8)[1] for s in out.steps] == [1.0] * 7
 
 
 @pytest.mark.parametrize("horizon", [4, 7])
@@ -225,7 +225,7 @@ def test_sampling_draft_tokens_come_from_q_but_confidences_are_top1():
     cfg = make_cfg(L=2, V=8, d_max=8, decode_mode=SAMPLING)
     positions = Positions(model, [0], False)
     assert draft(positions, ls_like(1, 8, tau=0.5), np.random.default_rng(5)) == 8
-    assert all(abs(s.top_conf[0] - 0.6) < 1e-12 for s in positions.steps)
+    assert all(abs(s.layer(1)[1] - 0.6) < 1e-12 for s in positions.steps)
     assert positions.q_rows == [(2, 0.6)] * 8
     assert any(t != 2 for t in positions.drafted)  # sampled, not argmaxed
 

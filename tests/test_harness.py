@@ -679,7 +679,7 @@ def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypa
     path_keys = []
     for prompt, path in zip(prompts, paths):
         steps = [model.step(prompt + path[:k]) for k in range(len(path))]
-        LayerStep.draw_pending(steps)
+        LayerStep.shadow(steps)
         path_keys.append(draws[-cfg.max_new_tokens:])
     assert len(set(draws)) == len(draws) == len(prompts) * cfg.max_new_tokens
     draws.clear()

@@ -5,7 +5,15 @@ import weakref
 
 import numpy as np
 import pytest
-from conftest import CallCountingModel, agreement_model, make_cfg, regime_model, toy_model
+from conftest import (
+    CallCountingModel,
+    agreement_model,
+    decoded,
+    layer_arrays,
+    make_cfg,
+    regime_model,
+    toy_model,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -24,11 +32,12 @@ from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution
 
 def path_steps(model, prompt, n):
     """The ``n`` steps along the greedy path after ``prompt`` (the contexts
-    ``prompt`` plus each prefix of ``argmax_chain(prompt, n)``), drawn in
-    one block."""
+    ``prompt`` plus each prefix of ``argmax_chain(prompt, n)``), their rows
+    filled in path order by one ``shadow`` read."""
     ctx = list(prompt) + model.argmax_chain(prompt, n)
     steps = [model.step(ctx[: len(prompt) + k]) for k in range(n)]
-    LayerStep.draw_pending(steps)
+    if steps:
+        LayerStep.shadow(steps)
     return steps
 
 
@@ -42,8 +51,9 @@ def test_toy_all_layers_follow_the_transition_table():
     cfg = make_cfg()
     model = toy_model(cfg)
     ls = model.step([3])
-    assert np.all(ls.top_tokens == ls.target_token)
-    assert np.all(ls.top_conf == 1.0)
+    tops, conf = layer_arrays(ls)
+    assert np.all(tops == ls.target_token)
+    assert np.all(conf == 1.0)
     # default toy table is the +1 cycle
     assert ls.target_token == 4
     assert ls.target[4] == ls.target.max() == 1.0
@@ -62,7 +72,7 @@ def test_never_agree_profile():
     model = agreement_model(cfg, (0.0, 0.0, 0.0, 1.0))
     for ctx in distinct_contexts(50, cfg.V):
         ls = model.step(ctx)
-        assert np.all(ls.top_tokens != ls.target_token)
+        assert np.all(layer_arrays(ls)[0] != ls.target_token)
 
 
 def test_always_agree_profile():
@@ -70,7 +80,7 @@ def test_always_agree_profile():
     model = agreement_model(cfg, (1.0, 1.0, 1.0, 1.0))
     for ctx in distinct_contexts(50, cfg.V):
         ls = model.step(ctx)
-        assert np.all(ls.top_tokens == ls.target_token)
+        assert np.all(layer_arrays(ls)[0] == ls.target_token)
 
 
 def test_profile_fidelity_monte_carlo():
@@ -82,7 +92,7 @@ def test_profile_fidelity_monte_carlo():
     hits = np.zeros(cfg.L - 1)
     for ctx in distinct_contexts(n, cfg.V):
         ls = model.step(ctx)
-        hits += ls.top_tokens == ls.target_token
+        hits += layer_arrays(ls)[0] == ls.target_token
     freq = hits / n
     for ell in range(cfg.L - 1):
         a = profile[ell]
@@ -113,9 +123,10 @@ def test_determinism_across_instances():
     ctx = [5, 2, 9]
 
     def same(a, b):
+        (a_tops, a_conf), (b_tops, b_conf) = layer_arrays(a), layer_arrays(b)
         return (
-            np.array_equal(a.top_tokens, b.top_tokens)
-            and np.array_equal(a.top_conf, b.top_conf)
+            np.array_equal(a_tops, b_tops)
+            and np.array_equal(a_conf, b_conf)
             and np.array_equal(a.target, b.target)
             and a.target_token == b.target_token
         )
@@ -145,13 +156,14 @@ def test_steps_are_valid_distributions(kind, ctx, conf):
     spec = ModelSpec(kind=kind, confidence_match=conf, confidence_mismatch=conf, **KIND_SPECS[kind])
     ls = LayeredModel(spec, L, V, 3).step(ctx)
     assert ls.layer_count == L and ls.target.size == V
-    for arr in (ls.top_tokens, ls.top_conf, ls.target):
-        assert not arr.flags.writeable
+    assert not ls.target.flags.writeable
     assert abs(ls.target.sum() - 1.0) <= PROB_SUM_TOL
     assert ls.target.argmax() == ls.target_token
+    tops, confs = decoded(ls)
     for ell in range(1, L):
-        row = exit_distribution(*ls.layer(ell), V)
-        top, c = ls.top_tokens[ell - 1], ls.top_conf[ell - 1]
+        top, c = ls.layer(ell)
+        assert top == tops[ell - 1] and c == confs[ell - 1]
+        row = exit_distribution(top, c, V)
         assert np.all(row >= 0.0)
         assert abs(row.sum() - 1.0) <= PROB_SUM_TOL
         assert row.argmax() == top and row[top] == c
@@ -168,7 +180,7 @@ def test_regime_profiles_apply_by_context_length_and_cycle():
         for i in range(n):
             ctx = [i % cfg.V, (i // cfg.V) % cfg.V] + [1] * (target_len - 2)
             ls = model.step(ctx)
-            hits += ls.top_tokens == ls.target_token
+            hits += layer_arrays(ls)[0] == ls.target_token
         freq = hits / n
         for ell in range(2):
             a = prof[ell]
@@ -233,9 +245,9 @@ def test_wrappers_count_and_cache(draws):
     # whose row is filled once
     memo = CallCountingModel(agreement_model(cfg, (0.5,) * 7 + (1.0,), memo_capacity=4))
     first = memo.step([1, 2])
-    first.top_conf
+    first.layer(1)
     assert memo.step([1, 2]) is first
-    memo.step([1, 2]).top_tokens
+    layer_arrays(memo.step([1, 2]))
     assert memo.calls == 3
     assert len(draws) == 1
 
@@ -268,8 +280,7 @@ def test_memoized_steps_equal_computed_steps(kind, capacity, contexts):
     for ctx in contexts:
         a, b = plain.step(ctx), memo.step(ctx)
         assert a.target_token == b.target_token
-        for name in ("top_tokens", "top_conf", "target"):
-            x, y = getattr(a, name), getattr(b, name)
+        for x, y in zip((*layer_arrays(a), a.target), (*layer_arrays(b), b.target)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
         assert len(memo._memo) <= capacity
 
@@ -279,15 +290,15 @@ def test_memo_never_holds_more_than_its_capacity(draws):
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=5)
     contexts = list(distinct_contexts(40, cfg.V))
     for ctx in contexts:
-        model.step(ctx).top_conf
+        model.step(ctx).layer(1)
         assert len(model._memo) <= 5
     assert len(model._memo) == 5
     assert len(draws) == 40
     # the five most recent contexts are held; the oldest were dropped
     for ctx in contexts[-5:]:
-        model.step(ctx).top_conf
+        model.step(ctx).layer(1)
     assert len(draws) == 40
-    model.step(contexts[0]).top_conf
+    model.step(contexts[0]).layer(1)
     assert len(draws) == 41
     assert len(model._memo) == 5
 
@@ -343,32 +354,42 @@ def test_horizon_below_one_is_rejected_at_construction(horizon):
             LayeredModel(spec, cfg.L, cfg.V, 1)
 
 
-def test_memo_is_safe_under_concurrent_steps():
+def read_concurrently(memo, contexts, expected) -> list[str]:
+    """Six threads step ``memo`` through ``contexts``, each from its own
+    offset, and read every step they get three ways: one layer, ``shadow``
+    and every layer, the first read alternating between one layer and
+    ``shadow``. Each read is compared bit for bit with ``expected``, the
+    ``decoded`` arrays of each context. Returns the errors."""
     import sys
     import threading
 
-    spec = MEMO_SPECS["agreement"]
-    plain = LayeredModel(spec, 4, 5, 11)
-    memo = LayeredModel(spec, 4, 5, 11, memo_capacity=7)
-    # 40 contexts over a 7-entry memo: threads keep hitting, inserting and
-    # evicting the same entries
-    contexts = list(distinct_contexts(40, 5)) * 10
-    expected = {tuple(c): plain.step(c) for c in contexts}
     errors: list[str] = []
 
     def worker(offset: int) -> None:
         try:
-            for ctx in contexts[offset:] + contexts[:offset]:
-                got, want = memo.step(ctx), expected[tuple(ctx)]
-                # the memo hands out pending steps: threads race to fill a
-                # shared step's row, one layer or the whole row first
+            for k, ctx in enumerate(contexts[offset:] + contexts[:offset]):
+                got = memo.step(ctx)
+                tops, conf = expected[tuple(ctx)]
+                # the memo hands out shared steps: threads race to fill a
+                # step's row, through one layer or through shadow first
                 ell = 1 + (offset + ctx[0]) % 3
-                if got.layer(ell) != want.layer(ell):
-                    errors.append(f"layer {ell} of {ctx} differs")
-                if not (np.array_equal(got.top_tokens, want.top_tokens)
-                        and np.array_equal(got.top_conf, want.top_conf)):
+
+                def one_layer():
+                    if got.layer(ell) != (tops.item(ell - 1), conf.item(ell - 1)):
+                        errors.append(f"layer {ell} of {ctx} differs")
+
+                def shadow():
+                    matches, c = LayerStep.shadow([got])
+                    if not (np.array_equal(matches[:, 0], tops == got.target_token)
+                            and np.array_equal(c[:, 0], conf)):
+                        errors.append(f"shadow of {ctx} differs")
+
+                for read in (one_layer, shadow) if k % 2 else (shadow, one_layer):
+                    read()
+                got_tops, got_conf = layer_arrays(got)
+                if not (np.array_equal(got_tops, tops) and np.array_equal(got_conf, conf)):
                     errors.append(f"step of {ctx} differs")
-                if len(memo._memo) > 7:
+                if len(memo._memo) > memo.memo_capacity:
                     errors.append(f"memo holds {len(memo._memo)} steps")
         except Exception as e:  # any error in a thread fails the test
             errors.append(repr(e))
@@ -383,8 +404,56 @@ def test_memo_is_safe_under_concurrent_steps():
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
+    if any(t.is_alive() for t in threads):
+        errors.append("a thread is still running")
+    return errors
+
+
+def test_memo_is_safe_under_concurrent_steps():
+    spec = MEMO_SPECS["agreement"]
+    plain = LayeredModel(spec, 4, 5, 11)
+    memo = LayeredModel(spec, 4, 5, 11, memo_capacity=7)
+    # 40 contexts over a 7-entry memo: threads keep hitting, inserting and
+    # evicting the same entries
+    contexts = list(distinct_contexts(40, 5)) * 10
+    expected = {tuple(c): decoded(plain.step(c)) for c in contexts}
+    assert read_concurrently(memo, contexts, expected) == []
+
+
+def test_no_read_changes_a_step(monkeypatch):
+    # every step the model makes, with a copy of its attributes as made
+    made = []
+    real = LayerStep.deferred.__func__
+
+    def recording(cls, *args):
+        step = real(cls, *args)
+        made.append((step, dict(vars(step))))
+        return step
+
+    monkeypatch.setattr(LayerStep, "deferred", classmethod(recording))
+    spec = MEMO_SPECS["agreement"]
+    plain = LayeredModel(spec, 4, 5, 11)
+    memo = LayeredModel(spec, 4, 5, 11, memo_capacity=7)
+    toy = LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), 4, 5, 1)
+    fixed = [toy.step([3]), LayerStep(np.array([1, 2, 0]), np.array([0.9, 0.5, 0.7]), toy.step([1]).target, 2)]
+    made += [(step, dict(vars(step))) for step in fixed]
+    contexts = list(distinct_contexts(40, 5))
+    # every layer, shadow over model and fixed steps together, memo hits
+    steps = [memo.step(ctx) for ctx in contexts[:7]]
+    for step in steps + fixed:
+        layer_arrays(step)
+    LayerStep.shadow(steps + fixed)
+    assert [memo.step(ctx) for ctx in contexts[:7]] == steps
+    LayerStep.shadow([plain.step(ctx) for ctx in contexts])
+    expected = {tuple(c): decoded(plain.step(c)) for c in contexts}
+    before = len(made)
+    assert read_concurrently(memo, contexts * 10, expected) == []
+    # the threads' memo misses made steps too
+    assert len(made) > before
+    for step, attrs in made:
+        now = vars(step)
+        assert now.keys() == attrs.keys()
+        assert all(now[name] is value for name, value in attrs.items())
 
 
 # -- deferred draws -------------------------------------------------------------
@@ -401,7 +470,7 @@ CONFIDENCES = [
     kind=st.sampled_from(sorted(KIND_SPECS)),
     conf=st.sampled_from(CONFIDENCES),
     contexts=st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=12), min_size=1, max_size=8),
-    first_reads=st.lists(st.sampled_from(["top_tokens", "top_conf", "exit_distribution"]),
+    first_reads=st.lists(st.sampled_from(["layers", "shadow", "exit_distribution"]),
                          min_size=8, max_size=8),
     order=st.randoms(use_true_random=False),
 )
@@ -410,24 +479,29 @@ def test_deferred_steps_equal_steps_drawn_at_once(kind, conf, contexts, first_re
     spec = ModelSpec(kind=kind, confidence_match=conf, confidence_mismatch=conf, **KIND_SPECS[kind])
     deferred = LayeredModel(spec, L, V, 3)
     steps = [deferred.step(ctx) for ctx in contexts]
-    # read the steps' layers in any order, each first through any field, so
+    # read the steps' layers in any order, each first through any read, so
     # their draws interleave on the model's scratch generator
     reads = list(zip(range(len(steps)), first_reads))
     order.shuffle(reads)
-    for i, field in reads:
-        if field == "exit_distribution":
+    for i, how in reads:
+        if how == "exit_distribution":
             exit_distribution(*steps[i].layer(1 + i % (L - 1)), V)
+        elif how == "shadow":
+            LayerStep.shadow([steps[i]])
         else:
-            getattr(steps[i], field)
-    # a fresh model's steps, drawn in one block
+            layer_arrays(steps[i])
+    # a fresh model's steps, each decoded in one vectorized block
     wants = [LayeredModel(spec, L, V, 3).step(ctx) for ctx in contexts]
-    LayerStep.draw_pending(wants)
-    for got, want in zip(steps, wants):
+    matches, conf = LayerStep.shadow(steps)
+    for j, (got, want) in enumerate(zip(steps, wants)):
         assert got.target_token == want.target_token and got.layer_count == want.layer_count == L
-        for name in ("top_tokens", "top_conf", "target"):
-            x, y = getattr(got, name), getattr(want, name)
+        assert got.target.dtype == want.target.dtype and np.array_equal(got.target, want.target)
+        assert not got.target.flags.writeable
+        tops, confs = decoded(want)
+        for x, y in zip(layer_arrays(got), (tops, confs)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
-            assert not x.flags.writeable
+        assert np.array_equal(matches[:, j], tops == want.target_token)
+        assert np.array_equal(conf[:, j], confs)
         for ell in range(1, L):
             assert np.array_equal(exit_distribution(*got.layer(ell), V),
                                   exit_distribution(*want.layer(ell), V))
@@ -442,10 +516,10 @@ def test_step_draws_on_the_first_layer_read_only(draws):
     assert draws == []
     exit_distribution(*step.layer(2), cfg.V)
     assert len(draws) == 1
-    step.top_tokens, step.top_conf, exit_distribution(*step.layer(4), cfg.V)
+    LayerStep.shadow([step]), layer_arrays(step), exit_distribution(*step.layer(4), cfg.V)
     assert len(draws) == 1
     with pytest.raises(AttributeError):
-        step.top_conf = np.zeros(cfg.L - 1)
+        step.target = np.zeros(cfg.V)
 
 
 def test_memoized_steps_are_stored_pending(draws):
@@ -454,22 +528,21 @@ def test_memoized_steps_are_stored_pending(draws):
     step = model.step([3, 1, 4])
     assert draws == []
     assert list(model._memo.values()) == [step]
-    assert not {"top_tokens", "top_conf"} & set(vars(step))
+    assert vars(step)["_row"].u is None
     # one-layer reads through memo hits fill the stored step's row once
     hits = [model.step([3, 1, 4]) for _ in range(3)]
     assert all(hit is step for hit in hits)
     reads = [hit.layer(1 + k) for k, hit in enumerate(hits)]
     assert len(draws) == 1
-    # and a full read decodes that kept row
-    assert [(int(t), float(c)) for t, c in zip(step.top_tokens, step.top_conf)][:3] == reads
+    # and every later read decodes that kept row
+    tops, conf = decoded(step)
+    assert [(int(t), float(c)) for t, c in zip(tops, conf)][:3] == reads
+    LayerStep.shadow([model.step([3, 1, 4])])
     exit_distribution(*model.step([3, 1, 4]).layer(5), cfg.V)
     assert len(draws) == 1
-    # a drawn step keeps its arrays and drops its row, and with it the
-    # reference back to the model
-    assert {"top_tokens", "top_conf"} <= set(vars(step))
-    assert vars(step)["_pending"] is None
-    # a stored step still pending refers back to the model; the cycle
+    # a stored step refers back to the model through its row; the cycle
     # collector frees the model with it
+    assert vars(step)["_row"].model is model
     model.step([2, 7]).layer(1)
     ref = weakref.ref(model)
     del model, step, hits
@@ -495,14 +568,13 @@ def test_one_layer_reads_equal_the_drawn_arrays(kind, match, mismatch, V, tokens
     # 7 and 12: read positions on both sides of each
     for n in (1, 6, 7, 11, 12, 13, 14):
         ctx = [t % V for t in tokens[:n]]
-        want = drawn.step(ctx)
-        expect = [(int(want.top_tokens[k]), float(want.top_conf[k])) for k in range(L - 1)]
+        tops, conf = decoded(drawn.step(ctx))
+        expect = [(int(tops[k]), float(conf[k])) for k in range(L - 1)]
         step = pending.step(ctx)
         before = [step.layer(ell) for ell in range(1, L)]
-        for name in ("top_tokens", "top_conf"):
-            x, y = getattr(step, name), getattr(want, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-            assert not x.flags.writeable
+        matches, c = LayerStep.shadow([step])
+        assert np.array_equal(matches[:, 0], tops == step.target_token)
+        assert c.dtype == conf.dtype and np.array_equal(c[:, 0], conf)
         after = [step.layer(ell) for ell in range(1, L)]
         assert before == after == expect
         assert all(type(tok) is int and type(c) is float for tok, c in before)
@@ -525,9 +597,11 @@ def test_one_layer_reads_fill_the_row_once_and_decode_nothing_else(draws, monkey
     step = model.step([3, 1, 4])
     reads = [step.layer(ell) for ell in range(1, cfg.L)] + [step.layer(2)]
     exit_distribution(*step.layer(4), cfg.V)
+    LayerStep.shadow([step])
     assert len(draws) == 1 and decodes == []
-    # a full read decodes the kept row: no second fill
-    assert [(int(t), float(c)) for t, c in zip(step.top_tokens, step.top_conf)] == reads[:-1]
+    # the reference decode reads the kept row: no second fill
+    tops, conf = decoded(step)
+    assert [(int(t), float(c)) for t, c in zip(tops, conf)] == reads[:-1]
     assert len(draws) == 1 and len(decodes) == 1
 
 
@@ -564,10 +638,9 @@ def test_greedy_path_steps_equal_steps_along_the_argmax_chain(
         want = plain.step(prompt + chain[:k])
         assert got.target_token == want.target_token == chain[k]
         assert got.layer_count == L
-        for name in ("top_tokens", "top_conf", "target"):
-            x, y = getattr(got, name), getattr(want, name)
+        for x, y in zip((*layer_arrays(got), got.target), (*decoded(want), want.target)):
             assert x.dtype == y.dtype and np.array_equal(x, y)
-            assert not x.flags.writeable
+        assert not got.target.flags.writeable
     if capacity:
         assert len(model._memo) <= capacity
 
@@ -583,7 +656,7 @@ def test_greedy_path_draws_each_position_it_makes_once(draws):
     plain = agreement_model(cfg, profile)
     chain = plain.argmax_chain(prompt, 12)
     for k in range(12):
-        plain.step(prompt + chain[:k]).top_conf
+        plain.step(prompt + chain[:k]).layer(1)
     assert draws[12:] == draws[:12]
     del draws[12:]
     # memo hits make no draws; positions past them do
@@ -659,14 +732,17 @@ def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, 
     steps = path_steps(model, prompt, n)
     assert chain == [s.target_token for s in steps]
     assert agree.dtype == bool and agree.shape == (n, L - 1)
+    if steps:
+        assert np.array_equal(agree.T, LayerStep.shadow(steps)[0])
     plain = LayeredModel(spec, L, V, 3)
     for k, step in enumerate(steps):
-        assert np.array_equal(agree[k], step.top_tokens == step.target_token)
         # and the path's keys are the keys step draws by, however the
         # context hash window slides
         want = plain.step(prompt + chain[:k])
-        assert np.array_equal(step.top_tokens, want.top_tokens)
-        assert np.array_equal(step.top_conf, want.top_conf)
+        tops, conf = decoded(want)
+        assert np.array_equal(agree[k], tops == want.target_token)
+        got_tops, got_conf = layer_arrays(step)
+        assert np.array_equal(got_tops, tops) and np.array_equal(got_conf, conf)
 
 
 def test_path_agreement_draws_the_path_keys_and_skips_the_memo(draws):
@@ -736,9 +812,8 @@ def test_drawn_confidences_follow_their_laws():
                      context_hash_window=4)
     model = LayeredModel(spec, L, V, 29)
     steps = path_steps(model, [5], 4000)
-    tops = np.array([s.top_tokens for s in steps])
-    conf = np.array([s.top_conf for s in steps])
-    agree = tops == np.array([s.target_token for s in steps])[:, None]
+    matches, confidences = LayerStep.shadow(steps)
+    agree, conf = matches.T, confidences.T
     # each layer agrees at its configured rate
     n = len(steps)
     for ell, a in enumerate(spec.agreement_profile[:-1]):
@@ -763,7 +838,7 @@ def test_off_target_tokens_are_uniform_over_the_other_tokens():
     model = LayeredModel(spec, L, V, 31)
     # one path, so that no two positions share a draw key
     steps = path_steps(model, [3], 6000)
-    tops = np.array([s.top_tokens for s in steps])
+    tops = np.array([layer_arrays(s)[0] for s in steps])
     targets = np.array([s.target_token for s in steps])[:, None]
     assert np.all(tops != targets)
     # rank among the V - 1 tokens other than the target
@@ -789,7 +864,7 @@ def test_confidence_tables_are_shared_and_read_only():
     assert a._conf_table.min() == floor
     assert np.all(a._conf_table[TABLE_SIZE + 1:] == floor)
     steps = path_steps(a, [1], 50)
-    conf = np.array([s.top_conf for s in steps])
+    conf = LayerStep.shadow(steps)[1]
     assert conf.min() >= floor and conf.max() <= 0.5
 
 
@@ -814,8 +889,8 @@ specs = [
 for spec in specs:
     model = LayeredModel(spec, 3, 8, 1)
     chain = model.argmax_chain([1, 2], 5)
-    LayerStep.draw_pending([model.step([1, 2] + chain[:k]) for k in range(5)])
-    model.step([3]).top_conf
+    LayerStep.shadow([model.step([1, 2] + chain[:k]) for k in range(5)])
+    model.step([3]).layer(1)
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
     res = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": str(src)},

@@ -44,11 +44,15 @@ def test_argmax_tie_breaks_to_lowest_token():
 
 
 def test_distribution_is_immutable():
-    row = np.array([0.25, 0.75])
-    ls = LayerStep(np.array([1]), np.array([0.75]), row, 1)
-    for arr in (ls.top_tokens, ls.top_conf, ls.target):
+    row, tokens, conf = np.array([0.25, 0.75]), np.array([1]), np.array([0.75])
+    ls = LayerStep(tokens, conf, row, 1)
+    # the arrays a step is made from are read-only from then on
+    for arr in (tokens, conf, ls.target):
         with pytest.raises(ValueError):
             arr[0] = 0
+    assert ls.layer(1) == (1, 0.75)
+    with pytest.raises(AttributeError):
+        ls.target = row
     # a model's target rows are views of a matrix that is itself read-only
     target = table_model([0.5, 0.5]).step([0]).target
     assert not target.flags.writeable and not target.base.flags.writeable
