@@ -122,11 +122,18 @@ class DvPolicy(Policy):
         return self.plan
 
 
-def make_policy(name: str, cfg: SessionConfig, **params):
-    """Build a policy by CLI name; unknown names or missing parameters raise
-    ConfigError naming the field."""
+# every parameter some policy takes; a policy ignores the ones it does not
+POLICY_PARAMS = frozenset({"exit_layer", "gamma", "target_rate", "step", "threshold"})
+
+
+def make_policy(name: str, cfg: SessionConfig, /, **params):
+    """Build a policy by CLI name; unknown names, parameter names no policy
+    takes, or missing parameters raise ConfigError naming the field."""
     from .controller import DelController
 
+    if not POLICY_PARAMS.issuperset(params):
+        raise ConfigError(f"unknown policy parameter(s) {sorted(set(params) - POLICY_PARAMS)} "
+                          f"for policy {name!r}")
     if name == "vanilla":
         return VanillaPolicy(cfg)
     if name == "ls":

@@ -10,6 +10,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     ConfigError,
     SessionConfig,
@@ -18,6 +20,7 @@ from .config import (
     load_config_file,
     validate_config,
 )
+from .baselines import make_policy
 from .controller import tpl
 from .harness import (
     empirical_sd_distribution,
@@ -55,55 +58,54 @@ SESSION_FLAGS = (
     ("--default-threshold", float, "threshold used before any signal exists"),
 )
 
+# each policy parameter, the run-section key and flag that set it, and its type
+POLICY_PARAMS = (
+    ("exit_layer", "exit_layer", int),
+    ("gamma", "gamma", int),
+    ("target_rate", "dv_target_rate", float),
+    ("step", "dv_step", float),
+    ("threshold", "dv_threshold", float),
+)
+RUN_KEYS = {"policy", "policies", "prompts", "prompt_len"} | {key for _, key, _ in POLICY_PARAMS}
 
-def _add_session_flags(p: argparse.ArgumentParser) -> None:
+
+def _inputs_parser() -> argparse.ArgumentParser:
+    """The flags of every command that runs sessions: the config file, the
+    prompt counts, the session and model fields, and the output directory."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--config", default=None, help="JSON config file (flag > file > default)")
+    p.add_argument("--prompts", type=int, default=None)
+    p.add_argument("--prompt-len", type=int, default=None)
     for flag, typ, help_text in SESSION_FLAGS:
         p.add_argument(flag, type=typ, default=None, help=help_text)
-
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model-kind", default=None,
                    help="agreement, regime_switching, or deterministic_toy")
     p.add_argument("--profile", default=None,
                    help="comma-separated per-layer agreement rates (last must be 1)")
     p.add_argument("--toy-map", default=None,
                    help="comma-separated next-token table for deterministic_toy")
-
-
-def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None,
                    help="output directory (overrides DELSIM_OUT; default ./results)")
+    return p
 
 
 def build_parser() -> _Parser:
     p = _Parser(prog="delsim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
+    inputs = [_inputs_parser()]
 
-    run = sub.add_parser("run", parents=[], help="run policies and report eTPL")
-    run.add_argument("--config", default=None, help="JSON config file (flag > file > default)")
-    run.add_argument("--policy", default=None, help="vanilla, ls, fs, dv, or del")
-    run.add_argument("--exit-layer", type=int, default=None)
-    run.add_argument("--gamma", type=int, default=None)
-    run.add_argument("--dv-target-rate", type=float, default=None)
-    run.add_argument("--dv-step", type=float, default=None)
-    run.add_argument("--dv-threshold", type=float, default=None)
-    run.add_argument("--prompts", type=int, default=None)
-    run.add_argument("--prompt-len", type=int, default=None)
-    _add_session_flags(run)
-    _add_model_flags(run)
-    _add_out_flag(run)
+    run = sub.add_parser("run", parents=inputs, help="run policies and report eTPL")
+    run.add_argument("--policy", default=None,
+                     help="vanilla, ls, fs, dv, or del (overrides the file's run.policies)")
+    for _, key, typ in POLICY_PARAMS:
+        run.add_argument("--" + key.replace("_", "-"), type=typ, default=None)
 
-    sweep = sub.add_parser("sweep", help="grid-sweep the static policy and emit grid.csv")
-    sweep.add_argument("--config", default=None)
+    sweep = sub.add_parser("sweep", parents=inputs,
+                           help="grid-sweep the static policy and emit grid.csv")
     sweep.add_argument("--ell", default=None, help="exit-layer range a..b or comma list")
     sweep.add_argument("--d", default=None, help="speculation-length range a..b or comma list")
     sweep.add_argument("--segment-len", type=int, default=None,
                        help="emit one grid per fixed-length window of emitted tokens")
-    sweep.add_argument("--prompts", type=int, default=None)
-    sweep.add_argument("--prompt-len", type=int, default=None)
-    _add_session_flags(sweep)
-    _add_model_flags(sweep)
-    _add_out_flag(sweep)
 
     oracle = sub.add_parser("oracle", help="check closed forms against independent oracles")
     oracle.add_argument("--alpha", type=float, default=None)
@@ -115,14 +117,9 @@ def build_parser() -> _Parser:
     oracle.add_argument("--horizon", type=int, default=2)
     oracle.add_argument("--seed", type=int, default=0)
 
-    om = sub.add_parser("omega-sweep", help="run the dynamic policy across decay factors")
-    om.add_argument("--config", default=None)
+    om = sub.add_parser("omega-sweep", parents=inputs,
+                        help="run the dynamic policy across decay factors")
     om.add_argument("--omegas", default="0.5,0.6,0.7,0.8,0.9,0.95,1.0")
-    om.add_argument("--prompts", type=int, default=None)
-    om.add_argument("--prompt-len", type=int, default=None)
-    _add_session_flags(om)
-    _add_model_flags(om)
-    _add_out_flag(om)
 
     rep = sub.add_parser("replay", help="recompute eTPL from traces and verify the summary")
     rep.add_argument("--dir", required=True, help="output directory of a previous run")
@@ -132,13 +129,6 @@ def build_parser() -> _Parser:
 
 # -- config assembly ---------------------------------------------------------
 
-def _resolve_out(args) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    env = os.environ.get("DELSIM_OUT")
-    return Path(env) if env else Path("results")
-
-
 def _section(file_cfg: dict, name: str) -> dict:
     """A copy of one section of the config file, which must be an object."""
     sec = file_cfg.get(name, {})
@@ -147,11 +137,38 @@ def _section(file_cfg: dict, name: str) -> dict:
     return dict(sec)
 
 
+def _inputs(args):
+    """What ``run``, ``sweep`` and ``omega-sweep`` share: the config file's
+    run section, the session, the model spec, the prompt count and length,
+    and the output directory (``--out`` > DELSIM_OUT > ./results)."""
+    file_cfg = load_config_file(args.config) if args.config else {}
+    unknown = set(file_cfg) - {"session", "model", "run"}
+    if unknown:
+        raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
+    run_cfg = _section(file_cfg, "run")
+    if "del_per_layer_window" in run_cfg:
+        # a removed study variant: running without it would change the results silently
+        raise ConfigError("run.del_per_layer_window is no longer supported; remove the field")
+    if not RUN_KEYS.issuperset(run_cfg):
+        raise ConfigError(f"unknown run field(s): {sorted(set(run_cfg) - RUN_KEYS)}")
+    if {"policy", "policies"} <= set(run_cfg):
+        raise ConfigError("run.policy and run.policies are both given; keep one")
+    n = as_int(run_cfg.get("prompts", 50), "run.prompts") if args.prompts is None else args.prompts
+    plen = (as_int(run_cfg.get("prompt_len", 32), "run.prompt_len") if args.prompt_len is None
+            else args.prompt_len)
+    if n < 1:
+        raise ConfigError(f"prompts must be >= 1, got {n}")
+    if plen < 1:
+        raise ConfigError(f"prompt_len must be >= 1, got {plen}")
+    out = Path(args.out or os.environ.get("DELSIM_OUT") or "results")
+    return run_cfg, _session_from(args, file_cfg), _model_from(args, file_cfg), n, plen, out
+
+
 def _session_from(args, file_cfg: dict) -> SessionConfig:
     merged = _section(file_cfg, "session")
     for flag, _typ, _h in SESSION_FLAGS:
         name = flag.lstrip("-").replace("-", "_")
-        val = getattr(args, name, None)
+        val = getattr(args, name)
         if val is not None:
             merged[name] = val
     for required in ("L", "V"):
@@ -162,11 +179,11 @@ def _session_from(args, file_cfg: dict) -> SessionConfig:
 
 def _model_from(args, file_cfg: dict) -> ModelSpec:
     merged = _section(file_cfg, "model")
-    if getattr(args, "model_kind", None):
+    if args.model_kind:
         merged["kind"] = args.model_kind
-    if getattr(args, "profile", None):
+    if args.profile:
         merged["agreement_profile"] = _parse_list(args.profile, float, "--profile")
-    if getattr(args, "toy_map", None):
+    if args.toy_map:
         merged["base_process"] = {"kind": "next_map",
                                   "map": _parse_list(args.toy_map, int, "--toy-map")}
     if "kind" not in merged:
@@ -174,46 +191,42 @@ def _model_from(args, file_cfg: dict) -> ModelSpec:
     return ModelSpec.from_dict(merged)
 
 
-def _policy_spec_from(args, file_cfg: dict) -> tuple[str, dict]:
-    run_cfg = _section(file_cfg, "run")
-    name = args.policy or run_cfg.get("policy")
-    if not name:
-        raise ConfigError("run.policy is required (flag --policy or config file)")
-    if "del_per_layer_window" in run_cfg:
-        # a removed study variant: running without it would change the results silently
-        raise ConfigError("run.del_per_layer_window is no longer supported; remove the field")
-    params: dict = {}
-    # params are keyed by their flag name in the config file's run section too
-    for param, flag in (
-        ("exit_layer", "exit_layer"),
-        ("gamma", "gamma"),
-        ("target_rate", "dv_target_rate"),
-        ("step", "dv_step"),
-        ("threshold", "dv_threshold"),
-    ):
-        val = getattr(args, flag, None)
+def _policy_specs(args, run_cfg: dict, cfg: SessionConfig) -> list[tuple[str, dict]]:
+    """The (name, params) pairs to run: ``--policy`` or ``run.policy`` with
+    the parameter flags and keys (a flag overrides its key), else the
+    ``run.policies`` list that ``config.json`` echoes, checked up front."""
+    params = {}
+    for param, key, _typ in POLICY_PARAMS:
+        val = getattr(args, key)
         if val is None:
-            val = run_cfg.get(flag)
+            val = run_cfg.get(key)
         if val is not None:
             params[param] = val
-    return name, params
-
-
-def _run_int(flag_val, run_cfg: dict, key: str, default: int) -> int:
-    if flag_val is not None:
-        return flag_val
-    return as_int(run_cfg.get(key, default), f"run.{key}")
-
-
-def _run_counts(args, file_cfg: dict) -> tuple[int, int]:
-    run_cfg = _section(file_cfg, "run")
-    n = _run_int(args.prompts, run_cfg, "prompts", 50)
-    plen = _run_int(args.prompt_len, run_cfg, "prompt_len", 32)
-    if n < 1:
-        raise ConfigError(f"prompts must be >= 1, got {n}")
-    if plen < 1:
-        raise ConfigError(f"prompt_len must be >= 1, got {plen}")
-    return n, plen
+    if args.policy or "policies" not in run_cfg:
+        name = args.policy or run_cfg.get("policy")
+        if not name:
+            raise ConfigError("run.policy or run.policies is required (--policy or config file)")
+        return [(name, params)]
+    if params:
+        raise ConfigError(f"run.policies gives each policy its parameters; "
+                          f"{sorted(params)} need --policy")
+    entries = run_cfg["policies"]
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"run.policies must list one or more [name, params], got {entries!r}")
+    specs: list[tuple[str, dict]] = []
+    for i, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+                and isinstance(entry[1], dict)):
+            raise ConfigError(f"run.policies[{i}] must be a [name, params] pair, got {entry!r}")
+        if any(entry[0] == name for name, _ in specs):
+            # one trace file per policy and prompt: a second entry would overwrite the first's
+            raise ConfigError(f"run.policies[{i}] repeats policy {entry[0]!r}")
+        try:
+            make_policy(entry[0], cfg, **entry[1])
+        except ConfigError as e:
+            raise ConfigError(f"run.policies[{i}]: {e}") from e
+        specs.append((entry[0], entry[1]))
+    return specs
 
 
 def _parse_list(text: str, typ, field: str) -> list:
@@ -247,35 +260,35 @@ def _parse_range(text: str | None, field: str, lo: int, hi: int) -> list[int]:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    file_cfg = load_config_file(args.config) if args.config else {}
-    cfg = _session_from(args, file_cfg)
-    spec = _model_from(args, file_cfg)
-    policy = _policy_spec_from(args, file_cfg)
-    n_prompts, prompt_len = _run_counts(args, file_cfg)
-    out = _resolve_out(args)
-    reports = run_experiment(spec, cfg, [policy], n_prompts, prompt_len, out)
-    mean = sum(r.etpl for r in reports) / len(reports)
-    print(f"policy={policy[0]} runs={len(reports)} mean_etpl={mean:.6f} "
-          f"mean_sim_speedup={mean * cfg.L:.4f}")
+    run_cfg, cfg, spec, n_prompts, prompt_len, out = _inputs(args)
+    policies = _policy_specs(args, run_cfg, cfg)
+    reports = run_experiment(spec, cfg, policies, n_prompts, prompt_len, out)
+    # reports come in (policy, prompt) order
+    for k, (name, _params) in enumerate(policies):
+        runs = reports[k * n_prompts:(k + 1) * n_prompts]
+        mean = sum(r.etpl for r in runs) / len(runs)
+        print(f"policy={name} runs={len(runs)} mean_etpl={mean:.6f} "
+              f"mean_sim_speedup={mean * cfg.L:.4f}")
     print(f"wrote {out / 'summary.csv'}")
     return 0
 
 
 def cmd_sweep(args) -> int:
-    file_cfg = load_config_file(args.config) if args.config else {}
-    cfg = _session_from(args, file_cfg)
-    spec = _model_from(args, file_cfg)
-    n_prompts, prompt_len = _run_counts(args, file_cfg)
+    _run_cfg, cfg, spec, n_prompts, prompt_len, out = _inputs(args)
     ells = _parse_range(args.ell, "--ell", 1, cfg.L - 1)
     ds = _parse_range(args.d, "--d", 0, cfg.d_max)
     if args.segment_len is not None and args.segment_len < 1:
         raise ConfigError(f"--segment-len must be >= 1, got {args.segment_len}")
-    out = _resolve_out(args)
     grid = grid_sweep(spec, cfg, ells, ds, n_prompts, prompt_len, args.segment_len)
     out.mkdir(parents=True, exist_ok=True)
     write_grid_csv(grid, out / "grid.csv")
-    ell, d, val = grid.best_cell()
-    print(f"best cell (first segment): exit_layer={ell} gamma={d} etpl={val:.6f}")
+    for seg in range(grid.segments):
+        where = "first segment" if args.segment_len is None else f"segment {seg}"
+        if np.isnan(grid.values[seg]).all():
+            print(f"best cell ({where}): none, no round started in this segment")
+            continue
+        ell, d, val = grid.best_cell(seg)
+        print(f"best cell ({where}): exit_layer={ell} gamma={d} etpl={val:.6f}")
     print(f"wrote {out / 'grid.csv'}")
     return 0
 
@@ -300,7 +313,6 @@ def _oracle_distribution_check(args) -> int:
     prompt = [0]
     exact = enumerate_target_distribution(model, prompt, args.horizon)
 
-    from .baselines import make_policy
     counts = empirical_sd_distribution(
         model, lambda: make_policy("ls", cfg, exit_layer=1, gamma=min(2, cfg.d_max)),
         cfg, prompt, args.trials, args.seed,
@@ -338,23 +350,21 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_omega_sweep(args) -> int:
-    file_cfg = load_config_file(args.config) if args.config else {}
-    cfg = _session_from(args, file_cfg)
-    spec = _model_from(args, file_cfg)
-    n_prompts, prompt_len = _run_counts(args, file_cfg)
+    _run_cfg, cfg, spec, n_prompts, prompt_len, out = _inputs(args)
     try:
         omegas = [float(x) for x in args.omegas.split(",") if x.strip() != ""]
     except ValueError as e:
         raise ConfigError(f"bad --omegas list: {e}") from e
     if not omegas or any(not 0.0 <= w <= 1.0 for w in omegas):
         raise ConfigError("--omegas must be a non-empty list of values in [0,1]")
-    out = _resolve_out(args)
     rows = omega_sweep(spec, cfg, omegas, n_prompts, prompt_len)
     out.mkdir(parents=True, exist_ok=True)
     write_omega_csv(rows, out / "omega.csv")
     for r in rows:
         print(f"omega={r['omega']:.2f} etpl={r['etpl']:.6f} "
               f"sim_speedup={r['sim_speedup']:.4f} exit_switches={r['exit_switches']}")
+    speeds = [r["sim_speedup"] for r in rows]
+    print(f"spread: {(max(speeds) - min(speeds)) / max(speeds) * 100:.2f}% of max")
     print(f"wrote {out / 'omega.csv'}")
     return 0
 

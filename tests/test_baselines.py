@@ -154,6 +154,18 @@ def test_make_policy_dispatch_and_validation():
         make_policy("warp", cfg)
 
 
+def test_make_policy_rejects_parameter_names_no_policy_takes():
+    cfg = make_cfg()
+    # a misspelt name must not leave the default threshold in silently
+    with pytest.raises(ConfigError) as exc:
+        make_policy("dv", cfg, exit_layer=2, theshold=0.3)
+    assert "theshold" in str(exc.value) and "'dv'" in str(exc.value)
+    # a name some other policy takes is ignored, as a flag-keyed run section passes it
+    assert make_policy("vanilla", cfg, exit_layer=2, gamma=4).name == "vanilla"
+    assert make_policy("del", cfg, threshold=0.3, step=0.1, target_rate=0.5).name == "del"
+    assert make_policy("dv", cfg, exit_layer=2, threshold=0.3).plan.threshold == 0.3
+
+
 def test_all_baselines_are_greedy_lossless():
     cfg = make_cfg(L=8, V=32, max_new_tokens=128, seed=21)
     model = agreement_model(cfg, (0.6, 0.85, 0.4, 0.3, 0.2, 0.2, 0.1, 1.0))

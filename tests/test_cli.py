@@ -127,6 +127,23 @@ def test_sweep_out_of_bounds_range(tmp_path, capsys):
     assert "--ell" in capsys.readouterr().err
 
 
+def test_sweep_prints_each_segments_best_cell_and_names_empty_ones(tmp_path, capsys):
+    # the toy's layers all agree, so a d=6 round emits 7 tokens and some
+    # 4-token windows start no round
+    code = main(["sweep", "--model-kind", "deterministic_toy", "--L", "4", "--V", "8",
+                 "--ell", "1,2", "--d", "6", "--segment-len", "4", "--max-new-tokens", "40",
+                 "--prompts", "1", "--out", str(tmp_path / "sw")])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    lines = captured.out.splitlines()
+    assert len(lines) == 10 + 1
+    empty = [i for i, line in enumerate(lines[:10])
+             if line == f"best cell (segment {i}): none, no round started in this segment"]
+    assert empty == [2, 4, 6, 9]
+    for i in set(range(10)) - set(empty):
+        assert lines[i].startswith(f"best cell (segment {i}): exit_layer=1 gamma=6 etpl=")
+
+
 def test_oracle_expected_tokens(capsys):
     code = main(["oracle", "--alpha", "0.5", "--d", "2", "--trials", "200000"])
     assert code == 0
@@ -181,6 +198,48 @@ def test_replay_same_seed_recomputes_identical_etpl(tmp_path):
         with (out / "summary.csv").open() as f:
             outs.append([row["etpl"] for row in csv.DictReader(f)])
     assert outs[0] == outs[1]
+
+
+POLICIES = [["vanilla", {}], ["ls", {"exit_layer": 2, "gamma": 4}], ["dv", {"exit_layer": 2}],
+            ["del", {}]]
+
+
+def test_run_policies_runs_each_in_the_given_order(tmp_path, capsys):
+    cfg_file = write_config(tmp_path / "exp.json", run={"policies": POLICIES})
+    assert main(["run", "--config", str(cfg_file), "--out", str(tmp_path / "r")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == [f"policy={p}" for p, _ in POLICIES]
+    assert all(" runs=2 mean_etpl=" in line for line in lines[:-1])
+    assert lines[0].endswith("mean_sim_speedup=1.0000")  # vanilla loads all L layers per token
+    echo = json.loads((tmp_path / "r" / "config.json").read_text())
+    assert echo["run"]["policies"] == POLICIES
+
+
+def test_policy_flag_overrides_run_policies(tmp_path, capsys):
+    cfg_file = write_config(tmp_path / "exp.json", run={"policies": POLICIES})
+    out = tmp_path / "r"
+    assert main(["run", "--config", str(cfg_file), "--policy", "fs", "--exit-layer", "2",
+                 "--gamma", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("policy=fs runs=2 ")
+    assert json.loads((out / "config.json").read_text())["run"]["policies"] == [
+        ["fs", {"exit_layer": 2, "gamma": 3}]]
+
+
+@pytest.mark.parametrize("argv, decode_mode", [
+    ([], "greedy"),
+    (["--policy", "dv", "--exit-layer", "2", "--dv-threshold", "0.4"], "sampling"),
+], ids=["greedy-policies", "sampling-flags"])
+def test_a_results_config_json_reruns_to_the_same_bytes(tmp_path, argv, decode_mode):
+    cfg_file = write_config(tmp_path / "exp.json", session={"decode_mode": decode_mode},
+                            run={"policies": POLICIES})
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--config", str(cfg_file), "--out", str(first)] + argv) == 0
+    assert main(["run", "--config", str(first / "config.json"), "--out", str(second)]) == 0
+    files = sorted(p.relative_to(first) for p in first.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(second) for p in second.rglob("*") if p.is_file())
+    assert len(files) == 3 + 2 * (1 if argv else len(POLICIES))
+    for rel in files:
+        assert (first / rel).read_bytes() == (second / rel).read_bytes(), rel
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -252,6 +311,28 @@ def test_help_exits_zero(capsys):
         (["run"], {"run": {"policy": "ls", "exit_layer": True, "gamma": 2}}, "exit_layer"),
         (["run"], {"run": {"policy": "fs", "exit_layer": 2, "gamma": True}}, "gamma"),
         (["run"], {"run": {"policy": "dv", "exit_layer": 2, "dv_threshold": True}}, "threshold"),
+        (["run"], {"run": {"policy": "del", "policies": [["del", {}]]}},
+         "run.policy and run.policies"),
+        (["run"], {"run": {"policies": []}}, "run.policies"),
+        (["run"], {"run": {"policies": {"del": {}}}}, "run.policies"),
+        (["run"], {"run": {"policies": [["del", {}], ["ls"]]}}, "run.policies[1]"),
+        (["run"], {"run": {"policies": [["del", {}], [5, {}]]}}, "run.policies[1]"),
+        (["run"], {"run": {"policies": [["del", []]]}}, "run.policies[0]"),
+        (["run"], {"run": {"policies": [["warp", {}]]}}, "run.policies[0]: unknown policy"),
+        (["run"], {"run": {"policies": [["ls", {"exit_layer": 2}]]}}, "run.policies[0]: gamma"),
+        (["run"], {"run": {"policies": [["dv", {"exit_layer": 2, "theshold": 0.3}]]}},
+         "run.policies[0]: unknown policy parameter(s) ['theshold']"),
+        (["run"], {"run": {"policies": [["del", {"cfg": 1}]]}},
+         "run.policies[0]: unknown policy parameter(s) ['cfg']"),
+        (["run"], {"run": {"policies": [["ls", {"exit_layer": 2, "gamma": 2}],
+                                        ["ls", {"exit_layer": 3, "gamma": 2}]]}},
+         "run.policies[1] repeats policy 'ls'"),
+        (["run", "--exit-layer", "2"], {"run": {"policies": [["dv", {"exit_layer": 3}]]}},
+         "need --policy"),
+        (["run"], {"run": {"policies": [["del", {}]], "gamma": 4}}, "need --policy"),
+        (["run", "--policy", "del"], {"run": {"bogus": 1}}, "unknown run field(s): ['bogus']"),
+        (["sweep", "--ell", "1..2", "--d", "0,2"], {"run": {"bogus": 1}}, "bogus"),
+        (["run", "--policy", "del"], {"sesion": 5}, "unknown config section(s): ['sesion']"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
@@ -263,7 +344,13 @@ def test_help_exits_zero(capsys):
          "sweep-d-range-huge", "session-max-new-tokens-true", "session-d-max-true",
          "session-prefill-window-true", "run-prompts-true", "run-prompt-len-true",
          "model-context-hash-window-true", "regime-segment-length-true", "base-process-by-true",
-         "run-exit-layer-true", "run-gamma-true", "run-dv-threshold-true"],
+         "run-exit-layer-true", "run-gamma-true", "run-dv-threshold-true",
+         "run-policy-and-policies", "run-policies-empty", "run-policies-not-list",
+         "run-policies-short-entry", "run-policies-name-not-str", "run-policies-params-not-object",
+         "run-policies-unknown-policy", "run-policies-missing-param",
+         "run-policies-misspelt-param", "run-policies-param-named-cfg", "run-policies-repeated-name",
+         "run-policies-with-param-flag", "run-policies-with-param-key", "run-unknown-key",
+         "sweep-run-unknown-key", "unknown-section"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)
@@ -369,9 +456,17 @@ SECTION_KEYS = {
                 "seed", "draft_cap_mode", "alpha_clamp_eps", "default_threshold", "bogus"],
     "model": ["kind", "base_process", "agreement_profile", "confidence_match",
               "confidence_mismatch", "regimes", "horizon", "context_hash_window", "bogus"],
-    "run": ["policy", "exit_layer", "gamma", "dv_target_rate", "dv_step", "dv_threshold",
+    "run": ["policy", "policies", "exit_layer", "gamma", "dv_target_rate", "dv_step", "dv_threshold",
             "prompts", "prompt_len", "del_per_layer_window", "bogus"],
 }
+# run.policies lists: well formed, and with a bad name, parameter or shape
+POLICY_LISTS = [
+    [["del", {}]], [["vanilla", {}], ["ls", {"exit_layer": 2, "gamma": 2}]],
+    [["dv", {"exit_layer": 2, "threshold": 0.3}], ["fs", {"exit_layer": 1, "gamma": 1}]],
+    [["ls", {"exit_layer": 9, "gamma": 2}]], [["ls", {"exit_layer": 2, "gamma": NAN}]],
+    [["dv", {"exit_layer": 2, "step": INF}]], [["dv", {"exit_layer": 2, "thresold": 0.3}]],
+    [["del", {}], ["del", {}]], [["del", {"cfg": 1}]], [["del"]], [["del", {}, 1]], [[None, {}]],
+]
 MODEL_FLAGS = ["--model-kind", "--profile", "--toy-map"]
 SESSION_FLAG_NAMES = [flag for flag, _, _ in SESSION_FLAGS]
 COMMAND_FLAGS = {
@@ -401,6 +496,8 @@ def _flag_value(command: str, flag: str):
 def _config_value(key: str):
     if key in SIZE_FIELDS:
         return st.one_of(st.sampled_from(SIZE_JSON), st.integers(-2, SIZE_FIELDS[key]))
+    if key == "policies":
+        return st.sampled_from(POLICY_LISTS + BAD_JSON + BAD_MODEL_PARTS)
     return st.sampled_from(BAD_JSON + BAD_MODEL_PARTS + WORDS)
 
 
@@ -433,6 +530,10 @@ def bad_invocations(draw):
             key = draw(st.sampled_from(SECTION_KEYS[section]))
             if isinstance(config[section], dict):
                 config[section][key] = draw(_config_value(key))
+                if key == "policies":
+                    # a list stands in for the policy and its parameter keys
+                    for single in ("policy", "exit_layer", "gamma"):
+                        config[section].pop(single, None)
         else:
             config[draw(st.sampled_from(sorted(SECTION_KEYS)))] = draw(st.sampled_from(BAD_JSON))
     return argv, config

@@ -378,12 +378,13 @@ def test_sampling_sessions_decode_one_block_per_round_at_most(policy, params, mo
         assert blocks[0] == cfg.prefill_window
 
 
-# -- a zero-threshold round steps only what verification reads ----------------------
+# -- a round equals drafting first, then verifying ----------------------------------
 
 def eager_round(model, context, plan, rng, ledger, cfg, budget_left=None):
-    """A round of a plan whose threshold is 0, as drafting all g tokens,
-    stepping position g, then verifying: what ``run_round`` must equal.
-    Sampling draws each drafted token from its built exit row."""
+    """A round as drafting until the first exit-layer confidence below the
+    threshold (or the draft bound), stepping position g, then verifying:
+    what ``run_round`` must equal. Sampling draws each drafted token from
+    its built exit row as it drafts it."""
     greedy = cfg.decode_mode != SAMPLING
     ctx = list(context)
     drafted, steps, q_rows = [], [], []
@@ -391,12 +392,15 @@ def eager_round(model, context, plan, rng, ledger, cfg, budget_left=None):
         step = model.step(ctx)
         steps.append(step)
         tok, conf = step.layer(plan.exit_layer)
+        if conf < plan.threshold:
+            break  # this position is the bonus slot g
         if not greedy:
             q_rows.append(exit_distribution(tok, conf, step.target.size))
             tok = sample_index(q_rows[-1], rng)
         drafted.append(tok)
         ctx.append(tok)
-    steps.append(model.step(ctx))
+    else:
+        steps.append(model.step(ctx))
     g = len(drafted)
     accepted, end = g, None
     for i, tok in enumerate(drafted):
@@ -421,8 +425,9 @@ def eager_round(model, context, plan, rng, ledger, cfg, budget_left=None):
 
 @st.composite
 def zero_threshold_rounds(draw):
-    """A model, config, context and ``ls`` plan, a budget, and a horizon
-    from len(context) + g - 2 to + 2."""
+    """A model, config, context and a plan of length g with a threshold of
+    0 (an ``ls`` plan) or above, a budget, and a horizon from
+    len(context) + g - 2 to + 2."""
     L = draw(st.integers(2, 8))
     V = draw(st.integers(2, 16))
     mode = draw(st.sampled_from(["greedy", SAMPLING]))
@@ -446,7 +451,8 @@ def zero_threshold_rounds(draw):
         spec = ModelSpec(kind=kind, horizon=horizon)
     model = LayeredModel(spec, L, V, draw(st.integers(0, 3)))
     budget = draw(st.one_of(st.none(), st.integers(1, g + 2)))
-    return model, cfg, ctx, ls_like(E, g), budget, draw(st.integers(0, 2**32))
+    tau = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))
+    return model, cfg, ctx, ls_like(E, g, tau), budget, draw(st.integers(0, 2**32))
 
 
 @given(zero_threshold_rounds())
@@ -469,9 +475,13 @@ def test_zero_threshold_round_equals_drafting_every_position_first(case):
         ref_ledger.tokens_emitted, ref_ledger.layers_loaded)
     assert got_ctx == ref_ctx
     assert rng.bit_generator.state == ref_rng.bit_generator.state
-    # the positions read: up to the first rejection, or all g + 1
-    assert len(out.steps) == out.accepted_count + 1
-    assert len(out.drafted) == min(out.accepted_count + 1, out.g)
+    if plan.threshold > 0.0:
+        # drafting stepped every position, and del's update reads all g + 1
+        assert len(out.steps) == out.g + 1 and len(out.drafted) == out.g
+    else:
+        # the positions read: up to the first rejection, or all g + 1
+        assert len(out.steps) == out.accepted_count + 1
+        assert len(out.drafted) == min(out.accepted_count + 1, out.g)
 
 
 @pytest.mark.parametrize("mode", ["greedy", SAMPLING])
