@@ -10,6 +10,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -17,7 +18,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .baselines import Policy, make_policy, static_cells
-from .config import GREEDY, SessionConfig, derive_seed
+from .config import GREEDY, ConfigError, SessionConfig, derive_seed
 from .engine import CostLedger, DraftPlan, run_round
 from .model import ModelSpec, build_model, horizon_error
 from .types import InvariantViolation, TokenId
@@ -128,8 +129,14 @@ def run_experiment(
 
     In greedy mode each run's output is asserted token-identical to the
     vanilla reference for the same prompt; a violation raises
-    InvariantViolation (CLI exit code 2).
+    InvariantViolation (CLI exit code 2). A policy name given twice raises
+    ConfigError naming the second entry: its sessions would share the
+    first's engine seeds and overwrite its traces.
     """
+    names = [name for name, _ in policy_specs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigError(f"policy_specs[{i}] repeats policy {name!r}")
     model = build_model(model_spec, cfg)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     config_echo = {
@@ -196,10 +203,16 @@ SUMMARY_FIELDS = (
 )
 
 
+# JSON's number, each optional part written as an empty alternative: re
+# matches that about twice as fast as ``?``, and replay matches it dozens of
+# times per line
+_NUMBER = r"(?:-|)(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)"
 # a trace record's fields in the order ``run_session`` writes them, each
 # with the text its value takes in a line: the round's counts, the plan's
-# threshold, then the policy's last estimate (a list of floats) and window
-# index
+# threshold, then the policy's last estimate and window index. Every value
+# is its exact JSON but the estimate, a list whose entries are printed at
+# six significant digits (``_alpha_template``); the record keeps them at
+# full precision
 TRACE_LAYOUT = (
     ("round", r"\d+"),
     ("E", r"\d+"),
@@ -209,7 +222,7 @@ TRACE_LAYOUT = (
     ("emitted_len", r"\d+"),
     ("layers_loaded", r"\d+"),
     ("tau", r"[\d.e+-]+"),
-    ("alpha_snapshot", r"\[.*\]"),
+    ("alpha_snapshot", rf"\[(?:{_NUMBER}(?:, {_NUMBER})*|)\]"),
     ("u_r", r"\d+"),
 )
 # the fields a baseline leaves None, which a line writes as null
@@ -217,13 +230,17 @@ _NULLABLE = ("alpha_snapshot", "u_r")
 
 
 def _line_template(nulls) -> str:
-    """A line with null for each field in ``nulls`` and ``%(name)r`` for
-    the rest. For the values a session records, ``template % record`` is
-    ``json.dumps(record) + "\n"``: the repr of an int, a finite float or a
-    list of floats is its JSON text. One ``%`` reads every field by name; a
+    """A line with null for each field in ``nulls``, ``%(alpha_snapshot)s``
+    for the estimate's text (its entries at six significant digits, see
+    ``_alpha_template``) and ``%(name)r`` for the rest. The repr of an int
+    or a finite float is its exact JSON text, so every other field reads
+    back equal to the record's value. One ``%`` reads every field by name; a
     loop over the fields costs several times as much per record."""
     return "{" + ", ".join(
-        f'"{name}": ' + ("null" if name in nulls else f"%({name})r") for name, _ in TRACE_LAYOUT
+        f'"{name}": ' + ("null" if name in nulls
+                         else "%(alpha_snapshot)s" if name == "alpha_snapshot"
+                         else f"%({name})r")
+        for name, _ in TRACE_LAYOUT
     ) + "}\n"
 
 
@@ -234,13 +251,30 @@ _LINES = {
 }
 
 
+@cache
+def _alpha_template(n: int) -> str:
+    """The text of an n-entry estimate, each entry at six significant digits
+    (``%.6g``): within 5e-6 relative of its float, and a JSON number for
+    every finite one (1.0 prints as 1, 1e-06 as 1e-06). Fixed precision
+    because the shortest repr of each float costs several times as much."""
+    return "[" + ", ".join(["%.6g"] * n) + "]"
+
+
 def write_trace(path: Path, records: list[dict]) -> None:
     """One JSON line per record, with ``TRACE_LAYOUT``'s keys in its order.
-    The values must be as ``run_session`` records them: Python ints, finite
-    floats, a list of floats, or None (a numpy scalar's repr is not JSON)."""
+    Each entry of ``alpha_snapshot`` is printed at six significant digits
+    (the record itself keeps full precision, which the error and regret
+    metrics read); every other field is exact: the line of a record whose
+    estimate is None is ``json.dumps(record)``. The values must be as
+    ``run_session`` records them: Python ints, finite floats, a list of
+    floats, or None (a numpy scalar's repr is not JSON)."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
-        f.writelines(_LINES[rec["alpha_snapshot"] is None, rec["u_r"] is None] % rec for rec in records)
+        for rec in records:
+            alpha = rec["alpha_snapshot"]
+            if alpha is not None:
+                rec = {**rec, "alpha_snapshot": _alpha_template(len(alpha)) % tuple(alpha)}
+            f.write(_LINES[alpha is None, rec["u_r"] is None] % rec)
 
 
 def write_summary(path: Path, reports: Sequence[RunReport]) -> None:

@@ -9,6 +9,13 @@ The three run digests whose sessions read exit-layer confidences or
 off-target tokens were re-pinned once, when each position's draws became one
 keyed row of uniforms with tabulated confidence laws; the toy run, the
 sweep grid and the prompts, which read neither, kept theirs.
+
+The four run digests, whose outputs all hold `del` traces, were re-pinned
+once more for trace format v2, which prints each entry of `del`'s
+alpha_snapshot at six significant digits (`%.6g`) in place of its shortest
+repr. Against the v1 outputs only the alpha_snapshot lists of the `del`
+traces differ, each parsed entry within 5e-6 relative of the v1 one; every
+other line, field and file, and the sweep-grid and prompt digests, held.
 """
 
 import hashlib
@@ -45,10 +52,10 @@ def run_digest(tmp_path, spec, cfg, policies, prompt_len=16) -> str:
     return output_digest(tmp_path)
 
 
-GREEDY_ALL_POLICIES = "af0c1289c18362880609ddde23e4eead4349ea466f1aad8c8b0cd558a549a653"
-SAMPLING_REGIMES = "02998bbfcb7556440109f4962151e1afba91726412c3ee67a5f3a00c3f98db06"
-TOY_RUN = "797485d526891d38ab25e59618bbe70d83cb9cc0bab78dcc1983b3854bf66cd9"
-SAMPLING_LONG_ROUNDS = "2c8dc51bcd0d936aa2573cb99adaf9080f3078895977faa10d7856204f500af8"
+GREEDY_ALL_POLICIES = "e459ae2d0582ac6d6fba874270e9817ed1c765df69e4eb238fe5bee9cba4a3f9"
+SAMPLING_REGIMES = "c985c9db5504a5f3542012652fe7bf8e6caf1a2dc2313c07b3bfb7a7c441c714"
+TOY_RUN = "5187c964037799e9cb7cf32414732cb05e3787ebd1ab42de5f7250cf82ea8051"
+SAMPLING_LONG_ROUNDS = "92f097dda73802d050d9a758ac7640a2f850f2c6e94260411c9ec89ae59072ae"
 SWEEP_GRID = "fb11ab71acac3e944c9525b17c8229d1725b2d0a39093d629044493de7883347"
 
 

@@ -252,6 +252,18 @@ def test_run_experiment_outputs_and_replay(tmp_path):
     assert all(r.etpl == 1 / cfg.L for r in vanilla)
 
 
+def test_run_experiment_rejects_a_repeated_policy_name(tmp_path):
+    # the second ls would reuse the first's engine seeds and overwrite its
+    # traces, and replay would then report the first's totals as wrong
+    cfg = make_cfg(L=8, V=32, seed=17, max_new_tokens=32)
+    spec = spec_with_profile(profile_with(8, best=2))
+    policies = [("ls", {"exit_layer": 2, "gamma": 2}), ("ls", {"exit_layer": 6, "gamma": 6})]
+    out = tmp_path / "exp"
+    with pytest.raises(ConfigError, match=r"policy_specs\[1\] repeats policy 'ls'"):
+        run_experiment(spec, cfg, policies, n_prompts=1, prompt_len=8, out_dir=out)
+    assert not out.exists()
+
+
 def test_run_experiment_is_byte_deterministic(tmp_path):
     cfg = make_cfg(L=8, V=32, seed=23, max_new_tokens=64)
     spec = spec_with_profile(profile_with(8, best=2))
@@ -314,6 +326,21 @@ def test_replay_reports_a_truncated_trace_line(tmp_path):
     assert errors[0].startswith("del-0: ") and "del-0.jsonl line 2" in errors[0]
 
 
+@pytest.mark.parametrize("alpha", ["[0.5, nan]", "[0.5,", "[0.5]]"],
+                         ids=["nan", "cut-off", "extra-bracket"])
+def test_replay_reports_a_corrupted_estimate(tmp_path, alpha):
+    cfg = make_cfg(L=8, V=32, seed=31, max_new_tokens=48)
+    spec = spec_with_profile(profile_with(8, best=2))
+    out = tmp_path / "exp"
+    run_experiment(spec, cfg, [("del", {})], 1, 8, out)
+    trace = out / "traces" / "del-0.jsonl"
+    lines = trace.read_text().splitlines()
+    head, rest = lines[2].split('"alpha_snapshot": ')
+    lines[2] = head + '"alpha_snapshot": ' + alpha + rest[rest.index("]") + 1:]
+    trace.write_text("\n".join(lines) + "\n")
+    assert replay_check(out) == [f"del-0: {trace} line 3: not a whole trace record"]
+
+
 def test_replay_reports_an_edited_emitted_len(tmp_path):
     cfg = make_cfg(L=8, V=32, seed=31, max_new_tokens=48)
     spec = spec_with_profile(profile_with(8, best=2))
@@ -341,8 +368,8 @@ def test_sampling_mode_skips_losslessness_hook(tmp_path):
 
 TRACE_FIELDS = [name for name, _ in harness.TRACE_LAYOUT]
 
-# floats whose repr changes notation or rounds: JSON must read the same text
-NOTABLE_FLOATS = (1e-05, 0.0001, 1e16, 5e-324, 0.1 + 0.2, 1.0, 0.0)
+# floats whose repr or six-digit text changes notation or rounds
+NOTABLE_FLOATS = (1e-05, 1e-06, 0.0001, 1e16, 5e-324, 0.1 + 0.2, 0.9999995, 1.0, 0.0)
 trace_floats = st.sampled_from(NOTABLE_FLOATS) | st.floats(
     min_value=0.0, allow_nan=False, allow_infinity=False
 )
@@ -360,12 +387,28 @@ trace_records = st.tuples(
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(trace_records, max_size=6))
-def test_write_trace_writes_json_dumps_of_each_record(tmp_path_factory, records):
+def test_write_trace_writes_each_record_as_json(tmp_path_factory, records):
+    # every field is exact JSON but the estimate, whose entries are printed
+    # at six significant digits
     path = tmp_path_factory.getbasetemp() / "trace.jsonl"
     write_trace(path, records)
-    text = path.read_text()
-    assert text == "".join(json.dumps(rec) + "\n" for rec in records)
-    assert all(harness._RECORD.fullmatch(line) for line in text.splitlines())
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == len(records)
+    for line, rec in zip(lines, records):
+        # replay reads this line, and the v1 line that printed each entry's repr
+        assert harness._RECORD.fullmatch(line.strip())
+        assert harness._RECORD.fullmatch(json.dumps(rec))
+        got = json.loads(line)
+        assert list(got) == TRACE_FIELDS
+        assert all(got[name] == rec[name] for name in TRACE_FIELDS if name != "alpha_snapshot")
+        alpha = rec["alpha_snapshot"]
+        if alpha is None:
+            assert line == json.dumps(rec) + "\n"
+            continue
+        assert len(got["alpha_snapshot"]) == len(alpha)
+        for printed, value in zip(got["alpha_snapshot"], alpha):
+            assert abs(printed - value) <= 5e-6 * value
+            assert (printed == 0) == (value == 0)
     assert trace_totals(path) == (
         sum(rec["emitted_len"] for rec in records),
         sum(rec["layers_loaded"] for rec in records),
