@@ -55,7 +55,6 @@ SESSION_FLAGS = (
     ("--seed", int, "master 64-bit seed; all randomness derives from it"),
     ("--draft-cap-mode", str, "algorithm1 or plan_capped"),
     ("--alpha-clamp-eps", float, "lower clamp for acceptance estimates"),
-    ("--default-threshold", float, "threshold used before any signal exists"),
 )
 
 # each policy parameter, the run-section key and flag that set it, and its type
@@ -277,8 +276,6 @@ def cmd_sweep(args) -> int:
     _run_cfg, cfg, spec, n_prompts, prompt_len, out = _inputs(args)
     ells = _parse_range(args.ell, "--ell", 1, cfg.L - 1)
     ds = _parse_range(args.d, "--d", 0, cfg.d_max)
-    if args.segment_len is not None and args.segment_len < 1:
-        raise ConfigError(f"--segment-len must be >= 1, got {args.segment_len}")
     grid = grid_sweep(spec, cfg, ells, ds, n_prompts, prompt_len, args.segment_len)
     out.mkdir(parents=True, exist_ok=True)
     write_grid_csv(grid, out / "grid.csv")

@@ -36,7 +36,6 @@ class SessionConfig:
     seed: int = 0
     draft_cap_mode: str = CAP_ALGORITHM1
     alpha_clamp_eps: float = 1e-6
-    default_threshold: float = 0.5
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -98,8 +97,6 @@ def validate_config(cfg: SessionConfig) -> SessionConfig:
         raise ConfigError(f"draft_cap_mode must be one of {CAP_MODES}, got {cfg.draft_cap_mode!r}")
     if not _is_number(cfg.alpha_clamp_eps) or not 0.0 < cfg.alpha_clamp_eps < 0.5:
         raise ConfigError(f"alpha_clamp_eps out of (0, 0.5): {cfg.alpha_clamp_eps!r}")
-    if not _is_number(cfg.default_threshold) or not 0.0 <= cfg.default_threshold <= 1.0:
-        raise ConfigError(f"default_threshold out of [0,1]: {cfg.default_threshold!r}")
     return cfg
 
 

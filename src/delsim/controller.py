@@ -220,13 +220,15 @@ def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -
     )
 
 
-def update_threshold(stats: DecayedStats, cfg: SessionConfig) -> np.ndarray:
+def update_threshold(stats: DecayedStats) -> np.ndarray:
     """Per-layer draft threshold: midpoint of the decayed mean confidences of
     matched and mismatched shadow tokens.
 
     The mismatch mass uses the decayed sum of window sizes (u_r + 1 per round)
     minus the matched count, which keeps it non-negative. Degenerate layers
-    fall back to the single available mean, then to the configured default.
+    fall back to the single available mean. Every layer has one: each round
+    adds 1 to ``scnt``, so from the prefill round on a layer with no match
+    has a mismatch mass of at least 1.
     """
     sc = stats.sc
     su_prime = stats.su + stats.scnt
@@ -243,11 +245,8 @@ def update_threshold(stats: DecayedStats, cfg: SessionConfig) -> np.ndarray:
     matched_mean = np.divide(stats.stcs, sc, out=np.zeros_like(sc), where=have_match)
     miss_mean = np.divide(stats.sfcs, miss_mass, out=np.zeros_like(sc), where=have_miss)
 
-    tau = np.full_like(sc, cfg.default_threshold)
-    both = have_match & have_miss
-    tau = np.where(both, 0.5 * (matched_mean + miss_mean), tau)
-    tau = np.where(have_match & ~have_miss, matched_mean, tau)
-    tau = np.where(~have_match & have_miss, miss_mean, tau)
+    tau = np.where(have_match & have_miss, 0.5 * (matched_mean + miss_mean),
+                   np.where(have_match, matched_mean, miss_mean))
     return _clamp(tau, 0.0)
 
 
@@ -267,7 +266,7 @@ def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):
     steps = [model.step(list(prompt[:k])) for k in range(start, len(prompt) + 1)]
     sm = shadow_tokens(steps)
     stats = push(zero_stats(cfg.L - 1), round_stats(sm, None), cfg.omega)
-    thresholds = update_threshold(stats, cfg)
+    thresholds = update_threshold(stats)
     alpha = estimate_alpha(stats, cfg.alpha_clamp_eps)
     return stats, thresholds, alpha, select_plan(alpha, thresholds, cfg)
 
@@ -309,7 +308,7 @@ class DelController(Policy):
         rs = round_stats(shadow_tokens(outcome.steps), outcome.exit_layer_used)
         self.stats = push(self.stats, rs, cfg.omega)
         alpha = estimate_alpha(self.stats, cfg.alpha_clamp_eps)
-        self.thresholds = update_threshold(self.stats, cfg)
+        self.thresholds = update_threshold(self.stats)
         self.plan = select_plan(alpha, self.thresholds, cfg)
         self.alpha_snapshot = alpha.tolist()
         self.u_r = rs.u_r

@@ -45,7 +45,12 @@ def run_session(
 
     Emits one trace record per round; records are bit-stable for a given
     (config, seed) because every random draw flows from the engine seed.
+    A prompt token outside [0, V) raises ConfigError naming its position.
     """
+    V = model.V
+    bad = next((i for i, tok in enumerate(prompt) if not 0 <= tok < V), None)
+    if bad is not None:
+        raise ConfigError(f"prompt token {prompt[bad]!r} at position {bad} is outside [0, {V})")
     rng = np.random.default_rng(engine_seed)
     ctx = list(prompt)
     ledger = CostLedger()
@@ -446,6 +451,8 @@ def grid_sweep(
     ds = list(ds)
     if not ells or not ds:
         raise ValueError("sweep ranges must be non-empty")
+    if segment_len is not None and segment_len < 1:
+        raise ConfigError(f"segment_len (--segment-len) must be >= 1, got {segment_len}")
     # a bad exit layer or length raises ConfigError before any work is done
     cells = static_cells(cfg, ells, ds)
     model = build_model(model_spec, cfg)

@@ -235,8 +235,8 @@ def beta_table(a: float, b: float) -> np.ndarray:
 
 
 class _PendingRow:
-    """The per-layer draws of a model's step, made when they are read (the
-    row of ``LayerStep.deferred``): the step's key, context length ``n`` and
+    """The per-layer draws of a model's step, made when they are read (a
+    ``LayerStep``'s row): the step's key, context length ``n`` and
     target argmax, and once a layer is read the position's keyed row of
     uniforms, filled once and kept for the step's life, with the profile at
     ``n`` (``p``, set with the row). ``layer`` and ``shadow_block`` decode
@@ -326,12 +326,10 @@ class LayeredModel:
         base = dict(spec.base_process or _DEFAULT_BASE_PROCESS)
         rng = np.random.default_rng(derive_seed(seed, "base-process"))
         if spec.kind == DETERMINISTIC_TOY:
-            self._next_map = self._build_toy_map(base, V)
             self._transition = np.zeros((V, V))
-            self._transition[np.arange(V), self._next_map] = 1.0
+            self._transition[np.arange(V), self._build_toy_map(base, V)] = 1.0
         else:
             self._transition = self._build_transition(base, V, rng)
-            self._next_map = None
         # steps hand out rows of this matrix as their target distributions
         self._transition.flags.writeable = False
         # the target argmax after each token, as Python ints
@@ -368,6 +366,10 @@ class LayeredModel:
             confidence_table(dict(spec.confidence_match), "confidence_match"),
             confidence_table(dict(spec.confidence_mismatch), "confidence_mismatch"),
         ]
+        if spec.kind == DETERMINISTIC_TOY:
+            # checked like any model's laws above, but the toy's layers,
+            # which all agree, are sure of their token: every confidence is 1
+            tables = [np.ones(TABLE_SIZE + 1)] * 2
         conf = np.maximum(np.concatenate(tables), 1.0 / V + 1e-9)
         rise = np.diff(conf, append=conf[-1])
         rise[TABLE_SIZE] = 0.0
@@ -465,28 +467,21 @@ class LayeredModel:
 
         The target row is set at once. The exit layers' top tokens and
         confidences come from one keyed row of 3(L-1) uniforms (see
-        ``_decode``), drawn when they are read: the step's row
-        (:meth:`LayerStep.deferred`) is filled on the first read and kept, a
-        one-layer read decodes that layer alone, and
-        ``controller.shadow_tokens`` reads a round's steps' agreement and
-        confidences in one block. With a memo the model stores the step
-        itself, so the sessions sharing it fill each row once, whoever reads
-        it first. A step refers back to the model through its row; Python's
-        cycle collector frees that cycle when the model is dropped. The
-        deterministic toy's steps need no draws and hold fixed arrays.
+        ``_decode``), drawn when they are read: the step's row (a
+        ``_PendingRow``) is filled on the first read and kept, a one-layer
+        read decodes that layer alone, and ``controller.shadow_tokens``
+        reads a round's steps' agreement and confidences in one block. Every
+        kind, the deterministic toy included, makes its steps this way. With
+        a memo the model stores the step itself, so the sessions sharing it
+        fill each row once, whoever reads it first. A step refers back to
+        the model through its row; Python's cycle collector frees that cycle
+        when the model is dropped.
         """
         n = len(context)
         if n == 0:
             raise ValueError("context must be non-empty")
         if n > self.spec.horizon:
             raise horizon_error(n, self.spec.horizon)
-        last = int(context[-1])
-        L = self.L
-
-        if self.spec.kind == DETERMINISTIC_TOY:
-            nxt = int(self._next_map[last])
-            return LayerStep(np.full(L - 1, nxt), np.ones(L - 1), self._transition[last], nxt)
-
         msg = self._key(context)
         memo = self._memo
         if memo is not None:
@@ -495,8 +490,9 @@ class LayeredModel:
                 if hit is not None:
                     memo.move_to_end(msg)
                     return hit
+        last = int(context[-1])
         t_star = self._trans_argmax[last]
-        step = LayerStep.deferred(self._transition[last], t_star, L, _PendingRow(self, msg, n, t_star))
+        step = LayerStep(self._transition[last], t_star, self.L, _PendingRow(self, msg, n, t_star))
         if memo is not None:
             with self._memo_lock:
                 memo[msg] = step
@@ -532,15 +528,11 @@ class LayeredModel:
 
         Only the agreement block of each position's keyed row is drawn: its
         first L - 1 uniforms, which Philox yields first, so they are the
-        full row's. The deterministic toy, whose layers all agree, draws
-        nothing, and the memo is neither read nor filled. Raises the horizon
+        full row's. The memo is neither read nor filled. Raises the horizon
         ConfigError as ``argmax_chain`` does.
         """
         chain = self.argmax_chain(context, n)
-        k = self.L - 1
-        if self.spec.kind == DETERMINISTIC_TOY:
-            return chain, np.ones((n, k), dtype=bool)
-        u = np.empty((n, k))
+        u = np.empty((n, self.L - 1))
         for row, msg in zip(u, self._path_keys(context, chain)):
             self._uniforms(msg, row)
         lengths = range(len(context), len(context) + n)

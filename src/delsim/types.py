@@ -62,31 +62,6 @@ def sample_exit(token: TokenId, conf: float, size: int, u: float) -> int:
     return min(idx, size - 1)
 
 
-class _FixedRow:
-    """The per-layer outputs of a step made from arrays (``LayerStep``'s
-    constructor): exit layer ``ell``'s top token and confidence are entry
-    ``ell - 1`` of ``tokens`` and ``conf``. It belongs to no model."""
-
-    __slots__ = ("tokens", "conf", "t_star")
-    model = None
-
-    def __init__(self, tokens: np.ndarray, conf: np.ndarray, t_star: TokenId):
-        tokens.setflags(write=False)
-        conf.setflags(write=False)
-        self.tokens = tokens
-        self.conf = conf
-        self.t_star = t_star
-
-    def layer(self, ell: int) -> tuple[TokenId, float]:
-        return self.tokens.item(ell - 1), self.conf.item(ell - 1)
-
-    def shadow_block(self, rows: list["_FixedRow"]) -> tuple[np.ndarray, np.ndarray]:
-        """What ``LayerStep.shadow`` returns for the steps of ``rows``."""
-        matches = np.array([r.tokens == r.t_star for r in rows]).T
-        conf = np.array([r.conf for r in rows], dtype=np.float64).T
-        return np.ascontiguousarray(matches), np.ascontiguousarray(conf)
-
-
 class LayerStep:
     """LM-head outputs of every layer at one decoding position.
 
@@ -97,16 +72,18 @@ class LayerStep:
     is its distribution (a read-only array) and ``target_token`` its argmax.
     The step is immutable: no attribute is set after it is made.
 
-    The per-layer outputs are read through one row object, in only two
-    ways: ``layer(ell)`` reads one exit layer, and ``shadow`` reads, for
-    many steps in one block, which layers agree with the target and their
-    confidences. A step made by the constructor holds its arrays in a fixed
-    row. The model makes its steps with ``deferred``: the row is the
+    The per-layer outputs are read through one row object, ``row``, in
+    only two ways: ``layer(ell)`` reads one exit layer (``row.layer``), and
+    ``shadow`` reads, for many steps of one model in one block, which layers
+    agree with the target and their confidences (``row.shadow_block``).
+    Every step of a model, the deterministic toy's included, holds the
     position's keyed row of 3(L-1) uniforms (agreement, confidence and
     off-target blocks; see ``LayeredModel._decode``), filled on the first
     read and kept, so a one-layer read decodes that layer alone and
     ``shadow`` decodes no token. The row is a pure function of the step's
-    key, so when or how it is read does not change a value.
+    key, so when or how it is read does not change a value. ``target``
+    must already be read-only, as the rows of a model's transition matrix
+    are.
     Speculative-sampling verification reads only target rows, so a
     sampling-mode ``vanilla`` session makes no draws, and an ``ls`` session
     draws only the drafted positions its verification reads. A model with a
@@ -119,52 +96,25 @@ class LayerStep:
     # Every step stores its attributes one by one in this order, so that
     # all steps' attribute dicts share one key table; one dict.update would
     # give each step a dict of its own.
-    def __init__(self, tokens: np.ndarray, conf: np.ndarray, target: np.ndarray,
-                 target_token: TokenId):
-        target.setflags(write=False)
+    def __init__(self, target: np.ndarray, target_token: TokenId, layer_count: int, row):
         d = self.__dict__
-        d["target"] = target
-        d["target_token"] = target_token
-        d["layer_count"] = int(tokens.size) + 1
-        d["_row"] = _FixedRow(tokens, conf, target_token)
-
-    @classmethod
-    def deferred(cls, target: np.ndarray, target_token: TokenId, layer_count: int,
-                 row) -> "LayerStep":
-        """A step whose per-layer outputs come from ``row`` when they are
-        read: ``row.layer(ell)`` gives one exit layer's (token, confidence),
-        and ``row.shadow_block(rows)`` what ``shadow`` returns for several
-        rows of ``row.model``. ``target`` must already be read-only, as the
-        rows of a model's transition matrix are."""
-        step = cls.__new__(cls)
-        d = step.__dict__
         d["target"] = target
         d["target_token"] = target_token
         d["layer_count"] = layer_count
         d["_row"] = row
-        return step
 
     @staticmethod
     def shadow(steps: Sequence["LayerStep"]) -> tuple[np.ndarray, np.ndarray]:
         """Whether each exit layer's top token is the target's, and its
         confidence, at each step: two C-contiguous (L-1, len(steps)) arrays,
-        column j for ``steps[j]``. The rows of each model (and the fixed
-        rows, as one group) are read in one block, ``shadow_block``."""
-        groups: dict[object, tuple[list[int], list]] = {}
-        for j, s in enumerate(steps):
-            row = s._row
-            cols, rows = groups.setdefault(row.model, ([], []))
-            cols.append(j)
-            rows.append(row)
-        if len(groups) == 1:
-            rows = next(iter(groups.values()))[1]
-            return rows[0].shadow_block(rows)
-        k = steps[0].layer_count - 1
-        matches = np.empty((k, len(steps)), dtype=bool)
-        conf = np.empty((k, len(steps)))
-        for cols, rows in groups.values():
-            matches[:, cols], conf[:, cols] = rows[0].shadow_block(rows)
-        return matches, conf
+        column j for ``steps[j]``, read in one block (``shadow_block``).
+        The steps must all come from one model: its tables decode every
+        row, so steps of another model raise ValueError."""
+        rows = [s._row for s in steps]
+        model = rows[0].model
+        if any(r.model is not model for r in rows):
+            raise ValueError("LayerStep.shadow reads the steps of one model only")
+        return rows[0].shadow_block(rows)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"LayerStep is immutable: cannot set {name!r}")

@@ -54,6 +54,39 @@ def regime_model(cfg: SessionConfig, regimes, seed: int = 1, **spec_over) -> Lay
     return LayeredModel(spec, cfg.L, cfg.V, seed)
 
 
+class FixedRow:
+    """A scripted step's row (``fixed_step``): exit layer ``ell``'s top
+    token and confidence are entry ``ell - 1`` of ``tokens`` and ``conf``,
+    read-only arrays. It belongs to no model, so ``LayerStep.shadow`` reads
+    it only with other fixed rows."""
+
+    model = None
+
+    def __init__(self, tokens: np.ndarray, conf: np.ndarray, t_star: TokenId):
+        self.tokens = tokens
+        self.conf = conf
+        self.t_star = t_star
+
+    def layer(self, ell: int) -> tuple[TokenId, float]:
+        return self.tokens.item(ell - 1), self.conf.item(ell - 1)
+
+    def shadow_block(self, rows: list["FixedRow"]) -> tuple[np.ndarray, np.ndarray]:
+        matches = np.array([r.tokens == r.t_star for r in rows]).T
+        conf = np.array([r.conf for r in rows], dtype=np.float64).T
+        return np.ascontiguousarray(matches), np.ascontiguousarray(conf)
+
+
+def fixed_step(tokens, conf, target, target_token: TokenId) -> LayerStep:
+    """A step whose exit layers' top tokens and confidences are the arrays
+    ``tokens`` and ``conf`` (one entry per exit layer) and whose target
+    distribution is ``target``; all three are made read-only."""
+    arrays = [np.asarray(a) for a in (tokens, conf, target)]
+    for a in arrays:
+        a.setflags(write=False)
+    tokens, conf, target = arrays
+    return LayerStep(target, target_token, tokens.size + 1, FixedRow(tokens, conf, target_token))
+
+
 def layer_arrays(step: LayerStep) -> tuple[np.ndarray, np.ndarray]:
     """The (L-1,) top tokens and confidences of a step's exit layers, read
     one layer at a time through ``step.layer``."""
@@ -65,12 +98,9 @@ def decoded(step: LayerStep) -> tuple[np.ndarray, np.ndarray]:
     """The (L-1,) top tokens and confidences of a step as
     ``LayeredModel._decode`` gives them from the step's own keyed row, in
     one vectorized block: the reference ``layer`` and ``shadow`` are checked
-    against bit for bit. A step made from arrays (the deterministic toy's)
-    gives its arrays."""
+    against bit for bit."""
     row = vars(step)["_row"]
     m = row.model
-    if m is None:
-        return row.tokens, row.conf
     return m._decode(row.uniforms(), m._profile_at(row.n), row.t_star)
 
 
@@ -83,8 +113,8 @@ def draws(monkeypatch) -> list[bytes]:
     ``path_agreement`` fills it as a row of a block, so ``len(draws)``
     counts positions drawn either way. A step fills its row once and keeps
     it, however often it is read and whether the model hands it out again
-    from its memo; deterministic toy steps and steps whose layers nobody
-    reads make none."""
+    from its memo; steps whose layers nobody reads make none. The
+    deterministic toy draws like any model."""
     keys: list[bytes] = []
     real = LayeredModel._scratch_rng
 
@@ -132,6 +162,4 @@ class ScriptedModel:
         i = len(context) - self.base_len
         target = np.full(self.V, 0.1 / (self.V - 1))
         target[self.target_toks[i]] = 0.9
-        return LayerStep(
-            np.array([self.draft_toks[i]]), np.array([float(self.confs[i])]), target, self.target_toks[i]
-        )
+        return fixed_step([self.draft_toks[i]], [float(self.confs[i])], target, self.target_toks[i])

@@ -290,6 +290,9 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "del"], {"run": {"del_per_layer_window": False}},
          "del_per_layer_window"),
         (["run", "--policy", "del", "--del-per-layer-window"], {}, "--del-per-layer-window"),
+        # a removed session field, as an old config.json echoes it
+        (["run", "--policy", "del"], {"session": {"default_threshold": 0.5}}, "default_threshold"),
+        (["run", "--policy", "del", "--default-threshold", "0.5"], {}, "--default-threshold"),
         (["run", "--policy", "dv", "--exit-layer", "2", "--dv-step", "nan"], {}, "step"),
         # a range's ends are checked before it is expanded
         (["sweep", "--ell", "1..99999999999", "--d", "0,2"], {}, "--ell"),
@@ -340,7 +343,8 @@ def test_help_exits_zero(capsys):
          "run-exit-layer-fractional", "model-not-object", "run-prompts-fractional",
          "confidence-beta-zero", "base-process-concentration", "model-horizon-negative",
          "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len",
-         "run-del-per-layer-window", "del-per-layer-window-flag", "dv-step-nan", "sweep-ell-range-huge",
+         "run-del-per-layer-window", "del-per-layer-window-flag",
+         "session-default-threshold", "default-threshold-flag", "dv-step-nan", "sweep-ell-range-huge",
          "sweep-d-range-huge", "session-max-new-tokens-true", "session-d-max-true",
          "session-prefill-window-true", "run-prompts-true", "run-prompt-len-true",
          "model-context-hash-window-true", "regime-segment-length-true", "base-process-by-true",

@@ -35,7 +35,6 @@ def test_degenerate_but_legal_d_max_zero():
         ("prefill_window", 0),
         ("alpha_clamp_eps", 0.6),
         ("alpha_clamp_eps", 0.0),
-        ("default_threshold", 1.5),
         ("decode_mode", "beam"),
         ("draft_cap_mode", "nope"),
         ("L", 1),
@@ -62,7 +61,6 @@ session_configs = st.builds(
     seed=st.integers(0, 2**63 - 1),
     draft_cap_mode=st.sampled_from(CAP_MODES),
     alpha_clamp_eps=st.floats(1e-12, 0.49, allow_nan=False),
-    default_threshold=st.floats(0.0, 1.0, allow_nan=False),
 )
 
 
@@ -76,6 +74,13 @@ def test_round_trip_through_json(cfg):
 def test_from_dict_rejects_unknown_fields():
     with pytest.raises(ConfigError):
         SessionConfig.from_dict({"L": 8, "V": 16, "bogus": 1})
+
+
+def test_removed_default_threshold_is_rejected_by_name():
+    # an old config.json's session section still carries the removed field
+    old = {**SessionConfig(L=8, V=16).to_dict(), "default_threshold": 0.5}
+    with pytest.raises(ConfigError, match="default_threshold"):
+        SessionConfig.from_dict(old)
 
 
 def test_derive_seed_is_stable_and_distinct():

@@ -5,6 +5,7 @@ from conftest import (
     CallCountingModel,
     agreement_model,
     decoded,
+    fixed_step,
     layer_arrays,
     make_cfg,
     profile_with,
@@ -32,7 +33,7 @@ from delsim.controller import (
 )
 from delsim.engine import CostLedger, DraftPlan, run_round
 from delsim.model import AGREEMENT, REGIME_SWITCHING, LayeredModel, ModelSpec
-from delsim.types import LayerStep, exit_distribution
+from delsim.types import exit_distribution
 
 
 def steps_from_tokens(layer_rows, target_row, confs=None, V=12):
@@ -48,7 +49,7 @@ def steps_from_tokens(layer_rows, target_row, confs=None, V=12):
     for i in range(width):
         target = np.full(V, 0.1 / (V - 1))
         target[target_row[i]] = 0.9
-        steps.append(LayerStep(layer_rows[:, i].copy(), confs[:, i].copy(), target, int(target_row[i])))
+        steps.append(fixed_step(layer_rows[:, i].copy(), confs[:, i].copy(), target, int(target_row[i])))
     return steps
 
 
@@ -105,22 +106,28 @@ def test_shadow_tokens_over_pending_and_drawn_steps_equals_steps_drawn_one_by_on
         return [model_of(i).step(ctx) for i, ctx in enumerate(contexts)]
 
     # the steps of one model, then of two models mixed, some read at every
-    # layer, some at one layer, the rest untouched
-    for model_of in (lambda i: models[0], lambda i: models[i % 2]):
-        steps = steps_of(model_of)
+    # layer, some at one layer, the rest untouched; each model's steps are
+    # read in one block, and a block of both models' steps is refused
+    for n_models in (1, 2):
+        steps = steps_of(lambda i: models[i % n_models])
         for i, s in enumerate(steps):
             if i % 3 == 0:
                 layer_arrays(s)
             elif i % 3 == 1:
                 s.layer(1 + i % (cfg.L - 1))
-        sm = shadow_tokens(steps)
+        if n_models == 2:
+            with pytest.raises(ValueError, match="one model"):
+                shadow_tokens(steps)
         # fresh steps, each decoded alone
-        fresh = steps_of(model_of)
+        fresh = steps_of(lambda i: models[i % n_models])
         one_by_one = [decoded(s) for s in fresh]
-        matches = np.array([tops == s.target_token for s, (tops, _) in zip(fresh, one_by_one)]).T
-        confidences = np.array([conf for _, conf in one_by_one]).T
-        for x, y in ((sm.matches, matches), (sm.confidences, confidences)):
-            assert x.dtype == y.dtype and np.array_equal(x, y)
+        for m in range(n_models):
+            sm = shadow_tokens(steps[m::n_models])
+            group = list(zip(fresh, one_by_one))[m::n_models]
+            matches = np.array([tops == s.target_token for s, (tops, _) in group]).T
+            confidences = np.array([conf for _, (_, conf) in group]).T
+            for x, y in ((sm.matches, matches), (sm.confidences, confidences)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
         # and the steps' layers read after the block read are the same
         for s, (tops, conf) in zip(steps, one_by_one):
             got_tops, got_conf = layer_arrays(s)
@@ -154,29 +161,39 @@ def test_shadow_read_equals_drawn_arrays_bit_for_bit(kind, two_models, prompt, r
         return [models[i % len(models)].step(ctx) for i, ctx in enumerate(contexts)]
 
     seeds = (1, 2) if two_models else (1,)
+    n = len(seeds)
     steps = steps_of([SHADOW_MODELS[kind](cfg, seed) for seed in seeds])
     for i, (s, how) in enumerate(zip(steps, reads)):
         if how == "layer":
             s.layer(1 + i % (cfg.L - 1))
         elif how == "layers":
             layer_arrays(s)
-    sm = shadow_tokens(steps)
+    if n == 2 and len(steps) > 1:
+        # one block reads one model's steps: the two models' are refused
+        with pytest.raises(ValueError, match="one model"):
+            shadow_tokens(steps)
     # what the decoded arrays of fresh steps give, in the (L-1, width) layout
     fresh = steps_of([SHADOW_MODELS[kind](cfg, seed) for seed in seeds])
     arrays = [decoded(s) for s in fresh]
-    matches = np.ascontiguousarray(np.array([tops == s.target_token for s, (tops, _) in zip(fresh, arrays)]).T)
-    confidences = np.ascontiguousarray(np.array([conf for _, conf in arrays]).T)
-    for got, want in ((sm.matches, matches), (sm.confidences, confidences)):
-        assert got.dtype == want.dtype and got.shape == (cfg.L - 1, len(reads))
-        assert got.flags.c_contiguous and np.array_equal(got, want)
-    assert sm.width == len(reads)
-    # the window sums, which sum over each layer's row, agree to the bit
-    for exit_layer in (None, 1 + len(reads) % (cfg.L - 1)):
-        got_rs, want_rs = (round_stats(ShadowMatrix(*arrays), exit_layer)
-                           for arrays in ((sm.matches, sm.confidences), (matches, confidences)))
-        assert got_rs.u_r == want_rs.u_r
-        for name in ("c", "tcs", "fcs"):
-            assert getattr(got_rs, name).tobytes() == getattr(want_rs, name).tobytes()
+    all_matches = np.array([tops == s.target_token for s, (tops, _) in zip(fresh, arrays)]).T
+    all_confidences = np.array([conf for _, conf in arrays]).T
+    # each model's steps, every n-th, in one block
+    for m in range(min(n, len(steps))):
+        sm = shadow_tokens(steps[m::n])
+        matches = np.ascontiguousarray(all_matches[:, m::n])
+        confidences = np.ascontiguousarray(all_confidences[:, m::n])
+        width = len(steps[m::n])
+        for got, want in ((sm.matches, matches), (sm.confidences, confidences)):
+            assert got.dtype == want.dtype and got.shape == (cfg.L - 1, width)
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+        assert sm.width == width
+        # the window sums, which sum over each layer's row, agree to the bit
+        for exit_layer in (None, 1 + width % (cfg.L - 1)):
+            got_rs, want_rs = (round_stats(ShadowMatrix(*block), exit_layer)
+                               for block in ((sm.matches, sm.confidences), (matches, confidences)))
+            assert got_rs.u_r == want_rs.u_r
+            for name in ("c", "tcs", "fcs"):
+                assert getattr(got_rs, name).tobytes() == getattr(want_rs, name).tobytes()
 
 
 # -- round stats ---------------------------------------------------------------
@@ -393,7 +410,7 @@ def test_threshold_midpoint():
     stats = DecayedStats(
         sc=np.array([2.0]), su=4.0, stcs=np.array([1.8]), sfcs=np.array([0.9]), scnt=1.0
     )
-    tau = update_threshold(stats, make_cfg())
+    tau = update_threshold(stats)
     assert tau[0] == pytest.approx(0.5 * (0.9 + 0.3)) == pytest.approx(0.6)
 
 
@@ -401,19 +418,44 @@ def test_threshold_no_mismatches_uses_matched_mean():
     stats = DecayedStats(
         sc=np.array([3.0]), su=2.0, stcs=np.array([2.4]), sfcs=np.array([0.0]), scnt=1.0
     )
-    assert update_threshold(stats, make_cfg())[0] == pytest.approx(0.8)
+    assert update_threshold(stats)[0] == pytest.approx(0.8)
 
 
 def test_threshold_no_matches_uses_mismatched_mean():
     stats = DecayedStats(
         sc=np.array([0.0]), su=3.0, stcs=np.array([0.0]), sfcs=np.array([1.2]), scnt=1.0
     )
-    assert update_threshold(stats, make_cfg())[0] == pytest.approx(1.2 / 4.0)
+    assert update_threshold(stats)[0] == pytest.approx(1.2 / 4.0)
 
 
-def test_threshold_defaults_when_no_signal():
-    cfg = make_cfg(default_threshold=0.42)
-    assert update_threshold(zero_stats(3), cfg)[1] == pytest.approx(0.42)
+@settings(max_examples=60, deadline=None)
+@given(
+    profile=st.lists(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), min_size=5, max_size=5),
+    omega=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    decode_mode=st.sampled_from(["greedy", "sampling"]),
+    prompt_len=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_every_layer_has_a_mean_confidence_after_each_update(profile, omega, decode_mode,
+                                                             prompt_len, seed):
+    # update_threshold reads each layer's matched or mismatched mean
+    # confidence: from the prefill round on, every layer has one of them
+    cfg = make_cfg(L=6, V=16, omega=omega, decode_mode=decode_mode, max_new_tokens=24,
+                   prefill_window=4, d_max=6, seed=seed)
+    model = agreement_model(cfg, tuple(profile) + (1.0,), seed=seed)
+    rng = np.random.default_rng(seed)
+    ctx = model.sample_prompt(prompt_len, rng)
+    policy = DelController(cfg)
+    plan = policy.init(model, list(ctx))
+    emitted = 0
+    while True:
+        s = policy.stats
+        assert np.all((s.sc > 0.0) | ((s.su + s.scnt) - s.sc > 1e-12))
+        if emitted == cfg.max_new_tokens:
+            break
+        out = run_round(model, ctx, plan, rng, CostLedger(), cfg, cfg.max_new_tokens - emitted)
+        emitted += len(out.emitted)
+        plan = policy.observe(out)
 
 
 @given(
@@ -431,7 +473,7 @@ def test_threshold_strictly_between_the_two_means(match_mass, miss_mass, m_mean,
         sfcs=np.array([miss_mass * f_mean]),
         scnt=1.0,
     )
-    tau = float(update_threshold(stats, make_cfg())[0])
+    tau = float(update_threshold(stats)[0])
     lo, hi = sorted((m_mean, f_mean))
     if hi - lo > 1e-9:
         assert lo < tau < hi
@@ -447,7 +489,7 @@ def test_threshold_beta_confidence_midpoint_converges():
     for _ in range(1200):
         out = run_round(model, ctx, plan, rng, CostLedger(), cfg)
         stats = push(stats, round_stats(shadow_tokens(out.steps), 2), cfg.omega)
-    tau = update_threshold(stats, cfg)
+    tau = update_threshold(stats)
     # Beta(8,2) matches vs Beta(2,8) mismatches: midpoint of 0.8 and 0.2
     assert abs(tau[1] - 0.5) < 0.05
 

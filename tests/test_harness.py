@@ -121,6 +121,14 @@ def test_grid_sweep_rejects_empty_ranges():
         grid_sweep(spec_with_profile(profile_with(8, best=2)), cfg, [], [0], 1, 8)
 
 
+@pytest.mark.parametrize("segment_len", [0, -4])
+@pytest.mark.parametrize("mode", [GREEDY, SAMPLING])
+def test_grid_sweep_rejects_a_segment_len_below_one(segment_len, mode):
+    cfg = make_cfg(L=4, V=8, max_new_tokens=8, decode_mode=mode)
+    with pytest.raises(ConfigError, match=f"segment_len .--segment-len. must be >= 1, got {segment_len}"):
+        grid_sweep(spec_with_profile((0.5, 0.5, 0.5, 1.0)), cfg, [1], [2], 1, 4, segment_len=segment_len)
+
+
 def test_segmented_sweep_tracks_regime_change(tmp_path):
     # regime A favors layer 2, regime B favors layer 5: per-segment grids of a
     # two-segment run must disagree about the best layer
@@ -431,6 +439,18 @@ def test_run_session_records_follow_the_trace_layout(mode):
         res = run_session(model, make_policy(name, cfg, **params), cfg, prompt, 3)
         assert res.records
         assert all(list(rec) == TRACE_FIELDS for rec in res.records), name
+
+
+@pytest.mark.parametrize("kind", [AGREEMENT, DETERMINISTIC_TOY])
+@pytest.mark.parametrize("prompt, position", [([1, 2, -1], 2), ([8, 1], 0), ([3, 7, 1, 9], 3)])
+def test_run_session_rejects_a_prompt_token_outside_the_vocabulary(kind, prompt, position):
+    cfg = make_cfg(L=4, V=8, max_new_tokens=8)
+    spec = spec_with_profile((0.5, 0.5, 0.5, 1.0)) if kind == AGREEMENT else ModelSpec(kind=kind)
+    model = build_model(spec, cfg)
+    for name in ("vanilla", "del"):
+        with pytest.raises(ConfigError, match=f"prompt token {prompt[position]} at position {position} "
+                                              r"is outside \[0, 8\)"):
+            run_session(model, make_policy(name, cfg), cfg, prompt, 1)
 
 
 # -- misc --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from conftest import (
     CallCountingModel,
     agreement_model,
     decoded,
+    fixed_step,
     layer_arrays,
     make_cfg,
     regime_model,
@@ -423,26 +424,27 @@ def test_memo_is_safe_under_concurrent_steps():
 def test_no_read_changes_a_step(monkeypatch):
     # every step the model makes, with a copy of its attributes as made
     made = []
-    real = LayerStep.deferred.__func__
+    real = LayerStep.__init__
 
-    def recording(cls, *args):
-        step = real(cls, *args)
+    def recording(step, *args):
+        real(step, *args)
         made.append((step, dict(vars(step))))
-        return step
 
-    monkeypatch.setattr(LayerStep, "deferred", classmethod(recording))
+    monkeypatch.setattr(LayerStep, "__init__", recording)
     spec = MEMO_SPECS["agreement"]
     plain = LayeredModel(spec, 4, 5, 11)
     memo = LayeredModel(spec, 4, 5, 11, memo_capacity=7)
     toy = LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), 4, 5, 1)
-    fixed = [toy.step([3]), LayerStep(np.array([1, 2, 0]), np.array([0.9, 0.5, 0.7]), toy.step([1]).target, 2)]
-    made += [(step, dict(vars(step))) for step in fixed]
+    toy_steps = [toy.step([3]), toy.step([1])]
+    scripted = fixed_step([1, 2, 0], [0.9, 0.5, 0.7], toy_steps[1].target, 2)
     contexts = list(distinct_contexts(40, 5))
-    # every layer, shadow over model and fixed steps together, memo hits
+    # every layer, shadow over each model's steps and the scripted step,
+    # memo hits
     steps = [memo.step(ctx) for ctx in contexts[:7]]
-    for step in steps + fixed:
+    for step in steps + toy_steps + [scripted]:
         layer_arrays(step)
-    LayerStep.shadow(steps + fixed)
+    for block in (steps, toy_steps, [scripted]):
+        LayerStep.shadow(block)
     assert [memo.step(ctx) for ctx in contexts[:7]] == steps
     LayerStep.shadow([plain.step(ctx) for ctx in contexts])
     expected = {tuple(c): decoded(plain.step(c)) for c in contexts}
@@ -520,6 +522,52 @@ def test_step_draws_on_the_first_layer_read_only(draws):
     assert len(draws) == 1
     with pytest.raises(AttributeError):
         step.target = np.zeros(cfg.V)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), V=st.integers(2, 40), L=st.sampled_from([2, 5, 16]),
+       conf=st.sampled_from(CONFIDENCES))
+def test_toy_steps_put_full_confidence_on_the_next_token_at_every_layer(data, V, L, conf):
+    if data.draw(st.booleans(), label="a next_map, else a shift"):
+        table = data.draw(st.lists(st.integers(0, V - 1), min_size=V, max_size=V), label="map")
+        base = {"kind": "next_map", "map": table}
+    else:
+        by = data.draw(st.integers(-3 * V, 3 * V), label="by")
+        base = {"kind": "shift", "by": by}
+        table = [(t + by) % V for t in range(V)]
+    # the spec's confidence laws are checked but do not reach the toy's layers
+    spec = ModelSpec(kind=DETERMINISTIC_TOY, base_process=base, confidence_match=conf,
+                     confidence_mismatch=conf)
+    contexts = data.draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=10),
+                                  min_size=1, max_size=8), label="contexts")
+    # one model's steps read layer by layer first, a fresh model's by shadow
+    for first in ("layer", "shadow"):
+        model = LayeredModel(spec, L, V, 3)
+        steps = [model.step(ctx) for ctx in contexts]
+        if first == "shadow":
+            matches, confs = LayerStep.shadow(steps)
+            assert matches.all() and np.all(confs == 1.0)
+        for ctx, step in zip(contexts, steps):
+            want = table[ctx[-1]]
+            assert step.target_token == want and step.target[want] == 1.0
+            assert [step.layer(ell) for ell in range(1, L)] == [(want, 1.0)] * (L - 1)
+        matches, confs = LayerStep.shadow(steps)
+        assert matches.all() and np.all(confs == 1.0) and matches.shape == (L - 1, len(contexts))
+
+
+def test_shadow_reads_the_steps_of_one_model_only():
+    cfg = make_cfg(L=4, V=8)
+    toy, twin = toy_model(cfg), toy_model(cfg)
+    agree = agreement_model(cfg, (0.5, 0.5, 0.5, 1.0))
+    scripted = fixed_step([1, 2, 0], [0.9, 0.5, 0.7], toy.step([1]).target, 2)
+    # another model's tables would decode a row wrongly: the same spec and
+    # seed do not make two models one
+    for mixed in ([toy.step([1]), twin.step([2])], [agree.step([1]), toy.step([1])],
+                  [agree.step([2]), agree.step([3]), scripted]):
+        with pytest.raises(ValueError, match="one model"):
+            LayerStep.shadow(mixed)
+    matches, _ = LayerStep.shadow([toy.step([1]), toy.step([1, 2])])
+    assert matches.shape == (cfg.L - 1, 2)
 
 
 def test_memoized_steps_are_stored_pending(draws):
@@ -757,10 +805,13 @@ def test_path_agreement_draws_the_path_keys_and_skips_the_memo(draws):
     assert draws[12:] == draws[:12]
     assert len(model._memo) == 12
     del draws[:]
+    # the toy draws its path's keys like any model, and all its layers agree
     toy = toy_model(cfg)
     chain, agree = toy.path_agreement(prompt, 9)
-    assert draws == [] and agree.all() and agree.shape == (9, cfg.L - 1)
+    assert len(draws) == 9 and agree.all() and agree.shape == (9, cfg.L - 1)
     assert chain == toy.argmax_chain(prompt, 9)
+    path_steps(toy, prompt, 9)
+    assert draws[9:] == draws[:9]
 
 
 def test_uniforms_equal_a_philox_keyed_by_the_digest(draws):

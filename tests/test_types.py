@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from conftest import fixed_step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsim.config import ConfigError
 from delsim.model import AGREEMENT, LayeredModel, ModelSpec
-from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_exit, sample_index
+from delsim.types import PROB_SUM_TOL, exit_distribution, sample_exit, sample_index
 
 
 def table_model(row, L=3):
@@ -45,7 +46,7 @@ def test_argmax_tie_breaks_to_lowest_token():
 
 def test_distribution_is_immutable():
     row, tokens, conf = np.array([0.25, 0.75]), np.array([1]), np.array([0.75])
-    ls = LayerStep(tokens, conf, row, 1)
+    ls = fixed_step(tokens, conf, row, 1)
     # the arrays a step is made from are read-only from then on
     for arr in (tokens, conf, ls.target):
         with pytest.raises(ValueError):
@@ -74,7 +75,7 @@ def test_distribution_sampling_follows_probs():
 
 
 def test_layer_step_accessors():
-    ls = LayerStep(np.array([0]), np.array([0.6]), np.array([0.1, 0.9]), 1)
+    ls = fixed_step([0], [0.6], [0.1, 0.9], 1)
     assert ls.layer_count == 2
     assert ls.target.size == 2
     assert exit_distribution(*ls.layer(1), 2).tolist() == [0.6, 0.4]
