@@ -7,9 +7,8 @@ and verification passes; the update path never calls the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -19,13 +18,12 @@ from .engine import DraftPlan, RoundOutcome
 from .types import InvariantViolation, LayerStep, TokenId
 
 
-@dataclass(frozen=True, eq=False)
-class ShadowMatrix:
+class ShadowMatrix(NamedTuple):
     """Per-layer agreement and confidences for one round's positions.
 
     Row ``ell - 1`` of ``matches`` holds whether the token layer ``ell``
     would have drafted at each position is the full model's argmax. Both
-    arrays are C-contiguous, the layout ``round_stats`` sums over.
+    arrays are C-contiguous, one row per exit layer.
     """
 
     matches: np.ndarray  # (L-1, g+1) bool
@@ -36,40 +34,40 @@ class ShadowMatrix:
         return int(self.matches.shape[1])
 
 
-@dataclass(frozen=True, eq=False)
-class RoundStats:
+class RoundStats(NamedTuple):
     """One round's contribution to the decayed accumulators.
 
     ``u_r`` is the index of the first position where the draft layer's shadow
     token disagrees with the target (or the last position if none); counts and
-    confidence sums run over the inclusive window [0, u_r].
+    confidence sums run over the inclusive window [0, u_r]. ``sums`` stacks
+    them per layer in ``DecayedStats.sums``'s row order: matched counts,
+    then the confidence mass on matched and on mismatched tokens.
     """
 
     u_r: int
-    c: np.ndarray  # (L-1,) matched shadow tokens per layer
-    tcs: np.ndarray  # (L-1,) confidence mass on matched tokens
-    fcs: np.ndarray  # (L-1,) confidence mass on mismatched tokens
+    sums: np.ndarray  # (3, L-1)
 
 
-@dataclass(frozen=True, eq=False)
-class DecayedStats:
-    """Decayed sums over past rounds: A <- omega * A + a_r per push."""
+class DecayedStats(NamedTuple):
+    """Decayed sums over past rounds: A <- omega * A + a_r per push.
 
-    sc: np.ndarray
+    The per-layer sums sit in one (3, L-1) array, so a push is one multiply
+    and one add: row 0 the matched counts (sc), row 1 the matched
+    confidence mass (stcs), row 2 the mismatched confidence mass (sfcs).
+    ``su`` sums the window indices u_r and ``scnt`` the rounds.
+    Each row is, to the bit, what a separate array per sum would hold: the
+    rows fold ``round_stats``'s window sums, which are taken over each
+    layer's zero-padded full-width row because a row cut at u_r would sum
+    in another order and round differently.
+    """
+
+    sums: np.ndarray  # (3, L-1)
     su: float
-    stcs: np.ndarray
-    sfcs: np.ndarray
     scnt: float
 
 
 def zero_stats(n_exit_layers: int) -> DecayedStats:
-    return DecayedStats(
-        sc=np.zeros(n_exit_layers),
-        su=0.0,
-        stcs=np.zeros(n_exit_layers),
-        sfcs=np.zeros(n_exit_layers),
-        scnt=0.0,
-    )
+    return DecayedStats(np.zeros((3, n_exit_layers)), 0.0, 0.0)
 
 
 def shadow_tokens(steps: Sequence[LayerStep]) -> ShadowMatrix:
@@ -85,21 +83,27 @@ def shadow_tokens(steps: Sequence[LayerStep]) -> ShadowMatrix:
 
 def _first_mismatch(match_row: np.ndarray) -> int:
     # first False index, or the last position when the row fully matches
-    if match_row.all():
-        return int(match_row.size - 1)
-    return int(match_row.argmin())
+    # (argmin is then 0, a match)
+    i = int(match_row.argmin())
+    return int(match_row.size - 1) if match_row[i] else i
 
 
 def round_stats(sm: ShadowMatrix, exit_layer: int | None) -> RoundStats:
     """Window statistics for one round, windowed by the exit layer's first
     shadow mismatch; with ``exit_layer`` None (the prefill pseudo-round)
-    every position counts, u = width - 1."""
+    every position counts, u = width - 1.
+
+    The three per-layer window sums come from one ``sum(axis=2)`` over a
+    (3, L-1, g+1) buffer whose rows are the round's full width, with the
+    positions after u_r set to +0.0. That padded layout stays because
+    numpy sums a row pairwise, in blocks of eight: a row cut to the window
+    groups its terms differently, which changes the last bit of some sums
+    and with them ``del``'s plans at near-ties."""
     matches, conf = sm.matches, sm.confidences
-    width = sm.width
+    n_exit, width = matches.shape
     if exit_layer is None:
         u = width - 1
     else:
-        n_exit = matches.shape[0]
         if not 1 <= exit_layer <= n_exit:
             raise ValueError(f"exit_layer must lie in [1, {n_exit + 1}), got {exit_layer}")
         u = _first_mismatch(matches[exit_layer - 1])
@@ -109,27 +113,21 @@ def round_stats(sm: ShadowMatrix, exit_layer: int | None) -> RoundStats:
         windowed = conf * window
     else:
         in_window, windowed = matches, conf
+    buf = np.empty((3, n_exit, width))
+    buf[0] = in_window
     # each entry is a confidence or +0.0, so the mismatched mass in the
     # window is the difference of the two products, exactly
-    matched = conf * in_window
-    return RoundStats(
-        u_r=u,
-        c=in_window.sum(axis=1).astype(np.float64),
-        tcs=matched.sum(axis=1),
-        fcs=(windowed - matched).sum(axis=1),
-    )
+    np.multiply(conf, in_window, out=buf[1])
+    np.subtract(windowed, buf[1], out=buf[2])
+    return RoundStats(u, buf.sum(axis=2))
 
 
 def push(stats: DecayedStats, rs: RoundStats, omega: float) -> DecayedStats:
     """Fold one round into the decayed sums; the incremental form reproduces
     the direct weighted sum by induction."""
-    return DecayedStats(
-        sc=omega * stats.sc + rs.c,
-        su=omega * stats.su + rs.u_r,
-        stcs=omega * stats.stcs + rs.tcs,
-        sfcs=omega * stats.sfcs + rs.fcs,
-        scnt=omega * stats.scnt + 1.0,
-    )
+    sums = stats.sums * omega
+    sums += rs.sums
+    return DecayedStats(sums, omega * stats.su + rs.u_r, omega * stats.scnt + 1.0)
 
 
 def estimate_alpha(stats: DecayedStats, eps: float) -> np.ndarray:
@@ -141,7 +139,7 @@ def estimate_alpha(stats: DecayedStats, eps: float) -> np.ndarray:
     at least one round, as they do from the prefill pseudo-round on.
     """
     denom = stats.su if stats.su > 0.0 else stats.scnt
-    return _clamp(stats.sc / denom, eps)
+    return _clamp(stats.sums[0] / denom, eps)
 
 
 def _clamp(x: np.ndarray, lo: float) -> np.ndarray:
@@ -184,7 +182,8 @@ def tpl_grid(alpha: np.ndarray, d_max: int, L: int) -> np.ndarray:
     """TPL over the full (ell, d) grid; row ell-1, column d.
 
     Computed in (d, ell) layout, where each layer's running sum of powers
-    is one ``cumsum`` down a column, and returned as its (ell, d) view.
+    is one in-place accumulate down a column, and returned as its (ell, d)
+    view.
 
     The powers are numpy's vectorized ``**``, which need not round as
     ``math.pow`` does: on an AVX-512 host they differ in about 70 of the
@@ -194,9 +193,10 @@ def tpl_grid(alpha: np.ndarray, d_max: int, L: int) -> np.ndarray:
     comes from this one numpy power."""
     alpha = np.asarray(alpha, dtype=np.float64)
     exponents, denom = _tpl_axes(alpha.size, d_max, L)
-    numer = np.cumsum(alpha ** exponents, axis=0)
-    numer /= denom
-    return numer.T
+    grid = alpha ** exponents
+    np.add.accumulate(grid, axis=0, out=grid)
+    grid /= denom
+    return grid.T
 
 
 def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -> DraftPlan:
@@ -230,20 +230,21 @@ def update_threshold(stats: DecayedStats) -> np.ndarray:
     adds 1 to ``scnt``, so from the prefill round on a layer with no match
     has a mismatch mass of at least 1.
     """
-    sc = stats.sc
+    sums = stats.sums
+    sc, stcs, sfcs = sums[0], sums[1], sums[2]
     su_prime = stats.su + stats.scnt
     miss_mass = su_prime - sc
     if sc.min() > 0.0 and miss_mass.min() > 1e-12:
         # every layer has both means: the midpoint, as the chain below gives it
-        tau = stats.stcs / sc
-        tau += stats.sfcs / miss_mass
+        tau = stcs / sc
+        tau += sfcs / miss_mass
         tau *= 0.5
         return _clamp(tau, 0.0)
 
     have_match = sc > 0.0
     have_miss = miss_mass > 1e-12
-    matched_mean = np.divide(stats.stcs, sc, out=np.zeros_like(sc), where=have_match)
-    miss_mean = np.divide(stats.sfcs, miss_mass, out=np.zeros_like(sc), where=have_miss)
+    matched_mean = np.divide(stcs, sc, out=np.zeros_like(sc), where=have_match)
+    miss_mean = np.divide(sfcs, miss_mass, out=np.zeros_like(sc), where=have_miss)
 
     tau = np.where(have_match & have_miss, 0.5 * (matched_mean + miss_mean),
                    np.where(have_match, matched_mean, miss_mean))

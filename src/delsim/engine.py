@@ -71,15 +71,19 @@ class RoundOutcome:
 
 
 class Positions:
-    """One round's positions, each stepped the first time it is read.
+    """One round's positions, in order: the steps it holds and the tokens
+    it drafted.
 
     Position i is the step after the round's context and the first i
     drafted tokens; ``context`` holds the drafted tokens while the round
     runs, and the round removes them, so ``model.step`` must not keep the
-    list it is given. Positions are read in order.
+    list it is given. A plan with a threshold steps its positions while it
+    drafts them (``draft``); a plan without one steps and drafts each
+    position when verification reaches it (``draft_at``).
     """
 
-    __slots__ = ("model", "context", "greedy", "steps", "drafted", "q_rows", "uniforms")
+    __slots__ = ("model", "context", "greedy", "steps", "drafted", "q_rows", "exit_layer",
+                 "uniforms")
 
     def __init__(self, model, context: list[TokenId], greedy: bool):
         self.model = model
@@ -88,44 +92,53 @@ class Positions:
         self.steps: list[LayerStep] = []
         self.drafted: list[TokenId] = []
         self.q_rows: list[tuple[TokenId, float]] = []
-        # a zero-threshold sampling round's draft uniforms, drawn by ``draft``
+        # a zero-threshold round's exit layer and, in sampling mode, its
+        # draft uniforms, set by ``draft`` for ``draft_at``
+        self.exit_layer = 0
         self.uniforms: list[float] | None = None
 
     def step(self, i: int) -> LayerStep:
+        """Position i, stepped if it is the next one."""
         steps = self.steps
         if i == len(steps):
             steps.append(self.model.step(self.context))
         return steps[i]
 
-    def push(self, step: LayerStep, tok: TokenId, conf: float, u: float) -> None:
-        """Draft the next token from ``step``'s exit layer, whose top token
-        and confidence are ``tok`` and ``conf``: that token in greedy mode,
-        in sampling mode a draw from its exit row with the uniform ``u``
-        (``sample_exit``, which does not build the row). The row's (top
-        token, confidence) pair is kept for verification to read."""
+    def draft_at(self, i: int) -> LayerStep:
+        """Step position i, the next one, and draft its token at the exit
+        layer ``draft`` recorded, as ``draft`` drafts one, with the i-th of
+        the uniforms it drew."""
+        step = self.model.step(self.context)
+        self.steps.append(step)
+        tok, conf = step.layer(self.exit_layer)
         if not self.greedy:
             self.q_rows.append((tok, conf))
-            tok = sample_exit(tok, conf, step.target.size, u)
+            tok = sample_exit(tok, conf, step.target.size, self.uniforms[i])
         self.drafted.append(tok)
         self.context.append(tok)
+        return step
 
 
 def draft(positions: Positions, plan: DraftPlan, rng: np.random.Generator) -> int:
     """Draft at the plan's exit layer; returns g, the number of tokens
     drafted, at most ``plan.draft_bound``.
 
-    A plan with a threshold drafts here. It steps each position and stops at
-    the first whose exit-layer confidence (``LayerStep.layer``, which
-    decodes that layer alone on a model's step) is below the threshold;
-    that position is then the bonus slot g. In sampling mode it draws each
-    token's uniform as it drafts it.
+    A plan with a threshold drafts here. It steps the model at each
+    position and stops at the first whose exit-layer confidence
+    (``LayerStep.layer``, which decodes that layer alone on a model's step)
+    is below the threshold; that position is then the bonus slot g. A
+    drafted token is the exit layer's top token in greedy mode; in sampling
+    mode it is a draw from the exit row (``sample_exit``, which does not
+    build the row) with a uniform drawn as the token is drafted, and the
+    row's (top token, confidence) pair is kept for verification to read.
 
     A plan whose threshold is 0 cannot stop early, since every confidence is
     floored above 0, so g is its draft bound before any step. It steps
     nothing here: in sampling mode it draws the round's g draft uniforms as
     one ``rng.random(g)``, the same stream as g single draws, and the round
-    drafts each position when verification reads it. A round that would
-    step a context past the model's horizon raises its ConfigError here.
+    drafts each position when verification reads it (``draft_at``). A round
+    that would step a context past the model's horizon raises its
+    ConfigError here.
     """
     g = plan.draft_bound
     if plan.threshold <= 0.0:
@@ -133,15 +146,24 @@ def draft(positions: Positions, plan: DraftPlan, rng: np.random.Generator) -> in
         horizon = positions.model.spec.horizon
         if n0 + g > horizon:
             raise horizon_error(max(n0, horizon + 1), horizon)
+        positions.exit_layer = plan.exit_layer
         if g and not positions.greedy:
             positions.uniforms = rng.random(g).tolist()
         return g
+    model_step, context, steps = positions.model.step, positions.context, positions.steps
+    drafted, q_rows = positions.drafted, positions.q_rows
+    exit_layer, threshold, greedy = plan.exit_layer, plan.threshold, positions.greedy
     for i in range(g):
-        step = positions.step(i)
-        tok, conf = step.layer(plan.exit_layer)
-        if conf < plan.threshold:
+        step = model_step(context)
+        steps.append(step)
+        tok, conf = step.layer(exit_layer)
+        if conf < threshold:
             return i
-        positions.push(step, tok, conf, 0.0 if positions.greedy else rng.random())
+        if not greedy:
+            q_rows.append((tok, conf))
+            tok = sample_exit(tok, conf, step.target.size, rng.random())
+        drafted.append(tok)
+        context.append(tok)
     return g
 
 
@@ -195,11 +217,12 @@ def run_round(
     Verification walks the drafted positions in order and stops at the
     first rejection; full acceptance reads position g for the bonus token
     (the target's argmax, or a sample of its row). A plan with a threshold
-    has stepped every position before verification, and steps position g
-    too, since ``del`` reads them all. A plan whose threshold is 0 steps,
-    and drafts, a position only when verification reads it, so nothing
-    after the first rejection is stepped. Either way the emitted tokens and
-    the draws from ``rng`` are those of drafting all g tokens first.
+    holds every drafted position's step when verification starts, steps
+    position g too, since ``del`` reads them all, and verification walks
+    the held steps. A plan whose threshold is 0 steps, and drafts, a
+    position only when verification reads it, so nothing after the first
+    rejection is stepped. Either way the emitted tokens and the draws from
+    ``rng`` are those of drafting all g tokens first.
 
     Charges the ledger g*E + L layer loads regardless of how many tokens
     survive verification; if ``budget_left`` is given, the emitted sequence is
@@ -211,18 +234,19 @@ def run_round(
     greedy = cfg.decode_mode == GREEDY
     n0 = len(context)
     positions = Positions(model, context, greedy)
-    drafted, q_rows = positions.drafted, positions.q_rows
+    drafted, q_rows, steps = positions.drafted, positions.q_rows, positions.steps
     try:
         g = draft(positions, plan, rng)
-        uniforms = positions.uniforms
         if plan.threshold > 0.0:
-            # del's update reads all g + 1 positions of such a round
-            positions.step(g)
+            # drafting stepped positions 0..g-1, and position g as well when
+            # a confidence stopped it; del's update reads all g + 1
+            if len(steps) == g:
+                steps.append(model.step(context))
+            read = steps.__getitem__
+        else:
+            read = positions.draft_at
         for i in range(g):
-            step = positions.step(i)
-            if i == len(drafted):
-                # a zero-threshold round drafts a position when it is reached
-                positions.push(step, *step.layer(plan.exit_layer), 0.0 if greedy else uniforms[i])
+            step = read(i)
             if greedy:
                 end = verify_greedy(drafted[i], step.target_token)
             else:
@@ -250,7 +274,7 @@ def run_round(
         drafted=tuple(drafted),
         emitted=tuple(emitted),
         accepted_count=i,
-        steps=tuple(positions.steps),
+        steps=tuple(steps),
         exit_layer_used=plan.exit_layer,
         layers_loaded=layers,
         g=g,

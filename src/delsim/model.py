@@ -288,15 +288,19 @@ class _PendingRow:
         disagreeing layer's token among those other than ``t_star``; so
         only the agreement and confidence blocks are decoded, with
         ``_decode``'s arithmetic. The rows are filled if they are not yet,
-        and kept."""
+        and kept; a filled row is stacked as it is."""
         m = self.model
         k = m.L - 1
-        u = np.array([r.uniforms() for r in rows]).T
+        for r in rows:
+            if r.u is None:
+                r.uniforms()
+        # the agreement and confidence blocks, one row per exit layer
+        u = np.array([r.u for r in rows]).T[: 2 * k].copy()
         profile = m._profile_rows(r.p for r in rows)
-        miss = np.greater_equal(u[:k], profile.T if profile.ndim == 2 else profile[:, None],
-                                order="C")
-        conf = m._confidence(np.multiply(u[k : 2 * k], TABLE_SIZE, order="C"), miss)
-        return ~miss, conf
+        miss = u[:k] >= (profile.T if profile.ndim == 2 else profile[:, None])
+        u = u[k:]
+        u *= TABLE_SIZE
+        return ~miss, m._confidence(u, miss)
 
 
 class LayeredModel:
@@ -375,10 +379,15 @@ class LayeredModel:
         rise[TABLE_SIZE] = 0.0
         self._conf_table = _read_only(conf)
         self._conf_rise = _read_only(rise)
-        self._seed_key = int(seed % 2**64).to_bytes(8, "little", signed=False)
+        # the keyed digest's state before any message; each row's digest
+        # continues a copy of it, which skips re-keying
+        self._keyed_hash = hashlib.blake2b(
+            digest_size=16, key=int(seed % 2**64).to_bytes(8, "little", signed=False))
         if spec.context_hash_window < 1:
             raise ConfigError("context_hash_window must be >= 1")
         self._hash_window = spec.context_hash_window
+        # ``_key``'s message for a context of at least a window's length
+        self._pack_key = struct.Struct(f"<Q{self._hash_window}I").pack
         self._local = threading.local()
         # steps keyed by the exact (length, window) message their draws are
         # keyed by, in recency order, oldest first
@@ -505,15 +514,18 @@ class LayeredModel:
         """The target's greedy continuation of ``context``: ``n`` tokens,
         each the target argmax after the context and the tokens before it.
         Raises the horizon ConfigError if ``step`` would, at a context past
-        ``model.horizon``."""
+        ``model.horizon``, and a ConfigError naming the context's last token
+        if it is outside [0, V)."""
         if len(context) == 0:
             raise ValueError("context must be non-empty")
+        tok = int(context[-1])
+        if not 0 <= tok < self.V:
+            raise ConfigError(f"context token {tok!r} is outside [0, {self.V})")
         last_len = len(context) + n - 1
         if n > 0 and last_len > self.spec.horizon:
             raise horizon_error(max(len(context), self.spec.horizon + 1), self.spec.horizon)
         argmax = self._trans_argmax
         out = []
-        tok = int(context[-1])
         for _ in range(n):
             tok = argmax[tok]
             out.append(tok)
@@ -556,19 +568,24 @@ class LayeredModel:
         return keys
 
     def _key(self, context: Sequence[TokenId]) -> bytes:
-        """The message a context's draws are keyed by: its length and its
-        last ``context_hash_window`` tokens."""
+        """The message a context's draws are keyed by: its length as 8
+        little-endian bytes, then its last ``context_hash_window`` tokens as
+        4 little-endian bytes each, packed by one precompiled ``Struct``
+        once the context fills the window."""
         n = len(context)
-        win = context[-self._hash_window:] if n > self._hash_window else context
-        return n.to_bytes(8, "little") + array("I", win).tobytes()
+        w = self._hash_window
+        if n >= w:
+            return self._pack_key(n, *context[n - w:])
+        return n.to_bytes(8, "little") + array("I", context).tobytes()
 
     def _uniforms(self, msg: bytes, out: np.ndarray | None = None) -> np.ndarray:
         """The 3(L-1) uniforms of the position keyed by ``msg``: a blake2b
         digest of the message under the model seed keys a Philox stream.
         With ``out`` the stream fills it, so a shorter ``out`` gets the
         start of the row; without, a new row."""
-        digest = hashlib.blake2b(msg, digest_size=16, key=self._seed_key).digest()
-        rng = self._scratch_rng(digest)
+        h = self._keyed_hash.copy()
+        h.update(msg)
+        rng = self._scratch_rng(h.digest())
         if out is None:
             return rng.random(3 * (self.L - 1))
         return rng.random(out=out)

@@ -112,8 +112,9 @@ class LayerStep:
         row, so steps of another model raise ValueError."""
         rows = [s._row for s in steps]
         model = rows[0].model
-        if any(r.model is not model for r in rows):
-            raise ValueError("LayerStep.shadow reads the steps of one model only")
+        for r in rows:
+            if r.model is not model:
+                raise ValueError("LayerStep.shadow reads the steps of one model only")
         return rows[0].shadow_block(rows)
 
     def __setattr__(self, name: str, value) -> None:

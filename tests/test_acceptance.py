@@ -228,11 +228,11 @@ def test_c07_threshold_behavior():
         plan = policy.observe(out)
         taus.append(plan.threshold)
         s = policy.stats
-        match_mass = s.sc
-        miss_mass = np.asarray(s.su) + s.scnt - s.sc
+        match_mass, stcs, sfcs = s.sums
+        miss_mass = np.asarray(s.su) + s.scnt - match_mass
         with np.errstate(invalid="ignore", divide="ignore"):
-            m_t = np.where(match_mass > 0, s.stcs / np.maximum(match_mass, 1e-300), np.nan)
-            m_f = np.where(miss_mass > 1e-12, s.sfcs / np.maximum(miss_mass, 1e-300), np.nan)
+            m_t = np.where(match_mass > 0, stcs / np.maximum(match_mass, 1e-300), np.nan)
+            m_f = np.where(miss_mass > 1e-12, sfcs / np.maximum(miss_mass, 1e-300), np.nan)
         check = (match_mass > 0) & (miss_mass > 1e-12) & (np.abs(m_t - m_f) > 1e-9)
         lo, hi = np.minimum(m_t, m_f), np.maximum(m_t, m_f)
         tau_vec = policy.thresholds

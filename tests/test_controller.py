@@ -19,6 +19,7 @@ from delsim.config import CAP_PLAN
 from delsim.controller import (
     DecayedStats,
     DelController,
+    RoundStats,
     ShadowMatrix,
     estimate_alpha,
     prefill_init,
@@ -192,8 +193,7 @@ def test_shadow_read_equals_drawn_arrays_bit_for_bit(kind, two_models, prompt, r
             got_rs, want_rs = (round_stats(ShadowMatrix(*block), exit_layer)
                                for block in ((sm.matches, sm.confidences), (matches, confidences)))
             assert got_rs.u_r == want_rs.u_r
-            for name in ("c", "tcs", "fcs"):
-                assert getattr(got_rs, name).tobytes() == getattr(want_rs, name).tobytes()
+            assert got_rs.sums.tobytes() == want_rs.sums.tobytes()
 
 
 # -- round stats ---------------------------------------------------------------
@@ -215,7 +215,7 @@ def test_match_count_over_inclusive_window():
     steps = steps_from_tokens([[5, 7, 9], [5, 9, 1]], [5, 7, 1])
     rs = round_stats(shadow_tokens(steps), exit_layer=1)
     assert rs.u_r == 2
-    assert rs.c.tolist() == [2.0, 2.0]
+    assert rs.sums[0].tolist() == [2.0, 2.0]  # matched counts
 
 
 def test_prefill_window_counts_every_position():
@@ -223,12 +223,13 @@ def test_prefill_window_counts_every_position():
     # layer's first mismatch
     steps = steps_from_tokens([[5, 0, 9], [5, 9, 1]], [5, 7, 1])
     sm = shadow_tokens(steps)
-    assert round_stats(sm, exit_layer=1).c.tolist() == [1.0, 1.0]
+    assert round_stats(sm, exit_layer=1).sums[0].tolist() == [1.0, 1.0]
     rs = round_stats(sm, exit_layer=None)
     assert rs.u_r == 2
-    assert rs.c.tolist() == [1.0, 2.0]
-    assert rs.tcs.tolist() == pytest.approx([0.7, 1.4])
-    assert rs.fcs.tolist() == pytest.approx([1.4, 0.7])
+    c, tcs, fcs = rs.sums
+    assert c.tolist() == [1.0, 2.0]
+    assert tcs.tolist() == pytest.approx([0.7, 1.4])
+    assert fcs.tolist() == pytest.approx([1.4, 0.7])
 
 
 def test_confidence_sums_split_by_match():
@@ -236,18 +237,83 @@ def test_confidence_sums_split_by_match():
     steps = steps_from_tokens([[5, 7, 9], [5, 9, 1]], [5, 7, 1], confs)
     rs = round_stats(shadow_tokens(steps), exit_layer=1)
     window_sums = confs.sum(axis=1)
-    assert np.allclose(rs.tcs + rs.fcs, window_sums, atol=1e-9)
-    assert np.isclose(rs.tcs[1], 0.6 + 0.4)
-    assert np.isclose(rs.fcs[1], 0.5)
+    _, tcs, fcs = rs.sums
+    assert np.allclose(tcs + fcs, window_sums, atol=1e-9)
+    assert np.isclose(tcs[1], 0.6 + 0.4)
+    assert np.isclose(fcs[1], 0.5)
+
+
+@st.composite
+def shadow_blocks(draw):
+    """A round's (L-1, w) match and confidence blocks, w from 1 to 19, with
+    the exit layer's first mismatch at any window end u, and confidences
+    spread over several magnitudes, where the order of a sum shows."""
+    n_exit = draw(st.integers(1, 79))
+    width = draw(st.integers(1, 19))
+    u = draw(st.integers(0, width - 1))
+    exit_layer = draw(st.integers(1, n_exit))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matches = rng.random((n_exit, width)) < draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    matches[exit_layer - 1, :u] = True
+    if u < width - 1:
+        matches[exit_layer - 1, u] = False
+    conf = rng.random((n_exit, width)) ** draw(st.sampled_from([1.0, 0.2, 8.0]))
+    conf *= 10.0 ** rng.integers(-6, 1, size=conf.shape)
+    return ShadowMatrix(matches, conf), exit_layer, u
+
+
+@settings(max_examples=400, deadline=None)
+@given(shadow_blocks(), st.booleans())
+def test_window_sums_equal_per_row_sums_of_the_zero_padded_window(block, prefill):
+    # one sum over the stacked (3, L-1, w) buffer gives, to the bit, numpy's
+    # sum of each layer's full-width row with the positions after u_r zeroed
+    sm, exit_layer, u = block
+    if prefill:
+        exit_layer, u = None, sm.width - 1
+    rs = round_stats(sm, exit_layer)
+    assert rs.u_r == u
+    window = np.arange(sm.width) <= u
+    in_window = sm.matches & window
+    matched = sm.confidences * in_window
+    want = (in_window.sum(axis=1).astype(np.float64), matched.sum(axis=1),
+            (sm.confidences * window - matched).sum(axis=1))
+    for got, row in zip(rs.sums, want):
+        assert got.tobytes() == row.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([0.0, 0.95, 1.0]), st.integers(1, 79), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+def test_stacked_push_equals_the_per_field_recurrence(omega, n_exit, rounds, seed):
+    # push folds the three per-layer sums as one array; each row and both
+    # scalars equal the recurrence A <- omega * A + a_r kept field by field
+    rng = np.random.default_rng(seed)
+    stats = zero_stats(n_exit)
+    sc, stcs, sfcs = np.zeros(n_exit), np.zeros(n_exit), np.zeros(n_exit)
+    su = scnt = 0.0
+    for _ in range(rounds):
+        u = int(rng.integers(0, 19))
+        c = rng.integers(0, u + 2, size=n_exit).astype(np.float64)
+        tcs, fcs = rng.random(n_exit) * c, rng.random(n_exit) * (u + 1 - c)
+        stats = push(stats, RoundStats(u, np.array([c, tcs, fcs])), omega)
+        sc, stcs, sfcs = omega * sc + c, omega * stcs + tcs, omega * sfcs + fcs
+        su, scnt = omega * su + u, omega * scnt + 1.0
+        for got, want in zip(stats.sums, (sc, stcs, sfcs)):
+            assert got.tobytes() == want.tobytes()
+        assert (stats.su, stats.scnt) == (su, scnt)
 
 
 # -- decayed push ---------------------------------------------------------------
 
+def decayed(sc, su, stcs, sfcs, scnt):
+    """DecayedStats from its five named sums."""
+    return DecayedStats(np.array([sc, stcs, sfcs], dtype=np.float64), su, scnt)
+
+
 def _push_u_sequence(omega, us):
     stats = zero_stats(1)
     for u in us:
-        rs_like = type("RS", (), {"u_r": u, "c": np.zeros(1), "tcs": np.zeros(1), "fcs": np.zeros(1)})
-        stats = push(stats, rs_like, omega)
+        stats = push(stats, RoundStats(u, np.zeros((3, 1))), omega)
     return stats
 
 
@@ -286,21 +352,20 @@ def test_incremental_equals_direct_weighted_sum(values, omega):
 def test_alpha_ratio_of_cumulative_sums():
     stats = zero_stats(1)
     for c, u in ((2, 3), (3, 4)):
-        rs = type("RS", (), {"u_r": u, "c": np.array([float(c)]), "tcs": np.zeros(1), "fcs": np.zeros(1)})
-        stats = push(stats, rs, 1.0)
+        stats = push(stats, RoundStats(u, np.array([[float(c)], [0.0], [0.0]])), 1.0)
     alpha = estimate_alpha(stats, 1e-6)
     assert alpha[0] == pytest.approx(5 / 7)
 
 
 def test_alpha_clamp_floor_and_ceiling():
-    stats = DecayedStats(sc=np.array([0.0, 50.0]), su=10.0, stcs=np.zeros(2), sfcs=np.zeros(2), scnt=2.0)
+    stats = decayed([0.0, 50.0], 10.0, [0.0, 0.0], [0.0, 0.0], 2.0)
     alpha = estimate_alpha(stats, 1e-6)
     assert alpha[0] == 1e-6
     assert alpha[1] == 1.0
 
 
 def test_alpha_falls_back_to_round_count_when_u_always_zero():
-    stats = DecayedStats(sc=np.array([3.0]), su=0.0, stcs=np.zeros(1), sfcs=np.zeros(1), scnt=4.0)
+    stats = decayed([3.0], 0.0, [0.0], [0.0], 4.0)
     assert estimate_alpha(stats, 1e-6)[0] == pytest.approx(0.75)
 
 
@@ -324,7 +389,7 @@ def test_alpha_monte_carlo_convergence_long_windows():
     assert 0.78 <= alpha[2] <= 0.82
     assert alpha[5] == 1.0  # the exit layer's own estimate saturates
     # incremental accumulator agrees with the directly observed window ratio
-    assert alpha[2] == pytest.approx(stats.sc[2] / stats.su, rel=1e-12)
+    assert alpha[2] == pytest.approx(stats.sums[0, 2] / stats.su, rel=1e-12)
 
 
 # -- the per-layer objective ------------------------------------------------------
@@ -407,24 +472,18 @@ def test_select_plan_carries_threshold_of_chosen_layer():
 
 def test_threshold_midpoint():
     # matched mean 0.9 over 2 matches; mismatched mean 0.3 over 3 mismatches
-    stats = DecayedStats(
-        sc=np.array([2.0]), su=4.0, stcs=np.array([1.8]), sfcs=np.array([0.9]), scnt=1.0
-    )
+    stats = decayed([2.0], 4.0, [1.8], [0.9], 1.0)
     tau = update_threshold(stats)
     assert tau[0] == pytest.approx(0.5 * (0.9 + 0.3)) == pytest.approx(0.6)
 
 
 def test_threshold_no_mismatches_uses_matched_mean():
-    stats = DecayedStats(
-        sc=np.array([3.0]), su=2.0, stcs=np.array([2.4]), sfcs=np.array([0.0]), scnt=1.0
-    )
+    stats = decayed([3.0], 2.0, [2.4], [0.0], 1.0)
     assert update_threshold(stats)[0] == pytest.approx(0.8)
 
 
 def test_threshold_no_matches_uses_mismatched_mean():
-    stats = DecayedStats(
-        sc=np.array([0.0]), su=3.0, stcs=np.array([0.0]), sfcs=np.array([1.2]), scnt=1.0
-    )
+    stats = decayed([0.0], 3.0, [0.0], [1.2], 1.0)
     assert update_threshold(stats)[0] == pytest.approx(1.2 / 4.0)
 
 
@@ -450,7 +509,8 @@ def test_every_layer_has_a_mean_confidence_after_each_update(profile, omega, dec
     emitted = 0
     while True:
         s = policy.stats
-        assert np.all((s.sc > 0.0) | ((s.su + s.scnt) - s.sc > 1e-12))
+        sc = s.sums[0]
+        assert np.all((sc > 0.0) | ((s.su + s.scnt) - sc > 1e-12))
         if emitted == cfg.max_new_tokens:
             break
         out = run_round(model, ctx, plan, rng, CostLedger(), cfg, cfg.max_new_tokens - emitted)
@@ -466,13 +526,8 @@ def test_every_layer_has_a_mean_confidence_after_each_update(profile, omega, dec
 )
 @settings(max_examples=150, deadline=None)
 def test_threshold_strictly_between_the_two_means(match_mass, miss_mass, m_mean, f_mean):
-    stats = DecayedStats(
-        sc=np.array([match_mass]),
-        su=match_mass + miss_mass - 1.0,
-        stcs=np.array([match_mass * m_mean]),
-        sfcs=np.array([miss_mass * f_mean]),
-        scnt=1.0,
-    )
+    stats = decayed([match_mass], match_mass + miss_mass - 1.0, [match_mass * m_mean],
+                    [miss_mass * f_mean], 1.0)
     tau = float(update_threshold(stats)[0])
     lo, hi = sorted((m_mean, f_mean))
     if hi - lo > 1e-9:

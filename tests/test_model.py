@@ -728,6 +728,20 @@ def test_greedy_path_stops_at_the_horizon_as_step_does():
     assert model.argmax_chain([1] * 7, 0) == []
 
 
+@pytest.mark.parametrize("last", [-1, 8])
+def test_argmax_chain_rejects_a_last_token_outside_the_vocabulary(last):
+    # on the V=8 toy, -1 would read the argmax table's last row and 8 no row
+    from delsim.harness import vanilla_reference
+
+    model = LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), 4, 8, 1)
+    name = rf"context token {last} is outside \[0, 8\)"
+    with pytest.raises(ConfigError, match=name):
+        model.argmax_chain([1, 2, last], 4)
+    with pytest.raises(ConfigError, match=name):
+        vanilla_reference(model, make_cfg(L=4, V=8, max_new_tokens=4), [1, 2, last])
+    assert model.argmax_chain([1, 2, 7], 4) == [0, 1, 2, 3]
+
+
 def _path_spec(kind: str, L: int, window: int) -> ModelSpec:
     """A model spec at any L: profile entries cycle through 0 to 1, and the
     regime-switching segments are 3 and 4 positions long, so a path
