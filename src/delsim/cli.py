@@ -367,6 +367,8 @@ def cmd_omega_sweep(args) -> int:
 
 
 def cmd_replay(args) -> int:
+    if not Path(args.dir).is_dir():
+        raise ConfigError(f"--dir {args.dir} is not a directory")
     errors = replay_check(args.dir)
     if errors:
         for e in errors:

@@ -137,9 +137,15 @@ def estimate_alpha(stats: DecayedStats, eps: float) -> np.ndarray:
     When the window-index sum is zero (every round so far had u_r = 0) the
     decayed round count is used as denominator instead. The stats must hold
     at least one round, as they do from the prefill pseudo-round on.
+
+    The matches are capped at the denominator before the divide, which
+    gives ``np.clip(sums[0] / denom, eps, 1)`` to the bit without
+    overflowing when a tiny decay factor leaves ``su`` subnormal.
     """
     denom = stats.su if stats.su > 0.0 else stats.scnt
-    return _clamp(stats.sums[0] / denom, eps)
+    alpha = np.minimum(stats.sums[0], denom)
+    alpha /= denom
+    return np.maximum(alpha, eps, out=alpha)
 
 
 def _clamp(x: np.ndarray, lo: float) -> np.ndarray:
@@ -212,12 +218,8 @@ def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -
     flat = int(np.argmax(grid))  # row-major: smallest ell, then smallest d
     ell = flat // (cfg.d_max + 1) + 1
     d = flat % (cfg.d_max + 1)
-    return DraftPlan(
-        exit_layer=ell,
-        threshold=float(thresholds[ell - 1]),
-        planned_len=d,
-        draft_bound=cfg.d_max if cfg.draft_cap_mode == CAP_ALGORITHM1 else d,
-    )
+    return DraftPlan(ell, float(thresholds[ell - 1]), d,
+                     cfg.d_max if cfg.draft_cap_mode == CAP_ALGORITHM1 else d)
 
 
 def update_threshold(stats: DecayedStats) -> np.ndarray:
@@ -262,9 +264,13 @@ def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):
     """
     if len(prompt) == 0:
         raise ValueError("prompt must be non-empty")
-    window = min(cfg.prefill_window, len(prompt))
-    start = len(prompt) - window + 1
-    steps = [model.step(list(prompt[:k])) for k in range(start, len(prompt) + 1)]
+    start = len(prompt) - min(cfg.prefill_window, len(prompt)) + 1
+    # one context grows through the window: ``model.step`` keeps nothing of it
+    context = list(prompt[:start])
+    steps = [model.step(context)]
+    for tok in prompt[start:]:
+        context.append(tok)
+        steps.append(model.step(context))
     sm = shadow_tokens(steps)
     stats = push(zero_stats(cfg.L - 1), round_stats(sm, None), cfg.omega)
     thresholds = update_threshold(stats)

@@ -8,21 +8,22 @@ updates never need extra model calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import GREEDY, SessionConfig
 from .model import horizon_error
-from .types import InvariantViolation, LayerStep, TokenId, exit_distribution, sample_exit, sample_index
+from .types import InvariantViolation, LayerStep, TokenId, sample_exit, sample_index
 
 
-@dataclass(frozen=True)
-class DraftPlan:
+class DraftPlan(NamedTuple):
     """The controller's decision for the next round.
 
     ``draft_bound`` is the most tokens the round may draft: a policy that
     relies on the threshold to stop drafting passes d_max, one that drafts
-    a planned length passes that length.
+    a planned length passes that length. A plain tuple in field order, so
+    it is cheap to build once a round; its fields cannot be set.
     """
 
     exit_layer: int
@@ -50,9 +51,9 @@ class CostLedger:
     layers_loaded: int = 0
 
 
-@dataclass(frozen=True, eq=False)
-class RoundOutcome:
-    """Everything one SD round produced.
+class RoundOutcome(NamedTuple):
+    """Everything one SD round produced, as a plain tuple in field order
+    whose fields cannot be set.
 
     ``g`` is the number of tokens drafted, which the cost model charges
     for. ``steps`` and ``drafted`` cover the positions the round read: a
@@ -174,6 +175,15 @@ def verify_greedy(tok: TokenId, target_token: TokenId) -> TokenId | None:
     return None if tok == target_token else target_token
 
 
+def _residual(p_row: np.ndarray, top: TokenId, conf: float) -> np.ndarray:
+    """max(0, p - q) for the exit row q with confidence ``conf`` on ``top``,
+    as a new array, built in place without the row: the same floats as
+    ``np.maximum(p_row - exit_distribution(top, conf, V), 0.0)``."""
+    residual = p_row - (1.0 - conf) / (p_row.size - 1)
+    residual[top] = p_row[top] - conf
+    return np.maximum(residual, 0.0, out=residual)
+
+
 def verify_sampling(tok: TokenId, q_row: tuple[TokenId, float], p_row: np.ndarray,
                     rng: np.random.Generator) -> TokenId | None:
     """Speculative sampling verification of one drafted token.
@@ -182,9 +192,10 @@ def verify_sampling(tok: TokenId, q_row: tuple[TokenId, float], p_row: np.ndarra
     drafted ``tok`` (see ``exit_distribution``): q(x) is the confidence when
     x is the top token and (1 - confidence) / (V - 1) otherwise, the very
     floats the row holds. The token is accepted, and None returned, with
-    probability min(1, p(x)/q(x)); a rejection builds the row and returns a
-    sample of the normalized positive residual max(0, p - q), which the
-    round emits in its place.
+    probability min(1, p(x)/q(x)); a rejection returns a sample of the
+    normalized positive residual max(0, p - q), which the round emits in
+    its place. The residual is built from ``p_row`` and the pair alone
+    (``_residual``).
     """
     top, conf = q_row
     size = p_row.size
@@ -194,13 +205,14 @@ def verify_sampling(tok: TokenId, q_row: tuple[TokenId, float], p_row: np.ndarra
         raise InvariantViolation("drafted token has zero draft probability")
     if rng.random() < min(1.0, p / q):
         return None
-    residual = np.maximum(p_row - exit_distribution(top, conf, size), 0.0)
+    residual = _residual(p_row, top, conf)
     total = float(residual.sum())
     if total <= 0.0:
         # p == q with all mass on the drafted token is accepted by the
         # min(1, .) rule, so a zero residual is unreachable
         raise InvariantViolation("zero residual distribution at rejection")
-    return sample_index(residual / total, rng)
+    residual /= total
+    return sample_index(residual, rng)
 
 
 def run_round(
@@ -270,12 +282,4 @@ def run_round(
     ledger.tokens_emitted += len(emitted)
     context.extend(emitted)
 
-    return RoundOutcome(
-        drafted=tuple(drafted),
-        emitted=tuple(emitted),
-        accepted_count=i,
-        steps=tuple(steps),
-        exit_layer_used=plan.exit_layer,
-        layers_loaded=layers,
-        g=g,
-    )
+    return RoundOutcome(tuple(drafted), tuple(emitted), i, tuple(steps), plan.exit_layer, layers, g)

@@ -236,18 +236,26 @@ def beta_table(a: float, b: float) -> np.ndarray:
 
 class _PendingRow:
     """The per-layer draws of a model's step, made when they are read (a
-    ``LayerStep``'s row): the step's key, context length ``n`` and
-    target argmax, and once a layer is read the position's keyed row of
-    uniforms, filled once and kept for the step's life, with the profile at
-    ``n`` (``p``, set with the row). ``layer`` and ``shadow_block`` decode
-    what they read with ``LayeredModel._decode``'s arithmetic, so the values
-    are bit-identical to that vectorized decode of the row."""
+    ``LayerStep``'s row): the step's context length ``n`` and target
+    argmax, the key its draws are keyed by, and once a layer is read the
+    position's keyed row of uniforms, filled once and kept for the step's
+    life, with the profile at ``n`` (``p``, set with the row).
 
-    __slots__ = ("model", "msg", "n", "t_star", "u", "p")
+    The key is ``msg``, packed, when the model's memo needed it to look the
+    step up; else ``msg`` is None and ``window`` holds the context's last
+    ``context_hash_window`` tokens, which the first read packs into the key
+    and then drops, so a step that is never read packs nothing. ``layer``
+    and ``shadow_block`` decode what they read with
+    ``LayeredModel._decode``'s arithmetic, so the values are bit-identical
+    to that vectorized decode of the row."""
 
-    def __init__(self, model: "LayeredModel", msg: bytes, n: int, t_star: int):
+    __slots__ = ("model", "msg", "window", "n", "t_star", "u", "p")
+
+    def __init__(self, model: "LayeredModel", msg: bytes | None, window: Sequence[TokenId] | None,
+                 n: int, t_star: int):
         self.model = model
         self.msg = msg
+        self.window = window
         self.n = n
         self.t_star = t_star
         self.u = None
@@ -255,8 +263,13 @@ class _PendingRow:
     def uniforms(self) -> np.ndarray:
         u = self.u
         if u is None:
-            self.p = self.model._profile_at(self.n)
-            u = self.u = self.model._uniforms(self.msg)
+            m = self.model
+            msg = self.msg
+            if msg is None:
+                msg = m._key(self.n, self.window)
+                self.window = None
+            self.p = m._profile_at(self.n)
+            u = self.u = m._uniforms(msg)
         return u
 
     def layer(self, ell: int) -> tuple[TokenId, float]:
@@ -480,20 +493,27 @@ class LayeredModel:
         ``_PendingRow``) is filled on the first read and kept, a one-layer
         read decodes that layer alone, and ``controller.shadow_tokens``
         reads a round's steps' agreement and confidences in one block. Every
-        kind, the deterministic toy included, makes its steps this way. With
-        a memo the model stores the step itself, so the sessions sharing it
-        fill each row once, whoever reads it first. A step refers back to
-        the model through its row; Python's cycle collector frees that cycle
-        when the model is dropped.
+        kind, the deterministic toy included, makes its steps this way.
+
+        Without a memo the step keeps the context's last
+        ``context_hash_window`` tokens as a slice (a copy of a list or
+        tuple, so the step keeps nothing of the context itself), and the
+        row packs its key (``_key``) at the first read; a step nobody
+        reads packs none. With a memo the key is packed here, since the
+        lookup needs it, and the model stores the step itself, so the
+        sessions sharing it fill each row once, whoever reads it first. A
+        step refers back to the model through its row; Python's cycle
+        collector frees that cycle when the model is dropped.
         """
         n = len(context)
         if n == 0:
             raise ValueError("context must be non-empty")
         if n > self.spec.horizon:
             raise horizon_error(n, self.spec.horizon)
-        msg = self._key(context)
+        window = context[-self._hash_window:]
         memo = self._memo
         if memo is not None:
+            msg = self._key(n, window)
             with self._memo_lock:
                 hit = memo.get(msg)
                 if hit is not None:
@@ -501,13 +521,15 @@ class LayeredModel:
                     return hit
         last = int(context[-1])
         t_star = self._trans_argmax[last]
-        step = LayerStep(self._transition[last], t_star, self.L, _PendingRow(self, msg, n, t_star))
-        if memo is not None:
-            with self._memo_lock:
-                memo[msg] = step
-                # drop the least recently used beyond the capacity
-                while len(memo) > self.memo_capacity:
-                    memo.popitem(last=False)
+        if memo is None:
+            return LayerStep(self._transition[last], t_star, self.L,
+                             _PendingRow(self, None, window, n, t_star))
+        step = LayerStep(self._transition[last], t_star, self.L, _PendingRow(self, msg, None, n, t_star))
+        with self._memo_lock:
+            memo[msg] = step
+            # drop the least recently used beyond the capacity
+            while len(memo) > self.memo_capacity:
+                memo.popitem(last=False)
         return step
 
     def argmax_chain(self, context: Sequence[TokenId], n: int) -> list[TokenId]:
@@ -567,16 +589,15 @@ class LayeredModel:
             keys.append(n.to_bytes(8, "little") + tokens[lo : n - start].tobytes())
         return keys
 
-    def _key(self, context: Sequence[TokenId]) -> bytes:
-        """The message a context's draws are keyed by: its length as 8
-        little-endian bytes, then its last ``context_hash_window`` tokens as
-        4 little-endian bytes each, packed by one precompiled ``Struct``
-        once the context fills the window."""
-        n = len(context)
-        w = self._hash_window
-        if n >= w:
-            return self._pack_key(n, *context[n - w:])
-        return n.to_bytes(8, "little") + array("I", context).tobytes()
+    def _key(self, n: int, window: Sequence[TokenId]) -> bytes:
+        """The message the draws of a context of length ``n`` are keyed by:
+        ``n`` as 8 little-endian bytes, then ``window``, the context's last
+        ``context_hash_window`` tokens (all of it when it is shorter), as 4
+        little-endian bytes each, packed by one precompiled ``Struct`` when
+        the window is full."""
+        if len(window) == self._hash_window:
+            return self._pack_key(n, *window)
+        return n.to_bytes(8, "little") + array("I", window).tobytes()
 
     def _uniforms(self, msg: bytes, out: np.ndarray | None = None) -> np.ndarray:
         """The 3(L-1) uniforms of the position keyed by ``msg``: a blake2b

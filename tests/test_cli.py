@@ -400,6 +400,17 @@ def test_replay_reports_a_missing_or_bad_config_as_a_mismatch(tmp_path, capsys, 
     assert "replay mismatch: " in err and str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_replay_of_a_path_that_is_not_a_directory_is_bad_input(tmp_path, capsys, kind):
+    path = tmp_path / "nowhere"
+    if kind == "file":
+        path.write_text("summary\n")
+    assert main(["replay", "--dir", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--dir" in err and str(path) in err
+    assert "Traceback" not in err and "mismatch" not in err
+
+
 def test_replay_reports_malformed_summary_rows_as_mismatches(tmp_path, capsys):
     cfg_file = write_config(tmp_path / "exp.json")
     out = tmp_path / "rr"

@@ -364,6 +364,24 @@ def test_alpha_clamp_floor_and_ceiling():
     assert alpha[1] == 1.0
 
 
+def test_alpha_with_a_subnormal_window_sum_is_clipped_without_overflow():
+    # a tiny decay factor leaves su subnormal after a round with u_r > 0;
+    # matches over it would overflow a plain divide (a RuntimeWarning, an
+    # error under the suite's filter) before the clip to 1
+    sc = [0.0, 1e-320, 4.4e-313, 1.0, 50.0]
+    stats = decayed(sc, 2.2250738585e-313, [0.0] * 5, [0.0] * 5, 1.0)
+    with np.errstate(over="ignore"):
+        want = np.clip(np.array(sc) / stats.su, 1e-6, 1.0)
+    got = estimate_alpha(stats, 1e-6)
+    assert got.tolist() == want.tolist() == [1e-6, 1e-6, 1.0, 1.0, 1.0]
+    # normal sums: the clip of the plain ratio, to the bit
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        sc, su = rng.random(7) * 10.0, float(rng.random() * 10.0)
+        stats = decayed(sc, su, [0.0] * 7, [0.0] * 7, 1.0)
+        assert estimate_alpha(stats, 1e-6).tolist() == np.clip(sc / su, 1e-6, 1.0).tolist()
+
+
 def test_alpha_falls_back_to_round_count_when_u_always_zero():
     stats = decayed([3.0], 0.0, [0.0], [0.0], 4.0)
     assert estimate_alpha(stats, 1e-6)[0] == pytest.approx(0.75)

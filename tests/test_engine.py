@@ -9,6 +9,8 @@ from delsim.engine import (
     CostLedger,
     DraftPlan,
     Positions,
+    RoundOutcome,
+    _residual,
     draft,
     run_round,
     verify_greedy,
@@ -21,7 +23,7 @@ from delsim.harness import (
 )
 from delsim.baselines import make_policy
 from delsim.model import LayeredModel, ModelSpec
-from delsim.types import exit_distribution, sample_index
+from delsim.types import InvariantViolation, exit_distribution, sample_index
 
 
 def ls_like(E, gamma, tau=0.0, bound=None):
@@ -135,6 +137,58 @@ def test_verify_sampling_residual_is_exact():
 def test_verify_sampling_forced_acceptance_when_q_is_one_hot_target():
     p = np.array([1.0, 0.0])
     assert verify_sampling(0, (0, 1.0), p, np.random.default_rng(0)) is None
+
+
+def reference_verify_sampling(tok, q_row, p_row, rng):
+    """Speculative sampling verification with the residual taken against
+    the exit row itself, built by ``exit_distribution``."""
+    top, conf = q_row
+    size = p_row.size
+    q = conf if tok == top else (1.0 - conf) / (size - 1)
+    if q <= 0.0:
+        raise InvariantViolation("drafted token has zero draft probability")
+    if rng.random() < min(1.0, float(p_row[tok]) / q):
+        return None
+    residual = np.maximum(p_row - exit_distribution(top, conf, size), 0.0)
+    total = float(residual.sum())
+    if total <= 0.0:
+        raise InvariantViolation("zero residual distribution at rejection")
+    return sample_index(residual / total, rng)
+
+
+@st.composite
+def verify_cases(draw):
+    """A target row with zeros among its entries, an exit row's (top token,
+    confidence) pair with the confidence from the 1/V floor to 1, a drafted
+    token and a generator seed."""
+    V = draw(st.integers(2, 128))
+    weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                     min_size=V, max_size=V)))
+    if not weights.sum() > 0.0:
+        weights[draw(st.integers(0, V - 1))] = 1.0
+    p = weights / weights.sum()
+    p.setflags(write=False)
+    conf = draw(st.floats(1.0 / V, 1.0))
+    top, tok = draw(st.integers(0, V - 1)), draw(st.integers(0, V - 1))
+    return p, top, conf, tok, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(verify_cases())
+def test_in_place_residual_and_verification_match_the_exit_row_formula(case):
+    p, top, conf, tok, seed = case
+    want = np.maximum(p - exit_distribution(top, conf, p.size), 0.0)
+    got = _residual(p, top, conf)
+    assert got.dtype == want.dtype and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    outcomes = []
+    for verify in (verify_sampling, reference_verify_sampling):
+        rng = np.random.default_rng(seed)
+        try:
+            result = verify(tok, (top, conf), p, rng)
+        except InvariantViolation as e:
+            result = str(e)
+        outcomes.append((result, rng.bit_generator.state))
+    assert outcomes[0] == outcomes[1]
 
 
 # -- run_round ----------------------------------------------------------------
@@ -288,6 +342,20 @@ def test_sampling_micro_distribution_preservation():
         model, lambda: make_policy("ls", cfg, exit_layer=1, gamma=2), cfg, prompt, trials, 7
     )
     assert total_variation(counts, exact, trials) < 0.03
+
+
+def test_round_records_are_tuples_in_field_order_that_cannot_be_set():
+    plan = DraftPlan(3, 0.25, 4, 6)
+    assert plan == (3, 0.25, 4, 6)
+    assert (plan.exit_layer, plan.threshold, plan.planned_len, plan.draft_bound) == (3, 0.25, 4, 6)
+    fields = ("drafted", "emitted", "accepted_count", "steps", "exit_layer_used",
+              "layers_loaded", "g")
+    out = RoundOutcome(*(f"value-{f}" for f in fields))
+    assert RoundOutcome._fields == fields
+    assert all(getattr(out, f) == f"value-{f}" for f in fields)
+    for record, field in ((plan, "threshold"), (out, "g")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
 
 
 def test_plan_validation_bounds():

@@ -787,6 +787,7 @@ def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
 
 def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypatch, draws):
     import delsim.harness as harness
+    import delsim.model as model_module
     from delsim.types import LayerStep
 
     cfg = make_cfg(L=8, V=32, seed=13, max_new_tokens=48)
@@ -807,20 +808,34 @@ def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypa
     assert len(set(draws)) == len(draws) == len(prompts) * cfg.max_new_tokens
     draws.clear()
 
-    # the number of draws made before each reference and each session
+    # the number of draws made, and of steps the model computed (the keys of
+    # the rows it made), before each reference and each session
+    made: list[bytes] = []
+
+    class CountingRow(model_module._PendingRow):
+        __slots__ = ()
+
+        def __init__(self, model, msg, *args):
+            made.append(msg)
+            super().__init__(model, msg, *args)
+
     phases: list[tuple[str, int, int]] = []
+    starts_made: list[int] = []
     real_reference, real_session = harness.vanilla_reference, harness.run_session
 
     def reference(model, cfg_, prompt):
         phases.append(("reference", prompts.index(list(prompt)), len(draws)))
+        starts_made.append(len(made))
         return real_reference(model, cfg_, prompt)
 
     def session(model, policy, cfg_, prompt, *args, **kwargs):
         phases.append(("session", prompts.index(list(prompt)), len(draws)))
+        starts_made.append(len(made))
         return real_session(model, policy, cfg_, prompt, *args, **kwargs)
 
     monkeypatch.setattr(harness, "vanilla_reference", reference)
     monkeypatch.setattr(harness, "run_session", session)
+    monkeypatch.setattr(model_module, "_PendingRow", CountingRow)
     run_experiment(spec, cfg, policies, len(prompts), 12)
 
     assert [(kind, i) for kind, i, _ in phases] == [
@@ -836,3 +851,14 @@ def test_greedy_run_experiment_steps_each_path_position_once_per_prompt(monkeypa
     assert all(kind == "session" for by in drawn_in.values() for kind, _ in by)
     for i, keys in enumerate(path_keys):
         assert all(drawn_in.get(key, [("session", i)]) == [("session", i)] for key in keys)
+    # and every context a prompt's sessions step, off-path drafts included,
+    # is computed, and its row drawn, at most once per prompt: one prompt's
+    # sessions reach fewer contexts than the memo holds
+    per_prompt = len(policies) + 1
+    ends_made = starts_made[1:] + [len(made)]
+    for i in range(len(prompts)):
+        lo, hi = i * per_prompt, (i + 1) * per_prompt - 1
+        computed = made[starts_made[lo]:ends_made[hi]]
+        drawn = draws[phases[lo][2]:ends[hi]]
+        assert 0 < len(set(computed)) == len(computed) <= model.memo_capacity
+        assert len(set(drawn)) == len(drawn)

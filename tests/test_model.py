@@ -286,6 +286,58 @@ def test_memoized_steps_equal_computed_steps(kind, capacity, contexts):
         assert len(memo._memo) <= capacity
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(MEMO_SPECS)),
+    # regime_switching's window is 3 tokens: these contexts are shorter than
+    # it, as long, and longer
+    contexts=st.lists(st.lists(st.integers(0, 4), min_size=1, max_size=6), min_size=1, max_size=12),
+    as_tuple=st.booleans(),
+)
+def test_memo_less_rows_equal_memo_rows(kind, contexts, as_tuple):
+    # a memo-less step packs its key at its row's first read, a memo step
+    # when it is made; both rows are the same uniforms, to the bit
+    spec = MEMO_SPECS[kind]
+    plain = LayeredModel(spec, 4, 5, 11)
+    memo = LayeredModel(spec, 4, 5, 11, memo_capacity=64)
+    for ctx in contexts:
+        given_ctx = tuple(ctx) if as_tuple else list(ctx)
+        a, b = plain.step(given_ctx), memo.step(list(ctx))
+        row_a, row_b = vars(a)["_row"], vars(b)["_row"]
+        assert row_a.msg is None and row_a.window == given_ctx[-spec.context_hash_window:]
+        assert row_b.msg == memo._key(len(ctx), ctx[-spec.context_hash_window:])
+        ua, ub = row_a.uniforms(), row_b.uniforms()
+        assert np.array_equal(ua.view(np.uint64), ub.view(np.uint64))
+        # the first read packed the key and dropped the window
+        assert row_a.window is None
+
+
+def test_memo_less_steps_nobody_reads_pack_no_key(monkeypatch, draws):
+    cfg = make_cfg(L=6, V=8)
+    model = agreement_model(cfg, (0.5,) * 5 + (1.0,))
+    packed = []
+    real_key = LayeredModel._key
+
+    def counting_key(self, n, window):
+        packed.append(n)
+        return real_key(self, n, window)
+
+    monkeypatch.setattr(LayeredModel, "_key", counting_key)
+    ctx = []
+    for tok in list(range(8)) * 10:
+        ctx.append(tok)
+        last = model.step(ctx)
+    assert packed == [] and draws == []
+    # the step keeps a copy of the window: changing the context after the
+    # step changes nothing of it
+    ctx[-1] = 0
+    tokens, confs = layer_arrays(last)
+    assert packed == [len(ctx)] and len(draws) == 1
+    want = LayeredModel(model.spec, cfg.L, cfg.V, 1, memo_capacity=1).step(list(range(8)) * 10)
+    for x, y in zip((tokens, confs), layer_arrays(want)):
+        assert np.array_equal(x, y)
+
+
 def test_memo_never_holds_more_than_its_capacity(draws):
     cfg = make_cfg(L=6, V=8)
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=5)
