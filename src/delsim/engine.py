@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import GREEDY, SessionConfig
 from .model import horizon_error
-from .types import InvariantViolation, LayerStep, TokenId, sample_exit, sample_index
+from .types import InvariantViolation, LayerStep, TokenId, sample_cdf, sample_exit, sample_index
 
 
 class DraftPlan(NamedTuple):
@@ -228,7 +228,8 @@ def run_round(
 
     Verification walks the drafted positions in order and stops at the
     first rejection; full acceptance reads position g for the bonus token
-    (the target's argmax, or a sample of its row). A plan with a threshold
+    (the target's argmax, or a draw from the row's cumulative sums,
+    ``step.target_cdf``, by ``sample_cdf``). A plan with a threshold
     holds every drafted position's step when verification starts, steps
     position g too, since ``del`` reads them all, and verification walks
     the held steps. A plan whose threshold is 0 steps, and drafts, a
@@ -268,7 +269,7 @@ def run_round(
         else:
             i = g
             step = positions.step(g)
-            end = step.target_token if greedy else sample_index(step.target, rng)
+            end = step.target_token if greedy else sample_cdf(step.target_cdf, rng)
     finally:
         del context[n0:]
     emitted = drafted[:i]

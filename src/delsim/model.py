@@ -322,10 +322,11 @@ class LayeredModel:
     ``step`` is a pure function of (spec, seed, context): identical inputs
     always produce the identical LayerStep, which makes sessions replayable.
     With ``memo_capacity`` > 0 the model keeps the steps of that many most
-    recently used contexts and hands a repeated context its stored step; that
-    memo is the only state that changes after construction, and it is guarded
-    by a lock, so concurrent ``step`` calls from independent sessions are
-    safe.
+    recently used contexts and hands a repeated context its stored step.
+    That memo and the table of transition rows' cumulative sums, filled a
+    row at a time as steps first need them (``_cdf_row``), are the only
+    state that changes after construction, and both are guarded by a lock,
+    so concurrent ``step`` calls from independent sessions are safe.
     """
 
     def __init__(self, spec: ModelSpec, L: int, V: int, seed: int, memo_capacity: int = 0):
@@ -353,6 +354,9 @@ class LayeredModel:
         self._trans_argmax = np.argmax(self._transition, axis=1).tolist()
         self._cum_transition = np.cumsum(self._transition, axis=1)
         self._cum_transition.flags.writeable = False
+        # row r's cumulative sums as a list of floats once a step of row r
+        # has been made (``_cdf_row``), else None: the steps' ``target_cdf``
+        self._cdf_rows: list[list[float] | None] = [None] * V
 
         if spec.kind == AGREEMENT:
             if spec.agreement_profile is None:
@@ -406,7 +410,7 @@ class LayeredModel:
         # keyed by, in recency order, oldest first
         self.memo_capacity = memo_capacity
         self._memo: OrderedDict[bytes, LayerStep] | None = OrderedDict() if memo_capacity > 0 else None
-        self._memo_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     # -- internals ---------------------------------------------------------
 
@@ -415,8 +419,9 @@ class LayeredModel:
         kind = base.get("kind", "dirichlet")
         if kind == "dirichlet":
             conc = _parse("base_process.concentration", float, base.get("concentration", 0.5))
-            if not conc > 0:
-                raise ConfigError("base_process.concentration must be > 0")
+            # written so that NaN and infinity, which build a NaN matrix, fail it
+            if not 0.0 < conc < math.inf:
+                raise ConfigError(f"base_process.concentration must be finite and > 0, got {conc}")
             return rng.dirichlet(np.full(V, conc), size=V)
         if kind == "uniform":
             return np.full((V, V), 1.0 / V)
@@ -487,7 +492,11 @@ class LayeredModel:
     def step(self, context: Sequence[TokenId]) -> LayerStep:
         """LM-head outputs of all L layers at the position after ``context``.
 
-        The target row is set at once. The exit layers' top tokens and
+        The target row is set at once, with its cumulative sums as a list
+        (``target_cdf``, from ``_cdf_row``): one list per transition row,
+        built on the row's first step and shared by every later step of the
+        row, so a model holds at most V lists of V floats (about 0.13 MB at
+        V = 64). The exit layers' top tokens and
         confidences come from one keyed row of 3(L-1) uniforms (see
         ``_decode``), drawn when they are read: the step's row (a
         ``_PendingRow``) is filled on the first read and kept, a one-layer
@@ -514,23 +523,36 @@ class LayeredModel:
         memo = self._memo
         if memo is not None:
             msg = self._key(n, window)
-            with self._memo_lock:
+            with self._lock:
                 hit = memo.get(msg)
                 if hit is not None:
                     memo.move_to_end(msg)
                     return hit
         last = int(context[-1])
         t_star = self._trans_argmax[last]
+        cdf = self._cdf_rows[last]
+        if cdf is None:
+            cdf = self._cdf_row(last)
         if memo is None:
-            return LayerStep(self._transition[last], t_star, self.L,
+            return LayerStep(self._transition[last], cdf, t_star, self.L,
                              _PendingRow(self, None, window, n, t_star))
-        step = LayerStep(self._transition[last], t_star, self.L, _PendingRow(self, msg, None, n, t_star))
-        with self._memo_lock:
+        step = LayerStep(self._transition[last], cdf, t_star, self.L,
+                         _PendingRow(self, msg, None, n, t_star))
+        with self._lock:
             memo[msg] = step
             # drop the least recently used beyond the capacity
             while len(memo) > self.memo_capacity:
                 memo.popitem(last=False)
         return step
+
+    def _cdf_row(self, r: int) -> list[float]:
+        """Transition row ``r``'s cumulative sums, ``np.cumsum``'s floats as
+        a list, built the first time a step of row ``r`` is made and kept."""
+        with self._lock:
+            cdf = self._cdf_rows[r]
+            if cdf is None:
+                cdf = self._cdf_rows[r] = self._cum_transition[r].tolist()
+        return cdf
 
     def argmax_chain(self, context: Sequence[TokenId], n: int) -> list[TokenId]:
         """The target's greedy continuation of ``context``: ``n`` tokens,

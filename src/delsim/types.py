@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -16,8 +17,19 @@ class InvariantViolation(AssertionError):
 
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector (an array) via inverse CDF."""
+    """Draw an index from a probability vector (an array) via inverse CDF,
+    with the vector's own ``cumsum``. The rounds use it for the rejection
+    residual, a new array each time; a target row's draw reads the row's
+    cumulative sums, which its model keeps, with ``sample_cdf``."""
     return _search(probs, rng.random())
+
+
+def sample_cdf(cdf: list[float], rng: np.random.Generator) -> int:
+    """Draw an index from a distribution given as its cumulative sums (a
+    list of floats, such as ``LayerStep.target_cdf``): the index that
+    ``sample_index`` returns for the distribution whose ``cumsum`` is
+    ``cdf``, from the same single uniform, found by ``bisect``."""
+    return min(bisect_right(cdf, rng.random()), len(cdf) - 1)
 
 
 def _search(probs: np.ndarray, u: float) -> int:
@@ -69,8 +81,12 @@ class LayerStep:
     ``tok``, where ``(tok, conf) = layer(ell)``, and spreads the remainder
     uniformly over the other V - 1 tokens; ``exit_distribution`` rebuilds
     that distribution from the pair. Layer L is the full model: ``target``
-    is its distribution (a read-only array) and ``target_token`` its argmax.
-    The step is immutable: no attribute is set after it is made.
+    is its distribution (a read-only array), ``target_cdf`` that row's
+    cumulative sums as a list of floats (``np.cumsum``'s, which
+    ``sample_cdf`` draws from), and ``target_token`` its argmax. A model's
+    steps share one such list per transition row (``LayeredModel.step``);
+    it must not be changed. The step is immutable: no attribute is set
+    after it is made.
 
     The per-layer outputs are read through one row object, ``row``, in
     only two ways: ``layer(ell)`` reads one exit layer (``row.layer``), and
@@ -84,9 +100,10 @@ class LayerStep:
     key, so when or how it is read does not change a value. ``target``
     must already be read-only, as the rows of a model's transition matrix
     are.
-    Speculative-sampling verification reads only target rows, so a
-    sampling-mode ``vanilla`` session makes no draws, and an ``ls`` session
-    draws only the drafted positions its verification reads. A model with a
+    Speculative-sampling verification reads only target rows, and a
+    target draw only ``target_cdf``, so a sampling-mode ``vanilla`` session
+    fills no keyed row, and an ``ls`` session fills only the rows of the
+    drafted positions its verification reads. A model with a
     step memo stores the step itself, so the sessions sharing the memo fill
     its row once. Such a row refers back to its model (model, memo, step,
     row, model); Python's cycle collector frees that cycle when the model
@@ -96,9 +113,11 @@ class LayerStep:
     # Every step stores its attributes one by one in this order, so that
     # all steps' attribute dicts share one key table; one dict.update would
     # give each step a dict of its own.
-    def __init__(self, target: np.ndarray, target_token: TokenId, layer_count: int, row):
+    def __init__(self, target: np.ndarray, target_cdf: list[float], target_token: TokenId,
+                 layer_count: int, row):
         d = self.__dict__
         d["target"] = target
+        d["target_cdf"] = target_cdf
         d["target_token"] = target_token
         d["layer_count"] = layer_count
         d["_row"] = row

@@ -79,12 +79,14 @@ class FixedRow:
 def fixed_step(tokens, conf, target, target_token: TokenId) -> LayerStep:
     """A step whose exit layers' top tokens and confidences are the arrays
     ``tokens`` and ``conf`` (one entry per exit layer) and whose target
-    distribution is ``target``; all three are made read-only."""
+    distribution is ``target``; all three are made read-only, and the
+    target's cumulative sums are its ``target_cdf``."""
     arrays = [np.asarray(a) for a in (tokens, conf, target)]
     for a in arrays:
         a.setflags(write=False)
     tokens, conf, target = arrays
-    return LayerStep(target, target_token, tokens.size + 1, FixedRow(tokens, conf, target_token))
+    return LayerStep(target, target.cumsum().tolist(), target_token, tokens.size + 1,
+                     FixedRow(tokens, conf, target_token))
 
 
 def layer_arrays(step: LayerStep) -> tuple[np.ndarray, np.ndarray]:

@@ -284,6 +284,11 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "del"],
          {"model": {"base_process": {"kind": "dirichlet", "concentration": "x"}}},
          "base_process.concentration"),
+        # 1e400 reads as infinity, which would build a NaN transition matrix
+        (["run", "--policy", "vanilla"],
+         {"session": {"decode_mode": "sampling"},
+          "model": {"base_process": {"kind": "dirichlet", "concentration": 1e400}}},
+         "base_process.concentration"),
         (["run", "--policy", "del"], {"model": {"horizon": -1}}, "model.horizon"),
         (["run", "--policy", "del"], {"model": {"horizon": 5}}, "model.horizon"),
         (["sweep", "--ell", "1..2", "--d", "0,2"], {"model": {"horizon": 5}}, "model.horizon"),
@@ -341,7 +346,8 @@ def test_help_exits_zero(capsys):
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
          "model-regimes-short", "confidence-beta-missing-a", "session-not-object",
          "run-exit-layer-fractional", "model-not-object", "run-prompts-fractional",
-         "confidence-beta-zero", "base-process-concentration", "model-horizon-negative",
+         "confidence-beta-zero", "base-process-concentration",
+         "base-process-concentration-infinite", "model-horizon-negative",
          "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len",
          "run-del-per-layer-window", "del-per-layer-window-flag",
          "session-default-threshold", "default-threshold-flag", "dv-step-nan", "sweep-ell-range-huge",

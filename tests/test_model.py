@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import hashlib
+import math
 import weakref
 
 import numpy as np
@@ -18,6 +19,8 @@ from conftest import (
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from delsim import harness
+from delsim.baselines import make_policy
 from delsim.config import ConfigError
 from delsim.model import (
     AGREEMENT,
@@ -28,7 +31,7 @@ from delsim.model import (
     ModelSpec,
     beta_table,
 )
-from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution
+from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_cdf, sample_index
 
 
 def path_steps(model, prompt, n):
@@ -113,6 +116,14 @@ def test_agreement_requires_profile_and_valid_entries():
         agreement_model(cfg, (0.5, 1.2, 0.5, 1.0))
     with pytest.raises(ConfigError):
         agreement_model(cfg, (0.5, 0.5, 1.0))  # wrong length
+
+
+@pytest.mark.parametrize("conc", [0.0, -1.0, math.inf, 1e400, math.nan, "1e400"])
+def test_dirichlet_concentration_must_be_finite_and_positive(conc):
+    cfg = make_cfg(L=4, V=8)
+    with pytest.raises(ConfigError, match="base_process.concentration"):
+        agreement_model(cfg, (0.5, 0.5, 0.5, 1.0),
+                        base_process={"kind": "dirichlet", "concentration": conc})
 
 
 def test_determinism_across_instances():
@@ -232,6 +243,106 @@ def test_sample_prompt_deterministic_and_in_range():
     assert p1 == p2
     assert len(p1) == 16
     assert all(0 <= t < cfg.V for t in p1)
+
+
+# -- cached target CDFs ---------------------------------------------------------
+
+
+class OneUniform:
+    """A generator stand-in whose ``random()`` returns ``u``."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def cdf_model(kind: str, V: int, conc: float, seed: int) -> LayeredModel:
+    """An L=3 model of ``V`` tokens whose transition rows come from the base
+    process ``kind``: a Dirichlet of concentration ``conc``, uniform, a
+    table whose rows sum to 1 - 1e-10 (within the check's tolerance, so a
+    uniform can lie above a row's last cumulative sum), or the toy's map."""
+    if kind == "toy":
+        return LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), 3, V, seed)
+    base = {"kind": kind}
+    if kind == "dirichlet":
+        base["concentration"] = conc
+    elif kind == "table":
+        rows = np.random.default_rng(seed).dirichlet(np.ones(V), size=V)
+        base["probs"] = (rows / rows.sum(axis=1, keepdims=True) * (1.0 - 1e-10)).tolist()
+    return LayeredModel(ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.5, 1.0),
+                                  base_process=base), 3, V, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["dirichlet", "uniform", "table", "toy"]),
+    V=st.integers(2, 257),
+    conc=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cached_target_draws_equal_sample_index(data, kind, V, conc, seed):
+    model = cdf_model(kind, V, conc, seed)
+    tokens = data.draw(st.lists(st.integers(0, V - 1), min_size=1, max_size=4))
+    for tok in tokens:
+        step = model.step([tok])
+        cdf = step.target_cdf
+        assert type(cdf) is list and len(cdf) == V
+        assert np.array(cdf).tobytes() == step.target.cumsum().tobytes()
+        # uniforms at random, exactly at the row's cumulative sums, and the
+        # largest a generator draws
+        picks = data.draw(st.lists(st.integers(0, V - 1), max_size=4))
+        randoms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
+        for u in randoms + [cdf[i] for i in picks] + [0.0, 1.0 - 2.0**-53]:
+            got = sample_cdf(cdf, OneUniform(u))
+            assert got == sample_index(step.target, OneUniform(u)), u
+            if u >= cdf[-1]:
+                assert got == V - 1
+        # a real generator: the same index and the same state after the draw
+        gen_seed = data.draw(st.integers(0, 2**32 - 1))
+        a, b = np.random.default_rng(gen_seed), np.random.default_rng(gen_seed)
+        for _ in range(3):
+            assert sample_cdf(cdf, a) == sample_index(step.target, b)
+        assert a.bit_generator.state == b.bit_generator.state
+
+
+def test_each_target_cdf_is_built_once_and_shared(monkeypatch):
+    built: list[tuple[LayeredModel, int]] = []
+    real = LayeredModel._cdf_row
+
+    def counting(self, r):
+        built.append((self, r))
+        return real(self, r)
+
+    monkeypatch.setattr(LayeredModel, "_cdf_row", counting)
+    cfg = make_cfg(L=4, V=6, max_new_tokens=40, decode_mode="sampling")
+    for capacity in (0, 8):
+        model = agreement_model(cfg, (0.6, 0.9, 0.2, 1.0), memo_capacity=capacity)
+        seen: list[tuple[int, LayerStep]] = []
+        step = model.step
+
+        def recording(ctx):
+            seen.append((int(ctx[-1]), step(ctx)))
+            return seen[-1][1]
+
+        model.step = recording
+        prompt = model.sample_prompt(8, np.random.default_rng(capacity))
+        for name, params in [("vanilla", {}), ("ls", {"exit_layer": 2, "gamma": 3}), ("del", {})]:
+            for seed in (1, 2):
+                harness.run_session(model, make_policy(name, cfg, **params), cfg, prompt, seed)
+        # repeated contexts: memo hits with a memo, fresh steps without
+        for ctx in ([1, 2], [1, 2], [3, 2]):
+            recording(ctx)
+        rows = model._cdf_rows
+        assert len(rows) == cfg.V
+        used = {last for last, _ in seen}
+        assert {r for r, cdf in enumerate(rows) if cdf is not None} == used
+        for last, s in seen:
+            assert s.target_cdf is rows[last]
+        # one build per row used, each on the row's first step
+        assert sorted(r for m, r in built if m is model) == sorted(used)
 
 
 def test_wrappers_count_and_cache(draws):
@@ -412,7 +523,8 @@ def read_concurrently(memo, contexts, expected) -> list[str]:
     offset, and read every step they get three ways: one layer, ``shadow``
     and every layer, the first read alternating between one layer and
     ``shadow``. Each read is compared bit for bit with ``expected``, the
-    ``decoded`` arrays of each context. Returns the errors."""
+    ``decoded`` arrays of each context, and each step's ``target_cdf`` must
+    be the model's one list for its row. Returns the errors."""
     import sys
     import threading
 
@@ -444,6 +556,9 @@ def read_concurrently(memo, contexts, expected) -> list[str]:
                     errors.append(f"step of {ctx} differs")
                 if len(memo._memo) > memo.memo_capacity:
                     errors.append(f"memo holds {len(memo._memo)} steps")
+                # threads race to build a row's cumulative sums, too
+                if got.target_cdf is not memo._cdf_rows[ctx[-1]]:
+                    errors.append(f"target CDF of {ctx} is not the model's row")
         except Exception as e:  # any error in a thread fails the test
             errors.append(repr(e))
 
