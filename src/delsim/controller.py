@@ -265,12 +265,13 @@ def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):
     if len(prompt) == 0:
         raise ValueError("prompt must be non-empty")
     start = len(prompt) - min(cfg.prefill_window, len(prompt)) + 1
-    # one context grows through the window: ``model.step`` keeps nothing of it
+    # one context grows through the window: ``model.step`` keeps nothing of
+    # it, and each step is made from the one before
     context = list(prompt[:start])
     steps = [model.step(context)]
     for tok in prompt[start:]:
         context.append(tok)
-        steps.append(model.step(context))
+        steps.append(model.step(context, steps[-1]))
     sm = shadow_tokens(steps)
     stats = push(zero_stats(cfg.L - 1), round_stats(sm, None), cfg.omega)
     thresholds = update_threshold(stats)

@@ -78,18 +78,22 @@ class Positions:
     Position i is the step after the round's context and the first i
     drafted tokens; ``context`` holds the drafted tokens while the round
     runs, and the round removes them, so ``model.step`` must not keep the
-    list it is given. A plan with a threshold steps its positions while it
-    drafts them (``draft``); a plan without one steps and drafts each
-    position when verification reaches it (``draft_at``).
+    list it is given. Each position is stepped from the one before it
+    (``model.step``'s ``prev``), position 0 from ``prev``, the step of the
+    context less its last token, when the caller knows it (else None). A
+    plan with a threshold steps its positions while it drafts them
+    (``draft``); a plan without one steps and drafts each position when
+    verification reaches it (``draft_at``).
     """
 
-    __slots__ = ("model", "context", "greedy", "steps", "drafted", "q_rows", "exit_layer",
-                 "uniforms")
+    __slots__ = ("model", "context", "greedy", "prev", "steps", "drafted", "q_rows",
+                 "exit_layer", "uniforms")
 
-    def __init__(self, model, context: list[TokenId], greedy: bool):
+    def __init__(self, model, context: list[TokenId], greedy: bool, prev: LayerStep | None = None):
         self.model = model
         self.context = context
         self.greedy = greedy
+        self.prev = prev
         self.steps: list[LayerStep] = []
         self.drafted: list[TokenId] = []
         self.q_rows: list[tuple[TokenId, float]] = []
@@ -102,15 +106,16 @@ class Positions:
         """Position i, stepped if it is the next one."""
         steps = self.steps
         if i == len(steps):
-            steps.append(self.model.step(self.context))
+            steps.append(self.model.step(self.context, steps[-1] if steps else self.prev))
         return steps[i]
 
     def draft_at(self, i: int) -> LayerStep:
         """Step position i, the next one, and draft its token at the exit
         layer ``draft`` recorded, as ``draft`` drafts one, with the i-th of
         the uniforms it drew."""
-        step = self.model.step(self.context)
-        self.steps.append(step)
+        steps = self.steps
+        step = self.model.step(self.context, steps[-1] if steps else self.prev)
+        steps.append(step)
         tok, conf = step.layer(self.exit_layer)
         if not self.greedy:
             self.q_rows.append((tok, conf))
@@ -125,13 +130,14 @@ def draft(positions: Positions, plan: DraftPlan, rng: np.random.Generator) -> in
     drafted, at most ``plan.draft_bound``.
 
     A plan with a threshold drafts here. It steps the model at each
-    position and stops at the first whose exit-layer confidence
-    (``LayerStep.layer``, which decodes that layer alone on a model's step)
-    is below the threshold; that position is then the bonus slot g. A
-    drafted token is the exit layer's top token in greedy mode; in sampling
-    mode it is a draw from the exit row (``sample_exit``, which does not
-    build the row) with a uniform drawn as the token is drafted, and the
-    row's (top token, confidence) pair is kept for verification to read.
+    position, from the step before it, and stops at the first whose
+    exit-layer confidence (``LayerStep.layer``, which decodes that layer
+    alone on a model's step) is below the threshold; that position is then
+    the bonus slot g. A drafted token is the exit layer's top token in
+    greedy mode; in sampling mode it is a draw from the exit row
+    (``sample_exit``, which does not build the row) with a uniform drawn as
+    the token is drafted, and the row's (top token, confidence) pair is kept
+    for verification to read.
 
     A plan whose threshold is 0 cannot stop early, since every confidence is
     floored above 0, so g is its draft bound before any step. It steps
@@ -154,8 +160,9 @@ def draft(positions: Positions, plan: DraftPlan, rng: np.random.Generator) -> in
     model_step, context, steps = positions.model.step, positions.context, positions.steps
     drafted, q_rows = positions.drafted, positions.q_rows
     exit_layer, threshold, greedy = plan.exit_layer, plan.threshold, positions.greedy
+    step = positions.prev
     for i in range(g):
-        step = model_step(context)
+        step = model_step(context, step)
         steps.append(step)
         tok, conf = step.layer(exit_layer)
         if conf < threshold:
@@ -223,8 +230,13 @@ def run_round(
     ledger: CostLedger,
     cfg: SessionConfig,
     budget_left: int | None = None,
+    prev: LayerStep | None = None,
 ) -> RoundOutcome:
     """Run one full SD round and append the emitted tokens to ``context``.
+
+    ``prev``, if given, is the model's step of ``context[:-1]``: position 0
+    is stepped from it (``model.step``). A session passes the step of the
+    last round's last emitted position, ``steps[accepted_count]``.
 
     Verification walks the drafted positions in order and stops at the
     first rejection; full acceptance reads position g for the bonus token
@@ -246,15 +258,14 @@ def run_round(
     plan.validate(cfg)
     greedy = cfg.decode_mode == GREEDY
     n0 = len(context)
-    positions = Positions(model, context, greedy)
+    positions = Positions(model, context, greedy, prev)
     drafted, q_rows, steps = positions.drafted, positions.q_rows, positions.steps
     try:
         g = draft(positions, plan, rng)
         if plan.threshold > 0.0:
             # drafting stepped positions 0..g-1, and position g as well when
             # a confidence stopped it; del's update reads all g + 1
-            if len(steps) == g:
-                steps.append(model.step(context))
+            positions.step(g)
             read = steps.__getitem__
         else:
             read = positions.draft_at

@@ -45,6 +45,8 @@ def run_session(
 
     Emits one trace record per round; records are bit-stable for a given
     (config, seed) because every random draw flows from the engine seed.
+    Each round after the first steps its position 0 from the last round's
+    step of the context less its last token (``run_round``'s ``prev``).
     A prompt token outside [0, V) raises ConfigError naming its position.
     """
     V = model.V
@@ -58,9 +60,12 @@ def run_session(
     out: list[TokenId] = []
     records: list[dict] = []
     rounds = 0
+    prev = None
     while len(out) < cfg.max_new_tokens:
         budget = cfg.max_new_tokens - len(out)
-        outcome = run_round(model, ctx, plan, rng, ledger, cfg, budget)
+        outcome = run_round(model, ctx, plan, rng, ledger, cfg, budget, prev)
+        # the step before the last emitted token; a truncated round ends the session
+        prev = outcome.steps[outcome.accepted_count]
         out.extend(outcome.emitted)
         next_plan = policy.observe(outcome)
         if collect_trace:

@@ -134,6 +134,9 @@ TABLE_SIZE = 2048
 # a 16-byte key digest as the two 64-bit words of a Philox key, in the
 # order np.frombuffer(digest, np.uint64) gives them
 _KEY_WORDS = struct.Struct("<2Q")
+# a key's length field and one token of its window (``LayeredModel._key``)
+_LENGTH = struct.Struct("<Q")
+_TOKEN = struct.Struct("<I")
 
 
 def confidence_table(spec: Mapping[str, Any], what: str) -> np.ndarray:
@@ -241,15 +244,19 @@ class _PendingRow:
     position's keyed row of uniforms, filled once and kept for the step's
     life, with the profile at ``n`` (``p``, set with the row).
 
-    The key is ``msg``, packed, when the model's memo needed it to look the
-    step up; else ``msg`` is None and ``window`` holds the context's last
-    ``context_hash_window`` tokens, which the first read packs into the key
-    and then drops, so a step that is never read packs nothing. ``layer``
-    and ``shadow_block`` decode what they read with
-    ``LayeredModel._decode``'s arithmetic, so the values are bit-identical
-    to that vectorized decode of the row."""
+    The key is ``msg``, packed, when it was made with the step: a memo
+    step's, which the lookup needed, or a successor's, moved on from its
+    ``prev``'s key (``LayeredModel.step``). Else ``msg`` is None and
+    ``window`` holds the context's last ``context_hash_window`` tokens,
+    which the first read packs into ``msg`` and then drops, so a step that
+    is never read packs nothing. ``next`` is a memo step's successor table,
+    ``{token: step}`` for the steps made after it, or None: none has been
+    recorded, or the memo no longer holds the step. ``layer`` and
+    ``shadow_block`` decode what they read with ``LayeredModel._decode``'s
+    arithmetic, so the values are bit-identical to that vectorized decode
+    of the row."""
 
-    __slots__ = ("model", "msg", "window", "n", "t_star", "u", "p")
+    __slots__ = ("model", "msg", "window", "n", "t_star", "u", "p", "next")
 
     def __init__(self, model: "LayeredModel", msg: bytes | None, window: Sequence[TokenId] | None,
                  n: int, t_star: int):
@@ -259,6 +266,7 @@ class _PendingRow:
         self.n = n
         self.t_star = t_star
         self.u = None
+        self.next = None
 
     def uniforms(self) -> np.ndarray:
         u = self.u
@@ -266,7 +274,7 @@ class _PendingRow:
             m = self.model
             msg = self.msg
             if msg is None:
-                msg = m._key(self.n, self.window)
+                msg = self.msg = m._key(self.n, self.window)
                 self.window = None
             self.p = m._profile_at(self.n)
             u = self.u = m._uniforms(msg)
@@ -323,10 +331,11 @@ class LayeredModel:
     always produce the identical LayerStep, which makes sessions replayable.
     With ``memo_capacity`` > 0 the model keeps the steps of that many most
     recently used contexts and hands a repeated context its stored step.
-    That memo and the table of transition rows' cumulative sums, filled a
-    row at a time as steps first need them (``_cdf_row``), are the only
-    state that changes after construction, and both are guarded by a lock,
-    so concurrent ``step`` calls from independent sessions are safe.
+    That memo with its steps' successor tables, and the table of transition
+    rows' cumulative sums, filled a row at a time as steps first need them
+    (``_cdf_row``), are the only state that changes after construction, and
+    all are written under a lock, so concurrent ``step`` calls from
+    independent sessions are safe.
     """
 
     def __init__(self, spec: ModelSpec, L: int, V: int, seed: int, memo_capacity: int = 0):
@@ -354,9 +363,11 @@ class LayeredModel:
         self._trans_argmax = np.argmax(self._transition, axis=1).tolist()
         self._cum_transition = np.cumsum(self._transition, axis=1)
         self._cum_transition.flags.writeable = False
-        # row r's cumulative sums as a list of floats once a step of row r
-        # has been made (``_cdf_row``), else None: the steps' ``target_cdf``
+        # row r's cumulative sums as a list of floats, and its view of the
+        # matrix, once a step of row r has been made (``_cdf_row``), else
+        # None: the steps' ``target_cdf`` and ``target``
         self._cdf_rows: list[list[float] | None] = [None] * V
+        self._target_rows: list[np.ndarray | None] = [None] * V
 
         if spec.kind == AGREEMENT:
             if spec.agreement_profile is None:
@@ -489,11 +500,12 @@ class LayeredModel:
 
     # -- public API --------------------------------------------------------
 
-    def step(self, context: Sequence[TokenId]) -> LayerStep:
+    def step(self, context: Sequence[TokenId], prev: LayerStep | None = None) -> LayerStep:
         """LM-head outputs of all L layers at the position after ``context``.
 
-        The target row is set at once, with its cumulative sums as a list
-        (``target_cdf``, from ``_cdf_row``): one list per transition row,
+        The target row is set at once, a read-only view of the transition
+        matrix that every step of the row shares, with its cumulative sums
+        as a list (``target_cdf``, from ``_cdf_row``): one list per row,
         built on the row's first step and shared by every later step of the
         row, so a model holds at most V lists of V floats (about 0.13 MB at
         V = 64). The exit layers' top tokens and
@@ -504,53 +516,119 @@ class LayeredModel:
         reads a round's steps' agreement and confidences in one block. Every
         kind, the deterministic toy included, makes its steps this way.
 
+        ``prev``, when given, must be this model's step of ``context[:-1]``
+        (checked in O(1): the same model and length n - 1, else
+        ValueError). If its key is packed, the new key is that key moved on
+        by one token (``_next_key``) instead of a pack of the whole window;
+        else, as for a memo-less step nobody has read, the step takes the
+        window path below and packs nothing.
+
         Without a memo the step keeps the context's last
         ``context_hash_window`` tokens as a slice (a copy of a list or
         tuple, so the step keeps nothing of the context itself), and the
         row packs its key (``_key``) at the first read; a step nobody
         reads packs none. With a memo the key is packed here, since the
         lookup needs it, and the model stores the step itself, so the
-        sessions sharing it fill each row once, whoever reads it first. A
-        step refers back to the model through its row; Python's cycle
-        collector frees that cycle when the model is dropped.
+        sessions sharing it fill each row once, whoever reads it first.
+        A memo step also keeps a successor table, ``{token: step}``, which
+        a step from it checks first: a hit that the memo still holds is
+        refreshed in the memo's recency order like any memo hit, and a
+        miss goes through the memo by key and is recorded. An evicted step
+        drops its table, so the steps alive are the memo's and at most one
+        level of successors of them. A step refers back to the model
+        through its row; Python's cycle collector frees that cycle when the
+        model is dropped.
+
+        A last token outside [0, V) raises the ConfigError that
+        ``argmax_chain`` raises.
         """
         n = len(context)
         if n == 0:
             raise ValueError("context must be non-empty")
         if n > self.spec.horizon:
             raise horizon_error(n, self.spec.horizon)
-        window = context[-self._hash_window:]
+        last = int(context[-1])
+        if not 0 <= last < self.V:
+            raise token_error(last, self.V)
         memo = self._memo
+        msg = None
+        if prev is not None:
+            row = prev._row
+            if row.model is not self or row.n != n - 1:
+                raise ValueError("prev must be this model's step of context[:-1]")
+            msg = row.msg
+            if msg is not None:
+                table = row.next
+                if table is not None:
+                    hit = table.get(last)
+                    if hit is not None:
+                        key = hit._row.msg
+                        # acquire and release: a with statement costs twice
+                        # as much, and this is the path most greedy steps take
+                        lock = self._lock
+                        lock.acquire()
+                        try:
+                            if memo.get(key) is hit:
+                                memo.move_to_end(key)
+                                return hit
+                        finally:
+                            lock.release()
+                msg = self._next_key(msg, n, last)
         if memo is not None:
-            msg = self._key(n, window)
-            with self._lock:
+            if msg is None:
+                msg = self._key(n, context[-self._hash_window:])
+            lock = self._lock
+            lock.acquire()
+            try:
                 hit = memo.get(msg)
                 if hit is not None:
                     memo.move_to_end(msg)
+                    if prev is not None:
+                        self._record(prev, last, hit)
                     return hit
-        last = int(context[-1])
+            finally:
+                lock.release()
         t_star = self._trans_argmax[last]
         cdf = self._cdf_rows[last]
         if cdf is None:
             cdf = self._cdf_row(last)
+        window = None if msg is not None else context[-self._hash_window:]
+        step = LayerStep(self._target_rows[last], cdf, t_star, self.L,
+                         _PendingRow(self, msg, window, n, t_star))
         if memo is None:
-            return LayerStep(self._transition[last], cdf, t_star, self.L,
-                             _PendingRow(self, None, window, n, t_star))
-        step = LayerStep(self._transition[last], cdf, t_star, self.L,
-                         _PendingRow(self, msg, None, n, t_star))
-        with self._lock:
+            return step
+        lock.acquire()
+        try:
             memo[msg] = step
-            # drop the least recently used beyond the capacity
+            # drop the least recently used beyond the capacity, and its table
             while len(memo) > self.memo_capacity:
-                memo.popitem(last=False)
+                memo.popitem(last=False)[1]._row.next = None
+            if prev is not None:
+                self._record(prev, last, step)
+        finally:
+            lock.release()
         return step
+
+    def _record(self, prev: LayerStep, token: TokenId, step: LayerStep) -> None:
+        """Enter ``step`` in ``prev``'s successor table under ``token``,
+        while the memo holds ``prev``: an evicted step gets no table. The
+        caller holds the lock."""
+        row = prev._row
+        if self._memo.get(row.msg) is prev:
+            if row.next is None:
+                row.next = {token: step}
+            else:
+                row.next[token] = step
 
     def _cdf_row(self, r: int) -> list[float]:
         """Transition row ``r``'s cumulative sums, ``np.cumsum``'s floats as
-        a list, built the first time a step of row ``r`` is made and kept."""
+        a list, built the first time a step of row ``r`` is made and kept;
+        the row's view of the matrix, which its steps share, is made with
+        it and set first, so a step that finds the list finds the view."""
         with self._lock:
             cdf = self._cdf_rows[r]
             if cdf is None:
+                self._target_rows[r] = self._transition[r]
                 cdf = self._cdf_rows[r] = self._cum_transition[r].tolist()
         return cdf
 
@@ -564,7 +642,7 @@ class LayeredModel:
             raise ValueError("context must be non-empty")
         tok = int(context[-1])
         if not 0 <= tok < self.V:
-            raise ConfigError(f"context token {tok!r} is outside [0, {self.V})")
+            raise token_error(tok, self.V)
         last_len = len(context) + n - 1
         if n > 0 and last_len > self.spec.horizon:
             raise horizon_error(max(len(context), self.spec.horizon + 1), self.spec.horizon)
@@ -620,6 +698,14 @@ class LayeredModel:
         if len(window) == self._hash_window:
             return self._pack_key(n, *window)
         return n.to_bytes(8, "little") + array("I", window).tobytes()
+
+    def _next_key(self, msg: bytes, n: int, token: TokenId) -> bytes:
+        """The key (``_key``) of a context of length ``n`` from ``msg``, the
+        key of its first n - 1 tokens, and ``token``, its last: the length,
+        then ``msg``'s window less its oldest token once that window is
+        full, then ``token``."""
+        cut = 12 if n > self._hash_window else 8
+        return b"".join((_LENGTH.pack(n), msg[cut:], _TOKEN.pack(token)))
 
     def _uniforms(self, msg: bytes, out: np.ndarray | None = None) -> np.ndarray:
         """The 3(L-1) uniforms of the position keyed by ``msg``: a blake2b
@@ -681,6 +767,11 @@ class LayeredModel:
 def horizon_error(n: int, horizon: int) -> ConfigError:
     """The error for a context of length ``n`` past ``model.horizon``."""
     return ConfigError(f"context length {n} exceeds horizon {horizon} (model.horizon)")
+
+
+def token_error(tok: TokenId, V: int) -> ConfigError:
+    """The error for a context whose last token is outside [0, V)."""
+    return ConfigError(f"context token {tok!r} is outside [0, {V})")
 
 
 def step_memo_capacity(cfg: SessionConfig) -> int:

@@ -138,9 +138,9 @@ class CallCountingModel:
     def __getattr__(self, name: str):
         return getattr(self.inner, name)
 
-    def step(self, context: Sequence[TokenId]) -> LayerStep:
+    def step(self, context: Sequence[TokenId], prev: LayerStep | None = None) -> LayerStep:
         self.calls += 1
-        return self.inner.step(context)
+        return self.inner.step(context, prev)
 
 
 class ScriptedModel:
@@ -160,7 +160,7 @@ class ScriptedModel:
         self.V = V
         self.L = 2
 
-    def step(self, context) -> LayerStep:
+    def step(self, context, prev=None) -> LayerStep:
         i = len(context) - self.base_len
         target = np.full(self.V, 0.1 / (self.V - 1))
         target[self.target_toks[i]] = 0.9

@@ -408,6 +408,59 @@ def test_sampling_sessions_draw_only_the_steps_they_read(policy, params, draws):
         assert len(draws) == model.calls == cfg.prefill_window + drafted + res.rounds
 
 
+class PrevCheckingModel(CallCountingModel):
+    """Wrapper that checks every ``prev`` it is given is the inner model's
+    step of ``context[:-1]``, by its key, and counts the steps given none;
+    ``plain`` drops every ``prev`` instead."""
+
+    def __init__(self, inner: LayeredModel, plain: bool = False):
+        super().__init__(inner)
+        self.plain = plain
+        self.without = 0
+        self.errors: list[str] = []
+
+    def step(self, context, prev=None):
+        if self.plain:
+            return super().step(context)
+        if prev is None:
+            self.without += 1
+            return super().step(context)
+        inner = self.inner
+        row = vars(prev)["_row"]
+        head = list(context[:-1])
+        key = row.msg if row.msg is not None else inner._key(row.n, row.window)
+        if row.model is not inner or key != inner._key(len(head), head[-inner._hash_window:]):
+            self.errors.append(f"prev of {list(context)} is not the step of its first tokens")
+        return super().step(context, prev)
+
+
+@pytest.mark.parametrize("mode", ["greedy", SAMPLING])
+def test_every_prev_the_engine_passes_is_the_step_of_the_context_before(mode):
+    from delsim.harness import run_session
+    from delsim.model import build_model
+
+    cfg = make_cfg(L=8, V=16, seed=5, max_new_tokens=48, prefill_window=6, d_max=6,
+                   decode_mode=mode)
+    # a 5-token window: the prompts fill it and the sessions slide it
+    spec = ModelSpec(kind="agreement", agreement_profile=(0.4, 0.9, 0.5, 0.3, 0.6, 0.2, 0.7, 1.0),
+                     context_hash_window=5)
+    policies = [("vanilla", {}), ("ls", {"exit_layer": 2, "gamma": 4}),
+                ("fs", {"exit_layer": 3, "gamma": 3}), ("dv", {"exit_layer": 2}), ("del", {})]
+    for name, params in policies:
+        checked = PrevCheckingModel(build_model(spec, cfg))
+        plain = PrevCheckingModel(build_model(spec, cfg), plain=True)
+        for i in range(3):
+            prompt = checked.sample_prompt(4 + 2 * i, np.random.default_rng(i))
+            got = run_session(checked, make_policy(name, cfg, **params), cfg, prompt, i)
+            want = run_session(plain, make_policy(name, cfg, **params), cfg, prompt, i)
+            assert (got.output, got.records) == (want.output, want.records)
+        assert checked.errors == []
+        assert checked.calls == plain.calls
+        # only a session's first step and the prefill window's first have no
+        # step before them to pass
+        assert checked.without == 3 * (1 + (name == "del"))
+
+
 @pytest.mark.parametrize("policy, params", [
     ("ls", {"exit_layer": 2, "gamma": 5}),
     ("del", {}),

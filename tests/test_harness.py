@@ -225,9 +225,9 @@ def test_omega_sweep_equals_per_omega_runs_and_steps_each_context_once(
     stepped: set[tuple] = set()
     real_step = LayeredModel.step
 
-    def step(self, context):
+    def step(self, context, prev=None):
         stepped.add(tuple(context))
-        return real_step(self, context)
+        return real_step(self, context, prev)
 
     monkeypatch.setattr(LayeredModel, "step", step)
     assert omega_sweep(spec, cfg, omegas, 4, 16) == expected

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import math
+import threading
 import weakref
 
 import numpy as np
@@ -323,8 +324,8 @@ def test_each_target_cdf_is_built_once_and_shared(monkeypatch):
         seen: list[tuple[int, LayerStep]] = []
         step = model.step
 
-        def recording(ctx):
-            seen.append((int(ctx[-1]), step(ctx)))
+        def recording(ctx, prev=None):
+            seen.append((int(ctx[-1]), step(ctx, prev)))
             return seen[-1][1]
 
         model.step = recording
@@ -524,16 +525,20 @@ def read_concurrently(memo, contexts, expected) -> list[str]:
     and every layer, the first read alternating between one layer and
     ``shadow``. Each read is compared bit for bit with ``expected``, the
     ``decoded`` arrays of each context, and each step's ``target_cdf`` must
-    be the model's one list for its row. Returns the errors."""
+    be the model's one list for its row. Half the threads step each context
+    from the step of its first tokens (``prev``), so they race on the
+    successor tables too. Returns the errors."""
     import sys
-    import threading
 
     errors: list[str] = []
 
     def worker(offset: int) -> None:
         try:
             for k, ctx in enumerate(contexts[offset:] + contexts[:offset]):
-                got = memo.step(ctx)
+                if offset % 2 and len(ctx) > 1:
+                    got = memo.step(ctx, memo.step(ctx[:-1]))
+                else:
+                    got = memo.step(ctx)
                 tops, conf = expected[tuple(ctx)]
                 # the memo hands out shared steps: threads race to fill a
                 # step's row, through one layer or through shadow first
@@ -577,15 +582,48 @@ def read_concurrently(memo, contexts, expected) -> list[str]:
     return errors
 
 
-def test_memo_is_safe_under_concurrent_steps():
+class OwnedLock:
+    """A lock that knows which thread holds it."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.owner = None
+
+    def acquire(self):
+        self._lock.acquire()
+        self.owner = threading.get_ident()
+        return True
+
+    __enter__ = acquire
+
+    def release(self):
+        self.owner = None
+        self._lock.release()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+def test_memo_is_safe_under_concurrent_steps(monkeypatch):
     spec = MEMO_SPECS["agreement"]
     plain = LayeredModel(spec, 4, 5, 11)
     memo = LayeredModel(spec, 4, 5, 11, memo_capacity=7)
+    # every successor-table entry is written by the thread holding the lock
+    memo._lock = OwnedLock()
+    recorded: list[str] = []
+    real = LayeredModel._record
+
+    def record(self, prev, token, step):
+        recorded.append("held" if self._lock.owner == threading.get_ident() else "not held")
+        real(self, prev, token, step)
+
+    monkeypatch.setattr(LayeredModel, "_record", record)
     # 40 contexts over a 7-entry memo: threads keep hitting, inserting and
     # evicting the same entries
     contexts = list(distinct_contexts(40, 5)) * 10
     expected = {tuple(c): decoded(plain.step(c)) for c in contexts}
     assert read_concurrently(memo, contexts, expected) == []
+    assert recorded and set(recorded) == {"held"}
 
 
 def test_no_read_changes_a_step(monkeypatch):
@@ -907,6 +945,154 @@ def test_argmax_chain_rejects_a_last_token_outside_the_vocabulary(last):
     with pytest.raises(ConfigError, match=name):
         vanilla_reference(model, make_cfg(L=4, V=8, max_new_tokens=4), [1, 2, last])
     assert model.argmax_chain([1, 2, 7], 4) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("capacity", [0, 4])
+@pytest.mark.parametrize("last", [-1, 8])
+@pytest.mark.parametrize("length", [2, 5])
+def test_step_rejects_a_last_token_outside_the_vocabulary(capacity, last, length):
+    # with a 3-token window, a 2-token context's window is short and a
+    # 5-token one's full; -1 would read transition row V - 1 and 8 no row
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.5, 0.5, 1.0), context_hash_window=3)
+    model = LayeredModel(spec, 4, 8, 1, memo_capacity=capacity)
+    ctx = [1, 2, 3, 4][: length - 1] + [last]
+    name = rf"context token {last} is outside \[0, 8\)"
+    with pytest.raises(ConfigError, match=name):
+        model.step(ctx)
+    prev = model.step(ctx[:-1])
+    # from a step whose key is not packed yet (without a memo), and from
+    # one whose key is, which takes the successor path
+    for read in (False, True):
+        if read:
+            prev.layer(1)
+        with pytest.raises(ConfigError, match=name):
+            model.step(ctx, prev)
+    assert vars(prev)["_row"].next is None
+    assert model.step(ctx[:-1] + [7], prev).target_token == model._trans_argmax[7]
+
+
+def key_of(step: LayerStep) -> bytes:
+    """The key a model's step draws its row by, without filling the row."""
+    row = vars(step)["_row"]
+    return row.msg if row.msg is not None else row.model._key(row.n, row.window)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KIND_SPECS)),
+    capacity=st.sampled_from([0, 1, 3, 64]),
+    # with a 3-token window, a walk from a 1- or 2-token prompt steps
+    # contexts of length w - 1, w and w + 1
+    prompt=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+    walk=st.lists(st.tuples(st.integers(0, 4), st.booleans()), min_size=1, max_size=8),
+)
+def test_a_step_from_its_prev_equals_a_fresh_step(kind, capacity, prompt, walk):
+    L, V = 4, 5
+    spec = _path_spec(kind, L, 3)
+    model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
+    pairs = []
+    # the walk runs twice, so with a memo the second one hits the tables
+    for _ in range(2):
+        ctx = list(prompt)
+        prev = model.step(ctx)
+        for tok, read in walk:
+            if read:
+                # a read step's key is packed: its successor's moves it on
+                prev.layer(1)
+            ctx.append(tok)
+            got = model.step(ctx, prev)
+            want = LayeredModel(spec, L, V, 3).step(list(ctx))
+            assert key_of(got) == key_of(want) == model._key(len(ctx), ctx[-3:])
+            assert got.target.base is model._transition
+            assert np.array_equal(got.target, want.target)
+            assert got.target_token == want.target_token
+            assert got.target_cdf is model._cdf_rows[tok]
+            assert got.target_cdf == want.target_cdf
+            pairs.append((got, want))
+            prev = got
+    # read after the walks, so that the reads above alone decide which
+    # steps had packed keys when their successors were made
+    for got, want in pairs:
+        for x, y in zip(decoded(got), decoded(want)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("capacity", [0, 4])
+def test_a_prev_of_another_model_or_length_raises(capacity):
+    spec = MEMO_SPECS["agreement"]
+    model = LayeredModel(spec, 4, 5, 11, memo_capacity=capacity)
+    twin = LayeredModel(spec, 4, 5, 11, memo_capacity=capacity)
+    prev = model.step([1, 2])
+    prev.layer(1)
+    for ctx, other in (([1, 2, 3], twin.step([1, 2])), ([1, 2, 3, 4], prev), ([1, 2], prev),
+                       ([1, 2, 3], model.step([1]))):
+        with pytest.raises(ValueError, match="prev must be this model's step of context"):
+            model.step(ctx, other)
+    assert key_of(model.step([1, 2, 3], prev)) == key_of(twin.step([1, 2, 3]))
+
+
+def test_an_evicted_step_drops_its_successor_table():
+    cfg = make_cfg(L=6, V=8)
+    model = agreement_model(cfg, (0.5,) * 5 + (1.0,), memo_capacity=3)
+    first = model.step([1])
+    second = model.step([1, 2], first)
+    first_row = vars(first)["_row"]
+    assert first_row.next == {2: second}
+    assert model.step([1, 2], first) is second
+    # [1, 2] leaves the memo and [1] stays: its table still names the
+    # evicted step, which it no longer hands out
+    model.step([1])
+    model.step([5])
+    model.step([1])
+    model.step([6])
+    assert list(model._memo) == [model._key(1, [5]), key_of(first), model._key(1, [6])]
+    assert vars(second)["_row"].next is None
+    # [1, 2] stepped afresh: stepping it from [1] hands out the memo's step
+    third = model.step([1, 2])
+    assert third is not second and key_of(third) == key_of(second)
+    assert model.step([1, 2], first) is third and first_row.next == {2: third}
+    # once [1] leaves too, its table is dropped, and a step made from an
+    # evicted step gives it none
+    for ctx in ([5], [6], [7]):
+        model.step(ctx)
+    assert first not in model._memo.values() and first_row.next is None
+    assert third not in model._memo.values()
+    model.step([1, 2, 3], third)
+    fourth = model.step([1, 2], first)
+    assert vars(third)["_row"].next is None and first_row.next is None
+    assert model._memo[key_of(fourth)] is fourth
+
+
+def test_live_steps_stay_within_the_memo_and_one_level_of_successors():
+    cfg = make_cfg(L=6, V=8, max_new_tokens=40, prefill_window=6)
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.9, 0.6, 0.9, 0.3, 0.5, 1.0),
+                     context_hash_window=6)
+    model = harness.build_model(spec, cfg)
+    policies = [("vanilla", {}), ("ls", {"exit_layer": 1, "gamma": 4}),
+                ("fs", {"exit_layer": 3, "gamma": 3}), ("dv", {"exit_layer": 1}), ("del", {})]
+    for i, prompt in enumerate(harness.make_prompts(model, cfg, 12, 8)):
+        for name, params in policies:
+            harness.run_session(model, make_policy(name, cfg, **params), cfg, prompt, i)
+    # sessions walk a path in order, so a step leaves the memo after the one
+    # before it; random walks from short prompts over three tokens refresh
+    # short contexts while their longer successors leave
+    rng = np.random.default_rng(0)
+    for _ in range(400):
+        ctx = rng.integers(0, 3, rng.integers(1, 3)).tolist()
+        prev = model.step(ctx)
+        for tok in rng.integers(0, 3, rng.integers(1, 6)).tolist():
+            ctx.append(tok)
+            prev = model.step(ctx, prev)
+    gc.collect()
+    live = {id(o): o for o in gc.get_objects()
+            if type(o) is LayerStep and vars(o)["_row"].model is model}
+    held = {id(s) for s in model._memo.values()}
+    successors = {id(t) for s in model._memo.values()
+                  for t in (vars(s)["_row"].next or {}).values()}
+    assert len(held) == model.memo_capacity and successors - held
+    assert set(live) <= held | successors
+    # only the memo's steps keep tables, so no chain of evicted steps lives on
+    assert all(vars(s)["_row"].next is None for k, s in live.items() if k not in held)
 
 
 def _path_spec(kind: str, L: int, window: int) -> ModelSpec:
