@@ -14,7 +14,7 @@ import numpy as np
 
 from .config import GREEDY, SessionConfig
 from .model import horizon_error
-from .types import InvariantViolation, LayerStep, TokenId, sample_cdf, sample_exit, sample_index
+from .types import InvariantViolation, LayerStep, TokenId, sample_cdf, sample_exit, sample_weights
 
 
 class DraftPlan(NamedTuple):
@@ -184,8 +184,9 @@ def verify_greedy(tok: TokenId, target_token: TokenId) -> TokenId | None:
 
 def _residual(p_row: np.ndarray, top: TokenId, conf: float) -> np.ndarray:
     """max(0, p - q) for the exit row q with confidence ``conf`` on ``top``,
-    as a new array, built in place without the row: the same floats as
-    ``np.maximum(p_row - exit_distribution(top, conf, V), 0.0)``."""
+    unnormalized, as a new array built in place without the row: the same
+    floats as ``np.maximum(p_row - exit_distribution(top, conf, V), 0.0)``,
+    which a rejection draws from as weights (``sample_weights``)."""
     residual = p_row - (1.0 - conf) / (p_row.size - 1)
     residual[top] = p_row[top] - conf
     return np.maximum(residual, 0.0, out=residual)
@@ -202,7 +203,9 @@ def verify_sampling(tok: TokenId, q_row: tuple[TokenId, float], p_row: np.ndarra
     probability min(1, p(x)/q(x)); a rejection returns a sample of the
     normalized positive residual max(0, p - q), which the round emits in
     its place. The residual is built from ``p_row`` and the pair alone
-    (``_residual``).
+    (``_residual``) and never normalized: ``sample_weights`` draws from its
+    running sums, with one uniform, the index that ``sample_index`` draws
+    from the normalized residual.
     """
     top, conf = q_row
     size = p_row.size
@@ -213,13 +216,12 @@ def verify_sampling(tok: TokenId, q_row: tuple[TokenId, float], p_row: np.ndarra
     if rng.random() < min(1.0, p / q):
         return None
     residual = _residual(p_row, top, conf)
-    total = float(residual.sum())
-    if total <= 0.0:
+    try:
+        return sample_weights(residual, rng)
+    except ValueError:
         # p == q with all mass on the drafted token is accepted by the
         # min(1, .) rule, so a zero residual is unreachable
-        raise InvariantViolation("zero residual distribution at rejection")
-    residual /= total
-    return sample_index(residual, rng)
+        raise InvariantViolation("zero residual distribution at rejection") from None
 
 
 def run_round(

@@ -18,9 +18,12 @@ class InvariantViolation(AssertionError):
 
 def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from a probability vector (an array) via inverse CDF,
-    with the vector's own ``cumsum``. The rounds use it for the rejection
-    residual, a new array each time; a target row's draw reads the row's
-    cumulative sums, which its model keeps, with ``sample_cdf``."""
+    with the vector's own ``cumsum``, capped at its last index. This is the
+    definition the rounds' draws reproduce without it: a target row's draw
+    reads the row's cumulative sums, which its model keeps
+    (``sample_cdf``), a drafted token's the exit row's closed form
+    (``sample_exit``), and a rejection's the raw residual's running sums
+    (``sample_weights``)."""
     return _search(probs, rng.random())
 
 
@@ -72,6 +75,38 @@ def sample_exit(token: TokenId, conf: float, size: int, u: float) -> int:
     if u - lo <= tol or hi - u <= tol:
         return _search(exit_distribution(token, conf, size), u)
     return min(idx, size - 1)
+
+
+def sample_weights(weights: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an index from finite non-negative weights (an array) that do
+    not all vanish: the index ``sample_index`` draws from ``weights /
+    weights.sum()``, from the same single uniform, without normalizing.
+
+    The uniform times the weights' total is searched in their running sums.
+    A draw that falls within rounding distance of a step, or past the last,
+    searches the normalized weights instead. Weights that sum to 0 raise
+    ValueError before the uniform is drawn.
+    """
+    cum = np.add.accumulate(weights)
+    total = cum.item(-1)
+    if not total > 0.0:
+        raise ValueError("the weights sum to 0")
+    u = rng.random()
+    t = u * total
+    idx = int(cum.searchsorted(t, "right"))
+    size = cum.size
+    # The normalized weights' cumsum, which sample_index searches, and these
+    # running sums divided by their last differ by at most about
+    # (2 * size + 10) * eps over [0, 1]: each side rounds size - 1 additions
+    # in its running sums and as many in its total, and the normalized side
+    # size divisions. So a t within tol of a running sum, about twice that
+    # bound times the total, searches the normalized weights. (A total
+    # below the smallest normal double is summed exactly, and t and tol then
+    # round to whole multiples of the least double, which keeps the bound.)
+    tol = (2 * size + 4) * _STEP_ULPS * total
+    if idx < size and cum.item(idx) - t > tol and (idx == 0 or t - cum.item(idx - 1) > tol):
+        return idx
+    return _search(weights / float(weights.sum()), u)
 
 
 class LayerStep:

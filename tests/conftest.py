@@ -128,6 +128,19 @@ def draws(monkeypatch) -> list[bytes]:
     return keys
 
 
+class ScriptedUniforms:
+    """An rng stub whose ``random()`` returns the given uniforms in turn,
+    counting the calls."""
+
+    def __init__(self, *uniforms: float):
+        self.uniforms = uniforms
+        self.calls = 0
+
+    def random(self) -> float:
+        self.calls += 1
+        return self.uniforms[self.calls - 1]
+
+
 class CallCountingModel:
     """Wrapper that counts ``step`` invocations; used to audit policies."""
 

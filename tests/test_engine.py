@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import CallCountingModel, ScriptedModel, agreement_model, make_cfg, toy_model
+from conftest import CallCountingModel, ScriptedModel, ScriptedUniforms, agreement_model, make_cfg, toy_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import reference_verify_sampling
 
+from delsim import types
 from delsim.config import SAMPLING, ConfigError
 from delsim.engine import (
     CostLedger,
@@ -139,23 +143,6 @@ def test_verify_sampling_forced_acceptance_when_q_is_one_hot_target():
     assert verify_sampling(0, (0, 1.0), p, np.random.default_rng(0)) is None
 
 
-def reference_verify_sampling(tok, q_row, p_row, rng):
-    """Speculative sampling verification with the residual taken against
-    the exit row itself, built by ``exit_distribution``."""
-    top, conf = q_row
-    size = p_row.size
-    q = conf if tok == top else (1.0 - conf) / (size - 1)
-    if q <= 0.0:
-        raise InvariantViolation("drafted token has zero draft probability")
-    if rng.random() < min(1.0, float(p_row[tok]) / q):
-        return None
-    residual = np.maximum(p_row - exit_distribution(top, conf, size), 0.0)
-    total = float(residual.sum())
-    if total <= 0.0:
-        raise InvariantViolation("zero residual distribution at rejection")
-    return sample_index(residual / total, rng)
-
-
 @st.composite
 def verify_cases(draw):
     """A target row with zeros among its entries, an exit row's (top token,
@@ -189,6 +176,84 @@ def test_in_place_residual_and_verification_match_the_exit_row_formula(case):
             result = str(e)
         outcomes.append((result, rng.bit_generator.state))
     assert outcomes[0] == outcomes[1]
+
+
+@st.composite
+def rejection_cases(draw):
+    """A target row, a Dirichlet draw or a table row with runs of zeros at
+    either end; an exit row's (top token, confidence) pair, the confidence
+    from the 1/V + 1e-9 floor to 1 and the top token at 0, at V - 1 or the
+    drafted token; and a drafted token with p < q when the row has one, so
+    that verification can reject it."""
+    V = draw(st.integers(2, 257), label="V")
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="row seed"))
+    if draw(st.booleans(), label="dirichlet"):
+        p = gen.dirichlet(np.full(V, draw(st.floats(0.01, 10.0), label="concentration")))
+    else:
+        lead = draw(st.integers(0, V - 1), label="leading zeros")
+        trail = draw(st.integers(0, V - 1 - lead), label="trailing zeros")
+        weights = np.zeros(V)
+        weights[lead:V - trail] = 1.0 - gen.random(V - lead - trail)
+        p = weights / weights.sum()
+    p.setflags(write=False)
+    conf = draw(st.floats(1.0 / V + 1e-9, 1.0), label="conf")
+    top = draw(st.sampled_from([0, V - 1, None]), label="top token (None: the drafted one)")
+    # q of each token as a drafted token
+    q = np.full(V, conf) if top is None else exit_distribution(top, conf, V)
+    rejectable = np.flatnonzero(p < q).tolist()
+    tok = draw(st.sampled_from(rejectable or list(range(V))), label="drafted token")
+    return p, tok if top is None else top, conf, tok
+
+
+@settings(max_examples=80, deadline=None)
+@given(rejection_cases(), st.integers(0, 2**32 - 1))
+def test_certified_rejection_draws_equal_the_normalized_residual_reference(case, seed):
+    # A rejection draws from the raw residual's running sums and falls back
+    # to searching the normalized residual next to a step. Its uniform is
+    # forced onto every step of the normalized residual's cumsum, the
+    # doubles up to two ulps either side, the middle of each step, 0, the
+    # largest uniform a generator draws and 1, past every step.
+    p, top, conf, tok = case
+    V = p.size
+    residual = np.maximum(p - exit_distribution(top, conf, V), 0.0)
+    uniforms = [0.0, 1.0 - 2.0**-53, 1.0]
+    if residual.sum() > 0.0:
+        steps = (residual / residual.sum()).cumsum()
+        near = [steps, (np.concatenate(([0.0], steps[:-1])) + steps) / 2]
+        below = above = steps
+        for _ in range(2):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 2.0)
+            near += [below, above]
+        near = np.concatenate(near)
+        uniforms += near[(near >= 0.0) & (near < 1.0)].tolist()
+    reject = 1.0 - 2.0**-53  # rejects every drafted token with p < q
+    searches: list[float] = []
+    real_search = types._search
+
+    def counting_search(probs, u):
+        searches.append(u)
+        return real_search(probs, u)
+
+    draws = fallbacks = 0
+    with mock.patch.object(types, "_search", counting_search):
+        for u in uniforms:
+            want_rng, got_rng = ScriptedUniforms(reject, u), ScriptedUniforms(reject, u)
+            want = reference_verify_sampling(tok, (top, conf), p, want_rng)
+            before = len(searches)
+            got = verify_sampling(tok, (top, conf), p, got_rng)
+            assert got == want and got_rng.calls == want_rng.calls, u
+            if got is not None:
+                assert 0 <= got < V
+                draws += 1
+                fallbacks += len(searches) > before
+    if draws:
+        # a uniform on a step always falls back, one mid-step never does
+        assert 0 < fallbacks < draws
+    # a real generator: the same tokens and the same state after the calls
+    a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert verify_sampling(tok, (top, conf), p, a) == reference_verify_sampling(tok, (top, conf), p, b)
+    assert a.bit_generator.state == b.bit_generator.state
 
 
 # -- run_round ----------------------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     CallCountingModel,
+    ScriptedUniforms,
     agreement_model,
     decoded,
     fixed_step,
@@ -249,16 +250,6 @@ def test_sample_prompt_deterministic_and_in_range():
 # -- cached target CDFs ---------------------------------------------------------
 
 
-class OneUniform:
-    """A generator stand-in whose ``random()`` returns ``u``."""
-
-    def __init__(self, u: float):
-        self.u = u
-
-    def random(self) -> float:
-        return self.u
-
-
 def cdf_model(kind: str, V: int, conc: float, seed: int) -> LayeredModel:
     """An L=3 model of ``V`` tokens whose transition rows come from the base
     process ``kind``: a Dirichlet of concentration ``conc``, uniform, a
@@ -297,8 +288,8 @@ def test_cached_target_draws_equal_sample_index(data, kind, V, conc, seed):
         picks = data.draw(st.lists(st.integers(0, V - 1), max_size=4))
         randoms = data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=4))
         for u in randoms + [cdf[i] for i in picks] + [0.0, 1.0 - 2.0**-53]:
-            got = sample_cdf(cdf, OneUniform(u))
-            assert got == sample_index(step.target, OneUniform(u)), u
+            got = sample_cdf(cdf, ScriptedUniforms(u))
+            assert got == sample_index(step.target, ScriptedUniforms(u)), u
             if u >= cdf[-1]:
                 assert got == V - 1
         # a real generator: the same index and the same state after the draw

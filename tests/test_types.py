@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from conftest import fixed_step
+from conftest import ScriptedUniforms, fixed_step
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsim.config import ConfigError
 from delsim.model import AGREEMENT, LayeredModel, ModelSpec
-from delsim.types import PROB_SUM_TOL, exit_distribution, sample_exit, sample_index
+from delsim.types import PROB_SUM_TOL, exit_distribution, sample_exit, sample_index, sample_weights
 
 
 def table_model(row, L=3):
@@ -86,20 +86,8 @@ def test_layer_step_accessors():
             exit_distribution(*ls.layer(ell), 2)
 
 
-class FixedUniform:
-    """An rng stub whose ``random()`` returns ``u``, counting the calls."""
-
-    def __init__(self, u: float):
-        self.u = u
-        self.calls = 0
-
-    def random(self) -> float:
-        self.calls += 1
-        return self.u
-
-
 def exit_draws_agree(token, conf, V, u):
-    want = FixedUniform(u)
+    want = ScriptedUniforms(u)
     assert sample_exit(token, conf, V, u) == sample_index(exit_distribution(token, conf, V), want)
     assert want.calls == 1
 
@@ -125,3 +113,28 @@ def test_sample_exit_at_full_confidence_returns_the_token():
             for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
                 assert sample_exit(token, 1.0, V, u) == token
                 exit_draws_agree(token, 1.0, V, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=1, max_size=96),
+       scale=st.sampled_from([2.0**-1074, 2.0**-1060, 2.0**-1030, 2.0**-1000, 1.0, 2.0**900]),
+       uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=10))
+def test_sample_weights_equals_sampling_the_normalized_weights(weights, scale, uniforms):
+    # weights with zeros, at scales from the least double up, totals below
+    # the smallest normal double included
+    w = np.array(weights) * scale
+    if not w.sum() > 0.0:
+        rng = ScriptedUniforms(0.5)
+        with pytest.raises(ValueError):
+            sample_weights(w, rng)
+        assert rng.calls == 0
+        return
+    # every step of the normalized cumsum and the doubles on either side
+    steps = (w / w.sum()).cumsum()
+    near = np.concatenate([steps, np.nextafter(steps, 0.0), np.nextafter(steps, 2.0)])
+    for u in uniforms + [0.0, np.nextafter(1.0, 0.0), 1.0] + near[(near >= 0.0) & (near <= 1.0)].tolist():
+        got, want = ScriptedUniforms(u), ScriptedUniforms(u)
+        assert sample_weights(w, got) == sample_index(w / w.sum(), want), u
+        assert got.calls == want.calls == 1
+
+
