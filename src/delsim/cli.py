@@ -8,6 +8,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -120,7 +122,8 @@ def build_parser() -> _Parser:
                         help="run the dynamic policy across decay factors")
     om.add_argument("--omegas", default="0.5,0.6,0.7,0.8,0.9,0.95,1.0")
 
-    rep = sub.add_parser("replay", help="recompute eTPL from traces and verify the summary")
+    rep = sub.add_parser("replay", help="check the summary against the traces, then re-run "
+                                        "the directory's config.json and byte-compare every file")
     rep.add_argument("--dir", required=True, help="output directory of a previous run")
 
     return p
@@ -366,10 +369,43 @@ def cmd_omega_sweep(args) -> int:
     return 0
 
 
+def _rerun_mismatches(out: Path) -> list[str]:
+    """Re-run ``out/config.json`` as ``delsim run --config`` does, into a
+    temporary directory, and name each file the two trees do not share byte
+    for byte, with the first line that differs. A config the re-run rejects
+    is a mismatch naming it."""
+    config = out / "config.json"
+    with tempfile.TemporaryDirectory() as tmp:
+        args = build_parser().parse_args(["run", f"--config={config}", f"--out={tmp}"])
+        try:
+            run_cfg, cfg, spec, n_prompts, prompt_len, rerun = _inputs(args)
+            policies = _policy_specs(args, run_cfg, cfg)
+            run_experiment(spec, cfg, policies, n_prompts, prompt_len, rerun)
+        except ConfigError as e:
+            return [f"{config}: the re-run rejects it: {e}"]
+        trees = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+                 for root in (out, rerun)]
+        errors = []
+        for rel in sorted(trees[0] | trees[1]):
+            if rel not in trees[1]:
+                errors.append(f"{out / rel}: the re-run writes no such file")
+            elif rel not in trees[0]:
+                errors.append(f"{out / rel}: missing; the re-run writes it")
+            else:
+                # split at each newline, so that equal lines mean equal bytes
+                lines = zip_longest(*((root / rel).read_bytes().split(b"\n")
+                                      for root in (out, rerun)))
+                diff = next(((i, a, b) for i, (a, b) in enumerate(lines, 1) if a != b), None)
+                if diff is not None:
+                    errors.append("{} line {}: {!r} != re-run {!r}".format(out / rel, *diff))
+        return errors
+
+
 def cmd_replay(args) -> int:
-    if not Path(args.dir).is_dir():
+    out = Path(args.dir)
+    if not out.is_dir():
         raise ConfigError(f"--dir {args.dir} is not a directory")
-    errors = replay_check(args.dir)
+    errors = replay_check(out) or _rerun_mismatches(out)
     if errors:
         for e in errors:
             print(f"replay mismatch: {e}", file=sys.stderr)

@@ -204,8 +204,8 @@ def verify_sampling(tok: TokenId, q_row: tuple[TokenId, float], p_row: np.ndarra
     normalized positive residual max(0, p - q), which the round emits in
     its place. The residual is built from ``p_row`` and the pair alone
     (``_residual``) and never normalized: ``sample_weights`` draws from its
-    running sums, with one uniform, the index that ``sample_index`` draws
-    from the normalized residual.
+    running sums, with one uniform, the index that the normalized-vector
+    search (``types._search``) finds in the normalized residual.
     """
     top, conf = q_row
     size = p_row.size

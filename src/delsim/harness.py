@@ -133,7 +133,6 @@ def run_experiment(
     n_prompts: int,
     prompt_len: int,
     out_dir: str | Path | None = None,
-    check_losslessness: bool = True,
 ) -> list[RunReport]:
     """Run every (policy, prompt) pair, write traces and summary tables.
 
@@ -169,7 +168,7 @@ def run_experiment(
     by_policy: list[list[RunReport]] = [[] for _ in policy_specs]
     for i, prompt in enumerate(prompts):
         reference = None
-        if check_losslessness and cfg.decode_mode == GREEDY:
+        if cfg.decode_mode == GREEDY:
             reference = vanilla_reference(model, cfg, prompt)
         for (name, params), policy_reports in zip(policy_specs, by_policy):
             policy = make_policy(name, cfg, **params)
@@ -213,16 +212,13 @@ SUMMARY_FIELDS = (
 )
 
 
-# JSON's number, each optional part written as an empty alternative: re
-# matches that about twice as fast as ``?``
-_NUMBER = r"(?:-|)(?:0|[1-9][0-9]*)(?:\.[0-9]+|)(?:[eE][+-]?[0-9]+|)"
 # a trace record's fields in the order ``run_session`` writes them, each
 # with the text its value takes in a line: the round's counts, the plan's
 # threshold, then the policy's last estimate and window index. Every value
 # is its exact JSON but the estimate, a list whose entries are printed at
 # six significant digits (``_alpha_template``); the record keeps them at
 # full precision. A line's pattern matches the estimate by its characters
-# only; ``_first_bad_estimate`` checks that it is a list of JSON numbers
+# only: ``delsim replay`` proves its values by re-running the directory
 TRACE_LAYOUT = (
     ("round", r"\d+"),
     ("E", r"\d+"),
@@ -326,11 +322,9 @@ def write_aggregate(path: Path, reports: Sequence[RunReport], cfg: SessionConfig
         w.writerows(rows)
 
 
-# an estimate's text: a list of JSON numbers, one space after each comma
-_ESTIMATE = re.compile(rf"\[(?:{_NUMBER}(?:, {_NUMBER})*|)\]")
-# a line as ``write_trace`` lays it out, its two totals and the estimate's
-# text as named groups; the other fields are matched, not decoded
-_GROUPS = ("emitted_len", "layers_loaded", "alpha_snapshot")
+# a line as ``write_trace`` lays it out, its two totals as named groups;
+# the other fields are matched, not decoded
+_GROUPS = ("emitted_len", "layers_loaded")
 _RECORD = re.compile(
     r"\{"
     + ", ".join(
@@ -343,75 +337,11 @@ _RECORD = re.compile(
 )
 
 
-def _all_numbers(texts: Sequence[str]) -> bool:
-    """True only if every one of ``texts`` is a list of JSON numbers as
-    ``_ESTIMATE`` reads one; False if one is not, or if a number has a run
-    of more than 31 digits, which this does not follow. Each text must
-    match the estimate's pattern in ``TRACE_LAYOUT``.
-
-    One pass of numpy operations over the texts end to end, a few dozen
-    cheap operations per character where a regular expression spends
-    about 100 ns per number. A number is
-    -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? exactly when: a '.'
-    sits between digits; an e follows a digit and precedes a digit or a
-    sign; a '+' follows an e and a '-' an e or the number's start, each
-    followed by a digit; a 0 that starts the integer part is not followed
-    by a digit; and the digits before a '.' do not follow a '.' or the
-    exponent, nor the digits before an e the exponent."""
-    # between a ']' before and a '[' after, as between two texts
-    x = np.frombuffer(("]]" + "".join(texts) + "[").encode("ascii"), np.uint8)
-    digit = (x >= 48) & (x <= 57)
-    dot, exp, plus, minus = x == 46, (x | 32) == 101, x == 43, x == 45
-    comma, space, opens, closes = x == 44, x == 32, x == 91, x == 93
-    numeral = digit | dot | exp | plus | minus
-    starts = opens | space  # what precedes a number
-    p, c, n = slice(1, -2), slice(2, -1), slice(3, None)
-    bad = dot[c] & ~(digit[p] & digit[n])
-    bad |= exp[c] & ~(digit[p] & (digit | plus | minus)[n])
-    bad |= plus[c] & ~(exp[p] & digit[n])
-    bad |= minus[c] & ~((starts | exp)[p] & digit[n])
-    bad |= comma[c] & ~(numeral[p] & space[n])
-    bad |= space[c] & ~(comma[p] & numeral[n])
-    bad |= opens[c] & ~(closes[p] & (numeral | closes)[n])
-    bad |= closes[c] & ~((numeral | opens)[p] & opens[n])
-    # a leading 0, after a start or after a '-' that follows one
-    leads = starts[p] | (minus[p] & starts[:-3])
-    bad |= leads & (x[c] == 48) & digit[n]
-    # what each run of digits follows: 0 unknown, 1 a start or a leading
-    # '-', 2 a '.', 3 an e or its sign; filled rightwards into the run
-    # by doubling, so runs of up to 31 digits are known
-    after = (~digit).view(np.uint8) + dot + exp + exp
-    signed = (plus | minus)[1:] & exp[:-1]
-    after[1:] += signed
-    after[1:] += signed
-    for k in (1, 2, 4, 8, 16):
-        after[k:] |= after[:-k] & -(after[k:] == 0).view(np.uint8)
-    before = after[p]
-    bad |= (dot | exp)[c] & (before == 0)
-    bad |= dot[c] & (before >= 2)
-    bad |= exp[c] & (before == 3)
-    return not bad.any()
-
-
-def _first_bad_estimate(texts: Sequence[str]) -> int | None:
-    """The index of the first of ``texts`` that is not a list of JSON
-    numbers (``_ESTIMATE``), or None: all of them at once when
-    ``_all_numbers`` can tell, else one by one."""
-    # a few dozen texts at a time, so that each array stays in cache
-    if all(_all_numbers(texts[i : i + 32]) for i in range(0, len(texts), 32)):
-        return None
-    return next((i for i, text in enumerate(texts) if _ESTIMATE.fullmatch(text) is None), None)
-
-
 def trace_totals(path: Path) -> tuple[int, int]:
     """Summed ``emitted_len`` and ``layers_loaded`` over a trace's records.
     A line that is not a whole record raises ValueError naming the trace
-    and the first such line. The estimates are checked together once the
-    lines have been read (``_first_bad_estimate``)."""
+    and the first such line."""
     tokens = layers = 0
-    estimates: list[str] = []
-    where: list[int] = []
-    broken = None
     with path.open() as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
@@ -419,19 +349,9 @@ def trace_totals(path: Path) -> tuple[int, int]:
                 continue
             m = _RECORD.fullmatch(line)
             if m is None:
-                broken = lineno
-                break
+                raise ValueError(f"{path} line {lineno}: not a whole trace record")
             tokens += int(m["emitted_len"])
             layers += int(m["layers_loaded"])
-            alpha = m["alpha_snapshot"]
-            if alpha is not None:
-                estimates.append(alpha)
-                where.append(lineno)
-    bad = _first_bad_estimate(estimates)
-    if bad is not None:
-        broken = where[bad]
-    if broken is not None:
-        raise ValueError(f"{path} line {broken}: not a whole trace record")
     return tokens, layers
 
 
@@ -439,6 +359,8 @@ def replay_check(out_dir: str | Path) -> list[str]:
     """Recompute each run's totals from its trace and cross-check the summary.
 
     Returns a list of mismatch descriptions (empty when everything matches).
+    It reads only the totals; ``delsim replay`` then re-runs the directory
+    to prove every other field.
     """
     out = Path(out_dir)
     summary = out / "summary.csv"

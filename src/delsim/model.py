@@ -760,7 +760,7 @@ class LayeredModel:
         out = [int(rng.integers(self.V))]
         cum, top = self._cum_transition, self.V - 1
         for u in rng.random(length - 1).tolist():
-            out.append(min(int(cum[out[-1]].searchsorted(u, side="right")), top))
+            out.append(min(int(cum[out[-1]].searchsorted(u, "right")), top))
         return out
 
 

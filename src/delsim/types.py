@@ -16,27 +16,21 @@ class InvariantViolation(AssertionError):
     """A runtime contract was broken (losslessness, replay mismatch, ...)."""
 
 
-def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Draw an index from a probability vector (an array) via inverse CDF,
-    with the vector's own ``cumsum``, capped at its last index. This is the
-    definition the rounds' draws reproduce without it: a target row's draw
-    reads the row's cumulative sums, which its model keeps
-    (``sample_cdf``), a drafted token's the exit row's closed form
-    (``sample_exit``), and a rejection's the raw residual's running sums
-    (``sample_weights``)."""
-    return _search(probs, rng.random())
-
-
 def sample_cdf(cdf: list[float], rng: np.random.Generator) -> int:
     """Draw an index from a distribution given as its cumulative sums (a
     list of floats, such as ``LayerStep.target_cdf``): the index that
-    ``sample_index`` returns for the distribution whose ``cumsum`` is
-    ``cdf``, from the same single uniform, found by ``bisect``."""
+    ``_search`` finds in the distribution whose ``cumsum`` is ``cdf``, from
+    the same single uniform, by ``bisect``."""
     return min(bisect_right(cdf, rng.random()), len(cdf) - 1)
 
 
 def _search(probs: np.ndarray, u: float) -> int:
-    idx = int(probs.cumsum().searchsorted(u, side="right"))
+    """The index of a probability vector (an array) whose step of the
+    vector's own ``cumsum`` holds the uniform ``u``, capped at its last
+    index: the inverse-CDF draw that ``sample_cdf``, ``sample_exit`` and
+    ``sample_weights`` each reproduce from the same uniform, and the search
+    the last two fall back to near a step."""
+    idx = int(probs.cumsum().searchsorted(u, "right"))
     return min(idx, len(probs) - 1)
 
 
@@ -49,8 +43,8 @@ _STEP_ULPS = 2.0 * np.finfo(np.float64).eps
 
 def sample_exit(token: TokenId, conf: float, size: int, u: float) -> int:
     """The index of ``exit_distribution(token, conf, size)`` whose CDF step
-    holds the uniform ``u``, as ``sample_index`` finds it for a generator
-    that draws ``u``, without building the row.
+    holds the uniform ``u``, the index ``_search`` finds in that row, read
+    off its closed-form CDF without building it.
 
     The row's CDF is closed form: steps of r = (1 - conf) / (size - 1) up to
     ``token * r``, then ``conf``, then steps of r again. A draw that falls
@@ -79,8 +73,8 @@ def sample_exit(token: TokenId, conf: float, size: int, u: float) -> int:
 
 def sample_weights(weights: np.ndarray, rng: np.random.Generator) -> int:
     """Draw an index from finite non-negative weights (an array) that do
-    not all vanish: the index ``sample_index`` draws from ``weights /
-    weights.sum()``, from the same single uniform, without normalizing.
+    not all vanish: the index ``_search`` finds in ``weights /
+    weights.sum()`` from the same single uniform, without normalizing.
 
     The uniform times the weights' total is searched in their running sums.
     A draw that falls within rounding distance of a step, or past the last,
@@ -95,7 +89,7 @@ def sample_weights(weights: np.ndarray, rng: np.random.Generator) -> int:
     t = u * total
     idx = int(cum.searchsorted(t, "right"))
     size = cum.size
-    # The normalized weights' cumsum, which sample_index searches, and these
+    # The normalized weights' cumsum, which _search searches, and these
     # running sums divided by their last differ by at most about
     # (2 * size + 10) * eps over [0, 1]: each side rounds size - 1 additions
     # in its running sums and as many in its total, and the normalized side

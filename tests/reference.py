@@ -8,7 +8,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from delsim.types import InvariantViolation, exit_distribution, sample_index
+from delsim.types import InvariantViolation, exit_distribution
+
+
+def sample_index(probs, rng):
+    """Draw an index from a probability vector (an array) via inverse CDF,
+    with the vector's own ``cumsum``, capped at its last index. This is the
+    definition the library's draws reproduce without it: a target row's
+    draw reads the row's cumulative sums (``sample_cdf``), a drafted
+    token's the exit row's closed form (``sample_exit``), and a
+    rejection's the raw residual's running sums (``sample_weights``)."""
+    idx = int(probs.cumsum().searchsorted(rng.random(), side="right"))
+    return min(idx, len(probs) - 1)
 
 
 def reference_verify_sampling(tok, q_row, p_row, rng):

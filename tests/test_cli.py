@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delsim.cli import SESSION_FLAGS, main
+from delsim.harness import replay_check
 
 
 def write_config(path, L=8, V=32, seed=7, max_new_tokens=64, **extra):
@@ -390,17 +392,22 @@ def test_nan_entries_are_rejected_naming_the_field(tmp_path, capsys):
         assert code == 1 and field in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("config", [None, "{not json", '{"session": {"V": 32}}'],
-                         ids=["missing", "not-json", "no-session-L"])
-def test_replay_reports_a_missing_or_bad_config_as_a_mismatch(tmp_path, capsys, config):
+@pytest.mark.parametrize("edit", [
+    None,
+    lambda text: "{not json",
+    lambda text: '{"session": {"V": 32}}',
+    # it parses and has session.L, so only the re-run rejects it
+    lambda text: text.replace('"model": {', '"model": {"shape": "round",', 1),
+], ids=["missing", "not-json", "no-session-L", "unknown-model-field"])
+def test_replay_reports_a_missing_or_bad_config_as_a_mismatch(tmp_path, capsys, edit):
     cfg_file = write_config(tmp_path / "exp.json")
     out = tmp_path / "rr"
     assert main(["run", "--config", str(cfg_file), "--policy", "vanilla", "--out", str(out)]) == 0
     path = out / "config.json"
-    if config is None:
+    if edit is None:
         path.unlink()
     else:
-        path.write_text(config)
+        path.write_text(edit(path.read_text()))
     assert main(["replay", "--dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert "replay mismatch: " in err and str(path) in err and "Traceback" not in err
@@ -432,6 +439,65 @@ def test_replay_reports_malformed_summary_rows_as_mismatches(tmp_path, capsys):
     assert main(["replay", "--dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("not a whole summary row") == 2 and "Traceback" not in err
+
+
+def run_del(tmp_path):
+    """A ``del`` run's output directory, which replays clean."""
+    out = tmp_path / "rr"
+    assert main(["run", "--config", str(write_config(tmp_path / "exp.json")), "--policy", "del",
+                 "--out", str(out)]) == 0
+    assert main(["replay", "--dir", str(out)]) == 0
+    return out
+
+
+def replay_mismatches(out, capsys) -> list[str]:
+    """The mismatch lines of a replay of ``out``, which must exit 2."""
+    capsys.readouterr()
+    assert main(["replay", "--dir", str(out)]) == 2
+    *lines, last = capsys.readouterr().err.splitlines()
+    assert last.startswith("invariant violation: ")
+    assert all(line.startswith("replay mismatch: ") for line in lines)
+    return [line.removeprefix("replay mismatch: ") for line in lines]
+
+
+@pytest.mark.parametrize("field", ["alpha_snapshot", "tau", "planned_len"])
+def test_replay_reports_a_well_formed_but_wrong_field(tmp_path, capsys, field):
+    out = run_del(tmp_path)
+    trace = out / "traces" / "del-0.jsonl"
+    lines = trace.read_text().splitlines()
+    # the field's value, or the estimate's first entry
+    m = re.search(rf'"{field}": \[?([^,\]]+)', lines[1])
+    new = str(int(m[1]) + 1) if field == "planned_len" else repr(float(m[1]) / 2)
+    lines[1] = lines[1][:m.start(1)] + new + lines[1][m.end(1):]
+    trace.write_text("\n".join(lines) + "\n")
+    # the totals check does not read the field; the re-run does
+    assert replay_check(out) == []
+    [err] = replay_mismatches(out, capsys)
+    assert err.startswith(f"{trace} line 2: ") and new in err
+
+
+def test_replay_names_a_broken_line_then_a_corrupted_estimate_before_it(tmp_path, capsys):
+    # the totals check reads every line before the re-run: a broken line
+    # is named first, and the earlier estimate once that line is mended
+    out = run_del(tmp_path)
+    trace = out / "traces" / "del-0.jsonl"
+    lines = trace.read_text().splitlines()
+    corrupted = lines[1].replace('"alpha_snapshot": [', '"alpha_snapshot": [01, ', 1)
+    trace.write_text("\n".join([lines[0], corrupted, lines[2], lines[3][:-1]] + lines[4:]) + "\n")
+    [err] = replay_mismatches(out, capsys)
+    assert err == f"del-0: {trace} line 4: not a whole trace record"
+    trace.write_text("\n".join([lines[0], corrupted] + lines[2:]) + "\n")
+    [err] = replay_mismatches(out, capsys)
+    assert err.startswith(f"{trace} line 2: ")
+
+
+def test_replay_reports_a_missing_or_extra_file(tmp_path, capsys):
+    out = run_del(tmp_path)
+    (out / "aggregate.csv").rename(out / "notes.csv")
+    assert replay_mismatches(out, capsys) == [
+        f"{out / 'aggregate.csv'}: missing; the re-run writes it",
+        f"{out / 'notes.csv'}: the re-run writes no such file",
+    ]
 
 
 def test_oracle_negative_seed_is_usage_error(capsys):

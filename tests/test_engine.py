@@ -5,7 +5,7 @@ import pytest
 from conftest import CallCountingModel, ScriptedModel, ScriptedUniforms, agreement_model, make_cfg, toy_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import reference_verify_sampling
+from reference import reference_verify_sampling, sample_index
 
 from delsim import types
 from delsim.config import SAMPLING, ConfigError
@@ -27,7 +27,7 @@ from delsim.harness import (
 )
 from delsim.baselines import make_policy
 from delsim.model import LayeredModel, ModelSpec
-from delsim.types import InvariantViolation, exit_distribution, sample_index
+from delsim.types import InvariantViolation, exit_distribution
 
 
 def ls_like(E, gamma, tau=0.0, bound=None):

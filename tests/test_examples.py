@@ -1,6 +1,7 @@
 """The experiments in ``examples/`` are config files run through the CLI:
-each runs end to end on small overrides and prints its lines, and every
-``delsim`` command the README documents parses."""
+each runs end to end on small overrides and prints its lines, a run's
+output directory replays clean, and every ``delsim`` command the README
+documents parses."""
 
 from __future__ import annotations
 
@@ -48,6 +49,16 @@ def test_example_runs_and_prints_its_lines(tmp_path, capsys, name, command, star
     assert len(lines) == len(starts), captured.out
     for line, start in zip(lines, starts):
         assert line.startswith(start), (start, captured.out)
+    if command[0] == "run":
+        assert main(["replay", "--dir", str(tmp_path / "out")]) == 0
+
+
+def test_a_sampling_run_of_an_example_replays_clean(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", str(EXAMPLES / "compare_policies.json"), *SMALL,
+                 "--decode-mode", "sampling", "--out", out]) == 0
+    assert main(["replay", "--dir", out]) == 0
+    assert capsys.readouterr().out.endswith(f"replay OK: {out}\n")
 
 
 def readme_commands() -> list[list[str]]:

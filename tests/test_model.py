@@ -33,7 +33,8 @@ from delsim.model import (
     ModelSpec,
     beta_table,
 )
-from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_cdf, sample_index
+from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_cdf
+from reference import sample_index
 
 
 def path_steps(model, prompt, n):

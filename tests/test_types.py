@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from delsim.config import ConfigError
 from delsim.model import AGREEMENT, LayeredModel, ModelSpec
-from delsim.types import PROB_SUM_TOL, exit_distribution, sample_exit, sample_index, sample_weights
+from delsim.types import PROB_SUM_TOL, exit_distribution, sample_exit, sample_weights
+from reference import sample_index
 
 
 def table_model(row, L=3):
