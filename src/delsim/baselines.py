@@ -45,7 +45,7 @@ class VanillaPolicy(Policy):
     name = "vanilla"
 
     def __init__(self, cfg: SessionConfig):
-        super().__init__(cfg, DraftPlan(exit_layer=1, threshold=0.0, planned_len=0, draft_bound=0))
+        super().__init__(cfg, DraftPlan(exit_layer=1, threshold=0.0, planned_len=0))
 
 
 class LsPolicy(Policy):
@@ -56,7 +56,7 @@ class LsPolicy(Policy):
     def __init__(self, cfg: SessionConfig, exit_layer: int, gamma: int):
         check_exit_layer(cfg, exit_layer)
         check_gamma(cfg, gamma)
-        super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma, gamma))
+        super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma))
 
 
 class FsPolicy(Policy):
@@ -68,7 +68,7 @@ class FsPolicy(Policy):
     def __init__(self, cfg: SessionConfig, exit_layer: int, gamma: int):
         check_exit_layer(cfg, exit_layer)
         check_gamma(cfg, gamma, 1)
-        super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma, gamma))
+        super().__init__(cfg, DraftPlan(exit_layer, 0.0, gamma))
 
     def observe(self, outcome: RoundOutcome) -> DraftPlan:
         gamma = self.plan.planned_len
@@ -76,7 +76,7 @@ class FsPolicy(Policy):
             gamma = min(gamma + 1, self.cfg.d_max)
         else:
             gamma = max(gamma - 1, 1)
-        self.plan = DraftPlan(self.plan.exit_layer, 0.0, gamma, gamma)
+        self.plan = DraftPlan(self.plan.exit_layer, 0.0, gamma)
         return self.plan
 
 
@@ -105,7 +105,7 @@ class DvPolicy(Policy):
             raise ConfigError(f"target_rate out of [0,1]: {target_rate}")
         if not step > 0.0:
             raise ConfigError(f"step must be > 0, got {step}")
-        super().__init__(cfg, DraftPlan(exit_layer, threshold, cfg.d_max, cfg.d_max))
+        super().__init__(cfg, DraftPlan(exit_layer, threshold, cfg.d_max))
         self.target_rate = target_rate
         self.step = step
 
@@ -118,7 +118,7 @@ class DvPolicy(Policy):
             threshold = max(0.0, p.threshold - self.step)
         else:
             threshold = min(1.0, p.threshold + self.step)
-        self.plan = DraftPlan(p.exit_layer, threshold, p.planned_len, p.draft_bound)
+        self.plan = DraftPlan(p.exit_layer, threshold, p.planned_len)
         return self.plan
 
 

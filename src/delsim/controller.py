@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .baselines import Policy
-from .config import CAP_ALGORITHM1, SessionConfig
+from .config import SessionConfig
 from .engine import DraftPlan, RoundOutcome
 from .types import InvariantViolation, LayerStep, TokenId
 
@@ -210,16 +210,15 @@ def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -
     ``alpha``, over exit layers [1, L) and lengths [0, d_max].
 
     Ties break toward the smaller layer, then the smaller length (cheaper and
-    shorter is safer under estimation noise). Under ``algorithm1`` capping
-    the round drafts up to d_max and the threshold stops it; otherwise it
-    drafts at most the planned length.
+    shorter is safer under estimation noise). The plan carries the exit
+    layer's threshold; how far its round may draft past the planned length
+    is ``engine.draft_bound``'s rule.
     """
     grid = tpl_grid(alpha, cfg.d_max, cfg.L)
     flat = int(np.argmax(grid))  # row-major: smallest ell, then smallest d
     ell = flat // (cfg.d_max + 1) + 1
     d = flat % (cfg.d_max + 1)
-    return DraftPlan(ell, float(thresholds[ell - 1]), d,
-                     cfg.d_max if cfg.draft_cap_mode == CAP_ALGORITHM1 else d)
+    return DraftPlan(ell, float(thresholds[ell - 1]), d)
 
 
 def update_threshold(stats: DecayedStats) -> np.ndarray:
@@ -285,7 +284,8 @@ class DelController(Policy):
 
     ``observe`` composes shadow_tokens -> round_stats -> push ->
     estimate_alpha -> threshold update -> plan selection, using only the
-    LayerSteps the round already produced. The plan carries the freshly
+    LayerSteps the round already produced, windowed at the exit layer of
+    ``plan``, the plan the round ran. The next plan carries the freshly
     updated threshold of its exit layer. Every plan after prefill has a
     threshold above 0 (each confidence is floored above 0, so both means
     are), so its rounds read all g + 1 positions; ``observe`` raises
@@ -313,7 +313,7 @@ class DelController(Policy):
                 f"round read {len(outcome.steps)} positions, not its g + 1 = {outcome.g + 1}"
             )
         cfg = self.cfg
-        rs = round_stats(shadow_tokens(outcome.steps), outcome.exit_layer_used)
+        rs = round_stats(shadow_tokens(outcome.steps), self.plan.exit_layer)
         self.stats = push(self.stats, rs, cfg.omega)
         alpha = estimate_alpha(self.stats, cfg.alpha_clamp_eps)
         self.thresholds = update_threshold(self.stats)

@@ -12,24 +12,21 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .config import GREEDY, SessionConfig
+from .config import CAP_ALGORITHM1, GREEDY, SessionConfig
 from .model import horizon_error
 from .types import InvariantViolation, LayerStep, TokenId, sample_cdf, sample_exit, sample_weights
 
 
 class DraftPlan(NamedTuple):
-    """The controller's decision for the next round.
-
-    ``draft_bound`` is the most tokens the round may draft: a policy that
-    relies on the threshold to stop drafting passes d_max, one that drafts
-    a planned length passes that length. A plain tuple in field order, so
-    it is cheap to build once a round; its fields cannot be set.
-    """
+    """The controller's decision for the next round: its exit layer, draft
+    threshold (0 never stops drafting early) and planned length; how many
+    tokens the round may draft is ``draft_bound``'s rule. A plain tuple in
+    field order, so it is cheap to build once a round; its fields cannot be
+    set."""
 
     exit_layer: int
     threshold: float
     planned_len: int
-    draft_bound: int
 
     def validate(self, cfg: SessionConfig) -> "DraftPlan":
         if not 1 <= self.exit_layer < cfg.L:
@@ -38,9 +35,18 @@ class DraftPlan(NamedTuple):
             raise ValueError(f"threshold out of [0,1]: {self.threshold}")
         if not 0 <= self.planned_len <= cfg.d_max:
             raise ValueError(f"planned_len out of [0, {cfg.d_max}]: {self.planned_len}")
-        if not 0 <= self.draft_bound <= cfg.d_max:
-            raise ValueError(f"draft_bound out of [0, {cfg.d_max}]: {self.draft_bound}")
         return self
+
+
+def draft_bound(plan: DraftPlan, cfg: SessionConfig) -> int:
+    """The most tokens a round of ``plan`` may draft, the one reading of
+    ``cfg.draft_cap_mode``: under ``algorithm1`` a plan with a threshold
+    drafts up to d_max and the threshold stops it; every other plan (one
+    without a threshold, or any plan under ``plan_capped``) drafts at most
+    its planned length."""
+    if plan.threshold > 0.0 and cfg.draft_cap_mode == CAP_ALGORITHM1:
+        return cfg.d_max
+    return plan.planned_len
 
 
 @dataclass
@@ -59,120 +65,52 @@ class RoundOutcome(NamedTuple):
     for. ``steps`` and ``drafted`` cover the positions the round read: a
     plan with a threshold reads all g + 1 (position g is the bonus slot),
     a plan without one reads up to its first rejection, or all g + 1 on
-    full acceptance.
+    full acceptance. The exit layer is the plan's.
     """
 
     drafted: tuple[TokenId, ...]
     emitted: tuple[TokenId, ...]
     accepted_count: int
     steps: tuple[LayerStep, ...]
-    exit_layer_used: int
     layers_loaded: int  # this round's g*E + L
     g: int
 
 
-class Positions:
-    """One round's positions, in order: the steps it holds and the tokens
-    it drafted.
+def draft(model, context: list[TokenId], prev: LayerStep | None, plan: DraftPlan, bound: int,
+          rng: np.random.Generator, greedy: bool
+          ) -> tuple[list[LayerStep], list[TokenId], list[tuple[TokenId, float]]]:
+    """Draft at the plan's exit layer, for a plan with a threshold, at most
+    ``bound`` tokens; returns the steps it made, the tokens it drafted (g of
+    them) and, in sampling mode, their exit rows' (top token, confidence)
+    pairs, which verification reads.
 
-    Position i is the step after the round's context and the first i
-    drafted tokens; ``context`` holds the drafted tokens while the round
-    runs, and the round removes them, so ``model.step`` must not keep the
-    list it is given. Each position is stepped from the one before it
-    (``model.step``'s ``prev``), position 0 from ``prev``, the step of the
-    context less its last token, when the caller knows it (else None). A
-    plan with a threshold steps its positions while it drafts them
-    (``draft``); a plan without one steps and drafts each position when
-    verification reaches it (``draft_at``).
+    Each position is stepped from the one before it, position 0 from
+    ``prev`` (see ``run_round``), and each drafted token is appended to
+    ``context``, which the caller trims, so ``model.step`` must not keep the
+    list it is given. Drafting stops at the first position whose exit-layer
+    confidence (``LayerStep.layer``, which decodes that layer alone) is
+    below the threshold; that position, the bonus slot g, is then the last
+    step. A drafted token is the exit layer's top token in greedy mode; in
+    sampling mode it is a draw from the exit row (``sample_exit``, which
+    does not build the row) with a uniform drawn as the token is drafted.
     """
-
-    __slots__ = ("model", "context", "greedy", "prev", "steps", "drafted", "q_rows",
-                 "exit_layer", "uniforms")
-
-    def __init__(self, model, context: list[TokenId], greedy: bool, prev: LayerStep | None = None):
-        self.model = model
-        self.context = context
-        self.greedy = greedy
-        self.prev = prev
-        self.steps: list[LayerStep] = []
-        self.drafted: list[TokenId] = []
-        self.q_rows: list[tuple[TokenId, float]] = []
-        # a zero-threshold round's exit layer and, in sampling mode, its
-        # draft uniforms, set by ``draft`` for ``draft_at``
-        self.exit_layer = 0
-        self.uniforms: list[float] | None = None
-
-    def step(self, i: int) -> LayerStep:
-        """Position i, stepped if it is the next one."""
-        steps = self.steps
-        if i == len(steps):
-            steps.append(self.model.step(self.context, steps[-1] if steps else self.prev))
-        return steps[i]
-
-    def draft_at(self, i: int) -> LayerStep:
-        """Step position i, the next one, and draft its token at the exit
-        layer ``draft`` recorded, as ``draft`` drafts one, with the i-th of
-        the uniforms it drew."""
-        steps = self.steps
-        step = self.model.step(self.context, steps[-1] if steps else self.prev)
-        steps.append(step)
-        tok, conf = step.layer(self.exit_layer)
-        if not self.greedy:
-            self.q_rows.append((tok, conf))
-            tok = sample_exit(tok, conf, step.target.size, self.uniforms[i])
-        self.drafted.append(tok)
-        self.context.append(tok)
-        return step
-
-
-def draft(positions: Positions, plan: DraftPlan, rng: np.random.Generator) -> int:
-    """Draft at the plan's exit layer; returns g, the number of tokens
-    drafted, at most ``plan.draft_bound``.
-
-    A plan with a threshold drafts here. It steps the model at each
-    position, from the step before it, and stops at the first whose
-    exit-layer confidence (``LayerStep.layer``, which decodes that layer
-    alone on a model's step) is below the threshold; that position is then
-    the bonus slot g. A drafted token is the exit layer's top token in
-    greedy mode; in sampling mode it is a draw from the exit row
-    (``sample_exit``, which does not build the row) with a uniform drawn as
-    the token is drafted, and the row's (top token, confidence) pair is kept
-    for verification to read.
-
-    A plan whose threshold is 0 cannot stop early, since every confidence is
-    floored above 0, so g is its draft bound before any step. It steps
-    nothing here: in sampling mode it draws the round's g draft uniforms as
-    one ``rng.random(g)``, the same stream as g single draws, and the round
-    drafts each position when verification reads it (``draft_at``). A round
-    that would step a context past the model's horizon raises its
-    ConfigError here.
-    """
-    g = plan.draft_bound
-    if plan.threshold <= 0.0:
-        n0 = len(positions.context)
-        horizon = positions.model.spec.horizon
-        if n0 + g > horizon:
-            raise horizon_error(max(n0, horizon + 1), horizon)
-        positions.exit_layer = plan.exit_layer
-        if g and not positions.greedy:
-            positions.uniforms = rng.random(g).tolist()
-        return g
-    model_step, context, steps = positions.model.step, positions.context, positions.steps
-    drafted, q_rows = positions.drafted, positions.q_rows
-    exit_layer, threshold, greedy = plan.exit_layer, plan.threshold, positions.greedy
-    step = positions.prev
-    for i in range(g):
-        step = model_step(context, step)
+    steps: list[LayerStep] = []
+    drafted: list[TokenId] = []
+    q_rows: list[tuple[TokenId, float]] = []
+    exit_layer, threshold = plan.exit_layer, plan.threshold
+    step = prev
+    for _ in range(bound):
+        step = model.step(context, step)
         steps.append(step)
         tok, conf = step.layer(exit_layer)
         if conf < threshold:
-            return i
+            break
         if not greedy:
             q_rows.append((tok, conf))
             tok = sample_exit(tok, conf, step.target.size, rng.random())
         drafted.append(tok)
         context.append(tok)
-    return g
+    return steps, drafted, q_rows
 
 
 def verify_greedy(tok: TokenId, target_token: TokenId) -> TokenId | None:
@@ -240,16 +178,22 @@ def run_round(
     is stepped from it (``model.step``). A session passes the step of the
     last round's last emitted position, ``steps[accepted_count]``.
 
+    A plan with a threshold drafts first (``draft``) and then steps
+    position g too, unless a confidence already stopped drafting there,
+    since ``del`` reads all g + 1 positions. A plan whose threshold is 0
+    cannot stop early, since every confidence is floored above 0, so g is
+    its draft bound (``draft_bound``) before any step: a round that would
+    step a context past the model's horizon raises its ConfigError first,
+    in sampling mode the round's g draft uniforms are one ``rng.random(g)``,
+    the same stream as g single draws, and each position is stepped and
+    drafted only when verification reaches it, so nothing after the first
+    rejection is stepped. Either way the emitted tokens and the draws from
+    ``rng`` are those of drafting all g tokens first.
+
     Verification walks the drafted positions in order and stops at the
     first rejection; full acceptance reads position g for the bonus token
     (the target's argmax, or a draw from the row's cumulative sums,
-    ``step.target_cdf``, by ``sample_cdf``). A plan with a threshold
-    holds every drafted position's step when verification starts, steps
-    position g too, since ``del`` reads them all, and verification walks
-    the held steps. A plan whose threshold is 0 steps, and drafts, a
-    position only when verification reads it, so nothing after the first
-    rejection is stepped. Either way the emitted tokens and the draws from
-    ``rng`` are those of drafting all g tokens first.
+    ``step.target_cdf``, by ``sample_cdf``).
 
     Charges the ledger g*E + L layer loads regardless of how many tokens
     survive verification; if ``budget_left`` is given, the emitted sequence is
@@ -259,20 +203,37 @@ def run_round(
         raise ValueError("generation budget exhausted")
     plan.validate(cfg)
     greedy = cfg.decode_mode == GREEDY
+    exit_layer = plan.exit_layer
+    bound = draft_bound(plan, cfg)
     n0 = len(context)
-    positions = Positions(model, context, greedy, prev)
-    drafted, q_rows, steps = positions.drafted, positions.q_rows, positions.steps
+    lazy = plan.threshold <= 0.0
     try:
-        g = draft(positions, plan, rng)
-        if plan.threshold > 0.0:
-            # drafting stepped positions 0..g-1, and position g as well when
-            # a confidence stopped it; del's update reads all g + 1
-            positions.step(g)
-            read = steps.__getitem__
+        if lazy:
+            g = bound
+            horizon = model.spec.horizon
+            if n0 + g > horizon:
+                raise horizon_error(max(n0, horizon + 1), horizon)
+            steps, drafted, q_rows = [], [], []
+            if g and not greedy:
+                uniforms = rng.random(g).tolist()
         else:
-            read = positions.draft_at
+            steps, drafted, q_rows = draft(model, context, prev, plan, bound, rng, greedy)
+            g = len(drafted)
+            if len(steps) == g:
+                steps.append(model.step(context, steps[-1] if steps else prev))
+        step = prev
         for i in range(g):
-            step = read(i)
+            if lazy:
+                step = model.step(context, step)
+                steps.append(step)
+                tok, conf = step.layer(exit_layer)
+                if not greedy:
+                    q_rows.append((tok, conf))
+                    tok = sample_exit(tok, conf, step.target.size, uniforms[i])
+                drafted.append(tok)
+                context.append(tok)
+            else:
+                step = steps[i]
             if greedy:
                 end = verify_greedy(drafted[i], step.target_token)
             else:
@@ -281,7 +242,9 @@ def run_round(
                 break
         else:
             i = g
-            step = positions.step(g)
+            if lazy:
+                steps.append(model.step(context, step))
+            step = steps[g]
             end = step.target_token if greedy else sample_cdf(step.target_cdf, rng)
     finally:
         del context[n0:]
@@ -291,9 +254,9 @@ def run_round(
     if budget_left is not None and len(emitted) > budget_left:
         emitted = emitted[:budget_left]
 
-    layers = g * plan.exit_layer + cfg.L
+    layers = g * exit_layer + cfg.L
     ledger.layers_loaded += layers
     ledger.tokens_emitted += len(emitted)
     context.extend(emitted)
 
-    return RoundOutcome(tuple(drafted), tuple(emitted), i, tuple(steps), plan.exit_layer, layers, g)
+    return RoundOutcome(tuple(drafted), tuple(emitted), i, tuple(steps), layers, g)

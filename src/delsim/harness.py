@@ -26,7 +26,6 @@ from .types import InvariantViolation, TokenId
 
 @dataclass
 class SessionResult:
-    prompt: list[TokenId]
     output: list[TokenId]
     ledger: CostLedger
     records: list[dict]
@@ -86,7 +85,7 @@ def run_session(
             )
         plan = next_plan
         rounds += 1
-    return SessionResult(prompt=list(prompt), output=out, ledger=ledger, records=records, rounds=rounds)
+    return SessionResult(output=out, ledger=ledger, records=records, rounds=rounds)
 
 
 def compute_etpl(ledger: CostLedger) -> float:
@@ -140,12 +139,16 @@ def run_experiment(
     vanilla reference for the same prompt; a violation raises
     InvariantViolation (CLI exit code 2). A policy name given twice raises
     ConfigError naming the second entry: its sessions would share the
-    first's engine seeds and overwrite its traces.
+    first's engine seeds and overwrite its traces. A valid run then removes
+    the ``traces/*.jsonl`` files an earlier run left in ``out_dir``, and
+    nothing else, so the directory holds only this run's traces.
     """
-    names = [name for name, _ in policy_specs]
-    for i, name in enumerate(names):
-        if name in names[:i]:
+    names = []
+    for i, (name, params) in enumerate(policy_specs):
+        if name in names:
             raise ConfigError(f"policy_specs[{i}] repeats policy {name!r}")
+        names.append(name)
+        make_policy(name, cfg, **params)  # a bad entry raises before out_dir is touched
     model = build_model(model_spec, cfg)
     prompts = make_prompts(model, cfg, n_prompts, prompt_len)
     config_echo = {
@@ -161,6 +164,8 @@ def run_experiment(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         (out_path / "traces").mkdir(parents=True, exist_ok=True)
+        for stale in (out_path / "traces").glob("*.jsonl"):
+            stale.unlink()
         (out_path / "config.json").write_text(json.dumps(config_echo, indent=2, sort_keys=True))
 
     # prompt by prompt, so the model's step memo serves every session on a
@@ -469,7 +474,7 @@ def grid_sweep(
         flat = []
         for ell, d in cells:
             # the static policy is stateless: a fixed plan
-            policy = Policy(cfg, DraftPlan(ell, 0.0, d, d))
+            policy = Policy(cfg, DraftPlan(ell, 0.0, d))
             res = run_session(model, policy, cfg, prompt, derive_seed(cfg.seed, "sweep", ell, d, i))
             rounds = [(rec["emitted_len"], rec["layers_loaded"]) for rec in res.records]
             flat += _segment_etpl(rounds, segment_len, n_seg)

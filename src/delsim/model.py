@@ -790,11 +790,8 @@ def step_memo_capacity(cfg: SessionConfig) -> int:
     return cfg.prefill_window + 2 * (cfg.max_new_tokens + cfg.d_max + 1)
 
 
-def build_model(spec: ModelSpec, cfg: SessionConfig, seed: int | None = None) -> LayeredModel:
+def build_model(spec: ModelSpec, cfg: SessionConfig) -> LayeredModel:
     """Construct the model for a session, with a step memo sized by
-    ``step_memo_capacity``; the model seed defaults to a stream derived from
-    the session seed so all policies share one realization."""
-    return LayeredModel(
-        spec, cfg.L, cfg.V, derive_seed(cfg.seed, "model") if seed is None else seed,
-        step_memo_capacity(cfg),
-    )
+    ``step_memo_capacity``; the model seed is a stream derived from the
+    session seed so all policies share one realization."""
+    return LayeredModel(spec, cfg.L, cfg.V, derive_seed(cfg.seed, "model"), step_memo_capacity(cfg))

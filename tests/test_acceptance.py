@@ -181,7 +181,7 @@ def test_c06_estimator_convergence():
 
     profile = np.array([0.3, 0.5, 0.8, 0.2, 0.6, 1.0, 0.9, 1.0])
     cfg = make_cfg(L=8, V=16, d_max=50, seed=5)
-    plan = DraftPlan(exit_layer=6, threshold=0.0, planned_len=50, draft_bound=50)
+    plan = DraftPlan(exit_layer=6, threshold=0.0, planned_len=50)
     n_seeds, n_rounds = 100, 500
     good = 0
     worst_overall = 0.0

@@ -3,8 +3,8 @@ import pytest
 from conftest import agreement_model, make_cfg, toy_model
 
 from delsim.baselines import DvPolicy, FsPolicy, LsPolicy, VanillaPolicy, make_policy
-from delsim.config import ConfigError
-from delsim.engine import RoundOutcome
+from delsim.config import CAP_MODES, ConfigError
+from delsim.engine import CostLedger, RoundOutcome, draft_bound, run_round
 from delsim.harness import compute_etpl, run_session
 
 
@@ -14,7 +14,6 @@ def outcome_with(drafted: int, accepted: int) -> RoundOutcome:
         emitted=tuple(range(accepted + 1)),
         accepted_count=accepted,
         steps=(),
-        exit_layer_used=1,
         layers_loaded=0,
         g=drafted,
     )
@@ -23,9 +22,10 @@ def outcome_with(drafted: int, accepted: int) -> RoundOutcome:
 # -- vanilla -----------------------------------------------------------------
 
 def test_vanilla_plan_is_a_single_target_step():
-    policy = VanillaPolicy(make_cfg())
+    cfg = make_cfg()
+    policy = VanillaPolicy(cfg)
     for plan in (policy.init(None, [1]), policy.observe(outcome_with(0, 0))):
-        assert plan.planned_len == plan.draft_bound == 0
+        assert plan.planned_len == draft_bound(plan, cfg) == 0
 
 
 def test_vanilla_etpl_is_one_over_L():
@@ -72,8 +72,9 @@ def test_ls_plan_bounds():
 # -- finite-state length controller --------------------------------------------
 
 def fs_gamma_after(gamma: int, outcome: RoundOutcome, d_max: int) -> int:
-    plan = FsPolicy(make_cfg(L=8, d_max=d_max), 2, gamma).observe(outcome)
-    assert plan.planned_len == plan.draft_bound
+    cfg = make_cfg(L=8, d_max=d_max)
+    plan = FsPolicy(cfg, 2, gamma).observe(outcome)
+    assert plan.planned_len == draft_bound(plan, cfg)
     return plan.planned_len
 
 
@@ -177,3 +178,43 @@ def test_all_baselines_are_greedy_lossless():
         DvPolicy(cfg, 2),
     ):
         assert run_session(model, policy, cfg, prompt, 123).output == reference, policy.name
+
+
+# -- the draft bound ----------------------------------------------------------------
+
+# the most tokens each policy's plans let a round draft, as each policy once
+# stated it beside its plan: vanilla nothing, ls and fs their length, dv d_max
+# at every threshold (0 included), del d_max under algorithm1 capping and its
+# planned length under plan capping
+STATED_BOUND = {
+    "vanilla": lambda plan, cfg: 0,
+    "ls": lambda plan, cfg: plan.planned_len,
+    "fs": lambda plan, cfg: plan.planned_len,
+    "dv": lambda plan, cfg: cfg.d_max,
+    "del": lambda plan, cfg: cfg.d_max if cfg.draft_cap_mode == "algorithm1" else plan.planned_len,
+}
+
+
+@pytest.mark.parametrize("cap", CAP_MODES)
+def test_draft_bound_is_each_policys_stated_bound_under_both_cap_modes(cap):
+    cfg = make_cfg(L=8, V=32, d_max=6, max_new_tokens=96, seed=5, draft_cap_mode=cap)
+    model = agreement_model(cfg, (0.6, 0.85, 0.4, 0.3, 0.2, 0.2, 0.1, 1.0))
+    prompt = model.sample_prompt(16, np.random.default_rng(2))
+    params = {"vanilla": {}, "ls": {"exit_layer": 2, "gamma": 4}, "fs": {"exit_layer": 2, "gamma": 1},
+              # any accepted token beats the target: the threshold steps 0.5, 0.25, 0
+              "dv": {"exit_layer": 2, "target_rate": 0.0, "step": 0.25, "threshold": 0.5},
+              "del": {}}
+    for name, stated in STATED_BOUND.items():
+        policy = make_policy(name, cfg, **params[name])
+        plans = [policy.init(model, prompt)]
+        ctx, rng = list(prompt), np.random.default_rng(3)
+        while len(ctx) < len(prompt) + cfg.max_new_tokens:
+            out = run_round(model, ctx, plans[-1], rng, CostLedger(), cfg)
+            assert out.g <= draft_bound(plans[-1], cfg)
+            plans.append(policy.observe(out))
+        for plan in plans:
+            assert draft_bound(plan, cfg) == stated(plan, cfg), (name, plan)
+        if name == "dv":
+            assert {p.threshold for p in plans} == {0.5, 0.25, 0.0}
+        elif name in ("fs", "del"):
+            assert len({p.planned_len for p in plans}) > 1, name

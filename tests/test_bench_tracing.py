@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import importlib.util
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
+import pytest
 from conftest import agreement_model, make_cfg, profile_with
+from test_bench_workloads import NoClock, load_workloads
 
 from delsim import baselines, controller, harness
 from delsim.baselines import make_policy
@@ -81,3 +84,34 @@ def test_a_model_step_returns_only_its_target_row():
         assert sum(a.nbytes for a in arrays) == cfg.V * 8
         controller.shadow_tokens([step])
         assert returned_bytes(step) == cfg.V * 8
+
+
+# ``Profile.step_calls`` of block 0 of each workload at seed 1: a step made
+# inside ``engine.draft`` counts as a draft step, one made in ``run_round``
+# itself (the bonus position, and every position of a zero-threshold round)
+# as a verify step
+STEP_CALLS = {
+    "policies-greedy": {"prefill": 64, "draft": 1029, "verify": 1585, "reference": 0, "other": 0},
+    "del-sampling-long": {"prefill": 128, "draft": 11517, "verify": 4492, "reference": 0, "other": 0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CALLS))
+def test_traced_block_splits_its_model_steps_as_pinned(name, tmp_path):
+    tracing, workloads = load_tracing(), load_workloads()
+    wl = workloads.make_workload(name, 1, tmp_path)
+    res = workloads.Results(exact_blocks=1)
+    tracer = tracing.Tracer()
+    plain = wl.model
+    tracer.install()
+    try:
+        wl.model = tracer.model(plain)
+        start = perf_counter()
+        tracer.wrap(tracing.BLOCK, wl.block)(0, res, NoClock())
+        wall = perf_counter() - start
+    finally:
+        tracer.restore()
+        wl.model = plain
+    assert res.failed == 0, res.failures
+    prof = tracing.Profile(tracer, wall, exact_blocks=1)
+    assert prof.step_calls == STEP_CALLS[name]

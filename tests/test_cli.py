@@ -190,6 +190,29 @@ def test_replay_roundtrip_and_tamper(tmp_path, capsys):
     assert main(["replay", "--dir", str(out)]) == 2
 
 
+def test_a_rerun_into_one_directory_leaves_no_stale_trace_and_bad_input_touches_nothing(tmp_path, capsys):
+    example = Path(__file__).resolve().parents[1] / "examples" / "compare_policies.json"
+    out = tmp_path / "rr"
+    run = ["run", "--config", str(example), "--max-new-tokens", "24", "--out", str(out)]
+    assert main(run + ["--prompts", "2"]) == 0
+    (out / "notes.txt").write_text("kept")
+    (out / "traces" / "notes.txt").write_text("kept")
+    assert main(run + ["--prompts", "1"]) == 0
+    traces = sorted(p.name for p in (out / "traces").glob("*.jsonl"))
+    assert traces == [f"{name}-0.jsonl" for name in ("del", "dv", "fs", "ls", "vanilla")]
+    with (out / "summary.csv").open() as f:
+        assert len(list(csv.DictReader(f))) == 5
+    assert (out / "notes.txt").exists() and (out / "traces" / "notes.txt").exists()
+    (out / "notes.txt").unlink()
+    (out / "traces" / "notes.txt").unlink()
+    # a run that its input stops leaves the earlier run's files as they were
+    files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    assert main(run + ["--policy", "ls", "--exit-layer", "2", "--gamma", "99"]) == 1
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
+    capsys.readouterr()
+    assert main(["replay", "--dir", str(out)]) == 0, capsys.readouterr().err
+
+
 def test_replay_same_seed_recomputes_identical_etpl(tmp_path):
     cfg_file = write_config(tmp_path / "exp.json")
     outs = []

@@ -32,7 +32,7 @@ from delsim.controller import (
     update_threshold,
     zero_stats,
 )
-from delsim.engine import CostLedger, DraftPlan, run_round
+from delsim.engine import CostLedger, DraftPlan, draft_bound, run_round
 from delsim.model import AGREEMENT, REGIME_SWITCHING, LayeredModel, ModelSpec
 from delsim.types import exit_distribution
 
@@ -394,7 +394,7 @@ def test_alpha_monte_carlo_convergence_long_windows():
     cfg = make_cfg(L=8, V=16, d_max=50, seed=3)
     profile = (0.3, 0.5, 0.8, 0.2, 0.6, 1.0, 0.9, 1.0)
     model = agreement_model(cfg, profile)
-    plan = DraftPlan(exit_layer=6, threshold=0.0, planned_len=50, draft_bound=50)
+    plan = DraftPlan(exit_layer=6, threshold=0.0, planned_len=50)
     stats = zero_stats(cfg.L - 1)
     ctx = [1, 2]
     rng = np.random.default_rng(0)
@@ -481,9 +481,10 @@ def test_select_plan_carries_threshold_of_chosen_layer():
     assert plan.threshold == pytest.approx(thresholds[1])
     # the default algorithm1 capping drafts to d_max; plan capping drafts
     # at most the planned length
-    assert plan.draft_bound == cfg.d_max
-    capped = select_plan(alpha, thresholds, cfg.replace(draft_cap_mode=CAP_PLAN))
-    assert capped.draft_bound == capped.planned_len == plan.planned_len
+    assert draft_bound(plan, cfg) == cfg.d_max
+    capped_cfg = cfg.replace(draft_cap_mode=CAP_PLAN)
+    capped = select_plan(alpha, thresholds, capped_cfg)
+    assert draft_bound(capped, capped_cfg) == capped.planned_len == plan.planned_len
 
 
 # -- dynamic threshold -------------------------------------------------------------
@@ -555,7 +556,7 @@ def test_threshold_strictly_between_the_two_means(match_mass, miss_mass, m_mean,
 def test_threshold_beta_confidence_midpoint_converges():
     cfg = make_cfg(L=6, V=64, seed=5)
     model = agreement_model(cfg, (0.2, 0.85, 0.2, 0.2, 0.2, 1.0))
-    plan = DraftPlan(exit_layer=2, threshold=0.0, planned_len=12, draft_bound=12)
+    plan = DraftPlan(exit_layer=2, threshold=0.0, planned_len=12)
     stats = zero_stats(cfg.L - 1)
     ctx = [1]
     rng = np.random.default_rng(0)
@@ -774,9 +775,9 @@ def test_del_observe_rejects_a_round_that_read_fewer_positions():
     policy.init(model, [1, 2, 3])
     ctx, rng = [1, 2, 3], np.random.default_rng(0)
     # a zero-threshold round that stops at an early rejection
-    out = run_round(model, ctx, DraftPlan(1, 0.0, 6, 6), rng, CostLedger(), cfg)
+    out = run_round(model, ctx, DraftPlan(1, 0.0, 6), rng, CostLedger(), cfg)
     while out.accepted_count == out.g:
-        out = run_round(model, ctx, DraftPlan(1, 0.0, 6, 6), rng, CostLedger(), cfg)
+        out = run_round(model, ctx, DraftPlan(1, 0.0, 6), rng, CostLedger(), cfg)
     assert len(out.steps) < out.g + 1
     stats, calls = policy.stats, model.calls
     with pytest.raises(InvariantViolation, match="g \\+ 1"):

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from reference import reference_verify_sampling, sample_index
 
 from delsim import types
-from delsim.config import SAMPLING, ConfigError
+from delsim.config import CAP_MODES, CAP_PLAN, SAMPLING, ConfigError
 from delsim.engine import (
     CostLedger,
     DraftPlan,
-    Positions,
     RoundOutcome,
     _residual,
     draft,
+    draft_bound,
     run_round,
     verify_greedy,
     verify_sampling,
@@ -30,23 +30,22 @@ from delsim.model import LayeredModel, ModelSpec
 from delsim.types import InvariantViolation, exit_distribution
 
 
-def ls_like(E, gamma, tau=0.0, bound=None):
-    bound = gamma if bound is None else bound
-    return DraftPlan(exit_layer=E, threshold=tau, planned_len=gamma, draft_bound=bound)
+def ls_like(E, gamma, tau=0.0):
+    return DraftPlan(exit_layer=E, threshold=tau, planned_len=gamma)
 
 
 # -- draft -------------------------------------------------------------------
 
 def test_draft_zero_threshold_never_stops():
     cfg = make_cfg(d_max=8)
-    model = toy_model(cfg)
+    model = CallCountingModel(toy_model(cfg))
     ctx = [1]
-    positions = Positions(model, ctx, True)
     # g is the bound, known before any step: the round steps each position
     # when verification reads it
-    assert draft(positions, ls_like(1, 4), np.random.default_rng(0)) == 4
-    assert positions.steps == [] and positions.drafted == [] and ctx == [1]
+    assert draft_bound(ls_like(1, 4), cfg) == 4
+    assert model.calls == 0 and ctx == [1]
     out = run_round(model, ctx, ls_like(1, 4), np.random.default_rng(0), CostLedger(), cfg)
+    assert model.calls == 5
     # the toy's exit layers agree with the target: full acceptance reads all g + 1
     assert out.g == len(out.drafted) == out.accepted_count == 4
     assert len(out.steps) == 5
@@ -56,32 +55,39 @@ def test_draft_zero_threshold_never_stops():
 def test_draft_unit_threshold_gives_empty_draft():
     cfg = make_cfg(L=4)
     model = agreement_model(cfg, (0.6, 0.8, 0.9, 1.0))
-    positions = Positions(model, [1], True)
-    assert draft(positions, ls_like(1, 4, tau=1.0), np.random.default_rng(0)) == 0
-    assert positions.drafted == []
-    assert len(positions.steps) == 1
+    steps, drafted, q_rows = draft(model, [1], None, ls_like(1, 4, tau=1.0), 4,
+                                   np.random.default_rng(0), True)
+    assert drafted == [] and q_rows == []
+    assert len(steps) == 1
 
 
 def test_draft_stops_at_scripted_confidence():
     confs = [0.9, 0.8, 0.4, 0.95, 0.9, 0.9]
     model = ScriptedModel(base_len=1, confs=confs, draft_toks=[1] * 6, target_toks=[1] * 6)
     ctx = [0]
-    positions = Positions(model, ctx, True)
-    assert draft(positions, ls_like(1, 5, tau=0.5), np.random.default_rng(0)) == 2
-    assert positions.drafted == [1, 1] and ctx == [0, 1, 1]  # the round removes them
+    steps, drafted, _ = draft(model, ctx, None, ls_like(1, 5, tau=0.5), 5,
+                              np.random.default_rng(0), True)
+    assert drafted == [1, 1] and ctx == [0, 1, 1]  # the round removes them
     # the low-confidence position is kept as the bonus slot
-    assert [s.layer(1)[1] for s in positions.steps] == [0.9, 0.8, 0.4]
+    assert [s.layer(1)[1] for s in steps] == [0.9, 0.8, 0.4]
 
 
 def test_draft_cap_modes():
     cfg = make_cfg(d_max=6)
+    capped = cfg.replace(draft_cap_mode=CAP_PLAN)
     model = toy_model(cfg)
     rng = np.random.default_rng(0)
     # the draft bound, not planned_len, ends the loop: algorithm1 capping
-    # passes d_max, plan capping the planned length
-    for tau in (0.0, 0.5):
-        assert draft(Positions(model, [1], True), ls_like(1, 2, tau, cfg.d_max), rng) == 6
-        assert draft(Positions(model, [1], True), ls_like(1, 2, tau), rng) == 2
+    # bounds a plan with a threshold at d_max, plan capping at its planned
+    # length
+    plan = ls_like(1, 2, 0.5)
+    assert (draft_bound(plan, cfg), draft_bound(plan, capped)) == (6, 2)
+    for bound in (6, 2):
+        assert len(draft(model, [1], None, plan, bound, rng, True)[1]) == bound
+    # a plan without a threshold drafts its planned length under either mode
+    for c in (cfg, capped):
+        assert draft_bound(ls_like(1, 2), c) == 2
+        assert run_round(model, [1], ls_like(1, 2), rng, CostLedger(), c).g == 2
 
 
 # -- verification -------------------------------------------------------------
@@ -342,11 +348,13 @@ def test_sampling_draft_tokens_come_from_q_but_confidences_are_top1():
     confs = [0.6] * 12
     model = ScriptedModel(base_len=1, confs=confs, draft_toks=[2] * 12, target_toks=[2] * 12)
     cfg = make_cfg(L=2, V=8, d_max=8, decode_mode=SAMPLING)
-    positions = Positions(model, [0], False)
-    assert draft(positions, ls_like(1, 8, tau=0.5), np.random.default_rng(5)) == 8
-    assert all(abs(s.layer(1)[1] - 0.6) < 1e-12 for s in positions.steps)
-    assert positions.q_rows == [(2, 0.6)] * 8
-    assert any(t != 2 for t in positions.drafted)  # sampled, not argmaxed
+    plan = ls_like(1, 8, tau=0.5)
+    steps, drafted, q_rows = draft(model, [0], None, plan, draft_bound(plan, cfg),
+                                   np.random.default_rng(5), False)
+    assert len(drafted) == 8
+    assert all(abs(s.layer(1)[1] - 0.6) < 1e-12 for s in steps)
+    assert q_rows == [(2, 0.6)] * 8
+    assert any(t != 2 for t in drafted)  # sampled, not argmaxed
 
 
 @given(
@@ -410,11 +418,11 @@ def test_sampling_micro_distribution_preservation():
 
 
 def test_round_records_are_tuples_in_field_order_that_cannot_be_set():
-    plan = DraftPlan(3, 0.25, 4, 6)
-    assert plan == (3, 0.25, 4, 6)
-    assert (plan.exit_layer, plan.threshold, plan.planned_len, plan.draft_bound) == (3, 0.25, 4, 6)
-    fields = ("drafted", "emitted", "accepted_count", "steps", "exit_layer_used",
-              "layers_loaded", "g")
+    plan = DraftPlan(3, 0.25, 4)
+    assert plan == (3, 0.25, 4)
+    assert DraftPlan._fields == ("exit_layer", "threshold", "planned_len")
+    assert (plan.exit_layer, plan.threshold, plan.planned_len) == (3, 0.25, 4)
+    fields = ("drafted", "emitted", "accepted_count", "steps", "layers_loaded", "g")
     out = RoundOutcome(*(f"value-{f}" for f in fields))
     assert RoundOutcome._fields == fields
     assert all(getattr(out, f) == f"value-{f}" for f in fields)
@@ -426,18 +434,14 @@ def test_round_records_are_tuples_in_field_order_that_cannot_be_set():
 def test_plan_validation_bounds():
     cfg = make_cfg(L=8, d_max=6)
     with pytest.raises(ValueError):
-        DraftPlan(8, 0.0, 2, 2).validate(cfg)
+        DraftPlan(8, 0.0, 2).validate(cfg)
     with pytest.raises(ValueError):
-        DraftPlan(0, 0.0, 2, 2).validate(cfg)
+        DraftPlan(0, 0.0, 2).validate(cfg)
     with pytest.raises(ValueError):
-        DraftPlan(1, 1.5, 2, 2).validate(cfg)
+        DraftPlan(1, 1.5, 2).validate(cfg)
     with pytest.raises(ValueError):
-        DraftPlan(1, 0.0, 7, 6).validate(cfg)
-    with pytest.raises(ValueError):
-        DraftPlan(1, 0.0, 2, 7).validate(cfg)
-    with pytest.raises(ValueError):
-        DraftPlan(1, 0.0, 2, -1).validate(cfg)
-    DraftPlan(7, 1.0, 6, 6).validate(cfg)
+        DraftPlan(1, 0.0, 7).validate(cfg)
+    DraftPlan(7, 1.0, 6).validate(cfg)
 
 
 # -- when steps draw their layers -------------------------------------------------
@@ -574,7 +578,7 @@ def eager_round(model, context, plan, rng, ledger, cfg, budget_left=None):
     greedy = cfg.decode_mode != SAMPLING
     ctx = list(context)
     drafted, steps, q_rows = [], [], []
-    for _ in range(plan.draft_bound):
+    for _ in range(draft_bound(plan, cfg)):
         step = model.step(ctx)
         steps.append(step)
         tok, conf = step.layer(plan.exit_layer)
@@ -612,12 +616,13 @@ def eager_round(model, context, plan, rng, ledger, cfg, budget_left=None):
 @st.composite
 def zero_threshold_rounds(draw):
     """A model, config, context and a plan of length g with a threshold of
-    0 (an ``ls`` plan) or above, a budget, and a horizon from
-    len(context) + g - 2 to + 2."""
+    0 (an ``ls`` plan) or above, under either draft cap mode, a budget, and
+    a horizon from len(context) + g - 2 to + 2."""
     L = draw(st.integers(2, 8))
     V = draw(st.integers(2, 16))
     mode = draw(st.sampled_from(["greedy", SAMPLING]))
-    cfg = make_cfg(L=L, V=V, d_max=8, decode_mode=mode)
+    cap = draw(st.sampled_from(CAP_MODES))
+    cfg = make_cfg(L=L, V=V, d_max=8, decode_mode=mode, draft_cap_mode=cap)
     levels = st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0])
 
     def profile():
