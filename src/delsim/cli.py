@@ -162,8 +162,12 @@ def _inputs(args):
         raise ConfigError(f"prompts must be >= 1, got {n}")
     if plen < 1:
         raise ConfigError(f"prompt_len must be >= 1, got {plen}")
+    cfg, spec = _session_from(args, file_cfg), _model_from(args, file_cfg)
+    if plen > spec.horizon >= 1:
+        # no step of a longer prompt is inside the horizon
+        raise ConfigError(f"prompt_len must be at most model.horizon ({spec.horizon}), got {plen}")
     out = Path(args.out or os.environ.get("DELSIM_OUT") or "results")
-    return run_cfg, _session_from(args, file_cfg), _model_from(args, file_cfg), n, plen, out
+    return run_cfg, cfg, spec, n, plen, out
 
 
 def _session_from(args, file_cfg: dict) -> SessionConfig:

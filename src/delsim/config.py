@@ -17,6 +17,10 @@ CAP_ALGORITHM1 = "algorithm1"
 CAP_PLAN = "plan_capped"
 CAP_MODES = (CAP_ALGORITHM1, CAP_PLAN)
 
+# the longest draft a session may plan: ``del`` ranks a (d_max + 1) x (L - 1)
+# grid of plans every round, so the bound keeps that grid small
+MAX_D_MAX = 4096
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -81,8 +85,8 @@ def validate_config(cfg: SessionConfig) -> SessionConfig:
         raise ConfigError(f"L must be an integer >= 2, got {cfg.L!r}")
     if not _is_int(cfg.V) or cfg.V < 2:
         raise ConfigError(f"V must be an integer >= 2, got {cfg.V!r}")
-    if not _is_int(cfg.d_max) or cfg.d_max < 0:
-        raise ConfigError(f"d_max must be an integer >= 0, got {cfg.d_max!r}")
+    if not _is_int(cfg.d_max) or not 0 <= cfg.d_max <= MAX_D_MAX:
+        raise ConfigError(f"d_max must be an integer in [0, {MAX_D_MAX}], got {cfg.d_max!r}")
     if not _is_number(cfg.omega) or not 0.0 <= cfg.omega <= 1.0:
         raise ConfigError(f"omega out of [0,1]: {cfg.omega!r}")
     if not _is_int(cfg.prefill_window) or cfg.prefill_window < 1:

@@ -7,7 +7,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import shutil
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache
@@ -139,9 +142,13 @@ def run_experiment(
     vanilla reference for the same prompt; a violation raises
     InvariantViolation (CLI exit code 2). A policy name given twice raises
     ConfigError naming the second entry: its sessions would share the
-    first's engine seeds and overwrite its traces. A valid run then removes
-    the ``traces/*.jsonl`` files an earlier run left in ``out_dir``, and
-    nothing else, so the directory holds only this run's traces.
+    first's engine seeds and overwrite its traces.
+
+    The run writes its files into a new sibling directory of ``out_dir``,
+    and only once every session has run moves them in (``_swap_in``):
+    ``config.json``, ``summary.csv``, ``aggregate.csv`` and
+    ``traces/*.jsonl``, after removing the traces an earlier run left. A run
+    that raises leaves ``out_dir`` as it was; nothing else in it is touched.
     """
     names = []
     for i, (name, params) in enumerate(policy_specs):
@@ -161,52 +168,71 @@ def run_experiment(
         },
     }
 
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        (out_path / "traces").mkdir(parents=True, exist_ok=True)
-        for stale in (out_path / "traces").glob("*.jsonl"):
-            stale.unlink()
-        (out_path / "config.json").write_text(json.dumps(config_echo, indent=2, sort_keys=True))
-
-    # prompt by prompt, so the model's step memo serves every session on a
-    # prompt; reports stay in (policy, prompt) order
-    by_policy: list[list[RunReport]] = [[] for _ in policy_specs]
-    for i, prompt in enumerate(prompts):
-        reference = None
-        if cfg.decode_mode == GREEDY:
-            reference = vanilla_reference(model, cfg, prompt)
-        for (name, params), policy_reports in zip(policy_specs, by_policy):
-            policy = make_policy(name, cfg, **params)
-            engine_seed = derive_seed(cfg.seed, "engine", name, i)
-            res = run_session(model, policy, cfg, prompt, engine_seed)
-            if reference is not None and res.output != reference:
-                raise InvariantViolation(
-                    f"greedy output of policy {name!r} on prompt {i} diverged from vanilla"
+    # the run's files go to a new sibling of out_dir, and into it at the end
+    work = None
+    if out_dir is not None:
+        dest = Path(out_dir).resolve()
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(prefix=f".{dest.name}.", dir=dest.parent))
+    try:
+        # prompt by prompt, so the model's step memo serves every session on
+        # a prompt; reports stay in (policy, prompt) order
+        by_policy: list[list[RunReport]] = [[] for _ in policy_specs]
+        for i, prompt in enumerate(prompts):
+            reference = None
+            if cfg.decode_mode == GREEDY:
+                reference = vanilla_reference(model, cfg, prompt)
+            for (name, params), policy_reports in zip(policy_specs, by_policy):
+                policy = make_policy(name, cfg, **params)
+                engine_seed = derive_seed(cfg.seed, "engine", name, i)
+                res = run_session(model, policy, cfg, prompt, engine_seed)
+                if reference is not None and res.output != reference:
+                    raise InvariantViolation(
+                        f"greedy output of policy {name!r} on prompt {i} diverged from vanilla"
+                    )
+                etpl = compute_etpl(res.ledger)
+                trace_path = None
+                if work is not None:
+                    trace_path = f"traces/{name}-{i}.jsonl"
+                    write_trace(work / trace_path, res.records)
+                policy_reports.append(
+                    RunReport(
+                        policy=name,
+                        prompt_index=i,
+                        seed=engine_seed,
+                        tokens_emitted=res.ledger.tokens_emitted,
+                        layers_loaded=res.ledger.layers_loaded,
+                        etpl=etpl,
+                        sim_speedup=etpl * cfg.L,
+                        trace_path=trace_path,
+                        config=config_echo,
+                    )
                 )
-            etpl = compute_etpl(res.ledger)
-            trace_path = None
-            if out_path is not None:
-                trace_path = f"traces/{name}-{i}.jsonl"
-                write_trace(out_path / trace_path, res.records)
-            policy_reports.append(
-                RunReport(
-                    policy=name,
-                    prompt_index=i,
-                    seed=engine_seed,
-                    tokens_emitted=res.ledger.tokens_emitted,
-                    layers_loaded=res.ledger.layers_loaded,
-                    etpl=etpl,
-                    sim_speedup=etpl * cfg.L,
-                    trace_path=trace_path,
-                    config=config_echo,
-                )
-            )
-    reports = [r for rs in by_policy for r in rs]
-
-    if out_path is not None:
-        write_summary(out_path / "summary.csv", reports)
-        write_aggregate(out_path / "aggregate.csv", reports, cfg)
+        reports = [r for rs in by_policy for r in rs]
+        if work is not None:
+            (work / "config.json").write_text(json.dumps(config_echo, indent=2, sort_keys=True))
+            write_summary(work / "summary.csv", reports)
+            write_aggregate(work / "aggregate.csv", reports, cfg)
+            _swap_in(work, dest)
+    finally:
+        if work is not None:
+            shutil.rmtree(work, ignore_errors=True)
     return reports
+
+
+def _swap_in(work: Path, out: Path) -> None:
+    """Move a finished run's files from ``work`` into ``out``: the traces an
+    earlier run left in ``out/traces`` are removed, then each of the run's
+    traces, ``aggregate.csv``, ``summary.csv`` and ``config.json`` replaces
+    its namesake."""
+    traces = out / "traces"
+    traces.mkdir(parents=True, exist_ok=True)
+    for stale in traces.glob("*.jsonl"):
+        stale.unlink()
+    for trace in (work / "traces").glob("*.jsonl"):
+        os.replace(trace, traces / trace.name)
+    for name in ("aggregate.csv", "summary.csv", "config.json"):
+        os.replace(work / name, out / name)
 
 
 # -- trace / table io -------------------------------------------------------
@@ -222,8 +248,9 @@ SUMMARY_FIELDS = (
 # threshold, then the policy's last estimate and window index. Every value
 # is its exact JSON but the estimate, a list whose entries are printed at
 # six significant digits (``_alpha_template``); the record keeps them at
-# full precision. A line's pattern matches the estimate by its characters
-# only: ``delsim replay`` proves its values by re-running the directory
+# full precision. A line's pattern captures the estimate's list, whose
+# characters only ``trace_totals`` checks: ``delsim replay`` proves its
+# values by re-running the directory
 TRACE_LAYOUT = (
     ("round", r"\d+"),
     ("E", r"\d+"),
@@ -233,7 +260,7 @@ TRACE_LAYOUT = (
     ("emitted_len", r"\d+"),
     ("layers_loaded", r"\d+"),
     ("tau", r"[\d.e+-]+"),
-    ("alpha_snapshot", r"\[[-0-9.eE+, ]*\]"),
+    ("alpha_snapshot", r"\[(?P<entries>[^\]]*)\]"),
     ("u_r", r"\d+"),
 )
 # the fields a baseline leaves None, which a line writes as null
@@ -342,10 +369,17 @@ _RECORD = re.compile(
 )
 
 
+# the characters an estimate's entries are printed with
+_ALPHA_CHARS = b"-0123456789.eE+, "
+
+
 def trace_totals(path: Path) -> tuple[int, int]:
     """Summed ``emitted_len`` and ``layers_loaded`` over a trace's records.
     A line that is not a whole record raises ValueError naming the trace
-    and the first such line."""
+    and the first such line: ``_RECORD`` must match every field, and the
+    estimate's list hold only ``_ALPHA_CHARS``, checked by one
+    ``bytes.translate`` (cheaper than a pattern's match of each character,
+    or than ``str.translate``)."""
     tokens = layers = 0
     with path.open() as f:
         for lineno, line in enumerate(f, 1):
@@ -353,7 +387,8 @@ def trace_totals(path: Path) -> tuple[int, int]:
             if not line:
                 continue
             m = _RECORD.fullmatch(line)
-            if m is None:
+            # UTF-8 writes every other character with bytes outside ASCII
+            if m is None or m["entries"] and m["entries"].encode().translate(None, _ALPHA_CHARS):
                 raise ValueError(f"{path} line {lineno}: not a whole trace record")
             tokens += int(m["emitted_len"])
             layers += int(m["layers_loaded"])

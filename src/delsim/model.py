@@ -116,7 +116,11 @@ def _parse(what: str, convert, value):
         raise ConfigError(f"bad value for {what}: {value!r} ({e})") from e
 
 
-def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _check_profile(profile: tuple[float, ...], L: int, what: str) -> np.ndarray:
+    """``profile`` as a read-only array of its L rates, checked, and kept
+    per process for each (profile, L, what); a bad profile raises
+    ConfigError naming ``what``."""
     arr = np.asarray(profile, dtype=np.float64)
     if arr.shape != (L,):
         raise ConfigError(f"{what} must have exactly L={L} entries, got {arr.shape}")
@@ -125,11 +129,15 @@ def _check_profile(profile: Sequence[float], L: int, what: str) -> np.ndarray:
         raise ConfigError(f"{what} entries must lie in [0,1]")
     if arr[-1] != 1.0:
         raise ConfigError(f"{what} last entry (layer L) must be 1.0")
-    return arr
+    return _read_only(arr)
 
 
 # the inverse CDF of a confidence law is tabulated at u = j / TABLE_SIZE
 TABLE_SIZE = 2048
+
+# the longest window a step's key may hold, past the default horizon: a full
+# window is packed by one precompiled ``struct`` format of that many tokens
+MAX_HASH_WINDOW = 1 << 20
 
 # a 16-byte key digest as the two 64-bit words of a Philox key, in the
 # order np.frombuffer(digest, np.uint64) gives them
@@ -137,34 +145,66 @@ _KEY_WORDS = struct.Struct("<2Q")
 # a key's length field and one token of its window (``LayeredModel._key``)
 _LENGTH = struct.Struct("<Q")
 _TOKEN = struct.Struct("<I")
+# each thread's scratch generator (``LayeredModel._scratch_rng``)
+_SCRATCH = threading.local()
 
 
-def confidence_table(spec: Mapping[str, Any], what: str) -> np.ndarray:
-    """A confidence law as its inverse CDF at ``u = j / TABLE_SIZE`` for
-    j = 0..TABLE_SIZE. A uniform ``u`` maps to a confidence by linear
-    interpolation in this table (``LayeredModel._confidence``), a draw from the
-    law whose CDF interpolates the exact one between the table's quantiles,
-    so the two CDFs differ by at most ``1 / TABLE_SIZE`` plus the table's
-    own error. ``uniform`` and ``fixed`` laws are exact; a ``beta`` law
-    comes from ``beta_table``. The array is read-only."""
+def confidence_law(spec: Mapping[str, Any], what: str) -> tuple:
+    """A confidence law's config section, checked, as the key its tables are
+    kept under: ``("beta", a, b)``, ``("fixed", value)`` or ``("uniform",
+    lo, hi)``, with float parameters. A malformed law raises ConfigError
+    naming ``what``."""
     kind = spec.get("dist")
     if kind == "beta":
         a, b = (_parse(f"{what}.{k}", float, spec.get(k)) for k in ("a", "b"))
         if not (0.0 < a < math.inf and 0.0 < b < math.inf):
             raise ConfigError(f"{what} beta parameters a and b must be finite and > 0")
-        return beta_table(a, b)
+        return ("beta", a, b)
     if kind == "fixed":
         v = _parse(f"{what}.value", float, spec.get("value"))
         if not 0.0 <= v <= 1.0:
             raise ConfigError(f"{what}.value out of [0,1]: {v}")
-        return _read_only(np.full(TABLE_SIZE + 1, v))
+        return ("fixed", v)
     if kind == "uniform":
         lo = _parse(f"{what}.lo", float, spec.get("lo", 0.0))
         hi = _parse(f"{what}.hi", float, spec.get("hi", 1.0))
         if not 0.0 <= lo <= hi <= 1.0:
             raise ConfigError(f"{what} uniform bounds must satisfy 0 <= lo <= hi <= 1")
-        return _read_only(np.linspace(lo, hi, TABLE_SIZE + 1))
+        return ("uniform", lo, hi)
     raise ConfigError(f"{what}.dist must be one of beta/fixed/uniform, got {kind!r}")
+
+
+@lru_cache(maxsize=32)
+def confidence_tables(match: tuple, mismatch: tuple, V: int, toy: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The confidence table a model reads and each entry's rise to the next,
+    both read-only, built once per process for each (match law, mismatch
+    law, V, toy) and shared by every model with them.
+
+    The table holds each checked law (``confidence_law``), the match law's
+    then the mismatch law's, as its inverse CDF at ``u = j / TABLE_SIZE``
+    for j = 0..TABLE_SIZE, floored at ``1 / V + 1e-9``, a top-1 probability
+    at which the intended argmax strictly dominates the uniformly spread
+    remainder. A uniform ``u`` maps to a confidence by linear interpolation
+    in its law's part (``LayeredModel._confidence``), a draw from the law
+    whose CDF interpolates the exact one between the table's quantiles, so
+    the two CDFs differ by at most ``1 / TABLE_SIZE`` plus the table's own
+    error. ``uniform`` and ``fixed`` laws are exact; a ``beta`` law comes
+    from ``beta_table``. The toy's layers, which all agree, are sure of
+    their token: its table is all ones, whatever its laws."""
+    tables = []
+    for kind, *params in (match, mismatch):
+        if toy:
+            tables.append(np.ones(TABLE_SIZE + 1))
+        elif kind == "beta":
+            tables.append(beta_table(*params))
+        elif kind == "fixed":
+            tables.append(np.full(TABLE_SIZE + 1, params[0]))
+        else:
+            tables.append(np.linspace(params[0], params[1], TABLE_SIZE + 1))
+    conf = np.maximum(np.concatenate(tables), 1.0 / V + 1e-9)
+    rise = np.diff(conf, append=conf[-1])
+    rise[TABLE_SIZE] = 0.0
+    return _read_only(conf), _read_only(rise)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -214,7 +254,7 @@ def _beta_cdf_below(x: np.ndarray, a: float, b: float) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def beta_table(a: float, b: float) -> np.ndarray:
-    """The Beta(a, b) law's inverse-CDF table (see ``confidence_table``),
+    """The Beta(a, b) law's inverse-CDF table (see ``confidence_tables``),
     built with numpy alone and kept per process for each (a, b).
 
     The CDF is computed exactly at fine nodes (``_beta_nodes``) and the
@@ -361,8 +401,10 @@ class LayeredModel:
         self._transition.flags.writeable = False
         # the target argmax after each token, as Python ints
         self._trans_argmax = np.argmax(self._transition, axis=1).tolist()
-        self._cum_transition = np.cumsum(self._transition, axis=1)
-        self._cum_transition.flags.writeable = False
+        self._cum_transition = _read_only(np.cumsum(self._transition, axis=1))
+        # the same sums, row after row, as one flat read-only memoryview of
+        # Python floats, which ``sample_prompt`` bisects a row's slice of
+        self._cum_flat = memoryview(self._cum_transition.reshape(-1))
         # row r's cumulative sums as a list of floats, and its view of the
         # matrix, once a step of row r has been made (``_cdf_row``), else
         # None: the steps' ``target_cdf`` and ``target``
@@ -372,7 +414,7 @@ class LayeredModel:
         if spec.kind == AGREEMENT:
             if spec.agreement_profile is None:
                 raise ConfigError("agreement_profile is required for kind='agreement'")
-            self._profiles = [_check_profile(spec.agreement_profile, L, "agreement_profile")]
+            self._profiles = [_check_profile(tuple(spec.agreement_profile), L, "agreement_profile")]
             self._segments = None
         elif spec.kind == REGIME_SWITCHING:
             if not spec.regimes:
@@ -383,7 +425,7 @@ class LayeredModel:
                 if seg_len < 1:
                     raise ConfigError(f"regimes[{i}] segment length must be >= 1")
                 lengths.append(int(seg_len))
-                self._profiles.append(_check_profile(prof, L, f"regimes[{i}] profile"))
+                self._profiles.append(_check_profile(tuple(prof), L, f"regimes[{i}] profile"))
             self._segments = list(accumulate(lengths))
         else:
             self._profiles = [np.ones(L)]
@@ -391,32 +433,20 @@ class LayeredModel:
         # the draws compare against the exit layers' rates only
         self._profiles = [p[: L - 1] for p in self._profiles]
 
-        # the match law's table, then the mismatch law's, floored at a top-1
-        # probability at which the intended argmax strictly dominates the
-        # uniformly spread remainder; and each entry's rise to the next
-        tables = [
-            confidence_table(dict(spec.confidence_match), "confidence_match"),
-            confidence_table(dict(spec.confidence_mismatch), "confidence_mismatch"),
-        ]
-        if spec.kind == DETERMINISTIC_TOY:
-            # checked like any model's laws above, but the toy's layers,
-            # which all agree, are sure of their token: every confidence is 1
-            tables = [np.ones(TABLE_SIZE + 1)] * 2
-        conf = np.maximum(np.concatenate(tables), 1.0 / V + 1e-9)
-        rise = np.diff(conf, append=conf[-1])
-        rise[TABLE_SIZE] = 0.0
-        self._conf_table = _read_only(conf)
-        self._conf_rise = _read_only(rise)
+        self._conf_table, self._conf_rise = confidence_tables(
+            confidence_law(dict(spec.confidence_match), "confidence_match"),
+            confidence_law(dict(spec.confidence_mismatch), "confidence_mismatch"),
+            V, spec.kind == DETERMINISTIC_TOY)
         # the keyed digest's state before any message; each row's digest
         # continues a copy of it, which skips re-keying
         self._keyed_hash = hashlib.blake2b(
             digest_size=16, key=int(seed % 2**64).to_bytes(8, "little", signed=False))
-        if spec.context_hash_window < 1:
-            raise ConfigError("context_hash_window must be >= 1")
+        if not 1 <= spec.context_hash_window <= MAX_HASH_WINDOW:
+            raise ConfigError(f"model.context_hash_window must be in [1, {MAX_HASH_WINDOW}], "
+                              f"got {spec.context_hash_window}")
         self._hash_window = spec.context_hash_window
         # ``_key``'s message for a context of at least a window's length
         self._pack_key = struct.Struct(f"<Q{self._hash_window}I").pack
-        self._local = threading.local()
         # steps keyed by the exact (length, window) message their draws are
         # keyed by, in recency order, oldest first
         self.memo_capacity = memo_capacity
@@ -463,8 +493,10 @@ class LayeredModel:
         # holds plain ints, so the ``state`` setter reads them without numpy
         # scalars, and is re-keyed in place: with the counter at 0 and the
         # buffer marked spent the setter starts the new key's stream afresh,
-        # and with only 64-bit draws made nothing else in it matters.
-        loc = self._local
+        # and with only 64-bit draws made nothing else in it matters. Every
+        # draw re-keys it first, so one generator per thread serves every
+        # model.
+        loc = _SCRATCH
         st = getattr(loc, "state", None)
         if st is None:
             loc.bitgen = np.random.Philox(key=0)
@@ -754,13 +786,27 @@ class LayeredModel:
         return conf
 
     def sample_prompt(self, length: int, rng: np.random.Generator) -> list[TokenId]:
-        """Draw a prompt of the given length from the base process."""
+        """Draw a prompt of the given length from the base process: the first
+        token is ``rng.integers(V)``, and each next one is the inverse CDF of
+        its uniform from ``rng.random(length - 1)`` under the row of the token
+        before it: the first index whose cumulative sum (``_cum_transition``)
+        exceeds the uniform, capped at V - 1 for a row that sums to less than
+        1 by rounding. Each search is a ``bisect_right`` over the row's slice
+        of ``_cum_flat``, so a token costs no numpy call and the walk builds
+        no per-row list; it finds what ``searchsorted(u, "right")`` on the
+        row finds (``tests/reference.py`` keeps that walk)."""
         if length < 1:
             raise ValueError("prompt length must be >= 1")
-        out = [int(rng.integers(self.V))]
-        cum, top = self._cum_transition, self.V - 1
+        V = self.V
+        tok = int(rng.integers(V))
+        out = [tok]
+        flat, top = self._cum_flat, V - 1
         for u in rng.random(length - 1).tolist():
-            out.append(min(int(cum[out[-1]].searchsorted(u, "right")), top))
+            lo = tok * V
+            tok = bisect_right(flat, u, lo, lo + V) - lo
+            if tok > top:
+                tok = top
+            out.append(tok)
         return out
 
 

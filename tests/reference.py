@@ -6,6 +6,8 @@ form: full rows built and normalized, no caching, no certified shortcuts.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from delsim.types import InvariantViolation, exit_distribution
@@ -37,3 +39,25 @@ def reference_verify_sampling(tok, q_row, p_row, rng):
     if total <= 0.0:
         raise InvariantViolation("zero residual distribution at rejection")
     return sample_index(residual / total, rng)
+
+
+def sample_prompt(model, length, rng):
+    """``LayeredModel.sample_prompt`` with one numpy search per token: the
+    first token is ``rng.integers(V)``, and each next one the
+    ``searchsorted(u, "right")`` of its uniform in the cumulative sums of
+    the row of the token before it, capped at V - 1."""
+    cum, top = model._cum_transition, model.V - 1
+    out = [int(rng.integers(model.V))]
+    for u in rng.random(length - 1).tolist():
+        out.append(min(int(cum[out[-1]].searchsorted(u, "right")), top))
+    return out
+
+
+# a whole trace line as ``harness.write_trace`` lays it out, its two totals
+# as named groups, with the estimate's list matched one character at a time
+# by a character class of the characters its entries are printed with
+TRACE_RECORD = re.compile(
+    r'\{"round": \d+, "E": \d+, "planned_len": \d+, "g": \d+, "accepted": \d+, '
+    r'"emitted_len": (?P<emitted_len>\d+), "layers_loaded": (?P<layers_loaded>\d+), '
+    r'"tau": [\d.e+-]+, "alpha_snapshot": (?:null|\[[-0-9.eE+, ]*\]), "u_r": (?:null|\d+)\}'
+)

@@ -213,6 +213,29 @@ def test_a_rerun_into_one_directory_leaves_no_stale_trace_and_bad_input_touches_
     assert main(["replay", "--dir", str(out)]) == 0, capsys.readouterr().err
 
 
+def test_a_run_that_fails_mid_way_leaves_the_earlier_directory_as_it_was(tmp_path, capsys):
+    example = json.loads((Path(__file__).resolve().parents[1] / "examples" / "compare_policies.json").read_text())
+    example["run"]["prompts"] = 1
+    example["session"]["max_new_tokens"] = 16
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(example))
+    example["model"]["horizon"] = 40
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(example))
+    out = tmp_path / "rr"
+    assert main(["run", "--config", str(good), "--out", str(out)]) == 0
+    files = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    # the 32-token prompt's 16 new tokens step past the horizon
+    assert main(["run", "--config", str(short), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "exceeds horizon 40" in err and "Traceback" not in err
+    assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == files
+    # nothing is left beside it either
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["good.json", "rr", "short.json"]
+    assert main(["replay", "--dir", str(out)]) == 0, capsys.readouterr().err
+
+
 def test_replay_same_seed_recomputes_identical_etpl(tmp_path):
     cfg_file = write_config(tmp_path / "exp.json")
     outs = []
@@ -366,6 +389,12 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "del"], {"run": {"bogus": 1}}, "unknown run field(s): ['bogus']"),
         (["sweep", "--ell", "1..2", "--d", "0,2"], {"run": {"bogus": 1}}, "bogus"),
         (["run", "--policy", "del"], {"sesion": 5}, "unknown config section(s): ['sesion']"),
+        # size fields past their stated upper bounds
+        (["run", "--policy", "del"], {"session": {"d_max": 2**63}}, "d_max"),
+        (["run", "--policy", "del"], {"model": {"context_hash_window": 10**30}},
+         "model.context_hash_window"),
+        (["run", "--policy", "vanilla"],
+         {"session": {"decode_mode": "sampling"}, "run": {"prompt_len": 10**30}}, "prompt_len"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
@@ -385,7 +414,8 @@ def test_help_exits_zero(capsys):
          "run-policies-unknown-policy", "run-policies-missing-param",
          "run-policies-misspelt-param", "run-policies-param-named-cfg", "run-policies-repeated-name",
          "run-policies-with-param-flag", "run-policies-with-param-key", "run-unknown-key",
-         "sweep-run-unknown-key", "unknown-section"],
+         "sweep-run-unknown-key", "unknown-section", "session-d-max-huge",
+         "model-context-hash-window-huge", "sampling-prompt-len-huge"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)

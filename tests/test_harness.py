@@ -30,6 +30,7 @@ from delsim.harness import (
 )
 from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec, build_model
 from delsim.types import InvariantViolation
+from reference import TRACE_RECORD
 
 
 def spec_with_profile(profile, **over) -> ModelSpec:
@@ -429,6 +430,43 @@ def test_write_trace_writes_each_record_as_json(tmp_path_factory, records):
         sum(rec["emitted_len"] for rec in records),
         sum(rec["layers_loaded"] for rec in records),
     )
+
+
+# what a mutation writes: the characters of a line, of an estimate's entries,
+# and others a damaged file can hold (a non-ASCII digit among them)
+MUTATION_CHARS = st.sampled_from(list('-0123456789.eE+, []{}":nulx') + ["\t", "\x00", "\u0663", "\u00e9"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rec=trace_records,
+    alpha=st.none() | st.lists(trace_floats, min_size=1, max_size=80),
+    edits=st.lists(st.tuples(st.booleans(), st.integers(0, 2**16),
+                             st.sampled_from(["insert", "replace", "delete"]), MUTATION_CHARS),
+                   max_size=4),
+)
+def test_a_mutated_trace_line_gets_the_character_class_patterns_verdict(tmp_path_factory, rec, alpha,
+                                                                        edits):
+    # the estimate's list is captured whole and its characters checked in one
+    # pass; the reference pattern matches them one at a time. Each edit falls
+    # anywhere in the line or inside the estimate's list
+    if alpha is not None:
+        rec = {**rec, "alpha_snapshot": alpha}
+    path = tmp_path_factory.getbasetemp() / "mutated.jsonl"
+    write_trace(path, [rec])
+    line = path.read_text().rstrip("\n")
+    for in_list, at, op, ch in edits:
+        lo = line.find('"alpha_snapshot": [') + len('"alpha_snapshot": [')
+        hi = line.find("]", lo)
+        i = lo + at % (hi - lo + 1) if in_list and lo < hi else at % (len(line) + 1)
+        line = line[:i] + ("" if op == "delete" else ch) + line[i + (op != "insert"):]
+    path.write_text(line)
+    want = TRACE_RECORD.fullmatch(line.strip())
+    if want is None:
+        with pytest.raises(ValueError, match="line 1: not a whole trace record"):
+            trace_totals(path)
+    else:
+        assert trace_totals(path) == (int(want["emitted_len"]), int(want["layers_loaded"])), line
 
 
 @pytest.mark.parametrize("mode", [GREEDY, SAMPLING])

@@ -35,6 +35,7 @@ from delsim.model import (
 )
 from delsim.types import PROB_SUM_TOL, LayerStep, exit_distribution, sample_cdf
 from reference import sample_index
+from reference import sample_prompt as reference_prompt
 
 
 def path_steps(model, prompt, n):
@@ -246,6 +247,61 @@ def test_sample_prompt_deterministic_and_in_range():
     assert p1 == p2
     assert len(p1) == 16
     assert all(0 <= t < cfg.V for t in p1)
+
+
+class PromptUniforms:
+    """An rng stub for ``sample_prompt``: ``integers`` returns ``first`` and
+    ``random(n)`` the first n of ``uniforms``."""
+
+    def __init__(self, first, uniforms):
+        self.first = first
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+
+    def integers(self, V):
+        return np.int64(self.first)
+
+    def random(self, n):
+        return self.uniforms[:n].copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(["dirichlet", "uniform", "table", "zeros", "toy"]),
+    V=st.integers(2, 80),
+    length=st.integers(1, 2000),
+    conc=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sample_prompt_equals_the_searchsorted_walk(data, kind, V, length, conc, seed):
+    if kind == "zeros":
+        # rows with zero entries: a CDF with flat steps, and some rows one-hot
+        rng = np.random.default_rng(seed)
+        probs = rng.random((V, V)) * (rng.random((V, V)) < 0.3)
+        probs[np.arange(V), rng.integers(V, size=V)] += 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        model = LayeredModel(ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.5, 1.0),
+                                       base_process={"kind": "table", "probs": probs.tolist()}),
+                             3, V, seed)
+    else:
+        model = cdf_model(kind, V, conc, seed)
+    gen_seed = data.draw(st.integers(0, 2**32 - 1))
+    a, b = np.random.default_rng(gen_seed), np.random.default_rng(gen_seed)
+    got = model.sample_prompt(length, a)
+    assert got == reference_prompt(model, length, b)
+    assert a.bit_generator.state == b.bit_generator.state
+    assert len(got) == length and all(type(t) is int for t in got)
+    # each uniform exactly on a cumulative sum of the row it is drawn in (a
+    # step of its CDF), or 0, or the largest a generator draws
+    cum = model._cum_transition
+    first = tok = data.draw(st.integers(0, V - 1))
+    uniforms = []
+    for j in np.random.default_rng(gen_seed).integers(V + 2, size=length - 1).tolist():
+        u = 0.0 if j == V else 1.0 - 2.0**-53 if j == V + 1 else float(cum[tok, j])
+        uniforms.append(u)
+        tok = min(int(cum[tok].searchsorted(u, "right")), V - 1)
+    got = model.sample_prompt(length, PromptUniforms(first, uniforms))
+    assert got == reference_prompt(model, length, PromptUniforms(first, uniforms))
 
 
 # -- cached target CDFs ---------------------------------------------------------
@@ -1269,10 +1325,27 @@ def test_confidence_tables_are_shared_and_read_only():
     assert beta_table(8.0, 2.0) is beta_table(8.0, 2.0)
     for model in (a, b):
         assert not model._conf_table.flags.writeable and not model._conf_rise.flags.writeable
-    # each model floors its copy at 1/V + 1e-9: the fixed law sits below it
+    # models with the same laws and V share one floored table and its rise,
+    # whatever their seed, L or kind, and laws written differently are the same
+    same_laws = dataclasses.replace(spec, confidence_mismatch={"dist": "fixed", "value": 0.05, "x": 1},
+                                    confidence_match={"dist": "uniform", "hi": 0.5})
+    for other in (LayeredModel(spec, cfg.L, cfg.V, 9), LayeredModel(same_laws, cfg.L, cfg.V, 3),
+                  LayeredModel(dataclasses.replace(spec, agreement_profile=(0.5, 1.0)), 2, cfg.V, 1),
+                  LayeredModel(dataclasses.replace(spec, kind=REGIME_SWITCHING, agreement_profile=None,
+                                                   regimes=((4, (0.5, 0.5, 0.5, 1.0)),)), cfg.L, cfg.V, 1)):
+        assert other._conf_table is a._conf_table and other._conf_rise is a._conf_rise
+    # each V gets its own floor at 1/V + 1e-9: the fixed law sits below both
     floor = 1.0 / cfg.V + 1e-9
     assert a._conf_table.min() == floor
     assert np.all(a._conf_table[TABLE_SIZE + 1:] == floor)
+    c = LayeredModel(spec, cfg.L, 16, 1)
+    assert c._conf_table is not a._conf_table and c._conf_rise is not a._conf_rise
+    assert np.all(c._conf_table[TABLE_SIZE + 1:] == 1.0 / 16 + 1e-9)
+    assert np.array_equal(c._conf_table[: TABLE_SIZE + 1],
+                          np.maximum(np.linspace(0.0, 0.5, TABLE_SIZE + 1), 1.0 / 16 + 1e-9))
+    # the toy's all-ones table is kept apart from an agreement model's
+    toy = LayeredModel(dataclasses.replace(spec, kind=DETERMINISTIC_TOY), cfg.L, cfg.V, 1)
+    assert toy._conf_table is not a._conf_table and np.all(toy._conf_table == 1.0)
     steps = path_steps(a, [1], 50)
     conf = LayerStep.shadow(steps)[1]
     assert conf.min() >= floor and conf.max() <= 0.5
