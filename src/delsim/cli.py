@@ -56,7 +56,6 @@ SESSION_FLAGS = (
     ("--decode-mode", str, "greedy or sampling"),
     ("--seed", int, "master 64-bit seed; all randomness derives from it"),
     ("--draft-cap-mode", str, "algorithm1 or plan_capped"),
-    ("--alpha-clamp-eps", float, "lower clamp for acceptance estimates"),
 )
 
 # each policy parameter, the run-section key and flag that set it, and its type
@@ -79,12 +78,9 @@ def _inputs_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt-len", type=int, default=None)
     for flag, typ, help_text in SESSION_FLAGS:
         p.add_argument(flag, type=typ, default=None, help=help_text)
-    p.add_argument("--model-kind", default=None,
-                   help="agreement, regime_switching, or deterministic_toy")
+    p.add_argument("--model-kind", default=None, help="agreement or regime_switching")
     p.add_argument("--profile", default=None,
                    help="comma-separated per-layer agreement rates (last must be 1)")
-    p.add_argument("--toy-map", default=None,
-                   help="comma-separated next-token table for deterministic_toy")
     p.add_argument("--out", default=None,
                    help="output directory (overrides DELSIM_OUT; default ./results)")
     return p
@@ -148,9 +144,6 @@ def _inputs(args):
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
     run_cfg = _section(file_cfg, "run")
-    if "del_per_layer_window" in run_cfg:
-        # a removed study variant: running without it would change the results silently
-        raise ConfigError("run.del_per_layer_window is no longer supported; remove the field")
     if not RUN_KEYS.issuperset(run_cfg):
         raise ConfigError(f"unknown run field(s): {sorted(set(run_cfg) - RUN_KEYS)}")
     if {"policy", "policies"} <= set(run_cfg):
@@ -189,9 +182,6 @@ def _model_from(args, file_cfg: dict) -> ModelSpec:
         merged["kind"] = args.model_kind
     if args.profile:
         merged["agreement_profile"] = _parse_list(args.profile, float, "--profile")
-    if args.toy_map:
-        merged["base_process"] = {"kind": "next_map",
-                                  "map": _parse_list(args.toy_map, int, "--toy-map")}
     if "kind" not in merged:
         raise ConfigError("model.kind is required (flag --model-kind or config file)")
     return ModelSpec.from_dict(merged)

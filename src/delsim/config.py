@@ -20,6 +20,9 @@ CAP_MODES = (CAP_ALGORITHM1, CAP_PLAN)
 # the longest draft a session may plan: ``del`` ranks a (d_max + 1) x (L - 1)
 # grid of plans every round, so the bound keeps that grid small
 MAX_D_MAX = 4096
+# the largest vocabulary: a model holds two V x V float64 matrices, its
+# transition rows and their cumulative sums, 256 MiB at this bound
+MAX_V = 4096
 
 
 class ConfigError(ValueError):
@@ -39,7 +42,6 @@ class SessionConfig:
     decode_mode: str = GREEDY
     seed: int = 0
     draft_cap_mode: str = CAP_ALGORITHM1
-    alpha_clamp_eps: float = 1e-6
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
@@ -83,8 +85,8 @@ def validate_config(cfg: SessionConfig) -> SessionConfig:
     """Return cfg unchanged if valid, else raise naming the first bad field."""
     if not _is_int(cfg.L) or cfg.L < 2:
         raise ConfigError(f"L must be an integer >= 2, got {cfg.L!r}")
-    if not _is_int(cfg.V) or cfg.V < 2:
-        raise ConfigError(f"V must be an integer >= 2, got {cfg.V!r}")
+    if not _is_int(cfg.V) or not 2 <= cfg.V <= MAX_V:
+        raise ConfigError(f"V must be an integer in [2, {MAX_V}], got {cfg.V!r}")
     if not _is_int(cfg.d_max) or not 0 <= cfg.d_max <= MAX_D_MAX:
         raise ConfigError(f"d_max must be an integer in [0, {MAX_D_MAX}], got {cfg.d_max!r}")
     if not _is_number(cfg.omega) or not 0.0 <= cfg.omega <= 1.0:
@@ -99,8 +101,6 @@ def validate_config(cfg: SessionConfig) -> SessionConfig:
         raise ConfigError(f"seed must be a 64-bit integer, got {cfg.seed!r}")
     if cfg.draft_cap_mode not in CAP_MODES:
         raise ConfigError(f"draft_cap_mode must be one of {CAP_MODES}, got {cfg.draft_cap_mode!r}")
-    if not _is_number(cfg.alpha_clamp_eps) or not 0.0 < cfg.alpha_clamp_eps < 0.5:
-        raise ConfigError(f"alpha_clamp_eps out of (0, 0.5): {cfg.alpha_clamp_eps!r}")
     return cfg
 
 

@@ -17,6 +17,10 @@ from .config import SessionConfig
 from .engine import DraftPlan, RoundOutcome
 from .types import InvariantViolation, LayerStep, TokenId
 
+# the least acceptance-rate estimate: a layer that has agreed nowhere in the
+# window still gets a positive rate, so every plan's objective stays defined
+ALPHA_FLOOR = 1e-6
+
 
 class ShadowMatrix(NamedTuple):
     """Per-layer agreement and confidences for one round's positions.
@@ -130,22 +134,22 @@ def push(stats: DecayedStats, rs: RoundStats, omega: float) -> DecayedStats:
     return DecayedStats(sums, omega * stats.su + rs.u_r, omega * stats.scnt + 1.0)
 
 
-def estimate_alpha(stats: DecayedStats, eps: float) -> np.ndarray:
+def estimate_alpha(stats: DecayedStats) -> np.ndarray:
     """Per-layer acceptance-rate estimate: decayed matches over decayed window
-    indices, clamped into [eps, 1].
+    indices, clamped into [ALPHA_FLOOR, 1].
 
     When the window-index sum is zero (every round so far had u_r = 0) the
     decayed round count is used as denominator instead. The stats must hold
     at least one round, as they do from the prefill pseudo-round on.
 
     The matches are capped at the denominator before the divide, which
-    gives ``np.clip(sums[0] / denom, eps, 1)`` to the bit without
+    gives ``np.clip(sums[0] / denom, ALPHA_FLOOR, 1)`` to the bit without
     overflowing when a tiny decay factor leaves ``su`` subnormal.
     """
     denom = stats.su if stats.su > 0.0 else stats.scnt
     alpha = np.minimum(stats.sums[0], denom)
     alpha /= denom
-    return np.maximum(alpha, eps, out=alpha)
+    return np.maximum(alpha, ALPHA_FLOOR, out=alpha)
 
 
 def _clamp(x: np.ndarray, lo: float) -> np.ndarray:
@@ -274,7 +278,7 @@ def prefill_init(model, prompt: Sequence[TokenId], cfg: SessionConfig):
     sm = shadow_tokens(steps)
     stats = push(zero_stats(cfg.L - 1), round_stats(sm, None), cfg.omega)
     thresholds = update_threshold(stats)
-    alpha = estimate_alpha(stats, cfg.alpha_clamp_eps)
+    alpha = estimate_alpha(stats)
     return stats, thresholds, alpha, select_plan(alpha, thresholds, cfg)
 
 
@@ -315,7 +319,7 @@ class DelController(Policy):
         cfg = self.cfg
         rs = round_stats(shadow_tokens(outcome.steps), self.plan.exit_layer)
         self.stats = push(self.stats, rs, cfg.omega)
-        alpha = estimate_alpha(self.stats, cfg.alpha_clamp_eps)
+        alpha = estimate_alpha(self.stats)
         self.thresholds = update_threshold(self.stats)
         self.plan = select_plan(alpha, self.thresholds, cfg)
         self.alpha_snapshot = alpha.tolist()

@@ -29,8 +29,7 @@ from .types import PROB_SUM_TOL, LayerStep, TokenId
 
 AGREEMENT = "agreement"
 REGIME_SWITCHING = "regime_switching"
-DETERMINISTIC_TOY = "deterministic_toy"
-MODEL_KINDS = (AGREEMENT, REGIME_SWITCHING, DETERMINISTIC_TOY)
+MODEL_KINDS = (AGREEMENT, REGIME_SWITCHING)
 
 _DEFAULT_BASE_PROCESS: Mapping[str, Any] = {"kind": "dirichlet", "concentration": 0.5}
 _DEFAULT_MATCH: Mapping[str, Any] = {"dist": "beta", "a": 8.0, "b": 2.0}
@@ -175,10 +174,10 @@ def confidence_law(spec: Mapping[str, Any], what: str) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def confidence_tables(match: tuple, mismatch: tuple, V: int, toy: bool) -> tuple[np.ndarray, np.ndarray]:
+def confidence_tables(match: tuple, mismatch: tuple, V: int) -> tuple[np.ndarray, np.ndarray]:
     """The confidence table a model reads and each entry's rise to the next,
     both read-only, built once per process for each (match law, mismatch
-    law, V, toy) and shared by every model with them.
+    law, V) and shared by every model with them.
 
     The table holds each checked law (``confidence_law``), the match law's
     then the mismatch law's, as its inverse CDF at ``u = j / TABLE_SIZE``
@@ -189,13 +188,10 @@ def confidence_tables(match: tuple, mismatch: tuple, V: int, toy: bool) -> tuple
     whose CDF interpolates the exact one between the table's quantiles, so
     the two CDFs differ by at most ``1 / TABLE_SIZE`` plus the table's own
     error. ``uniform`` and ``fixed`` laws are exact; a ``beta`` law comes
-    from ``beta_table``. The toy's layers, which all agree, are sure of
-    their token: its table is all ones, whatever its laws."""
+    from ``beta_table``."""
     tables = []
     for kind, *params in (match, mismatch):
-        if toy:
-            tables.append(np.ones(TABLE_SIZE + 1))
-        elif kind == "beta":
+        if kind == "beta":
             tables.append(beta_table(*params))
         elif kind == "fixed":
             tables.append(np.full(TABLE_SIZE + 1, params[0]))
@@ -392,11 +388,7 @@ class LayeredModel:
 
         base = dict(spec.base_process or _DEFAULT_BASE_PROCESS)
         rng = np.random.default_rng(derive_seed(seed, "base-process"))
-        if spec.kind == DETERMINISTIC_TOY:
-            self._transition = np.zeros((V, V))
-            self._transition[np.arange(V), self._build_toy_map(base, V)] = 1.0
-        else:
-            self._transition = self._build_transition(base, V, rng)
+        self._transition = self._build_transition(base, V, rng)
         # steps hand out rows of this matrix as their target distributions
         self._transition.flags.writeable = False
         # the target argmax after each token, as Python ints
@@ -416,7 +408,7 @@ class LayeredModel:
                 raise ConfigError("agreement_profile is required for kind='agreement'")
             self._profiles = [_check_profile(tuple(spec.agreement_profile), L, "agreement_profile")]
             self._segments = None
-        elif spec.kind == REGIME_SWITCHING:
+        else:
             if not spec.regimes:
                 raise ConfigError("regimes are required for kind='regime_switching'")
             self._profiles = []
@@ -427,16 +419,12 @@ class LayeredModel:
                 lengths.append(int(seg_len))
                 self._profiles.append(_check_profile(tuple(prof), L, f"regimes[{i}] profile"))
             self._segments = list(accumulate(lengths))
-        else:
-            self._profiles = [np.ones(L)]
-            self._segments = None
         # the draws compare against the exit layers' rates only
         self._profiles = [p[: L - 1] for p in self._profiles]
 
         self._conf_table, self._conf_rise = confidence_tables(
             confidence_law(dict(spec.confidence_match), "confidence_match"),
-            confidence_law(dict(spec.confidence_mismatch), "confidence_mismatch"),
-            V, spec.kind == DETERMINISTIC_TOY)
+            confidence_law(dict(spec.confidence_mismatch), "confidence_mismatch"), V)
         # the keyed digest's state before any message; each row's digest
         # continues a copy of it, which skips re-keying
         self._keyed_hash = hashlib.blake2b(
@@ -475,17 +463,6 @@ class LayeredModel:
                 raise ConfigError("base_process.probs rows must be distributions")
             return t
         raise ConfigError(f"base_process.kind must be dirichlet/uniform/table, got {kind!r}")
-
-    @staticmethod
-    def _build_toy_map(base: Mapping[str, Any], V: int) -> np.ndarray:
-        kind = base.get("kind", "shift")
-        if kind == "next_map":
-            m = _parse("base_process.map", lambda v: np.asarray(v, dtype=np.int64), base.get("map"))
-            if m.shape != (V,) or np.any(m < 0) or np.any(m >= V):
-                raise ConfigError(f"base_process.map must be {V} token ids in [0,{V})")
-            return m
-        # any non-table base process falls back to the +1 cycle
-        return (np.arange(V) + as_int(base.get("by", 1), "base_process.by")) % V
 
     def _scratch_rng(self, digest: bytes) -> np.random.Generator:
         # Re-keying a thread-local Philox is ~2x faster than constructing a
@@ -546,7 +523,7 @@ class LayeredModel:
         ``_PendingRow``) is filled on the first read and kept, a one-layer
         read decodes that layer alone, and ``controller.shadow_tokens``
         reads a round's steps' agreement and confidences in one block. Every
-        kind, the deterministic toy included, makes its steps this way.
+        kind makes its steps this way.
 
         ``prev``, when given, must be this model's step of ``context[:-1]``
         (checked in O(1): the same model and length n - 1, else

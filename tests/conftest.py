@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from delsim.config import SessionConfig
-from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec
+from delsim.model import AGREEMENT, REGIME_SWITCHING, LayeredModel, ModelSpec
 from delsim.types import LayerStep, TokenId
 
 TIGHT_CONF = {
@@ -45,8 +45,22 @@ def agreement_model(
     return LayeredModel(spec, cfg.L, cfg.V, seed, memo_capacity)
 
 
+def toy_spec(L: int, V: int, next_token: Sequence[TokenId] | None = None, **spec_over) -> ModelSpec:
+    """The deterministic toy, which ``examples/deterministic_toy.json`` holds
+    at L=6, V=16: an ``agreement`` model whose every layer agrees with the
+    target and is sure of its token (``fixed`` 1.0 confidence laws), over a
+    one-hot transition table in which token t is followed by
+    ``next_token[t]``, by default t + 1 mod V."""
+    if next_token is None:
+        next_token = [(t + 1) % V for t in range(V)]
+    probs = [[float(j == nxt) for j in range(V)] for nxt in next_token]
+    return ModelSpec(kind=AGREEMENT, base_process={"kind": "table", "probs": probs},
+                     agreement_profile=(1.0,) * L, confidence_match={"dist": "fixed", "value": 1.0},
+                     confidence_mismatch={"dist": "fixed", "value": 1.0}, **spec_over)
+
+
 def toy_model(cfg: SessionConfig, seed: int = 1) -> LayeredModel:
-    return LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), cfg.L, cfg.V, seed)
+    return LayeredModel(toy_spec(cfg.L, cfg.V), cfg.L, cfg.V, seed)
 
 
 def regime_model(cfg: SessionConfig, regimes, seed: int = 1, **spec_over) -> LayeredModel:
@@ -115,8 +129,7 @@ def draws(monkeypatch) -> list[bytes]:
     ``path_agreement`` fills it as a row of a block, so ``len(draws)``
     counts positions drawn either way. A step fills its row once and keeps
     it, however often it is read and whether the model hands it out again
-    from its memo; steps whose layers nobody reads make none. The
-    deterministic toy draws like any model."""
+    from its memo; steps whose layers nobody reads make none."""
     keys: list[bytes] = []
     real = LayeredModel._scratch_rng
 

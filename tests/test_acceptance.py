@@ -6,7 +6,7 @@ its stated tolerance; run with ``pytest tests/test_acceptance.py -v -s``.
 
 import numpy as np
 import pytest
-from conftest import STABLE_CONF, TIGHT_CONF, CallCountingModel, make_cfg, profile_with
+from conftest import STABLE_CONF, TIGHT_CONF, CallCountingModel, make_cfg, profile_with, toy_spec
 
 from delsim.baselines import make_policy
 from delsim.config import SAMPLING, SessionConfig, derive_seed
@@ -29,7 +29,6 @@ from delsim.harness import (
 from delsim.controller import tpl
 from delsim.model import (
     AGREEMENT,
-    DETERMINISTIC_TOY,
     REGIME_SWITCHING,
     LayeredModel,
     ModelSpec,
@@ -60,7 +59,7 @@ def test_c01_greedy_losslessness():
                 (100, (0.3, 0.3, 0.3, 0.9, 0.3, 0.3, 0.3, 1.0)),
             ),
         ),
-        "deterministic_toy": ModelSpec(kind=DETERMINISTIC_TOY),
+        "deterministic_toy": toy_spec(L, 32),
     }
     policies = [
         ("vanilla", {}),
@@ -160,7 +159,7 @@ def test_c05_vanilla_etpl():
     values = {}
     for L in (32, 80):
         cfg = make_cfg(L=L, V=16, max_new_tokens=64)
-        model = build_model(ModelSpec(kind=DETERMINISTIC_TOY), cfg)
+        model = build_model(toy_spec(L, cfg.V), cfg)
         res = run_session(model, make_policy("vanilla", cfg), cfg, [1, 2], 0)
         etpl = compute_etpl(res.ledger)
         assert etpl == 1 / L
@@ -196,7 +195,7 @@ def test_c06_estimator_convergence():
         for _ in range(n_rounds):
             out = run_round(model, ctx, plan, rng, ledger, cfg)
             stats = push(stats, round_stats(shadow_tokens(out.steps), 6), omega=1.0)
-        alpha = estimate_alpha(stats, cfg.alpha_clamp_eps)
+        alpha = estimate_alpha(stats)
         err = float(np.max(np.abs(alpha - profile[:-1])))
         worst_overall = max(worst_overall, err)
         if err < 0.05:

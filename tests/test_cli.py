@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import toy_spec
+
 from delsim.cli import SESSION_FLAGS, main
 from delsim.harness import replay_check
 
@@ -71,7 +73,7 @@ def test_run_missing_model_is_usage_error(tmp_path, capsys):
 
 
 def test_run_missing_session_field_names_it(tmp_path, capsys):
-    code = main(["run", "--policy", "del", "--model-kind", "deterministic_toy",
+    code = main(["run", "--policy", "del", "--model-kind", "agreement",
                  "--V", "16", "--out", str(tmp_path / "x")])
     assert code == 1
     assert "session.L" in capsys.readouterr().err
@@ -132,7 +134,9 @@ def test_sweep_out_of_bounds_range(tmp_path, capsys):
 def test_sweep_prints_each_segments_best_cell_and_names_empty_ones(tmp_path, capsys):
     # the toy's layers all agree, so a d=6 round emits 7 tokens and some
     # 4-token windows start no round
-    code = main(["sweep", "--model-kind", "deterministic_toy", "--L", "4", "--V", "8",
+    toy = tmp_path / "toy.json"
+    toy.write_text(json.dumps({"model": toy_spec(4, 8).to_dict()}))
+    code = main(["sweep", "--config", str(toy), "--L", "4", "--V", "8",
                  "--ell", "1,2", "--d", "6", "--segment-len", "4", "--max-new-tokens", "40",
                  "--prompts", "1", "--out", str(tmp_path / "sw")])
     captured = capsys.readouterr()
@@ -311,8 +315,8 @@ def test_help_exits_zero(capsys):
     "argv, extra, field",
     [
         (["run", "--policy", "del", "--profile", "0.5,x,1"], {}, "--profile"),
-        (["run", "--policy", "del", "--model-kind", "deterministic_toy", "--toy-map", "1,2,x"],
-         {}, "--toy-map"),
+        # a removed flag
+        (["run", "--policy", "del", "--toy-map", "1,2,x"], {}, "--toy-map"),
         (["sweep", "--ell", "1..2", "--d", "0,2", "--segment-len", "0"], {}, "--segment-len"),
         (["sweep", "--ell", "1..2", "--d", "0,2", "--segment-len", "-3"], {}, "--segment-len"),
         (["run", "--policy", "del"], {"session": {"omega": "x"}}, "omega"),
@@ -346,6 +350,11 @@ def test_help_exits_zero(capsys):
         # a removed session field, as an old config.json echoes it
         (["run", "--policy", "del"], {"session": {"default_threshold": 0.5}}, "default_threshold"),
         (["run", "--policy", "del", "--default-threshold", "0.5"], {}, "--default-threshold"),
+        (["run", "--policy", "del"], {"session": {"alpha_clamp_eps": 1e-6}}, "alpha_clamp_eps"),
+        (["run", "--policy", "del", "--alpha-clamp-eps", "1e-6"], {}, "--alpha-clamp-eps"),
+        # a removed model kind, as an old config.json echoes it
+        (["run", "--policy", "del"], {"model": {"kind": "deterministic_toy"}}, "model.kind must be one of"),
+        (["run", "--policy", "del", "--model-kind", "deterministic_toy"], {}, "model.kind must be one of"),
         (["run", "--policy", "dv", "--exit-layer", "2", "--dv-step", "nan"], {}, "step"),
         # a range's ends are checked before it is expanded
         (["sweep", "--ell", "1..99999999999", "--d", "0,2"], {}, "--ell"),
@@ -361,9 +370,6 @@ def test_help_exits_zero(capsys):
          {"model": {"kind": "regime_switching", "agreement_profile": None,
                     "regimes": [[True, [0.5] * 7 + [1.0]], [4, [0.5] * 7 + [1.0]]]}},
          "segment length"),
-        (["run", "--policy", "del"],
-         {"model": {"kind": "deterministic_toy", "base_process": {"kind": "shift", "by": True}}},
-         "base_process.by"),
         (["run"], {"run": {"policy": "ls", "exit_layer": True, "gamma": 2}}, "exit_layer"),
         (["run"], {"run": {"policy": "fs", "exit_layer": 2, "gamma": True}}, "gamma"),
         (["run"], {"run": {"policy": "dv", "exit_layer": 2, "dv_threshold": True}}, "threshold"),
@@ -395,6 +401,7 @@ def test_help_exits_zero(capsys):
          "model.context_hash_window"),
         (["run", "--policy", "vanilla"],
          {"session": {"decode_mode": "sampling"}, "run": {"prompt_len": 10**30}}, "prompt_len"),
+        (["run", "--policy", "vanilla"], {"session": {"V": 10**12}}, "V must be an integer in [2, 4096]"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
@@ -404,10 +411,12 @@ def test_help_exits_zero(capsys):
          "base-process-concentration-infinite", "model-horizon-negative",
          "model-horizon-below-prompt-len", "sweep-horizon-below-prompt-len",
          "run-del-per-layer-window", "del-per-layer-window-flag",
-         "session-default-threshold", "default-threshold-flag", "dv-step-nan", "sweep-ell-range-huge",
+         "session-default-threshold", "default-threshold-flag", "session-alpha-clamp-eps",
+         "alpha-clamp-eps-flag", "model-kind-deterministic-toy", "model-kind-flag-deterministic-toy",
+         "dv-step-nan", "sweep-ell-range-huge",
          "sweep-d-range-huge", "session-max-new-tokens-true", "session-d-max-true",
          "session-prefill-window-true", "run-prompts-true", "run-prompt-len-true",
-         "model-context-hash-window-true", "regime-segment-length-true", "base-process-by-true",
+         "model-context-hash-window-true", "regime-segment-length-true",
          "run-exit-layer-true", "run-gamma-true", "run-dv-threshold-true",
          "run-policy-and-policies", "run-policies-empty", "run-policies-not-list",
          "run-policies-short-entry", "run-policies-name-not-str", "run-policies-params-not-object",
@@ -415,7 +424,7 @@ def test_help_exits_zero(capsys):
          "run-policies-misspelt-param", "run-policies-param-named-cfg", "run-policies-repeated-name",
          "run-policies-with-param-flag", "run-policies-with-param-key", "run-unknown-key",
          "sweep-run-unknown-key", "unknown-section", "session-d-max-huge",
-         "model-context-hash-window-huge", "sampling-prompt-len-huge"],
+         "model-context-hash-window-huge", "sampling-prompt-len-huge", "session-V-huge"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)
@@ -607,7 +616,7 @@ POLICY_LISTS = [
     [["dv", {"exit_layer": 2, "step": INF}]], [["dv", {"exit_layer": 2, "thresold": 0.3}]],
     [["del", {}], ["del", {}]], [["del", {"cfg": 1}]], [["del"]], [["del", {}, 1]], [[None, {}]],
 ]
-MODEL_FLAGS = ["--model-kind", "--profile", "--toy-map"]
+MODEL_FLAGS = ["--model-kind", "--profile"]
 SESSION_FLAG_NAMES = [flag for flag, _, _ in SESSION_FLAGS]
 COMMAND_FLAGS = {
     "run": SESSION_FLAG_NAMES + MODEL_FLAGS + [

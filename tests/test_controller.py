@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from delsim.config import CAP_PLAN
 from delsim.controller import (
+    ALPHA_FLOOR,
     DecayedStats,
     DelController,
     RoundStats,
@@ -353,14 +354,14 @@ def test_alpha_ratio_of_cumulative_sums():
     stats = zero_stats(1)
     for c, u in ((2, 3), (3, 4)):
         stats = push(stats, RoundStats(u, np.array([[float(c)], [0.0], [0.0]])), 1.0)
-    alpha = estimate_alpha(stats, 1e-6)
+    alpha = estimate_alpha(stats)
     assert alpha[0] == pytest.approx(5 / 7)
 
 
 def test_alpha_clamp_floor_and_ceiling():
     stats = decayed([0.0, 50.0], 10.0, [0.0, 0.0], [0.0, 0.0], 2.0)
-    alpha = estimate_alpha(stats, 1e-6)
-    assert alpha[0] == 1e-6
+    alpha = estimate_alpha(stats)
+    assert alpha[0] == ALPHA_FLOOR == 1e-6
     assert alpha[1] == 1.0
 
 
@@ -371,20 +372,20 @@ def test_alpha_with_a_subnormal_window_sum_is_clipped_without_overflow():
     sc = [0.0, 1e-320, 4.4e-313, 1.0, 50.0]
     stats = decayed(sc, 2.2250738585e-313, [0.0] * 5, [0.0] * 5, 1.0)
     with np.errstate(over="ignore"):
-        want = np.clip(np.array(sc) / stats.su, 1e-6, 1.0)
-    got = estimate_alpha(stats, 1e-6)
-    assert got.tolist() == want.tolist() == [1e-6, 1e-6, 1.0, 1.0, 1.0]
+        want = np.clip(np.array(sc) / stats.su, ALPHA_FLOOR, 1.0)
+    got = estimate_alpha(stats)
+    assert got.tolist() == want.tolist() == [ALPHA_FLOOR, ALPHA_FLOOR, 1.0, 1.0, 1.0]
     # normal sums: the clip of the plain ratio, to the bit
     rng = np.random.default_rng(3)
     for _ in range(200):
         sc, su = rng.random(7) * 10.0, float(rng.random() * 10.0)
         stats = decayed(sc, su, [0.0] * 7, [0.0] * 7, 1.0)
-        assert estimate_alpha(stats, 1e-6).tolist() == np.clip(sc / su, 1e-6, 1.0).tolist()
+        assert estimate_alpha(stats).tolist() == np.clip(sc / su, ALPHA_FLOOR, 1.0).tolist()
 
 
 def test_alpha_falls_back_to_round_count_when_u_always_zero():
     stats = decayed([3.0], 0.0, [0.0], [0.0], 4.0)
-    assert estimate_alpha(stats, 1e-6)[0] == pytest.approx(0.75)
+    assert estimate_alpha(stats)[0] == pytest.approx(0.75)
 
 
 def test_alpha_monte_carlo_convergence_long_windows():
@@ -403,7 +404,7 @@ def test_alpha_monte_carlo_convergence_long_windows():
         out = run_round(model, ctx, plan, rng, ledger, cfg)
         rs = round_stats(shadow_tokens(out.steps), plan.exit_layer)
         stats = push(stats, rs, omega=1.0)
-    alpha = estimate_alpha(stats, cfg.alpha_clamp_eps)
+    alpha = estimate_alpha(stats)
     assert 0.78 <= alpha[2] <= 0.82
     assert alpha[5] == 1.0  # the exit layer's own estimate saturates
     # incremental accumulator agrees with the directly observed window ratio
@@ -452,7 +453,7 @@ def test_tpl_argmax_scale_invariance():
 
 def test_select_plan_degenerate_alpha_prefers_vanilla_step():
     cfg = make_cfg(L=32, V=64)
-    plan = select_plan(np.full(31, cfg.alpha_clamp_eps), np.full(31, 0.5), cfg)
+    plan = select_plan(np.full(31, ALPHA_FLOOR), np.full(31, 0.5), cfg)
     assert (plan.exit_layer, plan.planned_len) == (1, 0)
 
 
@@ -593,7 +594,7 @@ def test_prefill_toy_gives_unit_alpha():
     cfg = make_cfg()
     model = toy_model(cfg)
     stats, thresholds, alpha, plan = prefill_init(model, [1, 2, 3, 4, 5, 6], cfg)
-    assert np.array_equal(alpha, estimate_alpha(stats, cfg.alpha_clamp_eps))
+    assert np.array_equal(alpha, estimate_alpha(stats))
     assert np.all(alpha == 1.0)
 
 
@@ -707,7 +708,7 @@ def test_trace_fields_expose_alpha_and_u():
     ctx = [1, 2, 3]
     out = run_round(model, ctx, plan, np.random.default_rng(0), CostLedger(), cfg)
     assert policy.observe(out) is policy.plan
-    assert policy.alpha_snapshot == estimate_alpha(policy.stats, cfg.alpha_clamp_eps).tolist()
+    assert policy.alpha_snapshot == estimate_alpha(policy.stats).tolist()
     assert 0 <= policy.u_r <= len(out.drafted)
 
 

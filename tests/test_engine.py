@@ -2,7 +2,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import CallCountingModel, ScriptedModel, ScriptedUniforms, agreement_model, make_cfg, toy_model
+from conftest import (
+    CallCountingModel,
+    ScriptedModel,
+    ScriptedUniforms,
+    agreement_model,
+    make_cfg,
+    toy_model,
+    toy_spec,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import reference_verify_sampling, sample_index
@@ -639,7 +647,7 @@ def zero_threshold_rounds(draw):
         regimes = tuple((draw(st.integers(1, 6)), profile()) for _ in range(2))
         spec = ModelSpec(kind=kind, regimes=regimes, horizon=horizon)
     else:
-        spec = ModelSpec(kind=kind, horizon=horizon)
+        spec = toy_spec(L, V, horizon=horizon)
     model = LayeredModel(spec, L, V, draw(st.integers(0, 3)))
     budget = draw(st.one_of(st.none(), st.integers(1, g + 2)))
     tau = draw(st.sampled_from([0.0, 0.3, 0.6, 0.9]))

@@ -21,6 +21,8 @@ SMALL = ["--prompts", "1", "--max-new-tokens", "16"]
 RUNS = [
     ("compare_policies.json", ["run"],
      [f"policy={p} runs=1 mean_etpl=" for p in ("vanilla", "ls", "fs", "dv", "del")] + ["wrote "]),
+    ("deterministic_toy.json", ["run"],
+     [f"policy={p} runs=1 mean_etpl=" for p in ("vanilla", "ls", "fs", "dv", "del")] + ["wrote "]),
     ("omega_sensitivity.json", ["omega-sweep"],
      [f"omega={w} etpl=" for w in ("0.50", "0.60", "0.70", "0.80", "0.90", "0.95", "1.00")]
      + ["spread: ", "wrote "]),

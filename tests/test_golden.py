@@ -21,16 +21,30 @@ The four run digests were re-pinned a third time when the session field
 ``default_threshold``, which no session could read, was removed: against
 the earlier outputs only that key's line in each ``config.json`` is gone;
 every trace, summary and aggregate byte held.
+
+The four run digests were re-pinned a fourth time when two inputs changed
+form with every output kept: the session field ``alpha_clamp_eps``, which
+no config set, became the constant ``controller.ALPHA_FLOOR``, so its line
+is gone from each ``config.json``; and the deterministic toy became an
+``agreement`` spec (``conftest.toy_spec``), so the toy run's ``config.json``
+holds that spec's model section. Against the earlier outputs every other
+file held byte for byte, and so did the sweep-grid and prompt digests, the
+toy's prompts now drawn from the table spec.
 """
 
 import hashlib
+import json
 from array import array
+from pathlib import Path
 
 import pytest
-from conftest import STABLE_CONF, make_cfg, profile_with
+from conftest import STABLE_CONF, make_cfg, profile_with, toy_spec
 
+from delsim.config import GREEDY, SAMPLING
 from delsim.harness import grid_sweep, make_prompts, run_experiment
-from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec
+from delsim.model import AGREEMENT, REGIME_SWITCHING, LayeredModel, ModelSpec
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
 
 ALL_POLICIES = [
     ("vanilla", {}),
@@ -41,10 +55,13 @@ ALL_POLICIES = [
 ]
 
 
-def output_digest(out_dir) -> str:
-    """One digest over every file a run writes, in a fixed order."""
+def output_digest(out_dir, skip=()) -> str:
+    """One digest over every file a run writes, in a fixed order, less the
+    top-level files named in ``skip``."""
     h = hashlib.sha256()
     for path in sorted(p for p in out_dir.rglob("*") if p.is_file()):
+        if str(path.relative_to(out_dir)) in skip:
+            continue
         h.update(str(path.relative_to(out_dir)).encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
@@ -57,10 +74,10 @@ def run_digest(tmp_path, spec, cfg, policies, prompt_len=16) -> str:
     return output_digest(tmp_path)
 
 
-GREEDY_ALL_POLICIES = "04dbf5cd176645f54f6d92e29099c2b021cd4e162cd2053da3bd40a027a1b014"
-SAMPLING_REGIMES = "f9b3e14196d3fa62edc5b7dec1286b5cb311d8b774e6c57952e6083b0a38fd01"
-TOY_RUN = "d297c84fe1df6d84a8ae45381da990aca360efd595b7729f91b19beac7f82782"
-SAMPLING_LONG_ROUNDS = "3cbe78681d5b1fc7a8091cf2ade5248b8ee2f8f9dc96af9e801df5d1547f3a35"
+GREEDY_ALL_POLICIES = "ef8ec73b440d18df493f7d883ceb3a07df68215b477e01d4b4ad0c43abb673d2"
+SAMPLING_REGIMES = "a0cf939a6c9a06b7b06a4bbaf393676bda0dd1afaf78b1bd29ad59aafd6a17d6"
+TOY_RUN = "2e1e5a6f433673c4c83c94a7975b2449fe108c8aa249d35fecae3e03d4ae9ebb"
+SAMPLING_LONG_ROUNDS = "0c329188822dabff1683bcd675f75418712a95e681d3b5dab8976e7fcfe20db0"
 SWEEP_GRID = "fb11ab71acac3e944c9525b17c8229d1725b2d0a39093d629044493de7883347"
 
 
@@ -94,8 +111,26 @@ def test_sampling_run_with_long_rounds_is_byte_stable(tmp_path):
 
 def test_deterministic_toy_run_is_byte_stable(tmp_path):
     cfg = make_cfg(L=6, V=16, seed=3, max_new_tokens=48, prefill_window=8)
-    spec = ModelSpec(kind=DETERMINISTIC_TOY)
+    spec = toy_spec(6, 16)
+    # the example config holds the same model
+    example = json.loads((EXAMPLES / "deterministic_toy.json").read_text())
+    assert ModelSpec.from_dict(example["model"]) == spec
     assert run_digest(tmp_path, spec, cfg, ALL_POLICIES, prompt_len=8) == TOY_RUN
+
+
+@pytest.mark.parametrize("mode", [GREEDY, SAMPLING])
+def test_one_segment_regimes_write_what_the_agreement_kind_writes(tmp_path, mode):
+    # a 7-position segment wraps several times along each session's path
+    cfg = make_cfg(L=8, V=32, seed=11, max_new_tokens=48, prefill_window=16, decode_mode=mode)
+    profile = profile_with(8, best=2)
+    specs = [ModelSpec(kind=AGREEMENT, agreement_profile=profile, **STABLE_CONF),
+             ModelSpec(kind=REGIME_SWITCHING, regimes=((7, profile),), **STABLE_CONF)]
+    digests = []
+    for i, spec in enumerate(specs):
+        run_experiment(spec, cfg, ALL_POLICIES, n_prompts=2, prompt_len=16,
+                       out_dir=tmp_path / str(i))
+        digests.append(output_digest(tmp_path / str(i), skip={"config.json"}))
+    assert digests[0] == digests[1]
 
 
 def test_grid_sweep_is_byte_stable():
@@ -117,8 +152,8 @@ PROMPT_SPECS = {
                   regimes=((5, (0.9, 0.1, 0.5, 1.0)), (3, (0.1, 0.9, 0.5, 1.0)))),
         "d39a7fa77ac812a4191740c5217855d8732e01e66232b5b19f83d6cbdd040b20",
     ),
-    DETERMINISTIC_TOY: (
-        ModelSpec(kind=DETERMINISTIC_TOY, base_process={"kind": "shift", "by": 5}),
+    "deterministic_toy": (
+        toy_spec(4, 23, [(t + 5) % 23 for t in range(23)]),
         "478b461f5a23e78db49c263d4a5b0873380c24fc5f9356a4c01d76971502ec01",
     ),
 }

@@ -1,12 +1,13 @@
 import json
 from collections import Counter
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import TIGHT_CONF, make_cfg, profile_with
+from conftest import TIGHT_CONF, make_cfg, profile_with, toy_spec
 
 from delsim import harness
 from delsim.baselines import make_policy
@@ -28,7 +29,7 @@ from delsim.harness import (
     write_grid_csv,
     write_trace,
 )
-from delsim.model import AGREEMENT, DETERMINISTIC_TOY, REGIME_SWITCHING, LayeredModel, ModelSpec, build_model
+from delsim.model import AGREEMENT, REGIME_SWITCHING, LayeredModel, ModelSpec, build_model
 from delsim.types import InvariantViolation
 from reference import TRACE_RECORD
 
@@ -487,11 +488,11 @@ def test_run_session_records_follow_the_trace_layout(mode):
         assert all(list(rec) == TRACE_FIELDS for rec in res.records), name
 
 
-@pytest.mark.parametrize("kind", [AGREEMENT, DETERMINISTIC_TOY])
+@pytest.mark.parametrize("kind", [AGREEMENT, "deterministic_toy"])
 @pytest.mark.parametrize("prompt, position", [([1, 2, -1], 2), ([8, 1], 0), ([3, 7, 1, 9], 3)])
 def test_run_session_rejects_a_prompt_token_outside_the_vocabulary(kind, prompt, position):
     cfg = make_cfg(L=4, V=8, max_new_tokens=8)
-    spec = spec_with_profile((0.5, 0.5, 0.5, 1.0)) if kind == AGREEMENT else ModelSpec(kind=kind)
+    spec = spec_with_profile((0.5, 0.5, 0.5, 1.0)) if kind == AGREEMENT else toy_spec(cfg.L, cfg.V)
     model = build_model(spec, cfg)
     for name in ("vanilla", "del"):
         with pytest.raises(ConfigError, match=f"prompt token {prompt[position]} at position {position} "
@@ -605,7 +606,7 @@ SWEEP_CASES = {
         _regime_switching_l8, dict(L=8, V=32, seed=5, max_new_tokens=96), range(1, 8), (0, 1, 3, 6), 3, 16, 32,
     ),
     "toy": (
-        lambda: ModelSpec(kind="deterministic_toy"), dict(L=6, V=16, seed=3, max_new_tokens=40),
+        lambda: toy_spec(6, 16), dict(L=6, V=16, seed=3, max_new_tokens=40),
         range(1, 6), (0, 2, 7), 2, 8, 16,
     ),
     "d-max-is-largest-d": (
@@ -656,7 +657,7 @@ def greedy_sweeps(draw):
     """A greedy sweep: its model spec, config, cells, prompts and windows,
     and an offset of the horizon from the longest context its sessions step."""
     L = draw(st.integers(2, 32))
-    kind = draw(st.sampled_from([AGREEMENT, REGIME_SWITCHING, DETERMINISTIC_TOY]))
+    kind = draw(st.sampled_from([AGREEMENT, REGIME_SWITCHING, "deterministic_toy"]))
     levels = st.sampled_from([0.0, 0.3, 0.7, 0.95, 1.0])
 
     def profile():
@@ -666,11 +667,11 @@ def greedy_sweeps(draw):
         spec = ModelSpec(kind=kind, agreement_profile=profile())
     elif kind == REGIME_SWITCHING:
         spec = ModelSpec(kind=kind, regimes=tuple((draw(st.integers(1, 20)), profile()) for _ in range(2)))
-    else:
-        spec = ModelSpec(kind=kind)
     d_max = draw(st.integers(1, 12))
     cfg = make_cfg(L=L, V=draw(st.sampled_from([2, 5, 32])), seed=draw(st.integers(0, 2**16)),
                    max_new_tokens=draw(st.integers(1, 40)), d_max=d_max)
+    if kind == "deterministic_toy":
+        spec = toy_spec(L, cfg.V)
     ells = sorted(draw(st.sets(st.integers(1, L - 1), min_size=1, max_size=3)))
     # a sweep of d = 0 alone draws no path
     ds = [0] if draw(st.booleans()) else sorted(draw(st.sets(st.integers(0, d_max), max_size=2)) | {0, d_max})
@@ -754,11 +755,12 @@ def test_sweep_windows_without_a_round_are_nan_without_a_warning(tmp_path):
     from delsim.cli import main
 
     cfg = make_cfg(L=6, V=16, max_new_tokens=24)
-    toy = ModelSpec(kind="deterministic_toy")
+    toy = toy_spec(6, 16)
+    example = Path(__file__).resolve().parents[1] / "examples" / "deterministic_toy.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         grid = grid_sweep(toy, cfg, [1, 2], [0, 6], 1, 32, segment_len=4)
-        code = main(["sweep", "--model-kind", "deterministic_toy", "--L", "6", "--V", "16",
+        code = main(["sweep", "--config", str(example), "--prompt-len", "32",
                      "--max-new-tokens", "24", "--ell", "1..2", "--d", "0,6", "--segment-len", "4",
                      "--prompts", "1", "--out", str(tmp_path)])
     assert code == 0

@@ -17,6 +17,7 @@ from conftest import (
     make_cfg,
     regime_model,
     toy_model,
+    toy_spec,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,6 @@ from delsim.baselines import make_policy
 from delsim.config import ConfigError
 from delsim.model import (
     AGREEMENT,
-    DETERMINISTIC_TOY,
     REGIME_SWITCHING,
     TABLE_SIZE,
     LayeredModel,
@@ -65,14 +65,6 @@ def test_toy_all_layers_follow_the_transition_table():
     # default toy table is the +1 cycle
     assert ls.target_token == 4
     assert ls.target[4] == ls.target.max() == 1.0
-
-
-def test_toy_inline_transition_table():
-    cfg = make_cfg(V=4)
-    spec = ModelSpec(kind=DETERMINISTIC_TOY, base_process={"kind": "next_map", "map": [2, 0, 3, 1]})
-    model = LayeredModel(spec, cfg.L, cfg.V, 1)
-    assert model.step([0]).target_token == 2
-    assert model.step([2]).target.argmax() == 3
 
 
 def test_never_agree_profile():
@@ -156,8 +148,18 @@ def test_determinism_across_instances():
 KIND_SPECS = {
     AGREEMENT: {"agreement_profile": (0.3, 0.6, 0.9, 0.05, 1.0)},
     REGIME_SWITCHING: {"regimes": ((7, (0.9, 0.1, 0.5, 0.0, 1.0)), (5, (0.0, 1.0, 0.2, 0.7, 1.0)))},
-    DETERMINISTIC_TOY: {},
+    # the toy's one-hot table and agreeing layers (``toy_spec``)
+    "deterministic_toy": None,
 }
+
+
+def kind_spec(kind: str, V: int, **over) -> ModelSpec:
+    """An L=5 spec of ``V`` tokens for each entry of ``KIND_SPECS``, with
+    the fields in ``over`` set; the toy's confidence laws are replaced too
+    when ``over`` names them."""
+    if KIND_SPECS[kind] is None:
+        return dataclasses.replace(toy_spec(5, V), **over)
+    return ModelSpec(kind=kind, **KIND_SPECS[kind], **over)
 
 
 @given(
@@ -169,7 +171,7 @@ KIND_SPECS = {
 @settings(max_examples=150, deadline=None)
 def test_steps_are_valid_distributions(kind, ctx, conf):
     L, V = 5, 17
-    spec = ModelSpec(kind=kind, confidence_match=conf, confidence_mismatch=conf, **KIND_SPECS[kind])
+    spec = kind_spec(kind, V, confidence_match=conf, confidence_mismatch=conf)
     ls = LayeredModel(spec, L, V, 3).step(ctx)
     assert ls.layer_count == L and ls.target.size == V
     assert not ls.target.flags.writeable
@@ -217,7 +219,7 @@ def test_step_errors():
     model = toy_model(cfg)
     with pytest.raises(ValueError):
         model.step([])
-    small = LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY, horizon=4), cfg.L, cfg.V, 1)
+    small = LayeredModel(toy_spec(cfg.L, cfg.V, horizon=4), cfg.L, cfg.V, 1)
     small.step([1, 2, 3, 4])
     with pytest.raises(ValueError):
         small.step([1, 2, 3, 4, 5])
@@ -311,9 +313,10 @@ def cdf_model(kind: str, V: int, conc: float, seed: int) -> LayeredModel:
     """An L=3 model of ``V`` tokens whose transition rows come from the base
     process ``kind``: a Dirichlet of concentration ``conc``, uniform, a
     table whose rows sum to 1 - 1e-10 (within the check's tolerance, so a
-    uniform can lie above a row's last cumulative sum), or the toy's map."""
+    uniform can lie above a row's last cumulative sum), or the toy's one-hot
+    table."""
     if kind == "toy":
-        return LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), 3, V, seed)
+        return LayeredModel(toy_spec(3, V), 3, V, seed)
     base = {"kind": kind}
     if kind == "dirichlet":
         base["concentration"] = conc
@@ -561,8 +564,8 @@ def test_context_past_the_horizon_raises_with_or_without_memo(capacity):
 @pytest.mark.parametrize("horizon", [0, -1])
 def test_horizon_below_one_is_rejected_at_construction(horizon):
     cfg = make_cfg()
-    for kind in (DETERMINISTIC_TOY, AGREEMENT):
-        spec = ModelSpec(kind=kind, agreement_profile=(0.5,) * 7 + (1.0,), horizon=horizon)
+    for spec in (toy_spec(cfg.L, cfg.V, horizon=horizon),
+                 ModelSpec(kind=AGREEMENT, agreement_profile=(0.5,) * 7 + (1.0,), horizon=horizon)):
         with pytest.raises(ConfigError, match="model.horizon"):
             LayeredModel(spec, cfg.L, cfg.V, 1)
 
@@ -687,7 +690,7 @@ def test_no_read_changes_a_step(monkeypatch):
     spec = MEMO_SPECS["agreement"]
     plain = LayeredModel(spec, 4, 5, 11)
     memo = LayeredModel(spec, 4, 5, 11, memo_capacity=7)
-    toy = LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), 4, 5, 1)
+    toy = LayeredModel(toy_spec(4, 5), 4, 5, 1)
     toy_steps = [toy.step([3]), toy.step([1])]
     scripted = fixed_step([1, 2, 0], [0.9, 0.5, 0.7], toy_steps[1].target, 2)
     contexts = list(distinct_contexts(40, 5))
@@ -731,7 +734,7 @@ CONFIDENCES = [
 )
 def test_deferred_steps_equal_steps_drawn_at_once(kind, conf, contexts, first_reads, order):
     L, V = 5, 17
-    spec = ModelSpec(kind=kind, confidence_match=conf, confidence_mismatch=conf, **KIND_SPECS[kind])
+    spec = kind_spec(kind, V, confidence_match=conf, confidence_mismatch=conf)
     deferred = LayeredModel(spec, L, V, 3)
     steps = [deferred.step(ctx) for ctx in contexts]
     # read the steps' layers in any order, each first through any read, so
@@ -778,19 +781,10 @@ def test_step_draws_on_the_first_layer_read_only(draws):
 
 
 @settings(max_examples=60, deadline=None)
-@given(data=st.data(), V=st.integers(2, 40), L=st.sampled_from([2, 5, 16]),
-       conf=st.sampled_from(CONFIDENCES))
-def test_toy_steps_put_full_confidence_on_the_next_token_at_every_layer(data, V, L, conf):
-    if data.draw(st.booleans(), label="a next_map, else a shift"):
-        table = data.draw(st.lists(st.integers(0, V - 1), min_size=V, max_size=V), label="map")
-        base = {"kind": "next_map", "map": table}
-    else:
-        by = data.draw(st.integers(-3 * V, 3 * V), label="by")
-        base = {"kind": "shift", "by": by}
-        table = [(t + by) % V for t in range(V)]
-    # the spec's confidence laws are checked but do not reach the toy's layers
-    spec = ModelSpec(kind=DETERMINISTIC_TOY, base_process=base, confidence_match=conf,
-                     confidence_mismatch=conf)
+@given(data=st.data(), V=st.integers(2, 40), L=st.sampled_from([2, 5, 16]))
+def test_toy_steps_put_full_confidence_on_the_next_token_at_every_layer(data, V, L):
+    table = data.draw(st.lists(st.integers(0, V - 1), min_size=V, max_size=V), label="next token")
+    spec = toy_spec(L, V, table)
     contexts = data.draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=10),
                                   min_size=1, max_size=8), label="contexts")
     # one model's steps read layer by layer first, a fresh model's by shadow
@@ -861,8 +855,7 @@ def test_memoized_steps_are_stored_pending(draws):
 )
 def test_one_layer_reads_equal_the_drawn_arrays(kind, match, mismatch, V, tokens):
     L = 5
-    spec = ModelSpec(kind=kind, confidence_match=match, confidence_mismatch=mismatch,
-                     **KIND_SPECS[kind])
+    spec = kind_spec(kind, V, confidence_match=match, confidence_mismatch=mismatch)
     pending = LayeredModel(spec, L, V, 3)
     drawn = LayeredModel(spec, L, V, 3)
     # the regime-switching segments (7, 5) switch profiles at context lengths
@@ -923,8 +916,7 @@ def test_greedy_path_steps_equal_steps_along_the_argmax_chain(
     kind, match, mismatch, capacity, prompt, n, stepped
 ):
     L, V = 5, 17
-    spec = ModelSpec(kind=kind, confidence_match=match, confidence_mismatch=mismatch,
-                     **KIND_SPECS[kind])
+    spec = kind_spec(kind, V, confidence_match=match, confidence_mismatch=mismatch)
     model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
     chain = model.argmax_chain(prompt, n)
     # positions read one layer first come back as memo hits, when they are
@@ -986,7 +978,7 @@ def test_argmax_chain_rejects_a_last_token_outside_the_vocabulary(last):
     # on the V=8 toy, -1 would read the argmax table's last row and 8 no row
     from delsim.harness import vanilla_reference
 
-    model = LayeredModel(ModelSpec(kind=DETERMINISTIC_TOY), 4, 8, 1)
+    model = LayeredModel(toy_spec(4, 8), 4, 8, 1)
     name = rf"context token {last} is outside \[0, 8\)"
     with pytest.raises(ConfigError, match=name):
         model.argmax_chain([1, 2, last], 4)
@@ -1036,7 +1028,7 @@ def key_of(step: LayerStep) -> bytes:
 )
 def test_a_step_from_its_prev_equals_a_fresh_step(kind, capacity, prompt, walk):
     L, V = 4, 5
-    spec = _path_spec(kind, L, 3)
+    spec = _path_spec(kind, L, V, 3)
     model = LayeredModel(spec, L, V, 3, memo_capacity=capacity)
     pairs = []
     # the walk runs twice, so with a memo the second one hits the tables
@@ -1143,17 +1135,19 @@ def test_live_steps_stay_within_the_memo_and_one_level_of_successors():
     assert all(vars(s)["_row"].next is None for k, s in live.items() if k not in held)
 
 
-def _path_spec(kind: str, L: int, window: int) -> ModelSpec:
+def _path_spec(kind: str, L: int, V: int, window: int) -> ModelSpec:
     """A model spec at any L: profile entries cycle through 0 to 1, and the
     regime-switching segments are 3 and 4 positions long, so a path
     crosses several boundaries."""
+    if KIND_SPECS[kind] is None:
+        return toy_spec(L, V, context_hash_window=window)
+
     def profile(shift):
         return tuple((0.0, 0.25, 0.5, 0.75, 1.0)[(j * 3 + shift) % 5] for j in range(L - 1)) + (1.0,)
 
     over = {
         AGREEMENT: {"agreement_profile": profile(0)},
         REGIME_SWITCHING: {"regimes": ((3, profile(1)), (4, profile(4)))},
-        DETERMINISTIC_TOY: {},
     }[kind]
     return ModelSpec(kind=kind, context_hash_window=window, **over)
 
@@ -1170,7 +1164,7 @@ def _path_spec(kind: str, L: int, window: int) -> ModelSpec:
 )
 def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, prompt, n, horizon):
     V = 17
-    spec = _path_spec(kind, L, window)
+    spec = _path_spec(kind, L, V, window)
     if horizon is not None:
         # the path's last context has length len(prompt) + n - 1
         last = len(prompt) + n - 1
@@ -1343,9 +1337,6 @@ def test_confidence_tables_are_shared_and_read_only():
     assert np.all(c._conf_table[TABLE_SIZE + 1:] == 1.0 / 16 + 1e-9)
     assert np.array_equal(c._conf_table[: TABLE_SIZE + 1],
                           np.maximum(np.linspace(0.0, 0.5, TABLE_SIZE + 1), 1.0 / 16 + 1e-9))
-    # the toy's all-ones table is kept apart from an agreement model's
-    toy = LayeredModel(dataclasses.replace(spec, kind=DETERMINISTIC_TOY), cfg.L, cfg.V, 1)
-    assert toy._conf_table is not a._conf_table and np.all(toy._conf_table == 1.0)
     steps = path_steps(a, [1], 50)
     conf = LayerStep.shadow(steps)[1]
     assert conf.min() >= floor and conf.max() <= 0.5
@@ -1367,7 +1358,12 @@ specs = [
     ModelSpec(kind="agreement", agreement_profile=(0.5, 0.5, 1.0), confidence_mismatch=beta),
     ModelSpec(kind="regime_switching", regimes=((4, (0.9, 0.1, 1.0)), (4, (0.1, 0.9, 1.0))),
               confidence_match={"dist": "beta", "a": 200, "b": 200}),
-    ModelSpec(kind="deterministic_toy"),
+    # the deterministic toy
+    ModelSpec(kind="agreement", agreement_profile=(1.0, 1.0, 1.0),
+              base_process={"kind": "table", "probs": [[float(j == (t + 1) % 8) for j in range(8)]
+                                                       for t in range(8)]},
+              confidence_match={"dist": "fixed", "value": 1.0},
+              confidence_mismatch={"dist": "fixed", "value": 1.0}),
 ]
 for spec in specs:
     model = LayeredModel(spec, 3, 8, 1)
