@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import (
+    MAX_D_MAX,
+    MAX_V,
     ConfigError,
     SessionConfig,
     as_int,
@@ -67,6 +69,9 @@ POLICY_PARAMS = (
     ("threshold", "dv_threshold", float),
 )
 RUN_KEYS = {"policy", "policies", "prompts", "prompt_len"} | {key for _, key, _ in POLICY_PARAMS}
+
+# the most output paths (vocab ** horizon) the distribution check enumerates
+MAX_ENUMERATED_PATHS = 10**6
 
 
 def _inputs_parser() -> argparse.ArgumentParser:
@@ -289,10 +294,17 @@ def cmd_sweep(args) -> int:
 
 def _oracle_distribution_check(args) -> int:
     V = args.vocab
-    if V < 2:
-        raise ConfigError(f"--vocab must be >= 2, got {V}")
+    if not 2 <= V <= MAX_V:
+        raise ConfigError(f"--vocab must be in [2, {MAX_V}], got {V}")
     if args.horizon < 1:
         raise ConfigError(f"--horizon must be >= 1, got {args.horizon}")
+    # by repeated multiplication, so that a huge horizon is not a huge power
+    paths = 1
+    for _ in range(args.horizon):
+        paths *= V
+        if paths > MAX_ENUMERATED_PATHS:
+            raise ConfigError(f"--horizon {args.horizon} at --vocab {V} enumerates more than "
+                              f"{MAX_ENUMERATED_PATHS} paths (vocab ** horizon)")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     L = 4
@@ -327,8 +339,8 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
     if not 0.0 <= args.alpha <= 1.0:
         raise ConfigError(f"--alpha out of [0,1]: {args.alpha}")
-    if args.d < 0:
-        raise ConfigError(f"--d must be >= 0, got {args.d}")
+    if not 0 <= args.d <= MAX_D_MAX:
+        raise ConfigError(f"--d must be in [0, {MAX_D_MAX}], got {args.d}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     mc = mc_expected_tokens(args.alpha, args.d, args.trials, args.seed)

@@ -33,10 +33,6 @@ class ShadowMatrix(NamedTuple):
     matches: np.ndarray  # (L-1, g+1) bool
     confidences: np.ndarray  # (L-1, g+1) top-1 probabilities
 
-    @property
-    def width(self) -> int:
-        return int(self.matches.shape[1])
-
 
 class RoundStats(NamedTuple):
     """One round's contribution to the decayed accumulators.

@@ -134,8 +134,13 @@ def _check_profile(profile: tuple[float, ...], L: int, what: str) -> np.ndarray:
 # the inverse CDF of a confidence law is tabulated at u = j / TABLE_SIZE
 TABLE_SIZE = 2048
 
-# the longest window a step's key may hold, past the default horizon: a full
-# window is packed by one precompiled ``struct`` format of that many tokens
+# the largest parameter of a beta confidence law: ``beta_table``'s nodes
+# resolve Beta(10**4, 10**4), whose standard deviation is 0.0035, while near
+# 1e300 the CDF rises at none of them and near 1e308 ``math.lgamma`` overflows
+MAX_BETA_PARAM = 10**4
+
+# the longest window a step's key may hold, past the default horizon: a key
+# holds 4 bytes per window token, so a context this long is keyed by 4 MiB
 MAX_HASH_WINDOW = 1 << 20
 
 # a 16-byte key digest as the two 64-bit words of a Philox key, in the
@@ -156,8 +161,10 @@ def confidence_law(spec: Mapping[str, Any], what: str) -> tuple:
     kind = spec.get("dist")
     if kind == "beta":
         a, b = (_parse(f"{what}.{k}", float, spec.get(k)) for k in ("a", "b"))
-        if not (0.0 < a < math.inf and 0.0 < b < math.inf):
-            raise ConfigError(f"{what} beta parameters a and b must be finite and > 0")
+        for k, v in (("a", a), ("b", b)):
+            # written so that NaN, which fails every comparison, fails it too
+            if not 0.0 < v <= MAX_BETA_PARAM:
+                raise ConfigError(f"{what}.{k} must be > 0 and at most {MAX_BETA_PARAM}, got {v}")
         return ("beta", a, b)
     if kind == "fixed":
         v = _parse(f"{what}.value", float, spec.get("value"))
@@ -255,8 +262,8 @@ def beta_table(a: float, b: float) -> np.ndarray:
 
     The CDF is computed exactly at fine nodes (``_beta_nodes``) and the
     quantiles read off its linear interpolation; for the laws the tests
-    cover, from a, b < 1 to (200, 200), the tabulated law's CDF stays
-    within 2e-3 of the exact one."""
+    cover, from a, b < 1 to the bound (``MAX_BETA_PARAM``), the tabulated
+    law's CDF stays within 2e-3 of the exact one."""
     x = _beta_nodes()
     lower = x <= (a + 1.0) / (a + b + 2.0)
     cdf = np.empty_like(x)
@@ -276,29 +283,22 @@ def beta_table(a: float, b: float) -> np.ndarray:
 class _PendingRow:
     """The per-layer draws of a model's step, made when they are read (a
     ``LayerStep``'s row): the step's context length ``n`` and target
-    argmax, the key its draws are keyed by, and once a layer is read the
+    argmax, ``msg``, the key its draws are keyed by, packed when the step
+    was made (``LayeredModel.step``), and once a layer is read the
     position's keyed row of uniforms, filled once and kept for the step's
     life, with the profile at ``n`` (``p``, set with the row).
 
-    The key is ``msg``, packed, when it was made with the step: a memo
-    step's, which the lookup needed, or a successor's, moved on from its
-    ``prev``'s key (``LayeredModel.step``). Else ``msg`` is None and
-    ``window`` holds the context's last ``context_hash_window`` tokens,
-    which the first read packs into ``msg`` and then drops, so a step that
-    is never read packs nothing. ``next`` is a memo step's successor table,
-    ``{token: step}`` for the steps made after it, or None: none has been
-    recorded, or the memo no longer holds the step. ``layer`` and
-    ``shadow_block`` decode what they read with ``LayeredModel._decode``'s
-    arithmetic, so the values are bit-identical to that vectorized decode
-    of the row."""
+    ``next`` is a memo step's successor table, ``{token: step}`` for the
+    steps made after it, or None: none has been recorded, or the memo no
+    longer holds the step. ``layer`` and ``shadow_block`` decode what they
+    read with the reference decode's arithmetic (``tests/reference.py``),
+    so the values are bit-identical to a vectorized decode of the row."""
 
-    __slots__ = ("model", "msg", "window", "n", "t_star", "u", "p", "next")
+    __slots__ = ("model", "msg", "n", "t_star", "u", "p", "next")
 
-    def __init__(self, model: "LayeredModel", msg: bytes | None, window: Sequence[TokenId] | None,
-                 n: int, t_star: int):
+    def __init__(self, model: "LayeredModel", msg: bytes, n: int, t_star: int):
         self.model = model
         self.msg = msg
-        self.window = window
         self.n = n
         self.t_star = t_star
         self.u = None
@@ -308,18 +308,14 @@ class _PendingRow:
         u = self.u
         if u is None:
             m = self.model
-            msg = self.msg
-            if msg is None:
-                msg = self.msg = m._key(self.n, self.window)
-                self.window = None
             self.p = m._profile_at(self.n)
-            u = self.u = m._uniforms(msg)
+            u = self.u = m._uniforms(self.msg)
         return u
 
     def layer(self, ell: int) -> tuple[TokenId, float]:
         """Exit layer ``ell``'s top token and confidence from the unscaled
-        row, in plain Python: ``_decode``'s arithmetic on one layer's three
-        uniforms, so the values are bit-identical."""
+        row, in plain Python: the reference decode's arithmetic on one
+        layer's three uniforms, so the values are bit-identical."""
         m = self.model
         u = self.uniforms()
         k = m.L - 1
@@ -341,11 +337,11 @@ class _PendingRow:
         C-contiguous (L-1, len(rows)) arrays, column j for ``rows[j]``.
 
         A layer's top token is the target's exactly when its agreement
-        uniform falls below the profile, since ``_decode`` picks a
-        disagreeing layer's token among those other than ``t_star``; so
-        only the agreement and confidence blocks are decoded, with
-        ``_decode``'s arithmetic. The rows are filled if they are not yet,
-        and kept; a filled row is stacked as it is."""
+        uniform falls below the profile, since a disagreeing layer's token
+        is picked among those other than ``t_star``; so only the agreement
+        and confidence blocks are decoded, with the reference decode's
+        arithmetic. The rows are filled if they are not yet, and kept; a
+        filled row is stacked as it is."""
         m = self.model
         k = m.L - 1
         for r in rows:
@@ -433,8 +429,6 @@ class LayeredModel:
             raise ConfigError(f"model.context_hash_window must be in [1, {MAX_HASH_WINDOW}], "
                               f"got {spec.context_hash_window}")
         self._hash_window = spec.context_hash_window
-        # ``_key``'s message for a context of at least a window's length
-        self._pack_key = struct.Struct(f"<Q{self._hash_window}I").pack
         # steps keyed by the exact (length, window) message their draws are
         # keyed by, in recency order, oldest first
         self.memo_capacity = memo_capacity
@@ -519,26 +513,20 @@ class LayeredModel:
         row, so a model holds at most V lists of V floats (about 0.13 MB at
         V = 64). The exit layers' top tokens and
         confidences come from one keyed row of 3(L-1) uniforms (see
-        ``_decode``), drawn when they are read: the step's row (a
+        ``_uniforms``), drawn when they are read: the step's row (a
         ``_PendingRow``) is filled on the first read and kept, a one-layer
         read decodes that layer alone, and ``controller.shadow_tokens``
         reads a round's steps' agreement and confidences in one block. Every
         kind makes its steps this way.
 
-        ``prev``, when given, must be this model's step of ``context[:-1]``
-        (checked in O(1): the same model and length n - 1, else
-        ValueError). If its key is packed, the new key is that key moved on
-        by one token (``_next_key``) instead of a pack of the whole window;
-        else, as for a memo-less step nobody has read, the step takes the
-        window path below and packs nothing.
-
-        Without a memo the step keeps the context's last
-        ``context_hash_window`` tokens as a slice (a copy of a list or
-        tuple, so the step keeps nothing of the context itself), and the
-        row packs its key (``_key``) at the first read; a step nobody
-        reads packs none. With a memo the key is packed here, since the
-        lookup needs it, and the model stores the step itself, so the
-        sessions sharing it fill each row once, whoever reads it first.
+        Every step packs its key when it is made, so the step keeps nothing
+        of the context itself: without ``prev``, from the context's last
+        ``context_hash_window`` tokens (``_key``); with ``prev``, which must
+        be this model's step of ``context[:-1]`` (checked in O(1): the same
+        model and length n - 1, else ValueError), by moving ``prev``'s key
+        on by one token (``_next_key``). With a memo the model stores the
+        step itself under its key, so the sessions sharing it fill each row
+        once, whoever reads it first.
         A memo step also keeps a successor table, ``{token: step}``, which
         a step from it checks first: a hit that the memo still holds is
         refreshed in the memo's recency order like any memo hit, and a
@@ -560,32 +548,29 @@ class LayeredModel:
         if not 0 <= last < self.V:
             raise token_error(last, self.V)
         memo = self._memo
-        msg = None
-        if prev is not None:
+        if prev is None:
+            msg = self._key(n, context[-self._hash_window:])
+        else:
             row = prev._row
             if row.model is not self or row.n != n - 1:
                 raise ValueError("prev must be this model's step of context[:-1]")
-            msg = row.msg
-            if msg is not None:
-                table = row.next
-                if table is not None:
-                    hit = table.get(last)
-                    if hit is not None:
-                        key = hit._row.msg
-                        # acquire and release: a with statement costs twice
-                        # as much, and this is the path most greedy steps take
-                        lock = self._lock
-                        lock.acquire()
-                        try:
-                            if memo.get(key) is hit:
-                                memo.move_to_end(key)
-                                return hit
-                        finally:
-                            lock.release()
-                msg = self._next_key(msg, n, last)
+            table = row.next
+            if table is not None:
+                hit = table.get(last)
+                if hit is not None:
+                    key = hit._row.msg
+                    # acquire and release: a with statement costs twice as
+                    # much, and this is the path most greedy steps take
+                    lock = self._lock
+                    lock.acquire()
+                    try:
+                        if memo.get(key) is hit:
+                            memo.move_to_end(key)
+                            return hit
+                    finally:
+                        lock.release()
+            msg = self._next_key(row.msg, n, last)
         if memo is not None:
-            if msg is None:
-                msg = self._key(n, context[-self._hash_window:])
             lock = self._lock
             lock.acquire()
             try:
@@ -601,9 +586,8 @@ class LayeredModel:
         cdf = self._cdf_rows[last]
         if cdf is None:
             cdf = self._cdf_row(last)
-        window = None if msg is not None else context[-self._hash_window:]
         step = LayerStep(self._target_rows[last], cdf, t_star, self.L,
-                         _PendingRow(self, msg, window, n, t_star))
+                         _PendingRow(self, msg, n, t_star))
         if memo is None:
             return step
         lock.acquire()
@@ -671,41 +655,26 @@ class LayeredModel:
 
         Only the agreement block of each position's keyed row is drawn: its
         first L - 1 uniforms, which Philox yields first, so they are the
-        full row's. The memo is neither read nor filled. Raises the horizon
-        ConfigError as ``argmax_chain`` does.
+        full row's. Each key is the one ``step`` makes along the path: the
+        first context's from its window (``_key``), and each next one moved
+        on by the chain's token (``_next_key``). The memo is neither read
+        nor filled. Raises the horizon ConfigError as ``argmax_chain`` does.
         """
         chain = self.argmax_chain(context, n)
         u = np.empty((n, self.L - 1))
-        for row, msg in zip(u, self._path_keys(context, chain)):
-            self._uniforms(msg, row)
-        lengths = range(len(context), len(context) + n)
-        return chain, u < self._profile_rows(map(self._profile_at, lengths))
-
-    def _path_keys(self, context: Sequence[TokenId], chain: list[TokenId]) -> list[bytes]:
-        """The key (``_key``) of each context along a path: ``context``,
-        then ``context`` plus each proper prefix of ``chain``, one per
-        token of ``chain``."""
         n0 = len(context)
-        w = self._hash_window
-        start = max(n0 - w, 0)
-        # the window of the first context, then the path; each key reads its
-        # window as a slice of this
-        tokens = memoryview(array("I", list(context[start:]) + chain))
-        keys = []
-        for i in range(len(chain)):
-            n = n0 + i
-            lo = max(n - w, 0) - start
-            keys.append(n.to_bytes(8, "little") + tokens[lo : n - start].tobytes())
-        return keys
+        msg = self._key(n0, context[-self._hash_window:])
+        for i, row in enumerate(u):
+            if i:
+                msg = self._next_key(msg, n0 + i, chain[i - 1])
+            self._uniforms(msg, row)
+        return chain, u < self._profile_rows(map(self._profile_at, range(n0, n0 + n)))
 
     def _key(self, n: int, window: Sequence[TokenId]) -> bytes:
         """The message the draws of a context of length ``n`` are keyed by:
         ``n`` as 8 little-endian bytes, then ``window``, the context's last
         ``context_hash_window`` tokens (all of it when it is shorter), as 4
-        little-endian bytes each, packed by one precompiled ``Struct`` when
-        the window is full."""
-        if len(window) == self._hash_window:
-            return self._pack_key(n, *window)
+        little-endian bytes each."""
         return n.to_bytes(8, "little") + array("I", window).tobytes()
 
     def _next_key(self, msg: bytes, n: int, token: TokenId) -> bytes:
@@ -727,25 +696,6 @@ class LayeredModel:
         if out is None:
             return rng.random(3 * (self.L - 1))
         return rng.random(out=out)
-
-    def _decode(self, u: np.ndarray, profile: np.ndarray, t_star) -> tuple[np.ndarray, np.ndarray]:
-        """Top tokens and confidences from rows of uniforms, elementwise, so
-        a row gives the same values alone or in a block.
-
-        A row holds three blocks of L-1 uniforms, one entry per exit layer:
-        layer ell agrees with the target when its agreement uniform falls
-        below ``profile[ell - 1]``; its confidence uniform goes through
-        ``_confidence``; and a layer that disagrees takes the off-target
-        token its third uniform picks, uniformly among the V - 1 tokens
-        other than ``t_star``. Steps read their rows through
-        ``_PendingRow``; the tests check those reads against this.
-        """
-        k = self.L - 1
-        miss = u[..., :k] >= profile
-        conf = self._confidence(u[..., k : 2 * k] * TABLE_SIZE, miss)
-        alt = (u[..., 2 * k :] * (self.V - 1.0)).astype(np.intp)
-        alt += alt >= t_star
-        return np.where(miss, alt, t_star), conf
 
     def _confidence(self, t: np.ndarray, miss: np.ndarray) -> np.ndarray:
         """Confidences, elementwise, from confidence uniforms times

@@ -121,12 +121,13 @@ class LayerStep:
     only two ways: ``layer(ell)`` reads one exit layer (``row.layer``), and
     ``shadow`` reads, for many steps of one model in one block, which layers
     agree with the target and their confidences (``row.shadow_block``).
-    Every step of a model holds the position's keyed row of 3(L-1)
-    uniforms (agreement, confidence and off-target blocks; see
-    ``LayeredModel._decode``), filled on the first read and kept, so a
-    one-layer read decodes that layer alone and ``shadow`` decodes no
-    token. The row is a pure function of the step's
-    key, so when or how it is read does not change a value. ``target``
+    Every step of a model holds, packed when it is made, the key of its
+    position's keyed row of 3(L-1) uniforms (agreement, confidence and
+    off-target blocks; ``tests/reference.py`` decodes a whole row), and the
+    row itself, filled on the first read and kept, so a one-layer read
+    decodes that layer alone and ``shadow`` decodes no token. The row is a
+    pure function of the step's key, so when or how it is read does not
+    change a value. ``target``
     must already be read-only, as the rows of a model's transition matrix
     are.
     Speculative-sampling verification reads only target rows, and a

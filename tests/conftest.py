@@ -10,6 +10,7 @@ import pytest
 from delsim.config import SessionConfig
 from delsim.model import AGREEMENT, REGIME_SWITCHING, LayeredModel, ModelSpec
 from delsim.types import LayerStep, TokenId
+from reference import decode
 
 TIGHT_CONF = {
     "confidence_match": {"dist": "beta", "a": 16, "b": 4},
@@ -112,12 +113,12 @@ def layer_arrays(step: LayerStep) -> tuple[np.ndarray, np.ndarray]:
 
 def decoded(step: LayerStep) -> tuple[np.ndarray, np.ndarray]:
     """The (L-1,) top tokens and confidences of a step as
-    ``LayeredModel._decode`` gives them from the step's own keyed row, in
-    one vectorized block: the reference ``layer`` and ``shadow`` are checked
+    ``reference.decode`` gives them from the step's own keyed row, in one
+    vectorized block: the reference ``layer`` and ``shadow`` are checked
     against bit for bit."""
     row = vars(step)["_row"]
     m = row.model
-    return m._decode(row.uniforms(), m._profile_at(row.n), row.t_star)
+    return decode(m, row.uniforms(), m._profile_at(row.n), row.t_star)
 
 
 @pytest.fixture

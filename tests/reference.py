@@ -10,7 +10,29 @@ import re
 
 import numpy as np
 
+from delsim.model import TABLE_SIZE
 from delsim.types import InvariantViolation, exit_distribution
+
+
+def decode(model, u, profile, t_star):
+    """Top tokens and confidences of a ``LayeredModel``'s exit layers from
+    rows of uniforms, elementwise, so a row gives the same values alone or
+    in a block.
+
+    A row holds three blocks of L-1 uniforms, one entry per exit layer:
+    layer ell agrees with the target when its agreement uniform falls
+    below ``profile[ell - 1]``; its confidence uniform goes through the
+    model's ``_confidence``; and a layer that disagrees takes the
+    off-target token its third uniform picks, uniformly among the V - 1
+    tokens other than ``t_star``. Steps read their rows one layer at a
+    time (``_PendingRow.layer``) or in agreement blocks
+    (``_PendingRow.shadow_block``); the tests check both against this."""
+    k = model.L - 1
+    miss = u[..., :k] >= profile
+    conf = model._confidence(u[..., k : 2 * k] * TABLE_SIZE, miss)
+    alt = (u[..., 2 * k :] * (model.V - 1.0)).astype(np.intp)
+    alt += alt >= t_star
+    return np.where(miss, alt, t_star), conf
 
 
 def sample_index(probs, rng):

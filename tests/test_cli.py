@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import toy_spec
@@ -402,6 +402,12 @@ def test_help_exits_zero(capsys):
         (["run", "--policy", "vanilla"],
          {"session": {"decode_mode": "sampling"}, "run": {"prompt_len": 10**30}}, "prompt_len"),
         (["run", "--policy", "vanilla"], {"session": {"V": 10**12}}, "V must be an integer in [2, 4096]"),
+        # math.lgamma overflows, and no beta_table node sees the CDF rise
+        (["run", "--policy", "del"],
+         {"model": {"confidence_match": {"dist": "beta", "a": 12, "b": 1e308}}}, "confidence_match.b"),
+        (["run", "--policy", "del"],
+         {"model": {"confidence_match": {"dist": "beta", "a": 1e300, "b": 1e300}}},
+         "confidence_match.a"),
     ],
     ids=["profile", "toy-map", "segment-len-zero", "segment-len-negative", "session-omega",
          "run-exit-layer", "run-prompts", "model-profile-string", "model-horizon",
@@ -424,7 +430,8 @@ def test_help_exits_zero(capsys):
          "run-policies-misspelt-param", "run-policies-param-named-cfg", "run-policies-repeated-name",
          "run-policies-with-param-flag", "run-policies-with-param-key", "run-unknown-key",
          "sweep-run-unknown-key", "unknown-section", "session-d-max-huge",
-         "model-context-hash-window-huge", "sampling-prompt-len-huge", "session-V-huge"],
+         "model-context-hash-window-huge", "sampling-prompt-len-huge", "session-V-huge",
+         "confidence-beta-b-huge", "confidence-beta-a-b-huge"],
 )
 def test_bad_input_exits_1_naming_the_field(tmp_path, capsys, argv, extra, field):
     cfg_file = write_config(tmp_path / "exp.json", **extra)
@@ -567,6 +574,20 @@ def test_oracle_negative_seed_is_usage_error(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # numpy's "Maximum allowed dimension exceeded"
+    (["--alpha", "0.5", "--d", str(10**31)], "--d"),
+    # a RecursionError in the enumeration
+    (["--distribution-check", "--horizon", "1000"], "--horizon"),
+    # vocab ** (horizon + d_max), computed before any work
+    (["--distribution-check", "--horizon", str(10**31)], "--horizon"),
+], ids=["d-huge", "horizon-deep", "horizon-huge"])
+def test_oracle_sizes_past_their_bounds_exit_1_naming_the_flag(capsys, argv, flag):
+    assert main(["oracle"] + argv) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+
+
 # -- bad input of any kind ---------------------------------------------------------
 
 NAN, INF = float("nan"), float("inf")
@@ -702,3 +723,144 @@ def test_bad_flags_and_config_sections_end_in_an_exit_code(invocation):
         code = main(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# -- the examples and the commands' arguments, mutated ------------------------------
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "examples"
+# each example with the command it is written for
+EXAMPLE_COMMANDS = {"compare_policies.json": "run", "deterministic_toy.json": "run",
+                    "omega_sensitivity.json": "omega-sweep", "regime_adaptation.json": "run"}
+# the fields whose valid values set the work a run does, set small; a mutant
+# of one is invalid or small (``MUTANTS`` less its huge positive numbers),
+# since a valid huge value legitimately runs for ever
+SMALL_RUN = {("run", "prompts"): 1, ("run", "prompt_len"): 4, ("session", "max_new_tokens"): 8}
+# type swaps, non-finite values, huge ints and floats, small ints, empty containers
+MUTANTS = [None, True, "x", "", NAN, INF, -INF, 2**70, -(2**70), 10**31, 1e300, 1e308, -1e308,
+           -1, 0, 1, [], {}, [1, 2]]
+SMALL_MUTANTS = [v for v in MUTANTS if not (isinstance(v, (int, float)) and 100 < v < INF)]
+# the arguments each command is given, and the flags whose values are mutated
+ARGS = {
+    "sweep": ["--ell", "1..2", "--d", "0,2"],
+    "omega-sweep": ["--omegas", "0.5,1.0"],
+    "oracle": ["--alpha", "0.5", "--d", "2", "--trials", "200", "--vocab", "3", "--horizon", "2"],
+}
+MUTATED_FLAGS = {
+    "sweep": ["--ell", "--d", "--segment-len"],
+    "omega-sweep": ["--omegas"],
+    "oracle": ["--alpha", "--d", "--trials", "--vocab", "--horizon", "--seed"],
+}
+FLAG_MUTANTS = ["", "x", "nan", "inf", "-inf", "-1", "0", "1", "2.5", "1e308", str(10**31),
+                str(-(10**31)), "1..2", "0..3", "3..0", "1,2", ",,", "0.5,x"]
+
+
+def _example(name: str) -> dict:
+    config = json.loads((EXAMPLES / name).read_text())
+    for (section, key), value in SMALL_RUN.items():
+        config[section][key] = value
+    return config
+
+
+def _paths(value, path=()):
+    """Every field of a config below ``path``: object keys and list
+    indices, not descending into a transition table."""
+    if path:
+        yield path
+    if path and path[-1] == "probs":
+        return
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, sub in items:
+        yield from _paths(sub, path + (key,))
+
+
+def field_name(path: tuple) -> str:
+    """How an error names the field at ``path``: its last run of object
+    keys, without the section unless the section is the field, so
+    ``model.confidence_match.b`` is ``confidence_match.b`` and
+    ``run.policies[1][1].gamma`` is ``gamma``."""
+    parts = list(path[1:] or path)
+    while isinstance(parts[-1], int):
+        parts.pop()
+    names = []
+    for part in reversed(parts):
+        if isinstance(part, int):
+            break
+        names.insert(0, part)
+    return ".".join(names)
+
+
+def mutated(name: str, edits: dict) -> dict:
+    """Example ``name``, made small, with the value at each path of
+    ``edits`` replaced."""
+    config = _example(name)
+    for path, value in edits.items():
+        parent = config
+        for part in path[:-1]:
+            parent = parent[part]
+        parent[path[-1]] = value
+    return config
+
+
+EXAMPLE_PATHS = {name: list(_paths(_example(name))) for name in EXAMPLE_COMMANDS}
+
+
+@st.composite
+def mutated_invocations(draw):
+    """A command, its config (or None) and the names one of which an exit-1
+    message must hold: an example run with one or two of its fields
+    mutated, or a command with one or two of its own flags mutated."""
+    command = draw(st.sampled_from(["run", "run", "sweep", "omega-sweep", "oracle"]))
+    if command == "run":
+        name = draw(st.sampled_from(sorted(EXAMPLE_COMMANDS)))
+        edits = {}
+        for _ in range(draw(st.integers(1, 2))):
+            path = draw(st.sampled_from(EXAMPLE_PATHS[name]))
+            # no path inside another's: each edit lands where it was drawn
+            if any(path[: len(p)] == p or p[: len(path)] == path for p in edits):
+                continue
+            edits[path] = draw(st.sampled_from(SMALL_MUTANTS if path in SMALL_RUN else MUTANTS))
+        argv = [EXAMPLE_COMMANDS[name]] + ARGS.get(EXAMPLE_COMMANDS[name], [])
+        return argv, mutated(name, edits), [field_name(p) for p in edits]
+    argv = [command] + ARGS[command]
+    config = None if command == "oracle" else _example(
+        draw(st.sampled_from(sorted(EXAMPLE_COMMANDS))))
+    if command == "oracle" and draw(st.booleans()):
+        argv.append("--distribution-check")
+    flags = []
+    for _ in range(draw(st.integers(1, 2))):
+        flag = draw(st.sampled_from(MUTATED_FLAGS[command]))
+        mutants = [m for m in FLAG_MUTANTS if flag != "--trials" or m != str(10**31)]
+        argv += [flag, draw(st.sampled_from(mutants))]
+        flags.append(flag)
+    return argv, config, flags
+
+
+# the named beta and oracle cases above, as mutants
+BIG_BETA_B = mutated("compare_policies.json", {("model", "confidence_match", "b"): 1e308})
+BIG_BETA_AB = mutated("compare_policies.json", {("model", "confidence_match", "a"): 1e300,
+                                                ("model", "confidence_match", "b"): 1e300})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(mutated_invocations())
+@example((["run"], BIG_BETA_B, ["confidence_match.b"]))
+@example((["run"], BIG_BETA_AB, ["confidence_match.a", "confidence_match.b"]))
+@example((["oracle", "--alpha", "0.5", "--d", str(10**31)], None, ["--d"]))
+@example((["oracle", "--distribution-check", "--horizon", "1000"], None, ["--horizon"]))
+@example((["oracle", "--distribution-check", "--horizon", str(10**31)], None, ["--horizon"]))
+def test_mutated_examples_and_arguments_exit_0_1_or_2_naming_the_field(invocation):
+    argv, config, names = invocation
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        if config is not None:
+            path = Path(tmp) / "exp.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path), "--out", str(Path(tmp) / "out")]
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        # a flag that sets a session field may be named by the field
+        assert any(n in err.getvalue() or n.lstrip("-").replace("-", "_") in err.getvalue()
+                   for n in names), err.getvalue()

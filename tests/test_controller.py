@@ -62,7 +62,7 @@ def test_shadow_tokens_recover_scripted_structure():
     sm = shadow_tokens(steps)
     assert sm.matches.tolist() == [[True, True], [True, False]]
     assert sm.confidences.tolist() == [[0.7, 0.7], [0.7, 0.7]]
-    assert sm.width == 2
+    assert sm.matches.shape[1] == 2
 
 
 def test_shadow_tokens_toy_all_rows_agree():
@@ -188,7 +188,7 @@ def test_shadow_read_equals_drawn_arrays_bit_for_bit(kind, two_models, prompt, r
         for got, want in ((sm.matches, matches), (sm.confidences, confidences)):
             assert got.dtype == want.dtype and got.shape == (cfg.L - 1, width)
             assert got.flags.c_contiguous and np.array_equal(got, want)
-        assert sm.width == width
+        assert sm.matches.shape[1] == width
         # the window sums, which sum over each layer's row, agree to the bit
         for exit_layer in (None, 1 + width % (cfg.L - 1)):
             got_rs, want_rs = (round_stats(ShadowMatrix(*block), exit_layer)
@@ -270,10 +270,10 @@ def test_window_sums_equal_per_row_sums_of_the_zero_padded_window(block, prefill
     # sum of each layer's full-width row with the positions after u_r zeroed
     sm, exit_layer, u = block
     if prefill:
-        exit_layer, u = None, sm.width - 1
+        exit_layer, u = None, sm.matches.shape[1] - 1
     rs = round_stats(sm, exit_layer)
     assert rs.u_r == u
-    window = np.arange(sm.width) <= u
+    window = np.arange(sm.matches.shape[1]) <= u
     in_window = sm.matches & window
     matched = sm.confidences * in_window
     want = (in_window.sum(axis=1).astype(np.float64), matched.sum(axis=1),

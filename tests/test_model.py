@@ -19,7 +19,7 @@ from conftest import (
     toy_model,
     toy_spec,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from delsim import harness
@@ -458,8 +458,8 @@ def test_memoized_steps_equal_computed_steps(kind, capacity, contexts):
     as_tuple=st.booleans(),
 )
 def test_memo_less_rows_equal_memo_rows(kind, contexts, as_tuple):
-    # a memo-less step packs its key at its row's first read, a memo step
-    # when it is made; both rows are the same uniforms, to the bit
+    # a memo-less step and a memo step of one context are keyed alike, and
+    # their rows are the same uniforms, to the bit
     spec = MEMO_SPECS[kind]
     plain = LayeredModel(spec, 4, 5, 11)
     memo = LayeredModel(spec, 4, 5, 11, memo_capacity=64)
@@ -467,35 +467,28 @@ def test_memo_less_rows_equal_memo_rows(kind, contexts, as_tuple):
         given_ctx = tuple(ctx) if as_tuple else list(ctx)
         a, b = plain.step(given_ctx), memo.step(list(ctx))
         row_a, row_b = vars(a)["_row"], vars(b)["_row"]
-        assert row_a.msg is None and row_a.window == given_ctx[-spec.context_hash_window:]
-        assert row_b.msg == memo._key(len(ctx), ctx[-spec.context_hash_window:])
+        assert row_a.msg == row_b.msg == memo._key(len(ctx), ctx[-spec.context_hash_window:])
         ua, ub = row_a.uniforms(), row_b.uniforms()
         assert np.array_equal(ua.view(np.uint64), ub.view(np.uint64))
-        # the first read packed the key and dropped the window
-        assert row_a.window is None
 
 
-def test_memo_less_steps_nobody_reads_pack_no_key(monkeypatch, draws):
+def test_memo_less_steps_pack_their_key_when_they_are_made(draws):
     cfg = make_cfg(L=6, V=8)
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,))
-    packed = []
-    real_key = LayeredModel._key
-
-    def counting_key(self, n, window):
-        packed.append(n)
-        return real_key(self, n, window)
-
-    monkeypatch.setattr(LayeredModel, "_key", counting_key)
+    w = model.spec.context_hash_window
     ctx = []
+    # contexts shorter than the 64-token window, as long, and longer
     for tok in list(range(8)) * 10:
         ctx.append(tok)
         last = model.step(ctx)
-    assert packed == [] and draws == []
-    # the step keeps a copy of the window: changing the context after the
-    # step changes nothing of it
+        assert key_of(last) == model._key(len(ctx), ctx[-w:])
+    assert draws == []
+    # the step keeps its key, not the context: changing the context after
+    # the step changes nothing of it
+    key = key_of(last)
     ctx[-1] = 0
     tokens, confs = layer_arrays(last)
-    assert packed == [len(ctx)] and len(draws) == 1
+    assert key_of(last) == key and len(draws) == 1
     want = LayeredModel(model.spec, cfg.L, cfg.V, 1, memo_capacity=1).step(list(range(8)) * 10)
     for x, y in zip((tokens, confs), layer_arrays(want)):
         assert np.array_equal(x, y)
@@ -877,26 +870,20 @@ def test_one_layer_reads_equal_the_drawn_arrays(kind, match, mismatch, V, tokens
                 step.layer(ell)
 
 
-def test_one_layer_reads_fill_the_row_once_and_decode_nothing_else(draws, monkeypatch):
+def test_one_layer_reads_fill_the_row_once_and_decode_nothing_else(draws):
+    # the library has no full-row decode (``reference.decode`` is the
+    # tests'), so what is left to count is the fills
     cfg = make_cfg(L=6, V=16)
     model = agreement_model(cfg, (0.5,) * 5 + (1.0,))
-    decodes = []
-    real = LayeredModel._decode
-
-    def counting(self, *args):
-        decodes.append(args[0].shape)
-        return real(self, *args)
-
-    monkeypatch.setattr(LayeredModel, "_decode", counting)
     step = model.step([3, 1, 4])
     reads = [step.layer(ell) for ell in range(1, cfg.L)] + [step.layer(2)]
     exit_distribution(*step.layer(4), cfg.V)
     LayerStep.shadow([step])
-    assert len(draws) == 1 and decodes == []
+    assert len(draws) == 1
     # the reference decode reads the kept row: no second fill
     tops, conf = decoded(step)
     assert [(int(t), float(c)) for t, c in zip(tops, conf)] == reads[:-1]
-    assert len(draws) == 1 and len(decodes) == 1
+    assert len(draws) == 1
 
 
 # -- greedy paths ------------------------------------------------------------------
@@ -1013,8 +1000,7 @@ def test_step_rejects_a_last_token_outside_the_vocabulary(capacity, last, length
 
 def key_of(step: LayerStep) -> bytes:
     """The key a model's step draws its row by, without filling the row."""
-    row = vars(step)["_row"]
-    return row.msg if row.msg is not None else row.model._key(row.n, row.window)
+    return vars(step)["_row"].msg
 
 
 @settings(max_examples=80, deadline=None)
@@ -1162,6 +1148,10 @@ def _path_spec(kind: str, L: int, V: int, window: int) -> ModelSpec:
     n=st.integers(0, 40),
     horizon=st.sampled_from([None, "at the end", "one short"]),
 )
+# a window shorter than the first context, as long, and longer than the last
+@example(kind=REGIME_SWITCHING, L=8, capacity=0, window=3, prompt=[5, 1, 9, 2, 7], n=12, horizon=None)
+@example(kind=AGREEMENT, L=8, capacity=0, window=3, prompt=[4, 4, 16], n=12, horizon=None)
+@example(kind=AGREEMENT, L=8, capacity=64, window=64, prompt=[3, 0], n=12, horizon=None)
 def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, prompt, n, horizon):
     V = 17
     spec = _path_spec(kind, L, V, window)
@@ -1191,6 +1181,15 @@ def test_path_agreement_equals_the_greedy_path_flags(kind, L, capacity, window, 
     assert agree.dtype == bool and agree.shape == (n, L - 1)
     if steps:
         assert np.array_equal(agree.T, LayerStep.shadow(steps)[0])
+    # the rows are the agreement blocks of steps made each from the one
+    # before it, whose keys move on as the path's do
+    ctx = list(prompt) + chain
+    chained = [model.step(list(prompt))] if n else []
+    for k in range(1, n):
+        chained.append(model.step(ctx[: len(prompt) + k], chained[-1]))
+    if chained:
+        assert np.array_equal(agree.T, LayerStep.shadow(chained)[0])
+        assert [key_of(s) for s in chained] == [key_of(s) for s in steps]
     plain = LayeredModel(spec, L, V, 3)
     for k, step in enumerate(steps):
         # and the path's keys are the keys step draws by, however the
@@ -1246,7 +1245,9 @@ def test_uniforms_equal_a_philox_keyed_by_the_digest(draws):
 # -- the confidence laws and the off-target tokens ----------------------------------
 
 
-@pytest.mark.parametrize("a, b", [(8, 2), (2, 8), (16, 4), (0.5, 0.5), (0.3, 0.7), (0.5, 3), (200, 200)])
+@pytest.mark.parametrize("a, b", [(8, 2), (2, 8), (16, 4), (0.5, 0.5), (0.3, 0.7), (0.5, 3), (200, 200),
+                                  # the largest parameters a confidence law may have
+                                  (10**4, 10**4)])
 def test_beta_tables_stay_within_2e3_of_the_exact_cdf(a, b):
     from scipy.stats import beta
 
