@@ -331,6 +331,9 @@ def _oracle_distribution_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    # one rule for both checks: the seed keys 64-bit streams
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     if args.distribution_check:
         return _oracle_distribution_check(args)
     if args.alpha is None or args.d is None:
@@ -341,8 +344,6 @@ def cmd_oracle(args) -> int:
         raise ConfigError(f"--alpha out of [0,1]: {args.alpha}")
     if not 0 <= args.d <= MAX_D_MAX:
         raise ConfigError(f"--d must be in [0, {MAX_D_MAX}], got {args.d}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     mc = mc_expected_tokens(args.alpha, args.d, args.trials, args.seed)
     closed = expected_tokens_closed_form(args.alpha, args.d)
     rel = abs(mc - closed) / closed

@@ -7,6 +7,7 @@ and verification passes; the update path never calls the model.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
@@ -174,51 +175,74 @@ def tpl(alpha: float, ell: int, d: int, L: int) -> float:
 
 @lru_cache(maxsize=16)
 def _tpl_axes(n: int, d_max: int, L: int) -> tuple[np.ndarray, np.ndarray]:
-    """``tpl_grid``'s exponents d, shape (d_max+1, 1), and costs d*ell + L
-    as floats, shape (d_max+1, n); read-only, since every caller shares
-    them."""
-    exponents = np.arange(d_max + 1.0)[:, None]
-    denom = exponents * np.arange(1, n + 1) + L
+    """The exponents d of the TPL grid, shape (d_max+1,), and its costs
+    d*ell + L as floats, row ell-1 for ell in [1, n], shape (n, d_max+1);
+    read-only, since every caller shares them."""
+    exponents = np.arange(d_max + 1.0)
+    costs = np.arange(1.0, n + 1)[:, None] * exponents + L
     exponents.setflags(write=False)
-    denom.setflags(write=False)
-    return exponents, denom
+    costs.setflags(write=False)
+    return exponents, costs
 
 
 def tpl_grid(alpha: np.ndarray, d_max: int, L: int) -> np.ndarray:
     """TPL over the full (ell, d) grid; row ell-1, column d.
 
-    Computed in (d, ell) layout, where each layer's running sum of powers
-    is one in-place accumulate down a column, and returned as its (ell, d)
-    view.
-
     The powers are numpy's vectorized ``**``, which need not round as
     ``math.pow`` does: on an AVX-512 host they differ in about 70 of the
-    1,501 cells of a (19, 79) grid. A subset of layers raised alone gives
-    the same bits as the full grid, but a scalar formula does not, so any
+    1,501 cells of a (79, 19) grid. ``**`` is elementwise, so some layers'
+    rows raised alone (``_tpl_rows``, as ``select_plan`` ranks them) give
+    the same bits as the full grid, but a scalar formula does not; so any
     value that must agree with ``del``'s plans (and the golden digests)
     comes from this one numpy power."""
-    alpha = np.asarray(alpha, dtype=np.float64)
-    exponents, denom = _tpl_axes(alpha.size, d_max, L)
-    grid = alpha ** exponents
-    np.add.accumulate(grid, axis=0, out=grid)
-    grid /= denom
-    return grid.T
+    return _tpl_rows(np.asarray(alpha, dtype=np.float64), slice(None), d_max, L)
+
+
+def _tpl_rows(alpha: np.ndarray, rows: list[int] | slice, d_max: int, L: int) -> np.ndarray:
+    """Rows ``rows`` of ``tpl_grid(alpha, d_max, L)``, in their order, with
+    only those layers' powers raised: each row's running sum of powers is
+    one in-place accumulate along it, divided by its costs."""
+    exponents, costs = _tpl_axes(alpha.size, d_max, L)
+    grid = alpha[rows][:, None] ** exponents
+    np.add.accumulate(grid, axis=1, out=grid)
+    grid /= costs[rows]
+    return grid
 
 
 def select_plan(alpha: np.ndarray, thresholds: np.ndarray, cfg: SessionConfig) -> DraftPlan:
-    """Exhaustive argmax of TPL, under the per-layer acceptance estimate
-    ``alpha``, over exit layers [1, L) and lengths [0, d_max].
+    """Argmax of TPL, under the per-layer acceptance estimate ``alpha``,
+    over exit layers [1, L) and lengths [0, d_max]: the row-major argmax of
+    ``tpl_grid(alpha, d_max, L)``.
 
     Ties break toward the smaller layer, then the smaller length (cheaper and
     shorter is safer under estimation noise). The plan carries the exit
     layer's threshold; how far its round may draft past the planned length
     is ``engine.draft_bound``'s rule.
+
+    Only the undominated layers are ranked: layer 1, and each layer whose
+    estimate is strictly above every shallower layer's (a strict running
+    maximum). That gives the full grid's argmax exactly. Take a layer ell
+    whose estimate is at most that of a shallower layer ell'. At d = 0
+    every cell is 1/L, and the row-major argmax already takes (1, 0). For
+    d >= 1, cell (ell, d) sums the same or smaller powers over the strictly
+    larger cost d*ell + L, at least 1/(2L) above d*ell' + L relatively; the
+    powers', sums' and divide's rounding moves either cell by at most about
+    (d_max + 1) * 2**-52 relatively, so cell (ell, d) stays strictly below
+    cell (ell', d) whenever L * (d_max + 1) < 2**50. Every valid config
+    meets that: d_max <= 4096, so it fails only from about L = 2**38,
+    whose L - 1 estimates could not be held in memory. The ranked rows
+    come from ``_tpl_rows``, whose cells are the full grid's bit for bit.
     """
-    grid = tpl_grid(alpha, cfg.d_max, cfg.L)
-    flat = int(np.argmax(grid))  # row-major: smallest ell, then smallest d
-    ell = flat // (cfg.d_max + 1) + 1
-    d = flat % (cfg.d_max + 1)
-    return DraftPlan(ell, float(thresholds[ell - 1]), d)
+    d_max = cfg.d_max
+    rows = []
+    best = -math.inf
+    for ell, a in enumerate(alpha.tolist()):
+        if a > best:
+            rows.append(ell)
+            best = a
+    flat = int(np.argmax(_tpl_rows(alpha, rows, d_max, cfg.L)))  # smallest ell, then d
+    ell = rows[flat // (d_max + 1)] + 1
+    return DraftPlan(ell, float(thresholds[ell - 1]), flat % (d_max + 1))
 
 
 def update_threshold(stats: DecayedStats) -> np.ndarray:

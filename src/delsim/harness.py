@@ -41,7 +41,6 @@ def run_session(
     cfg: SessionConfig,
     prompt: Sequence[TokenId],
     engine_seed: int,
-    collect_trace: bool = True,
 ) -> SessionResult:
     """Decode max_new_tokens from the prompt under one policy.
 
@@ -70,22 +69,21 @@ def run_session(
         prev = outcome.steps[outcome.accepted_count]
         out.extend(outcome.emitted)
         next_plan = policy.observe(outcome)
-        if collect_trace:
-            # the fields of ``TRACE_LAYOUT``, in its order
-            records.append(
-                {
-                    "round": rounds,
-                    "E": plan.exit_layer,
-                    "planned_len": plan.planned_len,
-                    "g": outcome.g,
-                    "accepted": outcome.accepted_count,
-                    "emitted_len": len(outcome.emitted),
-                    "layers_loaded": outcome.layers_loaded,
-                    "tau": plan.threshold,
-                    "alpha_snapshot": policy.alpha_snapshot,
-                    "u_r": policy.u_r,
-                }
-            )
+        # the fields of ``TRACE_LAYOUT``, in its order
+        records.append(
+            {
+                "round": rounds,
+                "E": plan.exit_layer,
+                "planned_len": plan.planned_len,
+                "g": outcome.g,
+                "accepted": outcome.accepted_count,
+                "emitted_len": len(outcome.emitted),
+                "layers_loaded": outcome.layers_loaded,
+                "tau": plan.threshold,
+                "alpha_snapshot": policy.alpha_snapshot,
+                "u_r": policy.u_r,
+            }
+        )
         plan = next_plan
         rounds += 1
     return SessionResult(output=out, ledger=ledger, records=records, rounds=rounds)
@@ -685,9 +683,7 @@ def empirical_sd_distribution(
     holds them all (``LayeredModel(..., memo_capacity=...)``)."""
     counts: Counter = Counter()
     for t in range(trials):
-        res = run_session(
-            model, policy_factory(), cfg, prompt, derive_seed(master_seed, "trial", t), False
-        )
+        res = run_session(model, policy_factory(), cfg, prompt, derive_seed(master_seed, "trial", t))
         counts[tuple(res.output)] += 1
     return counts
 

@@ -341,19 +341,20 @@ class _PendingRow:
         is picked among those other than ``t_star``; so only the agreement
         and confidence blocks are decoded, with the reference decode's
         arithmetic. The rows are filled if they are not yet, and kept; a
-        filled row is stacked as it is."""
+        filled row is stacked as it is. The two blocks are read from the
+        stacked rows' transposed view straight into C-order arrays, with no
+        copy of the stack between."""
         m = self.model
         k = m.L - 1
         for r in rows:
             if r.u is None:
                 r.uniforms()
-        # the agreement and confidence blocks, one row per exit layer
-        u = np.array([r.u for r in rows]).T[: 2 * k].copy()
+        u = np.array([r.u for r in rows]).T  # one column per row
         profile = m._profile_rows(r.p for r in rows)
-        miss = u[:k] >= (profile.T if profile.ndim == 2 else profile[:, None])
-        u = u[k:]
-        u *= TABLE_SIZE
-        return ~miss, m._confidence(u, miss)
+        miss = np.greater_equal(u[:k], profile.T if profile.ndim == 2 else profile[:, None],
+                                order="C")
+        t = np.multiply(u[k : 2 * k], TABLE_SIZE, order="C")
+        return ~miss, m._confidence(t, miss)
 
 
 class LayeredModel:
@@ -536,8 +537,9 @@ class LayeredModel:
         through its row; Python's cycle collector frees that cycle when the
         model is dropped.
 
-        A last token outside [0, V) raises the ConfigError that
-        ``argmax_chain`` raises.
+        A token outside [0, V) raises the ConfigError that ``argmax_chain``
+        raises, naming it: without ``prev``, the first such token of the
+        window; with ``prev``, the last token.
         """
         n = len(context)
         if n == 0:
@@ -545,12 +547,12 @@ class LayeredModel:
         if n > self.spec.horizon:
             raise horizon_error(n, self.spec.horizon)
         last = int(context[-1])
-        if not 0 <= last < self.V:
-            raise token_error(last, self.V)
         memo = self._memo
         if prev is None:
             msg = self._key(n, context[-self._hash_window:])
         else:
+            if not 0 <= last < self.V:
+                raise token_error(last, self.V)
             row = prev._row
             if row.model is not self or row.n != n - 1:
                 raise ValueError("prev must be this model's step of context[:-1]")
@@ -658,12 +660,14 @@ class LayeredModel:
         full row's. Each key is the one ``step`` makes along the path: the
         first context's from its window (``_key``), and each next one moved
         on by the chain's token (``_next_key``). The memo is neither read
-        nor filled. Raises the horizon ConfigError as ``argmax_chain`` does.
+        nor filled. Raises the horizon ConfigError as ``argmax_chain`` does,
+        and a token outside [0, V) the ConfigError ``step`` raises, naming
+        the first such token of the first context's window.
         """
-        chain = self.argmax_chain(context, n)
-        u = np.empty((n, self.L - 1))
         n0 = len(context)
         msg = self._key(n0, context[-self._hash_window:])
+        chain = self.argmax_chain(context, n)
+        u = np.empty((n, self.L - 1))
         for i, row in enumerate(u):
             if i:
                 msg = self._next_key(msg, n0 + i, chain[i - 1])
@@ -674,7 +678,11 @@ class LayeredModel:
         """The message the draws of a context of length ``n`` are keyed by:
         ``n`` as 8 little-endian bytes, then ``window``, the context's last
         ``context_hash_window`` tokens (all of it when it is shorter), as 4
-        little-endian bytes each."""
+        little-endian bytes each. A window token outside [0, V) raises
+        ``token_error`` naming the first."""
+        V = self.V
+        if len(window) and (min(window) < 0 or max(window) >= V):
+            raise token_error(next(t for t in window if not 0 <= t < V), V)
         return n.to_bytes(8, "little") + array("I", window).tobytes()
 
     def _next_key(self, msg: bytes, n: int, token: TokenId) -> bytes:
@@ -702,11 +710,19 @@ class LayeredModel:
         ``TABLE_SIZE`` (``t``, a new array, which this overwrites) and the
         mask of layers that disagree: the tabulated inverse CDF of the match
         or mismatch law, by linear interpolation between the two table
-        entries around each. The result has ``t``'s layout."""
+        entries around each. The result has ``t``'s layout.
+
+        The bits are the reference decode's (``tests/reference.decode``:
+        a masked add of ``TABLE_SIZE + 1``, a truncation, then ``rise *
+        frac + table``) without its masked ufunc loop: ``t`` is at least 0,
+        adding the mask times ``TABLE_SIZE + 1`` adds +0.0 where a layer
+        agrees, which leaves ``t`` as it is, and the floor of a ``t >= 0``
+        is its truncation."""
         # position in the table: the mismatch law's entries follow the match law's
-        np.add(t, TABLE_SIZE + 1.0, out=t, where=miss)
-        i = t.astype(np.intp)
-        t -= i
+        t += miss * (TABLE_SIZE + 1.0)
+        f = np.floor(t)
+        i = f.astype(np.intp)
+        t -= f
         conf = self._conf_rise.take(i)
         conf *= t
         conf += self._conf_table.take(i)

@@ -21,15 +21,24 @@ def decode(model, u, profile, t_star):
 
     A row holds three blocks of L-1 uniforms, one entry per exit layer:
     layer ell agrees with the target when its agreement uniform falls
-    below ``profile[ell - 1]``; its confidence uniform goes through the
-    model's ``_confidence``; and a layer that disagrees takes the
-    off-target token its third uniform picks, uniformly among the V - 1
-    tokens other than ``t_star``. Steps read their rows one layer at a
-    time (``_PendingRow.layer``) or in agreement blocks
-    (``_PendingRow.shadow_block``); the tests check both against this."""
+    below ``profile[ell - 1]``; its confidence uniform, times
+    ``TABLE_SIZE``, is a position in the model's confidence table, shifted
+    by ``TABLE_SIZE + 1`` to the mismatch law's entries when the layer
+    disagrees, and the confidence interpolates linearly between the two
+    entries around it; and a layer that disagrees takes the off-target
+    token its third uniform picks, uniformly among the V - 1 tokens other
+    than ``t_star``. Steps read their rows one layer at a time
+    (``_PendingRow.layer``) or in agreement blocks
+    (``_PendingRow.shadow_block``, through ``LayeredModel._confidence``);
+    the tests check both against this arithmetic, written out here apart
+    from the model's."""
     k = model.L - 1
     miss = u[..., :k] >= profile
-    conf = model._confidence(u[..., k : 2 * k] * TABLE_SIZE, miss)
+    t = u[..., k : 2 * k] * TABLE_SIZE
+    np.add(t, TABLE_SIZE + 1.0, out=t, where=miss)
+    i = t.astype(np.intp)
+    frac = t - i
+    conf = model._conf_rise[i] * frac + model._conf_table[i]
     alt = (u[..., 2 * k :] * (model.V - 1.0)).astype(np.intp)
     alt += alt >= t_star
     return np.where(miss, alt, t_star), conf

@@ -76,14 +76,14 @@ def test_c01_greedy_losslessness():
         prompts = make_prompts(model, cfg, n_prompts, 16)
         refs = [
             run_session(model, make_policy("vanilla", cfg), cfg, p,
-                        derive_seed(cfg.seed, "ref", i), False).output
+                        derive_seed(cfg.seed, "ref", i)).output
             for i, p in enumerate(prompts)
         ]
         for name, params in policies:
             for i, prompt in enumerate(prompts):
                 res = run_session(
                     model, make_policy(name, cfg, **params), cfg, prompt,
-                    derive_seed(cfg.seed, "engine", name, i), False,
+                    derive_seed(cfg.seed, "engine", name, i),
                 )
                 assert res.output == refs[i], f"{fam_name}/{name}/prompt {i} diverged"
                 checked += 1
@@ -266,7 +266,7 @@ def test_c08_policy_optimality():
         for i, p in enumerate(sweep_prompts):
             res = run_session(
                 sweep_model, make_policy("ls", sweep_cfg, exit_layer=ell, gamma=d),
-                sweep_cfg, p, derive_seed(sweep_cfg.seed, "modal", ell, d, i), False,
+                sweep_cfg, p, derive_seed(sweep_cfg.seed, "modal", ell, d, i),
             )
             tok += res.ledger.tokens_emitted
             lay += res.ledger.layers_loaded

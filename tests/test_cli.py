@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -574,6 +575,26 @@ def test_oracle_negative_seed_is_usage_error(capsys):
     assert "--seed" in capsys.readouterr().err
 
 
+ORACLE_CHECKS = {"monte-carlo": ["--alpha", "0.5", "--d", "2", "--trials", "200"],
+                 "distribution": ["--distribution-check", "--vocab", "3", "--horizon", "2",
+                                  "--trials", "200"]}
+
+
+@pytest.mark.parametrize("check", sorted(ORACLE_CHECKS))
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**31])
+def test_oracle_seed_outside_64_bits_exits_1_naming_the_flag_on_both_paths(capsys, check, seed):
+    assert main(["oracle"] + ORACLE_CHECKS[check] + ["--seed", str(seed)]) == 1
+    err = capsys.readouterr().err
+    assert f"--seed must be in [0, 2**64), got {seed}" in err
+
+
+@pytest.mark.parametrize("check", sorted(ORACLE_CHECKS))
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_oracle_seed_at_either_end_of_64_bits_runs_on_both_paths(capsys, check, seed):
+    assert main(["oracle"] + ORACLE_CHECKS[check] + ["--seed", str(seed)]) in (0, 2)
+    assert "error" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     # numpy's "Maximum allowed dimension exceeded"
     (["--alpha", "0.5", "--d", str(10**31)], "--d"),
@@ -805,12 +826,84 @@ def mutated(name: str, edits: dict) -> dict:
 EXAMPLE_PATHS = {name: list(_paths(_example(name))) for name in EXAMPLE_COMMANDS}
 
 
+# a result directory's damage: the kind, and what it is given
+BAD_CONFIG_TEXT = ["", "{", "x", "[]", "null", '{"session": 1}', '{"session": {"L": "x"}}']
+REPLAY_DAMAGE = ["no-config", "bad-config", "summary", "trace-edit", "trace-cut", "no-traces",
+                 "file"]
+
+
+@st.composite
+def result_dir_damage(draw):
+    """One kind of damage to a result directory (``damaged_result_dir``):
+    config.json missing or not JSON, a summary cell or a trace line edited,
+    a trace line cut, traces/ missing, or ``--dir`` naming a file."""
+    kind = draw(st.sampled_from(REPLAY_DAMAGE))
+    if kind == "bad-config":
+        return kind, draw(st.sampled_from(BAD_CONFIG_TEXT))
+    if kind == "summary":
+        return kind, (draw(st.integers(1, 5)), draw(st.integers(0, 7)),
+                      draw(st.sampled_from(FLAG_MUTANTS)))
+    if kind in ("trace-edit", "trace-cut"):
+        return kind, (draw(st.integers(0, 4)), draw(st.integers(0, 99)),
+                      draw(st.integers(0, 999)), draw(st.sampled_from(FLAG_MUTANTS)))
+    return kind, None
+
+
+def damaged_result_dir(clean: Path, tmp: Path, damage) -> Path:
+    """A copy of the result directory ``clean`` under ``tmp`` with
+    ``damage`` done to it, and the path ``replay --dir`` is given. An
+    index past the rows, lines or characters there wraps round."""
+    kind, arg = damage
+    out = tmp / "out"
+    shutil.copytree(clean, out)
+    if kind == "no-config":
+        (out / "config.json").unlink()
+    elif kind == "bad-config":
+        (out / "config.json").write_text(arg)
+    elif kind == "summary":
+        row, col, value = arg
+        lines = (out / "summary.csv").read_text().split("\n")
+        cells = lines[row].split(",")
+        cells[col % len(cells)] = value
+        lines[row] = ",".join(cells)
+        (out / "summary.csv").write_text("\n".join(lines))
+    elif kind in ("trace-edit", "trace-cut"):
+        trace, line, pos, value = arg
+        traces = sorted((out / "traces").iterdir())
+        path = traces[trace % len(traces)]
+        lines = path.read_text().split("\n")
+        line %= len(lines) - 1  # the text after the last newline is empty
+        text = lines[line]
+        pos %= len(text) + 1
+        lines[line] = text[:pos] if kind == "trace-cut" else text[:pos] + value + text[pos + 1:]
+        path.write_text("\n".join(lines))
+    elif kind == "no-traces":
+        shutil.rmtree(out / "traces")
+    elif kind == "file":
+        return out / "summary.csv"
+    return out
+
+
+@pytest.fixture(scope="module")
+def result_dir(tmp_path_factory) -> Path:
+    """A small example's result directory, as ``delsim run`` writes it."""
+    tmp = tmp_path_factory.mktemp("result")
+    path = tmp / "exp.json"
+    path.write_text(json.dumps(_example("compare_policies.json")))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(path), "--out", str(tmp / "out")]) == 0
+    return tmp / "out"
+
+
 @st.composite
 def mutated_invocations(draw):
     """A command, its config (or None) and the names one of which an exit-1
     message must hold: an example run with one or two of its fields
-    mutated, or a command with one or two of its own flags mutated."""
-    command = draw(st.sampled_from(["run", "run", "sweep", "omega-sweep", "oracle"]))
+    mutated, a command with one or two of its own flags mutated, or
+    ``replay`` on a damaged result directory (its damage for a config)."""
+    command = draw(st.sampled_from(["run", "run", "sweep", "omega-sweep", "oracle", "replay"]))
+    if command == "replay":
+        return ["replay"], draw(result_dir_damage()), ["--dir"]
     if command == "run":
         name = draw(st.sampled_from(sorted(EXAMPLE_COMMANDS)))
         edits = {}
@@ -849,17 +942,27 @@ BIG_BETA_AB = mutated("compare_policies.json", {("model", "confidence_match", "a
 @example((["oracle", "--alpha", "0.5", "--d", str(10**31)], None, ["--d"]))
 @example((["oracle", "--distribution-check", "--horizon", "1000"], None, ["--horizon"]))
 @example((["oracle", "--distribution-check", "--horizon", str(10**31)], None, ["--horizon"]))
-def test_mutated_examples_and_arguments_exit_0_1_or_2_naming_the_field(invocation):
+@example((["replay"], ("no-config", None), ["--dir"]))
+@example((["replay"], ("bad-config", "{"), ["--dir"]))
+@example((["replay"], ("summary", (1, 3, "x")), ["--dir"]))
+@example((["replay"], ("trace-edit", (0, 0, 2, "x")), ["--dir"]))
+@example((["replay"], ("trace-cut", (0, 0, 5, "")), ["--dir"]))
+@example((["replay"], ("no-traces", None), ["--dir"]))
+@example((["replay"], ("file", None), ["--dir"]))
+def test_mutated_examples_and_arguments_exit_0_1_or_2_naming_the_field(result_dir, invocation):
     argv, config, names = invocation
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(err):
-        if config is not None:
+        if argv[0] == "replay":
+            argv = argv + ["--dir", str(damaged_result_dir(result_dir, Path(tmp), config))]
+        elif config is not None:
             path = Path(tmp) / "exp.json"
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path), "--out", str(Path(tmp) / "out")]
         code = main(argv)
     assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
     if code == 1:
         # a flag that sets a session field may be named by the field
         assert any(n in err.getvalue() or n.lstrip("-").replace("-", "_") in err.getvalue()

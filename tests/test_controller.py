@@ -22,6 +22,7 @@ from delsim.controller import (
     DelController,
     RoundStats,
     ShadowMatrix,
+    _tpl_rows,
     estimate_alpha,
     prefill_init,
     push,
@@ -486,6 +487,57 @@ def test_select_plan_carries_threshold_of_chosen_layer():
     capped_cfg = cfg.replace(draft_cap_mode=CAP_PLAN)
     capped = select_plan(alpha, thresholds, capped_cfg)
     assert draft_bound(capped, capped_cfg) == capped.planned_len == plan.planned_len
+
+
+
+@st.composite
+def estimates(draw):
+    """L, d_max and L - 1 acceptance estimates in [0, 1] built from runs:
+    fresh values, exact 1.0, ``ALPHA_FLOOR``, repeats of the value before,
+    and its ``np.nextafter`` neighbours, so that ties and near-ties between
+    layers are common."""
+    L = draw(st.integers(2, 100))
+    d_max = draw(st.integers(0, 40))
+    alpha = []
+    while len(alpha) < L - 1:
+        kind = draw(st.sampled_from(["fresh", "one", "floor", "repeat", "up", "down"]))
+        prev = alpha[-1] if alpha else draw(st.floats(0.0, 1.0))
+        value = {
+            "fresh": lambda: draw(st.floats(0.0, 1.0)),
+            "one": lambda: 1.0,
+            "floor": lambda: ALPHA_FLOOR,
+            "repeat": lambda: prev,
+            "up": lambda: min(float(np.nextafter(prev, 2.0)), 1.0),
+            "down": lambda: max(float(np.nextafter(prev, -1.0)), 0.0),
+        }[kind]()
+        alpha += [value] * draw(st.integers(1, 4))
+    return L, d_max, np.array(alpha[: L - 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(estimates(), st.data())
+def test_select_plan_is_the_full_grids_row_major_argmax(case, data):
+    L, d_max, alpha = case
+    cfg = make_cfg(L=L, V=16, d_max=d_max)
+    grid = tpl_grid(alpha, d_max, L)
+    # the first cell, row-major, that holds the grid's maximum
+    flat = int(np.flatnonzero(grid == grid.max())[0])
+    ell, d = flat // (d_max + 1) + 1, flat % (d_max + 1)
+    thresholds = np.arange(1.0, L) / L
+    plan = select_plan(alpha, thresholds, cfg)
+    assert (plan.exit_layer, plan.planned_len) == (ell, d)
+    assert plan.threshold == thresholds[ell - 1]
+    # the pruning rests on rows raised alone being the full grid's, bit for bit
+    rows = sorted(data.draw(st.sets(st.integers(0, L - 2), min_size=1)))
+    assert _tpl_rows(alpha, rows, d_max, L).tobytes() == grid[rows].tobytes()
+    m = data.draw(st.integers(1, L - 1))
+    assert tpl_grid(alpha[:m], d_max, L).tobytes() == grid[:m].tobytes()
+    # and the grid is the one raised, summed and divided in (d, ell) layout
+    exponents = np.arange(d_max + 1.0)[:, None]
+    columns = alpha ** exponents
+    np.add.accumulate(columns, axis=0, out=columns)
+    columns /= exponents * np.arange(1, L) + L
+    assert grid.tobytes() == np.ascontiguousarray(columns.T).tobytes()
 
 
 # -- dynamic threshold -------------------------------------------------------------

@@ -296,8 +296,8 @@ def test_run_experiment_losslessness_hook_fires(tmp_path, monkeypatch):
 
     real = harness.run_session
 
-    def corrupted(model, policy, cfg_, prompt, seed, collect_trace=True):
-        res = real(model, policy, cfg_, prompt, seed, collect_trace)
+    def corrupted(model, policy, cfg_, prompt, seed):
+        res = real(model, policy, cfg_, prompt, seed)
         if getattr(policy, "name", "") == "ls":
             res.output = list(res.output)
             res.output[-1] = (res.output[-1] + 1) % cfg_.V
@@ -514,7 +514,7 @@ def test_greedy_vanilla_output_is_the_greedy_path(memo):
     for prompt in make_prompts(model, cfg, 3, 10):
         chain = model.argmax_chain(prompt, cfg.max_new_tokens)
         path = [model.step(prompt + chain[:k]).target_token for k in range(len(chain))]
-        out = run_session(model, VanillaPolicy(cfg), cfg, prompt, 5, False).output
+        out = run_session(model, VanillaPolicy(cfg), cfg, prompt, 5).output
         assert out == path == chain == vanilla_reference(model, cfg, prompt)
 
 

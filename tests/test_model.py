@@ -998,6 +998,36 @@ def test_step_rejects_a_last_token_outside_the_vocabulary(capacity, last, length
     assert model.step(ctx[:-1] + [7], prev).target_token == model._trans_argmax[7]
 
 
+@pytest.mark.parametrize("capacity", [0, 4])
+@pytest.mark.parametrize("bad", [-1, 8, 70, 2**32])
+@pytest.mark.parametrize("window", [2, 8])
+def test_step_rejects_a_window_token_outside_the_vocabulary(capacity, bad, window):
+    # a 2-token window is shorter than the 4-token context and an 8-token
+    # one longer; either way the bad token is in the window, not last, so
+    # it would be keyed (8, 70) or fail to pack (-1, 2**32)
+    spec = ModelSpec(kind=AGREEMENT, agreement_profile=(0.5, 0.5, 0.5, 1.0),
+                     context_hash_window=window)
+    model = LayeredModel(spec, 4, 8, 1, memo_capacity=capacity)
+    name = rf"context token {bad} is outside \[0, 8\)"
+    with pytest.raises(ConfigError, match=name):
+        model.step([1, 2, bad, 5])
+    with pytest.raises(ConfigError, match=name):
+        model.path_agreement([1, 2, bad, 5], 3)
+    assert model.step([1, 2, 7, 5]).target_token == model._trans_argmax[5]
+
+
+@pytest.mark.parametrize("bad", [-1, 70])
+def test_a_bad_window_token_raises_in_step_and_path_agreement_at_v8(bad):
+    model = LayeredModel(toy_spec(4, 8), 4, 8, 1)
+    name = rf"context token {bad} is outside \[0, 8\)"
+    # of two bad tokens, the first is named
+    for ctx in ([bad, 3], [bad, 9, 3], [bad, 9]):
+        with pytest.raises(ConfigError, match=name):
+            model.step(ctx)
+        with pytest.raises(ConfigError, match=name):
+            model.path_agreement(ctx, 3)
+
+
 def key_of(step: LayerStep) -> bytes:
     """The key a model's step draws its row by, without filling the row."""
     return vars(step)["_row"].msg
